@@ -43,6 +43,11 @@ class DoubleTakeOverQueue(PacketQueue):
     U1 if it can also overtake U1's tail, else to U2.  Dequeue: minimum
     deadline among the three heads.  (Three FIFOs per VC instead of two:
     a plausible "what if we spent a bit more silicon" design point.)
+
+    The one contract a custom queue owes the switch: ``head()`` is not
+    None exactly while ``len(queue) > 0``.  The switch keeps, per output,
+    the list of inputs whose queue is non-empty and the picker reads the
+    heads of only those -- it never polls an empty queue.
     """
 
     __slots__ = ("_lower", "_u1", "_u2")

@@ -129,12 +129,11 @@ class _CountingPicker(Picker):
         self.inner = inner
         self.counters = counters
 
-    def pick(self, queues, sendable=None):
+    def pick(self, queues, backlogged, sendable=None):
         self.counters.arbiter_picks += 1
         if isinstance(self.inner, EDFPicker):
-            live = sum(1 for q in queues if q.head() is not None)
-            self.counters.arbiter_comparisons += max(0, live - 1)
-        return self.inner.pick(queues, sendable)
+            self.counters.arbiter_comparisons += max(0, len(backlogged) - 1)
+        return self.inner.pick(queues, backlogged, sendable)
 
     def granted(self, index: int) -> None:
         self.inner.granted(index)

@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(cost_p)
 
     rep_p = sub.add_parser(
-        "replicate", help="one configuration across seeds, with 95% CIs"
+        "replicate", help="one configuration across seeds, with 95%% CIs"
     )
     rep_p.add_argument("--arch", default="advanced-2vc", choices=sorted(ARCHITECTURES))
     rep_p.add_argument("--load", type=float, default=1.0)

@@ -2,7 +2,10 @@
 
 An arbiter picks, among the candidate queues feeding one output port and
 VC, the queue whose head should be transmitted next.  Per the paper's
-implementability constraint it may look only at queue *heads*:
+implementability constraint it may look only at queue *heads* -- and only
+at the heads of the *backlogged* queues: the switch hands ``pick`` the
+indices of the non-empty candidates (in no particular order), so the
+cost of a decision follows the number of contenders, not the radix:
 
 - :class:`EDFPicker` -- minimum head deadline (ties by arrival order).
   Over FIFO queues this is the *Simple* scheme, over take-over queues the
@@ -11,7 +14,7 @@ implementability constraint it may look only at queue *heads*:
 - :class:`RoundRobinPicker` -- deadline-blind rotating priority, as a
   conventional switch (*Traditional 2 VCs*) would use.
 
-``pick`` accepts an optional ``sendable`` predicate used for credit
+``pick`` also accepts an optional ``sendable`` predicate used for credit
 masking (skipping candidates that would not fit downstream).  The
 traditional architecture masks, as real request-grant arbiters do.  The
 EDF architectures must *not* mask: the appendix's no-reordering proof
@@ -37,13 +40,18 @@ SendablePredicate = Callable[[DeadlineTagged], bool]
 
 
 class Picker:
-    """Interface: choose an index into ``queues`` or None if nothing to send."""
+    """Interface: choose an index into ``queues`` or None if nothing to send.
+
+    ``backlogged`` holds exactly the indices of the non-empty queues, each
+    once, in arbitrary order; the result must not depend on that order.
+    """
 
     __slots__ = ()
 
     def pick(
         self,
         queues: Sequence[PacketQueue],
+        backlogged: Sequence[int],
         sendable: Optional[SendablePredicate] = None,
     ) -> Optional[int]:
         raise NotImplementedError
@@ -66,14 +74,13 @@ class EDFPicker(Picker):
     def pick(
         self,
         queues: Sequence[PacketQueue],
+        backlogged: Sequence[int],
         sendable: Optional[SendablePredicate] = None,
     ) -> Optional[int]:
         best_index: Optional[int] = None
         best_key: Optional[tuple[int, int]] = None
-        for index, queue in enumerate(queues):
-            head = queue.head()
-            if head is None:
-                continue
+        for index in backlogged:
+            head = queues[index].head()
             if sendable is not None and not sendable(head):
                 continue
             key = (head.deadline, head.uid)
@@ -99,21 +106,26 @@ class RoundRobinPicker(Picker):
     def pick(
         self,
         queues: Sequence[PacketQueue],
+        backlogged: Sequence[int],
         sendable: Optional[SendablePredicate] = None,
     ) -> Optional[int]:
-        n = len(queues)
-        if n == 0:
+        if not backlogged:
             return None
+        n = len(queues)
         start = self._next % n
-        for offset in range(n):
-            index = (start + offset) % n
-            head = queues[index].head()
-            if head is None:
+        best_index: Optional[int] = None
+        best_offset = n
+        for index in backlogged:
+            # Cyclic distance from the pointer: the first sendable queue a
+            # rotating scan from ``start`` would reach has the smallest.
+            offset = (index - start) % n
+            if offset >= best_offset:
                 continue
-            if sendable is not None and not sendable(head):
+            if sendable is not None and not sendable(queues[index].head()):
                 continue
-            return index
-        return None
+            best_index = index
+            best_offset = offset
+        return best_index
 
     def granted(self, index: int) -> None:
         self._next = index + 1
@@ -138,10 +150,11 @@ class MeteredPicker(Picker):
     def pick(
         self,
         queues: Sequence[PacketQueue],
+        backlogged: Sequence[int],
         sendable: Optional[SendablePredicate] = None,
     ) -> Optional[int]:
         self.picks.inc()
-        return self.inner.pick(queues, sendable)
+        return self.inner.pick(queues, backlogged, sendable)
 
     def granted(self, index: int) -> None:
         self.grants.inc()

@@ -66,6 +66,7 @@ class Switch:
         "out_links",
         "_voq",
         "_candidates",
+        "_backlogged",
         "_pickers",
         "packets_forwarded",
         "bytes_forwarded",
@@ -119,6 +120,13 @@ class Switch:
                 for vc in range(n_vcs)
             ]
             for out in range(n_ports)
+        ]
+        # Per-(output, vc) backlogged list: the input ports whose VOQ is
+        # non-empty, so arbitration costs follow the contenders, not the
+        # radix.  Appended in ``accept`` when a push lands in an empty
+        # queue, removed in ``_try_output`` when a pop empties it.
+        self._backlogged: List[List[List[int]]] = [
+            [[] for _vc in range(n_vcs)] for _out in range(n_ports)
         ]
         self._pickers = [
             [architecture.make_picker() for _vc in range(n_vcs)]
@@ -202,6 +210,8 @@ class Switch:
             )
         queue = self._voq[in_port][out_port][pkt.vc]
         queue.push(pkt)
+        if len(queue) == 1:
+            self._backlogged[out_port][pkt.vc].append(in_port)
         if self._obs_on:
             pkt.hop_arrival = self.engine.now
             self._m_enqueue[pkt.vc].inc()
@@ -230,6 +240,9 @@ class Switch:
         masking = self.architecture.credit_masking
         channel = out_link.channel
         for vc in range(self.n_vcs):  # ascending index = descending priority
+            backlogged = self._backlogged[out_port][vc]
+            if not backlogged:
+                continue
             queues = self._candidates[out_port][vc]
             picker = self._pickers[out_port][vc]
             if masking:
@@ -237,9 +250,9 @@ class Switch:
                 # hoisting it would freeze the VC and caching predicates
                 # per port would couple the arbiter to link rewiring.
                 # Masking architectures only; the common path never pays.
-                index = picker.pick(queues, lambda head: channel.can_send(vc, head.size))  # simlint: allow-hot-loop-allocation
+                index = picker.pick(queues, backlogged, lambda head: channel.can_send(vc, head.size))  # simlint: allow-hot-loop-allocation
             else:
-                index = picker.pick(queues)
+                index = picker.pick(queues, backlogged)
                 if index is not None:
                     head = queues[index].head()
                     if not channel.can_send(vc, head.size):
@@ -249,10 +262,13 @@ class Switch:
                         index = None
             if index is None:
                 continue
-            pkt = queues[index].pop()
+            queue = queues[index]
+            pkt = queue.pop()
+            if len(queue) == 0:
+                backlogged.remove(index)
             picker.granted(index)
             if self._obs_on:
-                self._record_dequeue(pkt, queues[index])
+                self._record_dequeue(pkt, queue)
             self._send(pkt, out_link, in_port=index)
             return
 
@@ -307,6 +323,22 @@ class Switch:
 
     def voq(self, in_port: int, out_port: int, vc: int) -> PacketQueue:
         return self._voq[in_port][out_port][vc]
+
+    def check_backlogged(self) -> None:
+        """Raise :class:`InvariantViolation` unless every (output, VC)
+        backlogged list holds exactly the inputs whose VOQ is non-empty,
+        each once."""
+        listed = [sorted(inputs) for per_out in self._backlogged for inputs in per_out]
+        nonempty = [
+            [i for i, queue in enumerate(queues) if len(queue) > 0]
+            for per_out in self._candidates
+            for queues in per_out
+        ]
+        invariant(
+            listed == nonempty,
+            "%s: backlogged lists %r but non-empty inputs %r (output-major, then VC)",
+            self.node_id, listed, nonempty,
+        )
 
     def takeover_hits(self) -> int:
         """Arrivals that landed in a take-over (U) queue, summed over all

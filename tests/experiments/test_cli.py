@@ -4,6 +4,7 @@ Simulation-backed commands run at micro scale so the whole module stays
 in test-suite time budgets.
 """
 
+import argparse
 import json
 
 import pytest
@@ -31,6 +32,33 @@ class TestParser:
         assert args.figure == "fig3"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig9"])
+
+
+def _command_paths(parser, prefix=()):
+    """Every parser in the tree, as the argv prefix that reaches it."""
+    yield prefix
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _command_paths(child, prefix + (name,))
+
+
+class TestHelp:
+    """``--help`` %-formats every help string it shows, so one unescaped
+    ``%`` makes it raise instead of print; nothing else exercises that."""
+
+    @pytest.mark.parametrize(
+        "path", list(_command_paths(build_parser())), ids=lambda p: " ".join(p) or "top-level"
+    )
+    def test_help_prints_and_exits_zero(self, path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*path, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.strip()
+
+    def test_every_subcommand_is_covered(self):
+        paths = set(_command_paths(build_parser()))
+        assert {(), ("run",), ("replicate",), ("trace", "blame"), ("profile", "mem")} <= paths
 
 
 class TestListCommand:

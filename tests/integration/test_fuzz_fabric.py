@@ -8,8 +8,11 @@ must hold for *any* configuration:
 - every submitted packet is delivered exactly once (lossless, no dupes);
 - per-flow FIFO delivery;
 - all credit counters return to their initial values;
+- every switch's backlogged lists name exactly its non-empty VOQs;
 - deterministic replay: the same drawn scenario produces the same
-  deliveries.
+  deliveries;
+- arbiter differential: the scanning oracle pickers
+  (``tests/core/scanning_pickers.py``) produce the same deliveries.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from repro.core.architectures import ARCHITECTURES
 from repro.core.flow import FlowKind
 from repro.network.fabric import Fabric, FabricParams
 from repro.network.topology import FatTreeSpec, build_fat_tree, build_folded_shuffle_min
+from tests.core.scanning_pickers import with_scanning_pickers
 
 
 @st.composite
@@ -65,8 +69,8 @@ def scenarios(draw):
 def test_random_fabrics_preserve_invariants(scenario):
     topo, arch, flows = scenario
 
-    def run():
-        fabric = Fabric(topo, ARCHITECTURES[arch], FabricParams())
+    def run(architecture=ARCHITECTURES[arch]):
+        fabric = Fabric(topo, architecture, FabricParams())
         deliveries: list[tuple[int, int, int]] = []
         fabric.subscribe_delivery(
             lambda p, t: deliveries.append((p.flow_id, p.seq, t))
@@ -83,6 +87,8 @@ def test_random_fabrics_preserve_invariants(scenario):
             for at, size in messages:
                 fabric.engine.at(at, fabric.submit, flow, size)
         fabric.engine.run(max_events=5_000_000)
+        for switch in fabric.switches.values():
+            switch.check_backlogged()
         return fabric, deliveries
 
     fabric, deliveries = run()
@@ -105,3 +111,7 @@ def test_random_fabrics_preserve_invariants(scenario):
     # Determinism: replaying the same scenario reproduces the deliveries.
     _, again = run()
     assert again == deliveries
+
+    # Arbiter differential: polling every head grants the same inputs.
+    _, scanned = run(with_scanning_pickers(ARCHITECTURES[arch]))
+    assert scanned == deliveries

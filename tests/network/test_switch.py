@@ -8,6 +8,7 @@ from repro.core.architectures import (
     SIMPLE_2VC,
     TRADITIONAL_2VC,
 )
+from repro.core.invariants import InvariantViolation
 from repro.network.link import Link
 from repro.network.switch import Switch
 from tests.helpers import mkpkt
@@ -83,11 +84,13 @@ class SwitchRig:
         """Inject a packet into an input port (bypassing wire timing).
 
         Consumes the in-link's credit exactly as a real upstream sender
-        would, so the switch's credit return balances.
+        would, so the switch's credit return balances.  Every feed also
+        checks the switch's backlogged lists against its VOQs.
         """
         pkt = mkpkt(deadline, size=size, vc=vc, path=(out_port,), **kw)
         self.in_links[in_port].channel.consume(vc, size)
         self.switch.accept(pkt, self.in_links[in_port])
+        self.switch.check_backlogged()
         return pkt
 
     def departures(self, out_port=0):
@@ -182,6 +185,7 @@ class TestCreditDiscipline:
         # Occupy half the output credit window; the sink withholds it.
         rig.feed(0, 10, size=2048)
         engine.run_all()
+        rig.switch.check_backlogged()
         assert len(rig.sinks[0].received) == 1
         # Two candidates: min-deadline 20 is too big for the remaining
         # 2048 credits; 30 is small and would fit -- but must NOT pass.
@@ -189,9 +193,14 @@ class TestCreditDiscipline:
         rig.feed(2, 30, size=64)
         engine.run_all()
         assert len(rig.sinks[0].received) == 1  # both stuck behind the rule
+        # The blocked head and the packet behind the rule both stay
+        # listed: the credit return must find them without a rescan.
+        rig.switch.check_backlogged()
+        assert len(rig.switch.voq(1, 0, 0)) == len(rig.switch.voq(2, 0, 0)) == 1
         rig.sinks[0].auto_credit = True
         rig.sinks[0].release_credits()
         engine.run_all()
+        rig.switch.check_backlogged()
         assert rig.departures() == [10, 20, 30]
 
     def test_traditional_masks_creditless_candidates(self, engine):
@@ -200,22 +209,47 @@ class TestCreditDiscipline:
         rig.sinks[0].auto_credit = False
         rig.feed(0, 1, size=2048)
         engine.run_all()
+        rig.switch.check_backlogged()
         rig.feed(1, 2, size=2560)  # cannot fit the remaining credits
         rig.feed(2, 3, size=64)  # fits; RR masking lets it pass
         engine.run_all()
+        rig.switch.check_backlogged()
         assert len(rig.sinks[0].received) == 2
         assert rig.departures()[1] == 3
+        assert len(rig.switch.voq(1, 0, 0)) == 1  # masked, still listed
 
     def test_blocked_vc0_does_not_block_vc1(self, engine):
         rig = SwitchRig(engine, ADVANCED_2VC, buf=2048)
         rig.sinks[0].auto_credit = False
         rig.feed(0, 1, size=2048, vc=0)
         engine.run_all()
+        rig.switch.check_backlogged()
         rig.feed(1, 2, size=2048, vc=0)  # VC0 now credit-blocked
         rig.feed(2, 3, size=512, vc=1)  # VC1 has its own buffer: may go
         engine.run_all()
+        rig.switch.check_backlogged()
         vcs = [p.vc for p, _ in rig.sinks[0].received]
         assert vcs == [0, 1]
+        assert len(rig.switch.voq(1, 0, 0)) == 1  # the VC0 stall stays listed
+
+
+class TestBackloggedLists:
+    def test_check_catches_an_unlisted_backlog(self, engine):
+        rig = SwitchRig(engine, ADVANCED_2VC)
+        rig.switch.check_backlogged()
+        rig.switch.voq(0, 1, 0).push(mkpkt(5))  # behind accept()'s back
+        with pytest.raises(InvariantViolation, match="backlogged lists"):
+            rig.switch.check_backlogged()
+
+    @pytest.mark.parametrize("arch", [IDEAL, SIMPLE_2VC, ADVANCED_2VC, TRADITIONAL_2VC])
+    def test_lists_track_every_enqueue_and_grant(self, engine, arch):
+        rig = SwitchRig(engine, arch)
+        for step in range(12):
+            rig.feed(step % 4, 100 - step, out_port=step % 2, vc=step % 2)
+        while engine.run(max_events=1):
+            rig.switch.check_backlogged()
+        assert rig.switch.queued_packets() == 0
+        assert len(rig.sinks[0].received) + len(rig.sinks[1].received) == 12
 
 
 class TestFlowState:

@@ -50,6 +50,7 @@ def feed(switch, in_links, port, deadline, *, vc, out=0, size=256):
     pkt = mkpkt(deadline, vc=vc, size=size, path=(out,))
     in_links[port].channel.consume(vc, size)
     switch.accept(pkt, in_links[port])
+    switch.check_backlogged()
     return pkt
 
 
@@ -60,7 +61,8 @@ class TestFourVCSwitch:
         feed(switch, in_links, 0, 1, vc=3)
         for vc in (3, 2, 1, 0):
             feed(switch, in_links, 1, 10, vc=vc)
-        engine.run_all()
+        while engine.run(max_events=1):
+            switch.check_backlogged()
         vcs_after_first = [p.vc for p in sinks[0].received][1:]
         assert vcs_after_first == [0, 1, 2, 3]
 
@@ -79,13 +81,16 @@ class TestFourVCSwitch:
         sinks[0].accept = hold_vc1
         feed(switch, in_links, 0, 1, vc=1, size=2048)
         engine.run_all()
+        switch.check_backlogged()
         # vc1 is now credit-dry; vc0 and vc2 still flow.
         feed(switch, in_links, 1, 2, vc=1, size=2048)  # stuck
         feed(switch, in_links, 2, 3, vc=0, size=512)
         feed(switch, in_links, 2, 4, vc=2, size=512)
         engine.run_all()
+        switch.check_backlogged()
         delivered_vcs = sorted(p.vc for p in sinks[0].received)
         assert delivered_vcs == [0, 1, 2]  # the second vc1 packet is held
+        assert len(switch.voq(1, 0, 1)) == 1  # and stays listed for the credit return
 
     def test_single_vc_switch(self, engine):
         switch, in_links, sinks = make_rig(engine, ADVANCED_2VC, n_vcs=1)
