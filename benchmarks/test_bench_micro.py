@@ -10,7 +10,8 @@ from, so simulator-performance regressions are visible in isolation:
 - push/pop throughput of the three buffer structures (the FIFO-vs-heap
   cost gap is the paper's implementability argument in microseconds),
 - deadline stamping rate,
-- up*/down* route enumeration over the paper-size MIN.
+- up*/down* route enumeration over the paper-size MIN,
+- flow opening (routing + admission + registry) on the paper-size fabric.
 
 The engine A/B gates use the discipline from
 ``test_bench_obs_overhead.py``: both arms alternate in one process,
@@ -26,6 +27,7 @@ import time
 
 from repro.core.deadline import RateBasedStamper
 from repro.core.queues import EDFHeapQueue, FifoQueue, TakeOverQueue
+from repro.network.fabric import Fabric
 from repro.network.routing import RoutingTable
 from repro.network.topology import paper_topology
 from repro.network.packet import Packet
@@ -227,3 +229,32 @@ def test_bench_routing_paper_topology(benchmark):
     count = benchmark(enumerate_paths)
     # 7 same-leaf destinations with 1 path, 120 cross-leaf with 8 paths.
     assert count == 7 * 1 + 120 * 8
+
+
+def test_bench_open_flow_paper_fabric(benchmark):
+    """Open 2 000 seeded flows through ``Fabric.open_flow`` on the
+    128-endpoint fabric: candidate routes, admission scoring and the flow
+    registry together -- the unit the end-to-end ``open_flow`` share is
+    made of (the routing benchmark above, from host 0 only, is one row of
+    segment reuse)."""
+    topo = paper_topology()
+    rng = random.Random(2_000)
+    opens = [
+        (*rng.sample(range(topo.n_hosts), 2), rng.random() < 0.5) for _ in range(2_000)
+    ]
+
+    def fresh_fabric():
+        return (Fabric(topo),), {}
+
+    def open_flows(fabric):
+        for src, dst, regulated in opens:
+            fabric.open_flow(
+                src, dst, "multimedia" if regulated else "best-effort", bw_bytes_per_ns=0.001
+            )
+        return fabric
+
+    # Building the fabric is set-up, not flow opening: keep it out of the timing.
+    fabric = benchmark.pedantic(open_flows, setup=fresh_fabric, rounds=10)
+    assert len(fabric.flows) == 2_000
+    assert fabric.admission.reservation_count == sum(regulated for _, _, regulated in opens)
+    assert all(flow.path for flow in fabric.flows)

@@ -29,7 +29,7 @@ with no float drift and no epsilon guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.sim.units import bps
 
@@ -59,8 +59,7 @@ class AdmissionController:
 
     ``candidates(src, dst)`` must return the usable (deadlock-free,
     minimal) paths between two hosts.  ``link_capacity`` is the data rate
-    of every link in bytes/ns; heterogeneous fabrics can pass a mapping
-    via ``capacity_of``.
+    of every link in bytes/ns.
     """
 
     def __init__(
@@ -69,15 +68,13 @@ class AdmissionController:
         link_capacity: float,
         *,
         max_utilization: float = 1.0,
-        capacity_of: Optional[Callable[[Hashable], float]] = None,
     ):
         if link_capacity <= 0:
             raise ValueError(f"link capacity must be positive, got {link_capacity}")
         if not 0 < max_utilization <= 1.0:
             raise ValueError(f"max_utilization must be in (0, 1], got {max_utilization}")
         self._candidates = candidates
-        self._default_capacity = link_capacity
-        self._capacity_of = capacity_of
+        self._capacity_bps = bps(link_capacity)
         self.max_utilization = max_utilization
         #: reserved bandwidth per directed link id, integer bytes/second
         self.reserved: Dict[Hashable, int] = {}
@@ -87,21 +84,18 @@ class AdmissionController:
         self._reservations: Dict[int, Reservation] = {}
 
     # ------------------------------------------------------------------
-    def capacity(self, link: Hashable) -> float:
-        if self._capacity_of is not None:
-            return self._capacity_of(link)
-        return self._default_capacity
-
     def utilization(self, link: Hashable) -> float:
-        return self.reserved.get(link, 0) / bps(self.capacity(link))
+        return self.reserved.get(link, 0) / self._capacity_bps
 
-    def _path_profile(
-        self, path: PathLike, extra_bw: float, table: Dict[Hashable, int]
-    ) -> Tuple[float, ...]:
-        """Post-assignment utilizations over the path's links, sorted
-        descending.
+    def _least_loaded(
+        self, src: int, dst: int, extra_bps: int, table: Dict[Hashable, int]
+    ) -> Tuple[PathLike, List[float]]:
+        """The candidate with the smallest post-assignment utilization
+        *profile* (its links' utilizations, sorted descending), and that
+        profile.  Among equal profiles the first in the routing layer's
+        (stable) order wins.
 
-        Comparing *profiles* lexicographically (not just the maximum)
+        Comparing profiles lexicographically (not just the maximum)
         matters: every candidate path between two hosts shares the same
         first and last links, so once the host's injection link is the
         busiest element the maxima all tie and a max-only rule would
@@ -109,46 +103,32 @@ class AdmissionController:
         rest idle.  Lexicographic water-filling keeps spreading load by
         the busiest *distinct* link.
         """
-        extra_bps = bps(extra_bw)
-        return tuple(
-            sorted(
-                (
-                    (table.get(link, 0) + extra_bps) / bps(self.capacity(link))
-                    for link in path.links
-                ),
-                reverse=True,
-            )
-        )
-
-    def _path_cost(self, path: PathLike, extra_bw: float, table: Dict[Hashable, int]) -> float:
-        """Max post-assignment utilization over the path's links."""
-        profile = self._path_profile(path, extra_bw, table)
-        return profile[0] if profile else 0.0
+        paths = self._candidates(src, dst)
+        if not paths:
+            raise AdmissionError(f"no route from host {src} to host {dst}")
+        load, capacity = table.get, self._capacity_bps
+        profiles = [
+            sorted([(load(link, 0) + extra_bps) / capacity for link in path.links], reverse=True)
+            for path in paths
+        ]
+        best = min(profiles)
+        return paths[profiles.index(best)], best
 
     # ------------------------------------------------------------------
     def reserve(self, flow_id: int, src: int, dst: int, bw_bytes_per_ns: float) -> Reservation:
-        """Admit a regulated flow or raise :class:`AdmissionError`.
-
-        Deterministic: among equally loaded candidates the first in the
-        routing layer's (stable) order wins.
-        """
+        """Admit a regulated flow or raise :class:`AdmissionError`."""
         if bw_bytes_per_ns <= 0:
             raise ValueError(f"reserved bandwidth must be positive, got {bw_bytes_per_ns}")
         if flow_id in self._reservations:
             raise AdmissionError(f"flow {flow_id} already holds a reservation")
-        paths = self._candidates(src, dst)
-        if not paths:
-            raise AdmissionError(f"no route from host {src} to host {dst}")
-        best_path = min(
-            paths, key=lambda p: self._path_profile(p, bw_bytes_per_ns, self.reserved)
-        )
-        if self._path_cost(best_path, bw_bytes_per_ns, self.reserved) > self.max_utilization:
+        bw_bps = bps(bw_bytes_per_ns)
+        best_path, profile = self._least_loaded(src, dst, bw_bps, self.reserved)
+        if profile and profile[0] > self.max_utilization:
             raise AdmissionError(
                 f"flow {flow_id} ({src}->{dst}, {bw_bytes_per_ns:.4f} B/ns) rejected: "
-                f"all {len(paths)} candidate paths above "
+                f"all {len(self._candidates(src, dst))} candidate paths above "
                 f"{self.max_utilization:.0%} utilization"
             )
-        bw_bps = bps(bw_bytes_per_ns)
         for link in best_path.links:
             self.reserved[link] = self.reserved.get(link, 0) + bw_bps
         reservation = Reservation(flow_id, best_path, bw_bytes_per_ns)
@@ -168,13 +148,8 @@ class AdmissionController:
 
     def assign_path(self, src: int, dst: int, weight: float = 1.0) -> PathLike:
         """Fixed-path assignment for unregulated traffic (no reservation)."""
-        paths = self._candidates(src, dst)
-        if not paths:
-            raise AdmissionError(f"no route from host {src} to host {dst}")
-        best_path = min(
-            paths, key=lambda p: self._path_profile(p, weight, self.assigned_weight)
-        )
         weight_bps = bps(weight)
+        best_path, _ = self._least_loaded(src, dst, weight_bps, self.assigned_weight)
         for link in best_path.links:
             self.assigned_weight[link] = self.assigned_weight.get(link, 0) + weight_bps
         return best_path

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.core.admission import AdmissionController
+from repro.core.admission import AdmissionController, AdmissionError
 from repro.core.architectures import ADVANCED_2VC, Architecture
 from repro.core.eligible import DEFAULT_OFFSET_NS, EligiblePolicy
 from repro.core.flow import FlowKind, FlowRegistry, FlowState
@@ -270,9 +270,14 @@ class Fabric:
         reserve = vc == VC_REGULATED and kind != FlowKind.CONTROL
         if reserve:
             invariant(bw_bytes_per_ns is not None, "regulated flows need a rate to reserve")
-            reservation = self.admission.reserve(
-                flow.spec.flow_id, src, dst, bw_bytes_per_ns
-            )
+            try:
+                reservation = self.admission.reserve(
+                    flow.spec.flow_id, src, dst, bw_bytes_per_ns
+                )
+            except AdmissionError:
+                # A rejected flow never existed: keep it out of the registry.
+                self.flows.close(flow.spec.flow_id)
+                raise
             route = reservation.path
         else:
             weight = bw_bytes_per_ns if bw_bytes_per_ns else 1.0

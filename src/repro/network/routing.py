@@ -6,9 +6,9 @@ packets of a flow can never overtake each other on different paths.
 
 In a folded MIN / fat-tree, all minimal host-to-host paths go *up* to a
 common-ancestor stage and then *down* -- the classic deadlock-free
-up*/down* discipline.  :func:`compute_updown_paths` enumerates those
-minimal paths (one per choice of ancestor switch), and
-:class:`RoutingTable` caches them per host pair and converts them to:
+up*/down* discipline.  :class:`RoutingTable` enumerates those minimal
+paths (one per choice of ancestor switch) once per pair of attach
+switches, caches them per host pair, and converts them to:
 
 - ``ports``: the output-port index to take at each *switch* (the source
   route carried in the packet header), and
@@ -20,7 +20,6 @@ minimal paths (one per choice of ancestor switch), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.network.topology import Topology, TopologyError
@@ -28,116 +27,142 @@ from repro.network.topology import Topology, TopologyError
 __all__ = ["RoutePath", "RoutingTable", "compute_updown_paths"]
 
 LinkId = Tuple[str, int]  # (sending node, sending port)
+#: One switch-level up*/down* walk between two attach switches: the
+#: switches visited, the output port at each but the last (whose exit
+#: depends on the destination host), and those hops as directed links.
+Segment = Tuple[Tuple[str, ...], Tuple[int, ...], Tuple[LinkId, ...]]
 
 
-@dataclass(frozen=True)
 class RoutePath:
-    """One fixed path between two hosts."""
+    """One fixed path between two hosts.
 
-    src: int
-    dst: int
-    #: node ids visited, host to host inclusive.
-    nodes: Tuple[str, ...]
-    #: output port at each switch along the way (the packet's source route).
-    ports: Tuple[int, ...]
-    #: directed links traversed, as (sender node, sender port).
-    links: Tuple[LinkId, ...]
+    Admission scores every candidate's ``links`` on every open, so those
+    are stored; ``nodes`` and ``ports`` are read for the one path a flow
+    is fixed to, so they are joined on demand from the segment the path
+    shares with every host pair under the same two attach switches.
+    """
+
+    __slots__ = ("src", "dst", "links", "_hosts", "_segment")
+
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        links: Tuple[LinkId, ...],
+        hosts: Tuple[str, str],
+        segment: Segment,
+    ):
+        self.src = src
+        self.dst = dst
+        #: directed links traversed, as (sender node, sender port).
+        self.links = links
+        self._hosts = hosts
+        self._segment = segment
+
+    @property
+    def nodes(self) -> Tuple[str, ...]:
+        """Node ids visited, host to host inclusive."""
+        return (self._hosts[0], *self._segment[0], self._hosts[1])
+
+    @property
+    def ports(self) -> Tuple[int, ...]:
+        """Output port at each switch along the way (the packet's source route)."""
+        return (*self._segment[1], self.links[-1][1])
 
     @property
     def hops(self) -> int:
         """Number of switches traversed."""
-        return len(self.ports)
-
-
-def _paths_up_down(topo: Topology, src_host: str, dst_host: str) -> List[Tuple[str, ...]]:
-    """All minimal up*/down* node sequences between two distinct hosts.
-
-    Walks up from both hosts simultaneously; at the first stage where the
-    two ascents can meet in a common switch, each such switch yields one
-    path.  In a (folded) MIN the up-neighbour sets are deterministic, so
-    this enumerates exactly the minimal paths without a graph search.
-    """
-    (src_attach,) = [ref for ref in topo.ports[src_host] if ref is not None]
-    (dst_attach,) = [ref for ref in topo.ports[dst_host] if ref is not None]
-    up_from_src: List[Tuple[str, ...]] = [(src_host, src_attach[0])]
-    up_from_dst: List[Tuple[str, ...]] = [(dst_host, dst_attach[0])]
-
-    for _stage in range(len(topo.switch_ids) + 1):
-        # Can any src-ascent meet any dst-ascent at its last switch?
-        dst_tails: Dict[str, Tuple[str, ...]] = {}
-        for d_path in up_from_dst:
-            # Keep the first (deterministic) ascent per meeting switch.
-            dst_tails.setdefault(d_path[-1], d_path)
-        found: List[Tuple[str, ...]] = []
-        for s_path in up_from_src:
-            meet = s_path[-1]
-            if meet in dst_tails:
-                down = dst_tails[meet]
-                found.append(s_path + tuple(reversed(down[:-1])))
-        if found:
-            return found
-
-        def ascend(paths: List[Tuple[str, ...]]) -> List[Tuple[str, ...]]:
-            grown: List[Tuple[str, ...]] = []
-            for path in paths:
-                node = path[-1]
-                level = topo.levels[node]
-                for neighbor in topo.neighbors(node):
-                    if not topo.is_host(neighbor) and topo.levels[neighbor] == level + 1:
-                        grown.append(path + (neighbor,))
-            return grown
-
-        up_from_src = ascend(up_from_src)
-        up_from_dst = ascend(up_from_dst)
-        if not up_from_src or not up_from_dst:
-            break
-    raise TopologyError(f"no up*/down* path between {src_host} and {dst_host}")
-
-
-def compute_updown_paths(topo: Topology, src: int, dst: int) -> Tuple[RoutePath, ...]:
-    """All minimal fixed paths from host index ``src`` to host index ``dst``."""
-    if src == dst:
-        raise ValueError(f"src and dst are the same host ({src})")
-    src_host = topo.host_id(src)
-    dst_host = topo.host_id(dst)
-    routes: List[RoutePath] = []
-    for nodes in _paths_up_down(topo, src_host, dst_host):
-        ports: List[int] = []
-        links: List[LinkId] = []
-        for here, there in zip(nodes, nodes[1:]):
-            out_port = topo.port_to(here, there)
-            links.append((here, out_port))
-            if not topo.is_host(here):
-                ports.append(out_port)
-        routes.append(
-            RoutePath(
-                src=src,
-                dst=dst,
-                nodes=tuple(nodes),
-                ports=tuple(ports),
-                links=tuple(links),
-            )
-        )
-    # Stable order: admission tie-breaks then pick the same path every run.
-    routes.sort(key=lambda r: r.nodes)
-    return tuple(routes)
+        return len(self._segment[0])
 
 
 class RoutingTable:
-    """Per-pair cache of candidate paths (lazy; MINs have 16k pairs)."""
+    """Per-pair cache of candidate paths (lazy: the paper's MIN has 16k
+    host pairs and ``scale512`` 261k, of which a run opens only some).
+
+    Every host pair under the same two attach switches shares its
+    switch-level walks, so those are enumerated once per switch pair
+    (:meth:`_enumerate`); a host pair's candidates are its two endpoint
+    links joined onto the cached segments.
+    """
 
     def __init__(self, topo: Topology):
         self.topo = topo
         self._cache: Dict[Tuple[int, int], Tuple[RoutePath, ...]] = {}
+        self._segments: Dict[Tuple[str, str], Tuple[Segment, ...]] = {}
+        #: per host index: its injection link and the link that delivers to
+        #: it (whose sender is the host's attach switch).
+        self._attach: List[Tuple[LinkId, LinkId]] = []
+        for host in topo.host_ids:
+            ((port, deliver),) = [
+                (p, ref) for p, ref in enumerate(topo.ports[host]) if ref is not None
+            ]
+            self._attach.append(((host, port), deliver))
+        #: per switch: the next-stage switches it is wired to, in port order.
+        levels = topo.levels
+        self._up: Dict[str, Tuple[str, ...]] = {
+            sw: tuple(
+                peer
+                for peer in topo.neighbors(sw)
+                if not topo.is_host(peer) and levels[peer] == levels[sw] + 1
+            )
+            for sw in topo.switch_ids
+        }
+
+    def _enumerate(self, src_sw: str, dst_sw: str) -> Tuple[Segment, ...]:
+        """All minimal up*/down* segments between two attach switches.
+
+        Walks up from both switches simultaneously; at the first stage
+        where the two ascents can meet in a common switch, each such
+        switch yields one walk.  In a (folded) MIN the up-neighbour sets
+        are deterministic, so this enumerates exactly the minimal paths
+        without a graph search.
+        """
+        up = self._up
+        up_from_src: List[Tuple[str, ...]] = [(src_sw,)]
+        up_from_dst: List[Tuple[str, ...]] = [(dst_sw,)]
+        while up_from_src and up_from_dst:
+            # Keep the first (deterministic) descent per meeting switch.
+            down: Dict[str, Tuple[str, ...]] = {}
+            for path in up_from_dst:
+                down.setdefault(path[-1], path)
+            # Stable order: admission tie-breaks then pick the same path every run.
+            found = sorted(
+                path + tuple(reversed(down[path[-1]][:-1]))
+                for path in up_from_src
+                if path[-1] in down
+            )
+            if found:
+                port_to = self.topo.port_to
+                ports = [tuple(port_to(a, b) for a, b in zip(nodes, nodes[1:])) for nodes in found]
+                segments = self._segments[(src_sw, dst_sw)] = tuple(
+                    (nodes, out, tuple(zip(nodes, out))) for nodes, out in zip(found, ports)
+                )
+                return segments
+            up_from_src = [path + (peer,) for path in up_from_src for peer in up[path[-1]]]
+            up_from_dst = [path + (peer,) for path in up_from_dst for peer in up[path[-1]]]
+        raise TopologyError(f"no up*/down* path between {src_sw} and {dst_sw}")
 
     def candidates(self, src: int, dst: int) -> Tuple[RoutePath, ...]:
         key = (src, dst)
         paths = self._cache.get(key)
         if paths is None:
-            paths = compute_updown_paths(self.topo, src, dst)
-            self._cache[key] = paths
+            if src == dst:
+                raise ValueError(f"src and dst are the same host ({src})")
+            inject, (src_sw, _) = self._attach[src]
+            (dst_host, _), deliver = self._attach[dst]
+            dst_sw = deliver[0]
+            segments = self._segments.get((src_sw, dst_sw)) or self._enumerate(src_sw, dst_sw)
+            hosts = (inject[0], dst_host)
+            paths = self._cache[key] = tuple(
+                [RoutePath(src, dst, (inject, *seg[2], deliver), hosts, seg) for seg in segments]
+            )
         return paths
 
-    def __call__(self, src: int, dst: int) -> Tuple[RoutePath, ...]:
-        """Alias so the table itself is a valid admission ``candidates``."""
-        return self.candidates(src, dst)
+    #: Alias so the table itself is a valid admission ``candidates``.
+    __call__ = candidates
+
+
+def compute_updown_paths(topo: Topology, src: int, dst: int) -> Tuple[RoutePath, ...]:
+    """All minimal fixed paths from host index ``src`` to host index ``dst``
+    (builds a table per call; hold a :class:`RoutingTable` to ask twice)."""
+    return RoutingTable(topo).candidates(src, dst)

@@ -1,11 +1,14 @@
 """Tests for centralized admission control."""
 
+import random
 from dataclasses import dataclass
 from typing import Tuple
 
 import pytest
 
-from repro.core.admission import AdmissionController, AdmissionError
+from repro.core.admission import AdmissionController, AdmissionError, Reservation
+from repro.network.routing import RoutingTable
+from repro.network.topology import paper_topology
 from repro.sim import units
 
 
@@ -151,3 +154,121 @@ class TestValidation:
             AdmissionController(two_parallel_paths, link_capacity=1.0, max_utilization=0.0)
         with pytest.raises(ValueError):
             AdmissionController(two_parallel_paths, link_capacity=1.0, max_utilization=1.5)
+
+
+class ReferenceController(AdmissionController):
+    """The selection rule as it was before profiles were built in one
+    pass: ``_path_profile`` verbatim (per-link capacity lookup, ``bps``
+    per link, a generator per candidate), ``min`` over it, and the
+    ceiling test through a second profile.  Ledgers and ``release`` are
+    the production ones."""
+
+    def __init__(self, candidates, link_capacity, **kwargs):
+        super().__init__(candidates, link_capacity, **kwargs)
+        self._default_capacity = link_capacity
+
+    def capacity(self, link):
+        return self._default_capacity
+
+    def _path_profile(self, path, extra_bw, table):
+        extra_bps = units.bps(extra_bw)
+        return tuple(
+            sorted(
+                (
+                    (table.get(link, 0) + extra_bps) / units.bps(self.capacity(link))
+                    for link in path.links
+                ),
+                reverse=True,
+            )
+        )
+
+    def _path_cost(self, path, extra_bw, table):
+        profile = self._path_profile(path, extra_bw, table)
+        return profile[0] if profile else 0.0
+
+    def reserve(self, flow_id, src, dst, bw_bytes_per_ns):
+        if bw_bytes_per_ns <= 0:
+            raise ValueError(f"reserved bandwidth must be positive, got {bw_bytes_per_ns}")
+        if flow_id in self._reservations:
+            raise AdmissionError(f"flow {flow_id} already holds a reservation")
+        paths = self._candidates(src, dst)
+        if not paths:
+            raise AdmissionError(f"no route from host {src} to host {dst}")
+        best_path = min(
+            paths, key=lambda p: self._path_profile(p, bw_bytes_per_ns, self.reserved)
+        )
+        if self._path_cost(best_path, bw_bytes_per_ns, self.reserved) > self.max_utilization:
+            raise AdmissionError(
+                f"flow {flow_id} ({src}->{dst}, {bw_bytes_per_ns:.4f} B/ns) rejected: "
+                f"all {len(paths)} candidate paths above "
+                f"{self.max_utilization:.0%} utilization"
+            )
+        bw_bps = units.bps(bw_bytes_per_ns)
+        for link in best_path.links:
+            self.reserved[link] = self.reserved.get(link, 0) + bw_bps
+        reservation = Reservation(flow_id, best_path, bw_bytes_per_ns)
+        self._reservations[flow_id] = reservation
+        return reservation
+
+    def assign_path(self, src, dst, weight=1.0):
+        paths = self._candidates(src, dst)
+        if not paths:
+            raise AdmissionError(f"no route from host {src} to host {dst}")
+        best_path = min(
+            paths, key=lambda p: self._path_profile(p, weight, self.assigned_weight)
+        )
+        weight_bps = units.bps(weight)
+        for link in best_path.links:
+            self.assigned_weight[link] = self.assigned_weight.get(link, 0) + weight_bps
+        return best_path
+
+
+class TestEquivalenceWithReferenceRule:
+    """Production selection == the per-link rule it replaced, step by step."""
+
+    @pytest.mark.parametrize("ceiling", [1.0, 0.6])
+    def test_seeded_call_sequence_on_paper_candidates(self, ceiling):
+        routing = RoutingTable(paper_topology())
+        n_hosts = routing.topo.n_hosts
+        new = AdmissionController(routing, units.gbps(8.0), max_utilization=ceiling)
+        ref = ReferenceController(routing, units.gbps(8.0), max_utilization=ceiling)
+        rng = random.Random(14)
+        # Awkward rates (no finite binary representation) next to round ones;
+        # large enough that a few dozen per host reach the ceiling.
+        rates = [1.0 / 3.0, 0.1, 1.0 / 7.0, 0.25, 0.05, 2.0 / 9.0]
+        live, rejected, next_id = [], 0, 0
+        for _step in range(4_000):
+            # Hot spots: a quarter of the hosts source most of the traffic.
+            src = rng.randrange(n_hosts // 4) if rng.random() < 0.7 else rng.randrange(n_hosts)
+            dst = rng.choice([h for h in (rng.randrange(n_hosts), (src + 1) % n_hosts) if h != src])
+            roll = rng.random()
+            if roll < 0.5:
+                rate = rng.choice(rates)
+                outcomes = []
+                for ctl in (new, ref):
+                    try:
+                        outcomes.append(ctl.reserve(next_id, src, dst, rate).path)
+                    except AdmissionError as err:
+                        outcomes.append(str(err))
+                assert outcomes[0] == outcomes[1] and type(outcomes[0]) is type(outcomes[1])
+                if isinstance(outcomes[0], str):
+                    rejected += 1
+                else:
+                    live.append(next_id)
+                next_id += 1
+            elif roll < 0.8:
+                weight = rng.choice(rates)
+                assert new.assign_path(src, dst, weight) is ref.assign_path(src, dst, weight)
+            elif live:
+                flow_id = live.pop(rng.randrange(len(live)))
+                new.release(flow_id)
+                ref.release(flow_id)
+            assert new.reserved == ref.reserved
+            assert new.assigned_weight == ref.assigned_weight
+        assert rejected > 50 and len(live) > 100, "the sequence must reach the ceiling"
+        for flow_id in live:
+            new.release(flow_id)
+            ref.release(flow_id)
+        assert new.reserved == ref.reserved
+        assert set(new.reserved.values()) == {0}
+        assert new.reservation_count == 0

@@ -48,6 +48,10 @@ class TestOpenFlow:
         fabric.open_flow(0, 10, "multimedia", bw_bytes_per_ns=0.3)
         with pytest.raises(AdmissionError):
             fabric.open_flow(0, 11, "multimedia", bw_bytes_per_ns=0.1)
+        # The rejected flow leaves no trace in the registry.
+        assert len(fabric.flows) == 2
+        assert all(flow.path for flow in fabric.flows)
+        assert fabric.admission.reservation_count == 2
 
     def test_control_flow_skips_reservation(self, make_fabric):
         fabric = make_fabric()

@@ -1,9 +1,18 @@
 """Tests for up*/down* fixed routing."""
 
+import random
+
 import pytest
 
+from repro.experiments.presets import make_topology
 from repro.network.routing import RoutingTable, compute_updown_paths
-from repro.network.topology import FatTreeSpec, build_fat_tree, build_folded_shuffle_min
+from repro.network.topology import (
+    FatTreeSpec,
+    TopologyError,
+    build_fat_tree,
+    build_folded_shuffle_min,
+)
+from tests.network import updown_oracle
 
 
 @pytest.fixture
@@ -108,3 +117,56 @@ class TestRoutingTable:
                             descended = True
                         if b > a:
                             assert not descended, f"up after down in {path.nodes}"
+
+
+def _assert_same_as_oracle(topo, pairs):
+    """Equal ``(nodes, ports, links)`` tuples, in the same order (the
+    order is admission's tie-break, so it is part of the contract)."""
+    table = RoutingTable(topo)
+    for src, dst in pairs:
+        expected = updown_oracle.compute_updown_paths(topo, src, dst)
+        got = table.candidates(src, dst)
+        assert [(p.src, p.dst, p.nodes, p.ports, p.links, p.hops) for p in got] == [
+            (p.src, p.dst, p.nodes, p.ports, p.links, p.hops) for p in expected
+        ], f"{topo.name}: {src}->{dst}"
+
+
+def _all_pairs(n):
+    return [(src, dst) for src in range(n) for dst in range(n) if src != dst]
+
+
+class TestAgainstPerPairOracle:
+    """Segment-sharing routing == the per-host-pair enumeration it replaced."""
+
+    @pytest.mark.parametrize("preset", ["tiny", "small", "paper"])
+    def test_every_pair_of_preset(self, preset):
+        topo = make_topology(preset)
+        _assert_same_as_oracle(topo, _all_pairs(topo.n_hosts))
+
+    def test_seeded_sample_of_scale512(self):
+        topo = make_topology("scale512")
+        rng = random.Random(512)
+        pairs = [tuple(rng.sample(range(topo.n_hosts), 2)) for _ in range(2_000)]
+        # the sample covers same-leaf pairs as well as cross-leaf ones
+        assert any(src // 16 == dst // 16 for src, dst in pairs)
+        _assert_same_as_oracle(topo, pairs)
+
+    @pytest.mark.parametrize("arity", [2, 4])
+    def test_three_level_fat_tree(self, arity):
+        """Every pair: same-leaf, same-subtree and full-ascent alike."""
+        topo = build_fat_tree(FatTreeSpec(arity=arity, levels=3))
+        table = RoutingTable(topo)
+        n = topo.n_hosts
+        hops = {table.candidates(0, dst)[0].hops for dst in range(1, n)}
+        assert hops == {1, 3, 5}
+        _assert_same_as_oracle(topo, _all_pairs(n))
+
+    def test_unreachable_pair_raises_like_the_oracle(self):
+        topo = build_folded_shuffle_min(2, 2, 1)
+        # cut leaf 1 off the only spine
+        topo.ports["sw0.1"][2] = None
+        topo.ports["sw1.0"][1] = None
+        with pytest.raises(TopologyError):
+            updown_oracle.compute_updown_paths(topo, 0, 3)
+        with pytest.raises(TopologyError):
+            RoutingTable(topo).candidates(0, 3)
