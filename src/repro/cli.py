@@ -431,6 +431,24 @@ def _config_from(args: argparse.Namespace, *, arch: str, load: float) -> Experim
     )
 
 
+def _bad_number(args: argparse.Namespace) -> Optional[str]:
+    """Why the shared numeric options are out of range, or ``None``.
+
+    Builds the configuration the command would run with, once per load,
+    so the ranges stay defined in one place:
+    :class:`~repro.experiments.config.ExperimentConfig` (windows),
+    :class:`~repro.traffic.mix.TrafficMixConfig` (load) and
+    :func:`~repro.experiments.config.scaled_video_mix` (time scale).
+    """
+    loads = args.loads if "loads" in args else [args.load]
+    try:
+        for load in loads:
+            _config_from(args, arch="advanced-2vc", load=load)
+    except (ValueError, OverflowError) as exc:  # OverflowError: --measure-us inf
+        return str(exc)
+    return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     metrics = None
     trace = None
@@ -1055,6 +1073,11 @@ def _cmd_profile_mem(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if "measure_us" in args:  # every subcommand that simulates (see `common`)
+        message = _bad_number(args)
+        if message is not None:
+            print(f"repro-qos {args.command}: {message}", file=sys.stderr)
+            return 2
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "figure":

@@ -145,9 +145,11 @@ def run_experiment(
     stderr status line).  None of these change simulation results --
     telemetry only observes (the determinism tests assert as much).
 
-    ``engine_factory`` swaps the event kernel (the differential harness
-    passes the reference :class:`repro.sim.heap_engine.HeapEngine`);
-    results must be byte-identical for any conforming engine.
+    ``engine_factory`` swaps the event kernel: it is the seam through
+    which ``tests/sim/test_engine_differential.py`` substitutes its
+    binary-heap oracle (``tests/sim/heap_engine.py``) for the one engine
+    ``src/`` ships; results must be byte-identical for any conforming
+    engine.
     """
     topology = make_topology(config.topology)
     architecture = ARCHITECTURES[config.architecture]

@@ -8,10 +8,10 @@ reproduced figure.
 
 Public surface:
 
-- :class:`~repro.sim.engine.Engine` -- the event loop (timing wheel).
+- :class:`~repro.sim.engine.Engine` -- the event loop (timing wheel plus
+  overflow heap); the only engine in ``src/``.  Its binary-heap test
+  oracle is ``tests/sim/heap_engine.py``.
 - :class:`~repro.sim.engine.EventHandle` -- cancellable scheduled callback.
-- :class:`~repro.sim.heap_engine.HeapEngine` -- the binary-heap reference
-  engine kept for differential testing against the wheel.
 - :class:`~repro.sim.process.Process` / :func:`~repro.sim.process.process`
   -- optional coroutine-style processes layered on top of the engine.
 - :class:`~repro.sim.rng.RandomStreams` -- named, reproducible RNG streams.
@@ -20,7 +20,6 @@ Public surface:
 """
 
 from repro.sim.engine import Engine, EventHandle, SimulationError
-from repro.sim.heap_engine import HeapEngine
 from repro.sim.monitor import NullTrace, Trace, TraceRecord
 from repro.sim.process import Delay, Process, Signal, process
 from repro.sim.rng import RandomStreams, derive_seed
@@ -30,7 +29,6 @@ __all__ = [
     "Delay",
     "Engine",
     "EventHandle",
-    "HeapEngine",
     "NullTrace",
     "Process",
     "RandomStreams",

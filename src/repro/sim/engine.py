@@ -1,10 +1,12 @@
 """The discrete-event simulation kernel.
 
-A hierarchical timing wheel with an overflow heap and a single-event
-fast path, replacing the seed's binary heap (kept verbatim in
-:mod:`repro.sim.heap_engine` as the differential-testing reference).
-Design notes, informed by profiling -- the dispatch loop and the two
-schedule methods are the hottest code in the whole library:
+A timing wheel with an overflow heap -- the two regimes the simulator's
+traffic actually uses (about 98 % / 2 % of schedules on the benchmark
+workloads; ARCHITECTURE.md section 10 has the measured table).  The
+seed's binary heap is the differential-testing oracle and lives with the
+tests (``tests/sim/heap_engine.py``).  Design notes, informed by
+profiling -- the dispatch loop and the two schedule methods are the
+hottest code in the whole library:
 
 - **Timing wheel.**  Link/switch delays are small fixed integer-ns
   constants, so almost every event lands within a bounded horizon of
@@ -20,18 +22,13 @@ schedule methods are the hottest code in the whole library:
   ordering discipline is what keeps runs byte-for-bit identical to the
   reference heap engine (see ARCHITECTURE.md section 10 for the proof
   sketch).
-- **Hot slot.**  The serial portions of a workload (one event in
-  flight, each callback scheduling the next) never need a priority
-  structure at all.  When the engine is otherwise empty, ``at``/``after``
-  park the callback in two instance slots -- no allocation, no heap, no
-  bucket -- and the run loop dispatches it directly.  Measured, this is
-  the difference between ~1.2x and >2x over the seed engine on the
-  dispatch microbenchmark.
 - **Tombstone cancellation.**  ``at``/``after`` return ``None`` (the
   handle allocation was the single largest schedule-path cost); the
-  ``*_cancellable`` variants return a pooled :class:`EventHandle` whose
+  ``*_cancellable`` variants return a fresh :class:`EventHandle` whose
   entry is a mutable ``[fn, args]`` cell.  ``cancel()`` swaps in a no-op
-  and the dispatch loop discards the tombstone when it surfaces.
+  and the dispatch loop discards the tombstone when it surfaces.  A
+  handle names one event for life: a reference kept after ``cancel()``
+  stays ``cancelled`` and can never revoke a later, unrelated event.
 - Callbacks receive their pre-bound arguments; there is no per-event
   dictionary or keyword packing on the hot path.
 """
@@ -77,22 +74,15 @@ class EventHandle:
     :meth:`Engine.after` return ``None``: a handle allocation per event
     was the single largest cost on the schedule path, and almost no
     caller cancels.
-
-    Ownership discipline (handles are pooled): after calling
-    :meth:`cancel` the caller must drop the reference -- the engine may
-    recycle the object for a later ``*_cancellable`` call.  The
-    cancel-then-rearm pattern (``h.cancel(); h = engine.at_cancellable(...)``)
-    is safe by construction.
     """
 
-    __slots__ = ("time", "seq", "cancelled", "_entry", "_engine")
+    __slots__ = ("time", "seq", "cancelled", "_entry")
 
-    def __init__(self, time: int, seq: int, entry: list, engine: "Engine"):
+    def __init__(self, time: int, seq: int, entry: list):
         self.time = time
         self.seq = seq
         self.cancelled = False
         self._entry = entry
-        self._engine = engine
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Idempotent; safe after firing."""
@@ -106,8 +96,6 @@ class EventHandle:
         entry[0] = _noop
         entry[1] = ()
         self._entry = _DEAD_ENTRY
-        # The owner has relinquished the handle: recycle it.
-        self._engine._handle_pool.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -140,10 +128,6 @@ class Engine:
         "_wheel",
         "_times",
         "_overflow",
-        "_hot_fn",
-        "_hot_args",
-        "_hot_time",
-        "_handle_pool",
         "_running",
         "_stopped",
         "_events_executed",
@@ -172,13 +156,6 @@ class Engine:
         #: beyond-horizon events: heap of (time, seq, entry); seq breaks
         #: same-time ties in schedule order among overflow entries.
         self._overflow: List[tuple] = []
-        #: single-event fast path: when the engine is otherwise empty a
-        #: scheduled event lives in these three slots, allocation-free.
-        self._hot_fn: Optional[Callable[..., Any]] = None
-        self._hot_args: tuple = ()
-        self._hot_time: int = 0
-        #: free list of cancelled EventHandles awaiting reuse.
-        self._handle_pool: List[EventHandle] = []
         self._running = False
         self._stopped = False
         self._events_executed = 0
@@ -220,10 +197,7 @@ class Engine:
         wheel = self._wheel
         mask = self._mask
         count = sum(len(wheel[t & mask]) for t in self._times)
-        count += len(self._overflow)
-        if self._hot_fn is not None:
-            count += 1
-        return count
+        return count + len(self._overflow)
 
     @property
     def tombstones_discarded(self) -> int:
@@ -245,15 +219,13 @@ class Engine:
 
         ``occupied_buckets`` is the size of the occupied-time heap (one
         entry per distinct in-window timestamp), ``overflow_pending`` the
-        beyond-horizon backlog, ``hot_armed`` whether the single-event
-        fast path currently holds the only pending event.
+        beyond-horizon backlog.
         """
         return {
             "slots": self._horizon,
             "horizon_ns": self._horizon,
             "occupied_buckets": len(self._times),
             "overflow_pending": len(self._overflow),
-            "hot_armed": self._hot_fn is not None,
             "pending": self.pending,
             "events_executed": self._events_executed,
             "tombstones_discarded": self._tombstones_discarded,
@@ -267,8 +239,6 @@ class Engine:
         discard-on-peek behaviour.
         """
         best: Optional[int] = None
-        if self._hot_fn is not None:
-            best = self._hot_time
         times = self._times
         wheel = self._wheel
         mask = self._mask
@@ -281,8 +251,7 @@ class Engine:
                     has_live = True
                     break
             if has_live:
-                if best is None or t < best:
-                    best = t
+                best = t
                 break
             # Whole bucket is cancelled garbage: reclaim it now.
             self._tombstones_discarded += len(bucket)
@@ -307,19 +276,6 @@ class Engine:
         Returns ``None``; use :meth:`at_cancellable` if the event may
         need to be revoked.
         """
-        if self._hot_fn is None:
-            if not self._times and not self._overflow:
-                # Engine is empty: park the event allocation-free.
-                if time < self._now:
-                    raise SimulationError(
-                        f"cannot schedule at t={time}, current time is {self._now}"
-                    )
-                self._hot_time = time
-                self._hot_fn = fn
-                self._hot_args = args
-                return
-        else:
-            self._spill_hot()
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self._now}"
@@ -343,16 +299,6 @@ class Engine:
         method second only to the run loop itself).  Returns ``None``;
         use :meth:`after_cancellable` if the event may need revoking.
         """
-        if self._hot_fn is None:
-            if not self._times and not self._overflow:
-                if delay < 0:
-                    raise SimulationError(f"delay must be >= 0, got {delay}")
-                self._hot_time = self._now + delay
-                self._hot_fn = fn
-                self._hot_args = args
-                return
-        else:
-            self._spill_hot()
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         time = self._now + delay
@@ -369,8 +315,6 @@ class Engine:
         self, time: int, fn: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Schedule ``fn(*args)`` at ``time``; returns a cancellable handle."""
-        if self._hot_fn is not None:
-            self._spill_hot()
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self._now}"
@@ -383,8 +327,6 @@ class Engine:
         """Schedule ``fn(*args)`` after ``delay`` ns; returns a cancellable handle."""
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        if self._hot_fn is not None:
-            self._spill_hot()
         return self._push_cancellable(self._now + delay, fn, args)
 
     def _push_cancellable(
@@ -399,36 +341,7 @@ class Engine:
             bucket.append(entry)
         else:
             _heappush(self._overflow, (time, self._seq, entry))
-        pool = self._handle_pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.seq = self._seq
-            handle.cancelled = False
-            handle._entry = entry
-            return handle
-        return EventHandle(time, self._seq, entry, self)
-
-    def _spill_hot(self) -> None:
-        """Move the hot-slot event into the wheel/overflow.
-
-        Called before any second event is admitted, so at rest the hot
-        slot coexists with other pending work only after a mid-bucket
-        limit/stop break (see the run loop's ordering note).
-        """
-        time = self._hot_time
-        fn = self._hot_fn
-        args = self._hot_args
-        self._hot_fn = None
-        self._hot_args = ()
-        if time - self._now < self._horizon:
-            bucket = self._wheel[time & self._mask]
-            if not bucket:
-                _heappush(self._times, time)
-            bucket.append((fn, args))
-        else:
-            self._seq += 1
-            _heappush(self._overflow, (time, self._seq, (fn, args)))
+        return EventHandle(time, self._seq, entry)
 
     def _drain_overflow(self) -> None:
         """Move every overflow entry now inside the horizon onto the wheel.
@@ -502,33 +415,6 @@ class Engine:
         self._stopped = False
         try:
             while True:
-                fn = self._hot_fn
-                if fn is not None:
-                    t = self._hot_time
-                    # Hot slot normally implies an otherwise-empty engine;
-                    # the one coexistence case is a bucket pushed back by a
-                    # mid-bucket limit/stop break, whose items were all
-                    # scheduled before the hot event -- hence strict `<`
-                    # so the bucket wins timestamp ties (falls through to
-                    # the wheel branch below).
-                    if not times or t < times[0]:
-                        if t > until_bound:
-                            break
-                        if executed >= limit:
-                            break
-                        self._hot_fn = None
-                        self._now = t
-                        fn(*self._hot_args)
-                        executed += 1
-                        if live:
-                            self._events_executed = base + executed
-                        # `_stopped` is written by stop() from inside the
-                        # callback we just ran, so it must be re-read after
-                        # every dispatch; a pre-loop hoist would be a
-                        # semantic change.
-                        if self._stopped:  # simlint: allow-hot-attr-reload
-                            break
-                        continue
                 if times:
                     t = times[0]
                     bucket = wheel[t & mask]

@@ -61,6 +61,42 @@ class TestHelp:
         assert {(), ("run",), ("replicate",), ("trace", "blame"), ("profile", "mem")} <= paths
 
 
+class TestBadNumbers:
+    """Out-of-range numbers are a usage error on every simulating
+    subcommand: one ``repro-qos <command>: ...`` line on stderr and exit
+    2, not a ``ValueError``/``SweepTaskError`` traceback from the config
+    classes (which stay the single definition of the valid ranges)."""
+
+    TINY = ["--topology", "tiny"]
+    CASES = [
+        (["run", "--load", "-0.5"], "load"),
+        (["run", "--measure-us", "0"], "measurement window"),
+        (["run", "--warmup-us", "-5"], "warmup"),
+        (["run", "--time-scale", "0"], "time_scale"),
+        (["run", "--measure-us", "inf"], "infinity"),
+        (["replicate", "--load", "-0.5"], "load"),
+        (["utilization", "--measure-us", "0"], "measurement window"),
+        (["cost", "--load", "-0.5"], "load"),
+        (["profile", "run", "--warmup-us", "-5"], "warmup"),
+        (["profile", "mem", "--load", "-0.5"], "load"),
+        (["figure", "fig2", "--measure-us", "0"], "measurement window"),
+        (["figure", "fig3", "--loads", "0.5", "-0.5"], "load"),
+        (["claims", "--load", "-0.5"], "load"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, reason", CASES, ids=[" ".join(argv) for argv, _ in CASES]
+    )
+    def test_exits_2_with_one_line(self, argv, reason, capsys):
+        assert main([*argv, *self.TINY]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro-qos {argv[0]}: ")
+        assert reason in line
+
+
 class TestListCommand:
     def test_lists_architectures_and_presets(self, capsys):
         assert main(["list"]) == 0

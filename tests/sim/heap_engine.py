@@ -1,12 +1,14 @@
-"""The seed binary-heap event kernel, kept as a reference implementation.
+"""The seed binary-heap event kernel: the event engine's test oracle.
 
 This is the engine the repo shipped with through PR 8, preserved
 byte-for-byte in behaviour so the differential harness
 (``tests/sim/test_engine_differential.py``) can prove the timing-wheel
 :class:`repro.sim.engine.Engine` dispatches the exact same event order:
 same seed through both engines must yield byte-identical run summaries.
-It is *not* used on any production path -- only tests and the engine
-benchmark guard instantiate it.
+It lives beside that harness, like ``tests/core/scanning_pickers.py``
+and ``tests/network/updown_oracle.py``; nothing under ``src/`` imports
+it, and ``run_experiment(engine_factory=HeapEngine)`` is the seam the
+harness substitutes it through.
 
 Original design notes (a classic calendar-heap event loop):
 
@@ -197,19 +199,6 @@ class HeapEngine:
     def after_cancellable(self, delay, fn, *args) -> HeapEventHandle:
         """Alias: every heap-engine event is cancellable."""
         return self.after(delay, fn, *args)
-
-    def wheel_stats(self) -> dict:
-        """Shape-compatible with :meth:`repro.sim.engine.Engine.wheel_stats`."""
-        return {
-            "slots": 0,
-            "horizon_ns": 0,
-            "occupied_buckets": 0,
-            "overflow_pending": len(self._heap),
-            "hot_armed": False,
-            "pending": self.pending,
-            "events_executed": self._events_executed,
-            "tombstones_discarded": self._tombstones_discarded,
-        }
 
     # ------------------------------------------------------------------
     # execution

@@ -1,12 +1,13 @@
 """Unit tests for the event kernel.
 
-The timing-wheel engine has three internal regimes -- hot slot (single
-pending event), wheel buckets (within the horizon), and the overflow
-heap (beyond it) -- plus transitions between them at every clock
-advancement.  The classes below cover the public contract; the
-``TestWheelRegimes`` class drives every regime boundary explicitly.
-Byte-for-bit equivalence with the reference heap engine is proven
-separately in ``test_engine_differential.py``.
+The timing-wheel engine has two internal regimes -- wheel buckets
+(within the horizon) and the overflow heap (beyond it) -- plus the
+transition between them at every clock advancement.  The classes below
+cover the public contract; the ``TestWheelRegimes`` class drives the
+regime boundary explicitly (its ``hot``-named tests date from a deleted
+single-event fast path and stay as ordering regressions).  Byte-for-bit
+equivalence with the reference heap engine (``tests/sim/heap_engine.py``)
+is proven separately in ``test_engine_differential.py``.
 """
 
 import pytest
@@ -210,13 +211,23 @@ class TestCancellation:
         assert engine.tombstones_discarded >= 1
 
     def test_cancelled_handles_are_pooled(self, engine):
-        first = engine.at_cancellable(10, lambda: None)
+        """Handles are *not* pooled (the name predates the pool's removal).
+
+        The opposite contract now holds: re-arming after ``cancel()``
+        returns a distinct live handle and the cancelled one stays
+        ``cancelled``, so a stale reference can never cancel someone
+        else's event.
+        """
+        seen = []
+        first = engine.at_cancellable(10, seen.append, "first")
         first.cancel()
-        second = engine.at_cancellable(20, lambda: None)
-        # The relinquished handle object is recycled for the next arm.
-        assert second is first
-        assert not second.cancelled
-        assert second.time == 20
+        second = engine.at_cancellable(20, seen.append, "second")
+        assert second is not first
+        assert first.cancelled and first.time == 10
+        assert not second.cancelled and second.time == 20
+        first.cancel()  # stale reference: must not touch the re-armed event
+        engine.run_all()
+        assert seen == ["second"]
 
     def test_peek_time_skips_cancelled(self, engine):
         first = engine.at_cancellable(5, lambda: None)
@@ -248,7 +259,7 @@ class TestCancellation:
 
 
 class TestWheelRegimes:
-    """Drive the hot-slot / wheel / overflow boundaries explicitly."""
+    """Drive the wheel / overflow boundary explicitly."""
 
     def test_far_future_events_cross_the_horizon(self, engine):
         order = []
@@ -347,13 +358,14 @@ class TestWheelRegimes:
     def test_wheel_stats_shape(self, engine):
         engine.after(1, lambda: None)
         stats = engine.wheel_stats()
-        assert stats["hot_armed"] is True
-        assert stats["occupied_buckets"] == 0
+        assert "hot_armed" not in stats
+        assert stats["occupied_buckets"] == 1
+        assert stats["overflow_pending"] == 0
         engine.after(FAR, lambda: None)
         stats = engine.wheel_stats()
-        assert stats["hot_armed"] is False
         assert stats["occupied_buckets"] == 1
         assert stats["overflow_pending"] == 1
+        assert stats["pending"] == 2
         engine.run_all()
         assert engine.wheel_stats()["pending"] == 0
 

@@ -1,15 +1,17 @@
 """Differential proof: timing-wheel engine == binary-heap reference.
 
 The wheel engine's only license to exist is byte-for-bit equivalence
-with the reference heap engine (`repro.sim.heap_engine.HeapEngine`,
-the pre-overhaul kernel kept verbatim).  Two layers of evidence:
+with the reference heap engine (`tests.sim.heap_engine.HeapEngine`,
+the pre-overhaul kernel kept verbatim beside this file).  Two layers of
+evidence:
 
 1. A Hypothesis property drives both engines through the *same* random
    interleaving of schedule / cancellable-schedule / cancel /
    ``run(until)`` / ``run(max_events)`` operations -- including
-   callbacks that schedule more work, zero delays, and delays far past
-   the wheel horizon -- and requires identical execution logs
-   ``(time, tag)``, clocks, and counters at every observation point.
+   callbacks that schedule more work or call ``stop()``, zero delays,
+   and delays far past the wheel horizon -- and requires identical
+   execution logs ``(time, tag)``, clocks, and counters at every
+   observation point.
 
 2. The three figure-style experiment configs (fig2 control / fig3
    video / fig4 best-effort shapes) run end-to-end under both engines
@@ -29,7 +31,7 @@ from repro.experiments.runner import run_experiment
 from repro.obs.tracing import PacketTracer, write_spans_jsonl
 from repro.sim import units
 from repro.sim.engine import _DEFAULT_WHEEL_SLOTS, Engine
-from repro.sim.heap_engine import HeapEngine
+from tests.sim.heap_engine import HeapEngine
 
 # Delays deliberately straddle the wheel horizon so the overflow heap,
 # the drain-on-advance path, and the in-window fast path all see load.
@@ -49,9 +51,13 @@ class _Driver:
     def _fire(self, tag, respawn_delay):
         self.log.append((self.engine.now, tag))
         if respawn_delay is not None:
-            # Callback-scheduled follow-up: exercises the hot slot and
-            # same-bucket append-during-iteration paths.
+            # Callback-scheduled follow-up: exercises the same-bucket
+            # append-during-iteration path.
             self.engine.after(respawn_delay, self._fire, tag + 1_000_000, None)
+
+    def _stop(self, tag):
+        self.log.append((self.engine.now, tag))
+        self.engine.stop()
 
     def apply(self, op):
         kind = op[0]
@@ -67,6 +73,12 @@ class _Driver:
                 )
             else:
                 self.engine.after(delay, self._fire, self._tag, respawn_delay)
+        elif kind == "stop":
+            # Ends whichever run() dispatches it -- mid-bucket when other
+            # events share its timestamp -- and the next run() must
+            # resume with the rest of that timestamp, in order.
+            self._tag += 1
+            self.engine.after(op[1], self._stop, self._tag)
         elif kind == "cancel":
             if self.handles:
                 self.handles.pop(op[1] % len(self.handles)).cancel()
@@ -81,8 +93,12 @@ class _Driver:
         self.log.append(("obs", self.engine.now, self.engine.pending))
 
     def finish(self):
-        self.log.append(("final", self.engine.run_all()))
-        self.observe()
+        # A pending stop callback ends run_all() early: go on until drained.
+        while True:
+            self.log.append(("final", self.engine.run_all()))
+            self.observe()
+            if not self.engine.pending:
+                break
         assert self.engine.peek_time() is None
         return self.log
 
@@ -95,6 +111,7 @@ _OPS = st.lists(
             st.booleans(),
             st.booleans(),
         ),
+        st.tuples(st.just("stop"), st.integers(min_value=0, max_value=_MAX_DELAY)),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=31)),
         st.tuples(st.just("run_until"), st.integers(min_value=0, max_value=_MAX_DELAY)),
         st.tuples(st.just("run_max"), st.integers(min_value=0, max_value=6)),
