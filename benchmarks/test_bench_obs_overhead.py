@@ -1,33 +1,21 @@
 """Overhead guard for the observability layer.
 
-The contract (ISSUE 3, ARCHITECTURE.md section 8): a run that does not
-ask for metrics pays one attribute load and branch per instrumented
-site, nothing more.  Three lines of defence:
+The contract (ARCHITECTURE.md section 8): ``Switch`` and ``Host`` report
+each packet-lifecycle point to one ``obs`` handle under one ``is not
+None`` guard, and a run that asks for no sink gets no handle at all.
 
-- ``test_disabled_path_is_inert`` proves it *structurally*: every null
-  instrument is booby-trapped and a full experiment still runs, so the
-  disabled hot path provably never records.
+- ``test_disabled_path_is_inert`` proves it *structurally*: every
+  :class:`~repro.obs.observer.FabricObserver` hook (and its constructor)
+  is booby-trapped and a full experiment still runs, so the disabled hot
+  path provably never observes.  Tier-1 has the same proof from the other
+  side (``tests/obs/test_observer_equivalence.py``: every component of a
+  default fabric holds ``None``).
 - ``test_bench_run_disabled`` / ``test_bench_run_enabled`` time the two
-  paths under pytest-benchmark so regressions against the seed numbers
-  show up in CI history (the <3% budget is judged on the disabled one).
+  paths under pytest-benchmark so regressions show up in CI history.
 - ``test_enabled_overhead_is_bounded`` sanity-checks in-process that a
   fully instrumented run (registry + heartbeat + ring trace) stays
   within a loose multiple of the disabled run -- a tripwire for
   accidentally quadratic instrumentation, not a precise budget.
-
-The span tracer (ISSUE 8) extends the same contract:
-
-- ``test_tracing_disabled_path_is_inert`` booby-traps every
-  ``NullPacketTracer`` hook -- the structural proof that a run without
-  ``tracer=`` never executes a tracing instruction beyond the cached
-  ``self._span_on`` branch.
-- ``test_tracing_disabled_ab_overhead`` is the interleaved A/B gate:
-  bare (default) vs explicit ``NULL_TRACER`` whole runs, alternated
-  min-of-N, ratio < 1.01 (+2 ms epsilon for timer noise).  Honest
-  caveat: both arms execute byte-identical Python (the null-object
-  default *is* the bare path), so this gate mostly proves the harness
-  itself is quiet -- the booby-trap above is the real proof that the
-  disabled path does nothing.
 - ``test_bench_run_traced_head_1pct`` records (but does not gate) the
   tracing-enabled cost at the documented 1% head-sampling operating
   point, so pytest-benchmark history tracks it.
@@ -41,14 +29,9 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.runner import run_experiment
-from repro.obs.metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    _NullCounter,
-    _NullGauge,
-    _NullHistogram,
-)
-from repro.obs.tracing import NULL_TRACER, NullPacketTracer, PacketTracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import FabricObserver
+from repro.obs.tracing import PacketTracer
 from repro.sim import units
 from repro.sim.monitor import Trace
 
@@ -69,33 +52,18 @@ def _config(seed: int = 1) -> ExperimentConfig:
     )
 
 
-def _booby_trap(monkeypatch, cls, method):
-    def boom(self, *args, **kwargs):  # pragma: no cover - must never run
-        raise AssertionError(
-            f"{cls.__name__}.{method} called on the disabled path"
-        )
-
-    monkeypatch.setattr(cls, method, boom)
-
-
 def test_disabled_path_is_inert(monkeypatch):
-    """With NULL_METRICS (the default), no instrument method ever fires.
+    """With no sink requested, no observer exists and no hook ever fires."""
+    hooks = ("meter_pickers", "submit", "release", "inject", "deliver", "enqueue", "forward")
+    for hook in ("__init__", *hooks):
 
-    Component constructors may *fetch* null instruments (that is the
-    one-time setup cost), but the hot path must be gated so the null
-    singletons never see an ``inc``/``set``/``observe``.
-    """
-    _booby_trap(monkeypatch, _NullCounter, "inc")
-    _booby_trap(monkeypatch, _NullGauge, "set")
-    _booby_trap(monkeypatch, _NullHistogram, "observe")
+        def boom(self, *args, _hook=hook, **kwargs):  # pragma: no cover - must never run
+            raise AssertionError(f"FabricObserver.{_hook} called on the disabled path")
+
+        monkeypatch.setattr(FabricObserver, hook, boom)
     result = run_experiment(_config())
-    assert result.metrics is None
+    assert result.metrics is None and result.tracer is None
     assert result.events_executed > 10_000
-
-
-def test_disabled_registry_allocates_nothing():
-    run_experiment(_config())
-    assert NULL_METRICS.snapshot() == {}
 
 
 def test_bench_run_disabled(benchmark):
@@ -145,50 +113,6 @@ def test_enabled_overhead_is_bounded():
     assert enabled < disabled * 2.5, (
         f"instrumented run {enabled:.3f}s vs disabled {disabled:.3f}s "
         f"(ratio {enabled / disabled:.2f}) -- instrumentation cost blew up"
-    )
-
-
-# ----------------------------------------------------------------------
-# span tracing (ISSUE 8)
-# ----------------------------------------------------------------------
-def test_tracing_disabled_path_is_inert(monkeypatch):
-    """With NULL_TRACER (the default), no tracer hook ever fires.
-
-    This is the structural <1% proof: components cache
-    ``tracer.enabled`` and guard every site with
-    ``self._span_on and pkt.traced``, so a run without a tracer executes
-    one attribute load + branch per site and *no* tracing code.
-    """
-    for method in ("begin", "event", "arrive", "finish"):
-        _booby_trap(monkeypatch, NullPacketTracer, method)
-    result = run_experiment(_config())
-    assert result.tracer is None
-    assert result.events_executed > 10_000
-
-
-def test_tracing_disabled_ab_overhead():
-    """Interleaved A/B gate: whole runs with the implicit default vs an
-    explicitly passed NULL_TRACER, alternated to decorrelate machine
-    drift, min-of-N per arm.  Both arms run byte-identical code (that is
-    the point of the null-object default), so the ratio gate is < 1.01
-    with a small absolute epsilon against timer noise; the booby-trap
-    test above is the proof that the disabled path does nothing, this
-    one proves the *whole-run* cost picture stayed flat.
-    """
-    rounds = 4
-    bare = float("inf")
-    nulled = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()  # simlint: allow-wallclock
-        run_experiment(_config())
-        bare = min(bare, time.perf_counter() - t0)  # simlint: allow-wallclock
-        t0 = time.perf_counter()  # simlint: allow-wallclock
-        run_experiment(_config(), tracer=NULL_TRACER)
-        nulled = min(nulled, time.perf_counter() - t0)  # simlint: allow-wallclock
-    epsilon = 0.002  # 2 ms: scheduler/timer jitter floor on a ~0.2 s run
-    assert nulled < bare * 1.01 + epsilon, (
-        f"tracing-disabled run {nulled:.4f}s vs bare {bare:.4f}s "
-        f"(ratio {nulled / bare:.3f}) -- the disabled tracer is not free"
     )
 
 

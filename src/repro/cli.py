@@ -35,6 +35,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional, Sequence
 
@@ -476,6 +477,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"repro-qos run: {exc}", file=sys.stderr)
             return 2
+    # Open every output before simulating: an unwritable path is a usage
+    # error now, not a traceback after the run.
+    with contextlib.ExitStack() as stack:
+        try:
+            out = {
+                flag: stack.enter_context(open(getattr(args, flag), "w", encoding="utf-8"))
+                for flag in ("metrics_out", "trace_out", "trace_spans", "trace_chrome")
+                if getattr(args, flag)
+            }
+        except OSError as exc:
+            print(f"repro-qos run: {exc}", file=sys.stderr)
+            return 2
+        return _run_and_export(args, metrics, trace, tracer, out)
+
+
+def _run_and_export(args: argparse.Namespace, metrics, trace, tracer, out: dict) -> int:
     observing = metrics is not None or args.live
     result = run_experiment(
         _config_from(args, arch=args.arch, load=args.load),
@@ -510,15 +527,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "time_scale": args.time_scale,
             },
         )
-        with open(args.metrics_out, "w", encoding="utf-8") as fp:
-            dump_snapshot(doc, fp)
+        dump_snapshot(doc, out["metrics_out"])
         # status goes to stderr so --json stdout stays parseable
         print(f"[metrics snapshot written to {args.metrics_out}]", file=sys.stderr)
     if args.trace_out:
         from repro.obs.snapshot import write_trace_jsonl
 
-        with open(args.trace_out, "w", encoding="utf-8") as fp:
-            written = write_trace_jsonl(trace, fp)
+        written = write_trace_jsonl(trace, out["trace_out"])
         print(
             f"[trace written to {args.trace_out}: {written} records, "
             f"{trace.dropped} dropped]",
@@ -527,8 +542,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_spans:
         from repro.obs.tracing import write_spans_jsonl
 
-        with open(args.trace_spans, "w", encoding="utf-8") as fp:
-            written = write_spans_jsonl(tracer, fp)
+        written = write_spans_jsonl(tracer, out["trace_spans"])
         print(
             f"[span traces written to {args.trace_spans}: {written} retained "
             f"({tracer.misses} misses, {tracer.dropped} dropped)]",
@@ -537,17 +551,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_chrome:
         from repro.obs.tracing import write_chrome_trace
 
-        with open(args.trace_chrome, "w", encoding="utf-8") as fp:
-            events = write_chrome_trace(
-                tracer.records,
-                fp,
-                run_info={
-                    "architecture": args.arch,
-                    "load": args.load,
-                    "topology": args.topology,
-                    "seed": args.seed,
-                },
-            )
+        events = write_chrome_trace(
+            tracer.records,
+            out["trace_chrome"],
+            run_info={
+                "architecture": args.arch,
+                "load": args.load,
+                "topology": args.topology,
+                "seed": args.seed,
+            },
+        )
         print(
             f"[chrome trace written to {args.trace_chrome}: {events} span "
             "events; load in Perfetto or chrome://tracing]",

@@ -142,8 +142,10 @@ def run_experiment(
     :class:`repro.obs.tracing.PacketTracer` as ``tracer`` to instrument
     the run, and a ``heartbeat_ns`` to sample telemetry on that
     simulated-time interval (``live_progress`` additionally prints a
-    stderr status line).  None of these change simulation results --
-    telemetry only observes (the determinism tests assert as much).
+    stderr status line).  The fabric folds the three sinks into one
+    :class:`repro.obs.observer.FabricObserver` (none at all when no sink
+    is given).  None of these change simulation results -- observers
+    only read (``tests/obs/test_observer_equivalence.py``).
 
     ``engine_factory`` swaps the event kernel: it is the seam through
     which ``tests/sim/test_engine_differential.py`` substitutes its

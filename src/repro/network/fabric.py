@@ -34,6 +34,7 @@ from repro.network.packet import Packet, PacketFactory, VC_BEST_EFFORT, VC_REGUL
 from repro.network.routing import RoutingTable
 from repro.network.topology import Topology, paper_topology
 from repro.obs.metrics import NULL_METRICS
+from repro.obs.observer import FabricObserver
 from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import Engine
 from repro.sim.monitor import NullTrace
@@ -149,6 +150,13 @@ class Fabric:
                 }
             )
 
+        # The one observation handle every component reports to; None on
+        # an unobserved run, so the hot paths have nothing to call.
+        obs = (
+            FabricObserver(trace, metrics, tracer, params.n_vcs)
+            if trace.enabled or metrics.enabled or tracer.enabled
+            else None
+        )
         eligible_policy = EligiblePolicy(params.eligible_offset_ns)
         self.hosts: List[Host] = [
             Host(
@@ -158,14 +166,12 @@ class Fabric:
                 architecture,
                 eligible_policy=eligible_policy,
                 mtu=params.mtu,
-                trace=trace,
                 on_delivery=self._dispatch_delivery,
                 clock_offset=(
                     self.clock_domain.offset(node_id) if self.clock_domain else 0
                 ),
                 n_vcs=params.n_vcs,
-                metrics=metrics,
-                tracer=tracer,
+                obs=obs,
                 packet_factory=self.packet_factory,
             )
             for index, node_id in enumerate(topology.host_ids)
@@ -178,10 +184,8 @@ class Fabric:
                 sw_id,
                 topology.radix(sw_id),
                 architecture,
-                trace=trace,
                 n_vcs=params.n_vcs,
-                metrics=metrics,
-                tracer=tracer,
+                obs=obs,
             )
             for sw_id in topology.switch_ids
         }

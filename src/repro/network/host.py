@@ -22,7 +22,7 @@ consumed immediately and its buffer credit returned at once.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.architectures import Architecture
 from repro.core.eligible import EligiblePolicy
@@ -30,14 +30,9 @@ from repro.core.flow import FlowKind, FlowState
 from repro.core.queues import EDFHeapQueue, FifoQueue, PacketQueue
 from repro.network.link import Link
 from repro.network.packet import N_VCS, Packet, PacketFactory, VC_REGULATED
-from repro.obs.metrics import NULL_METRICS, SLACK_BUCKETS_NS, Counter, class_counter
-from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import Engine, EventHandle
-from repro.sim.monitor import NullTrace
 
 __all__ = ["Host"]
-
-_NULL_TRACE = NullTrace()
 
 DeliveryCallback = Callable[[Packet, int], None]
 
@@ -52,7 +47,7 @@ class Host:
         "architecture",
         "eligible_policy",
         "mtu",
-        "trace",
+        "obs",
         "out_link",
         "in_link",
         "clock_offset",
@@ -68,14 +63,6 @@ class Host:
         "bytes_injected",
         "packets_received",
         "bytes_received",
-        "metrics",
-        "_obs_on",
-        "_m_slack",
-        "_m_miss",
-        "_m_miss_by_class",
-        "_m_stalls",
-        "tracer",
-        "_span_on",
     )
 
     def __init__(
@@ -87,12 +74,10 @@ class Host:
         *,
         eligible_policy: Optional[EligiblePolicy] = None,
         mtu: int = 2048,
-        trace=_NULL_TRACE,
         on_delivery: Optional[DeliveryCallback] = None,
         clock_offset: int = 0,
         n_vcs: int = N_VCS,
-        metrics=NULL_METRICS,
-        tracer=NULL_TRACER,
+        obs=None,
         packet_factory: Optional[PacketFactory] = None,
     ):
         if mtu <= 0:
@@ -103,7 +88,9 @@ class Host:
         self.architecture = architecture
         self.eligible_policy = eligible_policy or EligiblePolicy()
         self.mtu = mtu
-        self.trace = trace
+        #: The fabric's :class:`~repro.obs.observer.FabricObserver`, or
+        #: None when nobody is watching.
+        self.obs = obs
         self.out_link: Optional[Link] = None
         self.in_link: Optional[Link] = None
         self.on_delivery = on_delivery
@@ -129,29 +116,6 @@ class Host:
         self.bytes_injected = 0
         self.packets_received = 0
         self.bytes_received = 0
-        # Observability (instruments shared fabric-wide by name; cached
-        # ``_obs_on`` keeps the disabled path to one attribute load).
-        self.metrics = metrics
-        self._obs_on = metrics.enabled
-        self._m_slack = [
-            metrics.histogram(
-                # Construction-time only: names are formatted once per NIC
-                # and the instruments cached for the packet path.
-                f"network.host.vc{vc}.delivery_slack_ns", SLACK_BUCKETS_NS, unit="ns"  # simlint: allow-hot-eager-str
-            )
-            for vc in range(n_vcs)
-        ]
-        self._m_miss = [
-            metrics.counter(f"network.host.vc{vc}.deadline_miss_total", unit="packets")  # simlint: allow-hot-eager-str
-            for vc in range(n_vcs)
-        ]
-        self._m_miss_by_class: Dict[str, Counter] = {}
-        self._m_stalls = metrics.counter(
-            "network.host.eligible_stalls_total", unit="packets"
-        )
-        # Span tracing (same cached-flag discipline as ``_obs_on``).
-        self.tracer = tracer
-        self._span_on = tracer.enabled
 
     # ------------------------------------------------------------------
     # wiring
@@ -232,16 +196,14 @@ class Host:
                 birth=true_now,  # statistics are always in simulation time
             )
             packets.append(pkt)
-            if self._span_on:
-                # Sampling decision at birth; winners get pkt.traced set.
-                self.tracer.begin(pkt, true_now, self.node_id)
             self.packets_submitted += 1
             self.bytes_submitted += size
             flow.packets_sent += 1
             flow.bytes_sent += size
-            if pkt.vc == VC_REGULATED and eligible > now:
-                if self._obs_on:
-                    self._m_stalls.inc()
+            stalled = pkt.vc == VC_REGULATED and eligible > now
+            if self.obs is not None:
+                self.obs.submit(pkt, true_now, self.node_id, stalled)
+            if stalled:
                 heapq.heappush(self._pending, (eligible, pkt.uid, pkt))
             else:
                 self._ready[pkt.vc].push(pkt)
@@ -270,8 +232,8 @@ class Host:
         moved = False
         while pending and pending[0][0] <= now:
             _, _, pkt = heapq.heappop(pending)
-            if self._span_on and pkt.traced:
-                self.tracer.event(pkt, "eligible", self.engine.now)
+            if self.obs is not None:
+                self.obs.release(pkt, self.engine.now)
             self._ready[pkt.vc].push(pkt)
             moved = True
         self._wake = None
@@ -304,10 +266,9 @@ class Host:
         pkt.inject = self.engine.now
         self.packets_injected += 1
         self.bytes_injected += pkt.size
-        if self.trace.enabled:
-            self.trace.record(self.engine.now, "host.inject", self.node_id, pkt.uid, pkt.vc)
-        if self._span_on and pkt.traced:
-            self.tracer.event(pkt, "inject", pkt.inject)
+        if self.obs is not None:
+            # Before transmit: an observer sees the wire still idle.
+            self.obs.inject(pkt, pkt.inject, self.node_id)
         link.transmit(pkt)
 
     # ------------------------------------------------------------------
@@ -324,27 +285,11 @@ class Host:
         self.bytes_received += pkt.size
         # Infinite-sink NIC: consume immediately, return the credit at once.
         link.return_credit(pkt.vc, pkt.size)
-        if self.trace.enabled:
-            self.trace.record(now, "host.deliver", self.node_id, pkt.uid, pkt.vc)
-        tracing = self._span_on and pkt.traced
-        if self._obs_on or tracing:
+        if self.obs is not None:
             # Slack on this NIC's local clock: TTD-mode links re-base the
             # deadline onto it, and with zero skew local == simulation time.
             slack_ns = pkt.deadline - (now + self.clock_offset)
-            if self._obs_on:
-                self._m_slack[pkt.vc].observe(slack_ns)
-                if slack_ns < 0:
-                    self._m_miss[pkt.vc].inc()
-                    # First miss per class mints (and caches) its counter;
-                    # every later miss is one dict probe, no formatting.
-                    class_counter(
-                        self.metrics,
-                        self._m_miss_by_class,
-                        pkt.tclass,
-                        "network.host.class.{tclass}.deadline_miss_total",
-                    ).inc()
-            if tracing:
-                self.tracer.finish(pkt, now, node=self.node_id, link=link, slack_ns=slack_ns)
+            self.obs.deliver(pkt, now, self.node_id, link, slack_ns)
         if self.on_delivery is not None:
             self.on_delivery(pkt, now)
         # Last touch: every observer above has run, no queue holds the

@@ -37,19 +37,13 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.architectures import Architecture
-from repro.core.arbiter import MeteredPicker
 from repro.core.invariants import invariant
 from repro.core.queues import PacketQueue
 from repro.network.link import Link
 from repro.network.packet import N_VCS, Packet
-from repro.obs.metrics import DEPTH_BUCKETS, NULL_METRICS, WAIT_BUCKETS_NS
-from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import Engine
-from repro.sim.monitor import NullTrace
 
 __all__ = ["Switch"]
-
-_NULL_TRACE = NullTrace()
 
 
 class Switch:
@@ -61,24 +55,14 @@ class Switch:
         "n_ports",
         "n_vcs",
         "architecture",
-        "trace",
+        "obs",
         "in_links",
         "out_links",
-        "_voq",
         "_candidates",
         "_backlogged",
         "_pickers",
         "packets_forwarded",
         "bytes_forwarded",
-        "metrics",
-        "_obs_on",
-        "_m_enqueue",
-        "_m_dequeue",
-        "_m_order_errors",
-        "_m_depth",
-        "_m_wait",
-        "tracer",
-        "_span_on",
     )
 
     def __init__(
@@ -87,10 +71,8 @@ class Switch:
         node_id: str,
         n_ports: int,
         architecture: Architecture,
-        trace=_NULL_TRACE,
         n_vcs: int = N_VCS,
-        metrics=NULL_METRICS,
-        tracer=NULL_TRACER,
+        obs=None,
     ):
         if n_ports < 1:
             raise ValueError(f"switch needs >= 1 port, got {n_ports}")
@@ -101,25 +83,21 @@ class Switch:
         self.n_ports = n_ports
         self.n_vcs = n_vcs
         self.architecture = architecture
-        self.trace = trace
+        #: The fabric's :class:`~repro.obs.observer.FabricObserver`, or
+        #: None when nobody is watching.
+        self.obs = obs
         self.in_links: List[Optional[Link]] = [None] * n_ports
         self.out_links: List[Optional[Link]] = [None] * n_ports
-        # _voq[in_port][out_port][vc]; byte capacity is enforced upstream by
-        # the credit loop (per input port and VC), so queues are unbounded.
-        self._voq: List[List[List[PacketQueue]]] = [
-            [
-                [architecture.make_queue(None) for _vc in range(n_vcs)]
-                for _out in range(n_ports)
-            ]
-            for _in in range(n_ports)
-        ]
-        # Per-(output, vc) candidate list: index == input port.
+        # The VOQs, output-major as the arbiter reads them:
+        # _candidates[out_port][vc][in_port].  Byte capacity is enforced
+        # upstream by the credit loop (per input port and VC), so queues
+        # are unbounded.
         self._candidates: List[List[List[PacketQueue]]] = [
             [
-                [self._voq[i][out][vc] for i in range(n_ports)]
-                for vc in range(n_vcs)
+                [architecture.make_queue(None) for _in in range(n_ports)]
+                for _vc in range(n_vcs)
             ]
-            for out in range(n_ports)
+            for _out in range(n_ports)
         ]
         # Per-(output, vc) backlogged list: the input ports whose VOQ is
         # non-empty, so arbitration costs follow the contenders, not the
@@ -128,54 +106,20 @@ class Switch:
         self._backlogged: List[List[List[int]]] = [
             [[] for _vc in range(n_vcs)] for _out in range(n_ports)
         ]
-        self._pickers = [
+        pickers = [
             [architecture.make_picker() for _vc in range(n_vcs)]
             for _out in range(n_ports)
         ]
+        self._pickers = pickers if obs is None else obs.meter_pickers(pickers)
         # Clock-aware buffer structures (the pipelined heap) need the
         # switch's local cycle counter to model their settle window.
-        for per_in in self._voq:
-            for per_out in per_in:
-                for queue in per_out:
+        for per_out in self._candidates:
+            for queues in per_out:
+                for queue in queues:
                     if hasattr(queue, "now_fn"):
                         queue.now_fn = self._clock
         self.packets_forwarded = 0
         self.bytes_forwarded = 0
-        # Observability: instruments are shared fabric-wide by name; the
-        # cached ``_obs_on`` bool keeps the disabled hot path at one
-        # attribute load + branch per site.
-        self.metrics = metrics
-        self._obs_on = metrics.enabled
-        # Construction-time only: instrument names are formatted once per
-        # switch; the forwarding path uses the cached instrument objects.
-        self._m_enqueue = [
-            metrics.counter(f"network.switch.vc{vc}.enqueue_packets_total", unit="packets")  # simlint: allow-hot-eager-str
-            for vc in range(n_vcs)
-        ]
-        self._m_dequeue = [
-            metrics.counter(f"network.switch.vc{vc}.dequeue_packets_total", unit="packets")  # simlint: allow-hot-eager-str
-            for vc in range(n_vcs)
-        ]
-        self._m_order_errors = [
-            metrics.counter(f"network.switch.vc{vc}.order_errors_total", unit="packets")  # simlint: allow-hot-eager-str
-            for vc in range(n_vcs)
-        ]
-        self._m_depth = metrics.histogram(
-            "network.switch.queue_depth_packets", DEPTH_BUCKETS, unit="packets"
-        )
-        self._m_wait = metrics.histogram(
-            "network.switch.arbitration_wait_ns", WAIT_BUCKETS_NS, unit="ns"
-        )
-        if self._obs_on:
-            picks = metrics.counter("core.arbiter.picks_total", unit="picks")
-            grants = metrics.counter("core.arbiter.grants_total", unit="grants")
-            self._pickers = [
-                [MeteredPicker(picker, picks, grants) for picker in per_out]
-                for per_out in self._pickers
-            ]
-        # Span tracing (same cached-flag discipline as ``_obs_on``).
-        self.tracer = tracer
-        self._span_on = tracer.enabled
 
     def _clock(self) -> int:
         return self.engine.now
@@ -208,20 +152,12 @@ class Switch:
                 f"{self.node_id}: source route names output port {out_port} "
                 f"but switch has {self.n_ports} ports"
             )
-        queue = self._voq[in_port][out_port][pkt.vc]
+        queue = self._candidates[out_port][pkt.vc][in_port]
         queue.push(pkt)
         if len(queue) == 1:
             self._backlogged[out_port][pkt.vc].append(in_port)
-        if self._obs_on:
-            pkt.hop_arrival = self.engine.now
-            self._m_enqueue[pkt.vc].inc()
-            self._m_depth.observe(len(queue))
-        if self.trace.enabled:
-            self.trace.record(self.engine.now, "switch.enqueue", self.node_id, in_port, out_port, pkt.uid)
-        if self._span_on and pkt.traced:
-            # ``link`` is the wire the packet just crossed: its occupancy
-            # splits the segment into transmit + propagate exactly.
-            self.tracer.arrive(pkt, self.engine.now, self.node_id, link)
+        if self.obs is not None:
+            self.obs.enqueue(pkt, self.engine.now, self.node_id, link, out_port, len(queue))
         out_link = self.out_links[out_port]
         if out_link is not None and not out_link.busy:
             self._try_output(out_port)
@@ -267,36 +203,16 @@ class Switch:
             if len(queue) == 0:
                 backlogged.remove(index)
             picker.granted(index)
-            if self._obs_on:
-                self._record_dequeue(pkt, queue)
-            self._send(pkt, out_link, in_port=index)
+            self._send(pkt, out_link, index, queue)
             return
 
-    def _record_dequeue(self, pkt: Packet, queue: PacketQueue) -> None:
-        """Metrics-enabled path only: dequeue counts, arbitration wait,
-        and head-of-line order errors (the departing packet leaves behind
-        a *smaller*-deadline packet in the same VOQ -- exactly the
-        inversion the take-over structure exists to prevent)."""
-        self._m_dequeue[pkt.vc].inc()
-        if pkt.hop_arrival is not None:
-            self._m_wait.observe(self.engine.now - pkt.hop_arrival)
-            pkt.hop_arrival = None
-        head = queue.head()
-        if head is not None and head.deadline < pkt.deadline:
-            self._m_order_errors[pkt.vc].inc()
-
-    def _send(self, pkt: Packet, out_link: Link, in_port: int) -> None:
-        if self._span_on and pkt.traced:
-            # Before transmit so the forward timestamp is the instant the
-            # packet won arbitration (same engine.now either way).
-            self.tracer.event(pkt, "forward", self.engine.now, self.node_id)
+    def _send(self, pkt: Packet, out_link: Link, in_port: int, queue: PacketQueue) -> None:
         out_link.transmit(pkt)
         self.packets_forwarded += 1
         self.bytes_forwarded += pkt.size
-        if self.trace.enabled:
-            self.trace.record(
-                self.engine.now, "switch.forward", self.node_id, in_port, out_link.src_port, pkt.uid
-            )
+        if self.obs is not None:
+            # After transmit: an observer sees the output link already busy.
+            self.obs.forward(pkt, self.engine.now, self.node_id, in_port, out_link.src_port, queue)
         # Input buffer space frees as the packet drains through the
         # crossbar; the credit goes back when draining *starts* (the
         # upstream cannot land a new packet here in less than one
@@ -311,18 +227,18 @@ class Switch:
     # ------------------------------------------------------------------
     def queued_packets(self) -> int:
         return sum(
-            len(self._voq[i][o][vc])
-            for i in range(self.n_ports)
-            for o in range(self.n_ports)
-            for vc in range(self.n_vcs)
+            len(queue)
+            for per_out in self._candidates
+            for queues in per_out
+            for queue in queues
         )
 
     def queued_bytes(self, in_port: int, vc: int) -> int:
         """Occupancy of one input port's VC buffer (across all VOQs)."""
-        return sum(self._voq[in_port][o][vc].used_bytes for o in range(self.n_ports))
+        return sum(per_out[vc][in_port].used_bytes for per_out in self._candidates)
 
     def voq(self, in_port: int, out_port: int, vc: int) -> PacketQueue:
-        return self._voq[in_port][out_port][vc]
+        return self._candidates[out_port][vc][in_port]
 
     def check_backlogged(self) -> None:
         """Raise :class:`InvariantViolation` unless every (output, VC)
@@ -345,7 +261,7 @@ class Switch:
         VOQs.  Zero for architectures without take-over queues."""
         return sum(
             getattr(queue, "takeover_hits", 0)
-            for per_in in self._voq
-            for per_out in per_in
-            for queue in per_out
+            for per_out in self._candidates
+            for queues in per_out
+            for queue in queues
         )

@@ -1,12 +1,15 @@
 """Runtime observability: metrics registry, heartbeat telemetry, export.
 
-The layer has three pieces, designed so that a run that does not ask for
-observability pays (almost) nothing:
+A run that does not ask for observability pays one ``is not None`` test
+per packet-lifecycle point:
 
+- :mod:`repro.obs.observer` -- the one seam: ``Switch`` and ``Host``
+  report each lifecycle point to a single
+  :class:`~repro.obs.observer.FabricObserver` (``None`` when nothing is
+  on), which fans out to the sinks below.
 - :mod:`repro.obs.metrics` -- ``Counter`` / ``Gauge`` / ``Histogram``
   primitives and the :class:`~repro.obs.metrics.MetricsRegistry`;
-  :data:`~repro.obs.metrics.NULL_METRICS` is the null-object default
-  every component takes (one attribute load + branch when disabled).
+  :data:`~repro.obs.metrics.NULL_METRICS` is the disabled default.
 - :mod:`repro.obs.telemetry` -- :class:`~repro.obs.telemetry.RunTelemetry`
   heartbeat sampling into :class:`repro.stats.timeseries.GaugeTimeSeries`
   plus optional live stderr progress.
@@ -38,6 +41,7 @@ from repro.obs.metrics import (
     WAIT_BUCKETS_NS,
     class_counter,
 )
+from repro.obs.observer import FabricObserver
 from repro.obs.schema import validate
 from repro.obs.snapshot import (
     diff_snapshots,
@@ -69,6 +73,7 @@ __all__ = [
     "BlameReport",
     "Counter",
     "DEPTH_BUCKETS",
+    "FabricObserver",
     "Gauge",
     "Histogram",
     "MetricError",

@@ -13,13 +13,10 @@ Three instrument kinds, mirroring the classic time-series taxonomy:
   ``bisect`` on a small tuple -- no allocation, no resizing -- which is
   what makes it safe to call per forwarded packet.
 
-The **null-object pattern** carries the disabled case (mirroring
-:class:`repro.sim.monitor.NullTrace`): :data:`NULL_METRICS` hands out
-shared no-op instrument singletons and reports ``enabled = False``.
-Instrumented components cache that flag (``self._obs_on``) at
-construction, so a disabled run pays one attribute load and a branch per
-instrumentation site -- the overhead budget is enforced by
-``benchmarks/test_bench_obs_overhead.py``.
+:data:`NULL_METRICS` is the disabled registry (``enabled = False``,
+shared no-op instruments).  The network model never sees either kind:
+:class:`repro.obs.observer.FabricObserver` mints and feeds the
+per-packet instruments, and is not built at all for a disabled run.
 
 Metric names follow ``<layer>.<component>.<name>_<unit>`` with optional
 qualifier segments between component and leaf (``network.switch.vc0.
@@ -90,7 +87,6 @@ class Counter:
     __slots__ = ("name", "unit", "value")
 
     kind = "counter"
-    enabled = True
 
     def __init__(self, name: str, unit: str = ""):
         self.name = name
@@ -115,7 +111,6 @@ class Gauge:
     __slots__ = ("name", "unit", "value")
 
     kind = "gauge"
-    enabled = True
 
     def __init__(self, name: str, unit: str = ""):
         self.name = name
@@ -141,7 +136,6 @@ class Histogram:
     __slots__ = ("name", "unit", "bounds", "counts", "count", "total", "min", "max")
 
     kind = "histogram"
-    enabled = True
 
     def __init__(self, name: str, bounds: Iterable[int], unit: str = ""):
         edges = tuple(bounds)
@@ -205,61 +199,46 @@ class Histogram:
 # ----------------------------------------------------------------------
 # the null objects (disabled path)
 # ----------------------------------------------------------------------
-class _NullCounter:
+class _NullInstrument:
+    """Inert counter, gauge and histogram in one: nothing on a packet path
+    reaches it (a disabled run has no observer), so one shape suffices."""
+
     __slots__ = ()
-    kind = "counter"
-    enabled = False
     value = 0
+    count = 0
 
     def inc(self, delta: int = 1) -> None:
         return None
 
-
-class _NullGauge:
-    __slots__ = ()
-    kind = "gauge"
-    enabled = False
-    value = 0
-
     def set(self, value: Number) -> None:
         return None
-
-
-class _NullHistogram:
-    __slots__ = ()
-    kind = "histogram"
-    enabled = False
-    count = 0
 
     def observe(self, value: Number) -> None:
         return None
 
 
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
+_NULL_INSTRUMENT = _NullInstrument()
 
 
 class NullMetrics:
-    """Disabled registry: hands out shared no-op instruments.
+    """Disabled registry: hands out the shared no-op instrument.
 
-    ``enabled`` is False so components can cache the flag and skip
-    instrumentation blocks entirely; any call that does slip through is
-    a no-op, never an error.
+    ``enabled`` is False so callers can skip instrumentation entirely;
+    any call that does slip through is a no-op, never an error.
     """
 
     __slots__ = ()
 
     enabled = False
 
-    def counter(self, name: str, unit: str = "") -> _NullCounter:
-        return _NULL_COUNTER
+    def counter(self, name: str, unit: str = "") -> _NullInstrument:
+        return _NULL_INSTRUMENT
 
-    def gauge(self, name: str, unit: str = "") -> _NullGauge:
-        return _NULL_GAUGE
+    def gauge(self, name: str, unit: str = "") -> _NullInstrument:
+        return _NULL_INSTRUMENT
 
-    def histogram(self, name: str, bounds: Iterable[int], unit: str = "") -> _NullHistogram:
-        return _NULL_HISTOGRAM
+    def histogram(self, name: str, bounds: Iterable[int], unit: str = "") -> _NullInstrument:
+        return _NULL_INSTRUMENT
 
     def snapshot(self) -> Dict[str, dict]:
         return {}
@@ -349,9 +328,9 @@ def class_counter(metrics, cache: Dict[str, Counter], tclass: str, name_format: 
     ``name_format``), so the name string -- and the registry lookup -- is
     only built on a class's *first* event; afterwards the instrument
     comes from ``cache`` with one dict probe.  This is the shared
-    first-miss mint pattern used by ``Host.accept`` (deadline misses per
-    class) and ``PacketTracer.finish`` (retained traces per class); call
-    sites keep it off the hot path behind their cached ``enabled`` flag.
+    first-miss mint pattern used by ``FabricObserver.deliver`` (deadline
+    misses per class) and ``PacketTracer.finish`` (retained traces per
+    class).
     """
     counter = cache.get(tclass)
     if counter is None:

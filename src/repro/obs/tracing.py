@@ -44,12 +44,9 @@ Retained traces live in a bounded ring (``capacity`` newest kept, like
 :meth:`PacketTracer.snapshot`, mirroring the drop-policy discipline of
 :meth:`repro.sim.monitor.Trace.snapshot`.
 
-**Overhead discipline.**  :data:`NULL_TRACER` is the null-object default
-every component takes.  Instrumented components cache
-``tracer.enabled`` (``self._span_on``) at construction, and every
-per-packet site is guarded by ``if self._span_on and pkt.traced:`` --
-one attribute load and a short-circuit branch when disabled, enforced by
-``benchmarks/test_bench_obs_overhead.py``.
+**Overhead discipline.**  :data:`NULL_TRACER` is the disabled default.
+Only :class:`repro.obs.observer.FabricObserver` calls the hooks, after
+testing ``pkt.traced``; a run without a tracer builds no observer.
 """
 
 from __future__ import annotations
@@ -278,9 +275,8 @@ def decompose_events(
 class NullPacketTracer:
     """Disabled tracer: every hook is a no-op.
 
-    ``enabled`` is False so components can cache the flag
-    (``self._span_on``) and skip the instrumentation sites entirely; a
-    call that slips through is a no-op, never an error.
+    ``enabled`` is False so the fabric never routes a lifecycle point
+    here; a call that slips through is a no-op, never an error.
     """
 
     __slots__ = ()
@@ -310,8 +306,8 @@ NULL_TRACER = NullPacketTracer()
 class PacketTracer:
     """Span-based packet-lifecycle tracer with deterministic sampling.
 
-    Components call the four hooks from their hot paths (guarded by the
-    cached ``enabled`` flag and the packet's ``traced`` bit):
+    The fabric's observer calls the four hooks (for packets whose
+    ``traced`` bit is set, once :meth:`begin` has decided it):
 
     - :meth:`begin`   at submit (makes the head-sampling decision),
     - :meth:`event`   for ``eligible`` / ``inject`` / ``forward``,
@@ -365,7 +361,7 @@ class PacketTracer:
         self._m_retained_by_class: Dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
-    # hot-path hooks (components guard with `self._span_on and pkt.traced`)
+    # hot-path hooks (the observer guards with `pkt.traced`)
     # ------------------------------------------------------------------
     def begin(self, pkt: Any, t_ns: int, node: str) -> None:
         """Packet born at the source NIC: decide sampling, open the chain."""

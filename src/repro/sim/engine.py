@@ -234,38 +234,34 @@ class Engine:
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next live event, or ``None`` if nothing is pending.
 
-        Buckets that turn out to be pure tombstone garbage are reclaimed
-        here (and counted), mirroring the reference engine's
-        discard-on-peek behaviour.
+        Reclaims (and counts) exactly the tombstones the reference engine's
+        discard-on-peek does: those ahead of the first live event.  The
+        drain discipline keeps every overflow time beyond every wheeled
+        time, so the overflow heap is only looked at once the wheel holds
+        nothing live.
         """
-        best: Optional[int] = None
         times = self._times
         wheel = self._wheel
         mask = self._mask
         while times:
             t = times[0]
             bucket = wheel[t & mask]
-            has_live = False
+            k = 0
             for entry in bucket:
                 if entry[0] is not _noop:
-                    has_live = True
                     break
-            if has_live:
-                best = t
-                break
-            # Whole bucket is cancelled garbage: reclaim it now.
-            self._tombstones_discarded += len(bucket)
+                k += 1
+            self._tombstones_discarded += k
+            if k < len(bucket):
+                del bucket[:k]
+                return t
             bucket.clear()
             _heappop(times)
         overflow = self._overflow
         while overflow and overflow[0][2][0] is _noop:
             _heappop(overflow)
             self._tombstones_discarded += 1
-        if overflow:
-            t = overflow[0][0]
-            if best is None or t < best:
-                best = t
-        return best
+        return overflow[0][0] if overflow else None
 
     # ------------------------------------------------------------------
     # scheduling

@@ -1,14 +1,14 @@
 """Structured event tracing.
 
-A :class:`Trace` collects ``(time, topic, payload)`` records from any
-component that was handed the trace object.  Traces are for debugging and
-for the fine-grained assertions in the integration tests (e.g. "packet X
-left switch S before packet Y"); the statistics used by the benchmark
-harness are collected by the cheaper accumulators in :mod:`repro.stats`.
+A :class:`Trace` collects ``(time, topic, payload)`` records.  Traces are
+for debugging and for the fine-grained assertions in the integration
+tests (e.g. "packet X left switch S before packet Y"); the statistics
+used by the benchmark harness are collected by the cheaper accumulators
+in :mod:`repro.stats`.  A fabric built with ``trace=`` records four
+topics through :class:`repro.obs.observer.FabricObserver`:
+``host.inject``, ``switch.enqueue``, ``switch.forward``, ``host.deliver``.
 
-:class:`NullTrace` is the default no-op sink; components call
-``trace.record(...)`` unconditionally and the null implementation makes
-that a cheap no-op, keeping the hot path free of ``if`` clutter.
+:class:`NullTrace` is the default no-op sink (``enabled = False``).
 """
 
 from __future__ import annotations

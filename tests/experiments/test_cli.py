@@ -97,6 +97,28 @@ class TestBadNumbers:
         assert reason in line
 
 
+class TestUnwritableOutputs:
+    """An output path that cannot be opened is a usage error found
+    *before* simulating: one ``repro-qos run: ...`` line and exit 2, not
+    an ``OSError`` traceback after the run."""
+
+    @pytest.mark.parametrize(
+        "flag", ["--metrics-out", "--trace-out", "--trace-spans", "--trace-chrome"]
+    )
+    def test_exits_2_before_simulating(self, flag, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):  # pragma: no cover - must never run
+            raise AssertionError("simulated before checking the output path")
+
+        monkeypatch.setattr("repro.cli.run_experiment", no_run)
+        target = tmp_path / "no_such_dir" / "out.json"
+        assert main(["run", *FAST, flag, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-qos run: ")
+        assert "no_such_dir" in line
+
+
 class TestListCommand:
     def test_lists_architectures_and_presets(self, capsys):
         assert main(["list"]) == 0

@@ -90,7 +90,11 @@ class _Driver:
         self.observe()
 
     def observe(self):
-        self.log.append(("obs", self.engine.now, self.engine.pending))
+        # peek_time() first: what it reclaims shows in the two counts.
+        engine = self.engine
+        self.log.append(
+            ("obs", engine.now, engine.peek_time(), engine.pending, engine.tombstones_discarded)
+        )
 
     def finish(self):
         # A pending stop callback ends run_all() early: go on until drained.
