@@ -158,6 +158,3 @@ class AdmissionController:
     @property
     def reservation_count(self) -> int:
         return len(self._reservations)
-
-    def reservation_for(self, flow_id: int) -> Optional[Reservation]:
-        return self._reservations.get(flow_id)

@@ -13,12 +13,13 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.experiments.figures import FigureSeries
 from repro.experiments.runner import RunResult
 
 __all__ = [
+    "figure_serializer",
     "figure_to_csv",
     "figure_to_json",
     "result_to_json",
@@ -52,17 +53,22 @@ def figure_to_json(series: FigureSeries) -> str:
     return json.dumps(payload, indent=2)
 
 
+def figure_serializer(path: PathLike, fmt: Optional[str] = None) -> Callable[[FigureSeries], str]:
+    """The CSV or JSON serializer for ``path`` (format inferred from the
+    suffix), so an unsupported format is rejected before the sweep runs."""
+    if fmt is None:
+        fmt = Path(path).suffix.lstrip(".").lower()
+    if fmt == "csv":
+        return figure_to_csv
+    if fmt == "json":
+        return figure_to_json
+    raise ValueError(f"unsupported export format {fmt!r} (use csv or json)")
+
+
 def write_figure(series: FigureSeries, path: PathLike, *, fmt: Optional[str] = None) -> Path:
     """Write a figure as CSV or JSON; format inferred from the suffix."""
     path = Path(path)
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower()
-    if fmt == "csv":
-        path.write_text(figure_to_csv(series), encoding="utf-8")
-    elif fmt == "json":
-        path.write_text(figure_to_json(series), encoding="utf-8")
-    else:
-        raise ValueError(f"unsupported export format {fmt!r} (use csv or json)")
+    path.write_text(figure_serializer(path, fmt)(series), encoding="utf-8")
     return path
 
 

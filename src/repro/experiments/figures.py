@@ -51,8 +51,10 @@ __all__ = [
     "DEFAULT_LOADS",
     "fig2_control",
     "fig3_video",
+    "fig3_windows",
     "fig4_best_effort",
     "order_error_penalties",
+    "run_points",
     "sweep",
 ]
 
@@ -84,6 +86,26 @@ class FigureSeries:
         return out
 
 
+def run_points(
+    points: Dict[Tuple[str, float], ExperimentConfig],
+    executor: Optional["SweepExecutor"] = None,
+) -> Dict[Tuple[str, float], "RunSummary"]:
+    """Execute ``points`` and key each summary like its config.
+
+    Points execute through a :class:`SweepExecutor` -- in-process at
+    ``jobs=1``, across a process pool at ``jobs=N`` -- and come back as
+    :class:`~repro.exec.summary.RunSummary` in submission order, so the
+    result is independent of how it was executed.  Pass ``executor`` to
+    run on a campaign-wide one (process pool, result cache, aggregated
+    stats); the default is serial and in-memory.
+    """
+    if executor is None:
+        from repro.exec.executor import SweepExecutor
+
+        executor = SweepExecutor()
+    return dict(zip(points, executor.run(list(points.values()))))
+
+
 def sweep(
     archs: Sequence[str],
     loads: Sequence[float],
@@ -93,41 +115,23 @@ def sweep(
     warmup_ns: int = units.us(200),
     measure_ns: int = units.ms(1),
     mix_factory: Optional[Callable[[float], object]] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     executor: Optional["SweepExecutor"] = None,
 ) -> Dict[Tuple[str, float], "RunSummary"]:
-    """Run every (architecture, load) combination once.
-
-    Points execute through a :class:`SweepExecutor` -- in-process at
-    ``jobs=1``, across a process pool at ``jobs=N`` -- and come back as
-    :class:`~repro.exec.summary.RunSummary` in submission order, so the
-    result is independent of how it was executed.  Pass ``executor`` to
-    reuse one campaign-wide executor (shared cache, aggregated stats);
-    otherwise ``jobs``/``cache_dir`` configure a private one.
-    """
-    from repro.exec.executor import SweepExecutor
-
-    if executor is None:
-        executor = SweepExecutor(jobs=jobs, cache_dir=cache_dir)
-    keys: List[Tuple[str, float]] = []
-    configs: List[ExperimentConfig] = []
-    for arch in archs:
-        for load in loads:
-            mix = mix_factory(load) if mix_factory is not None else None
-            keys.append((arch, load))
-            configs.append(
-                ExperimentConfig(
-                    architecture=arch,
-                    load=load,
-                    seed=seed,
-                    topology=topology,
-                    warmup_ns=warmup_ns,
-                    measure_ns=measure_ns,
-                    mix=mix,
-                )
-            )
-    return dict(zip(keys, executor.run(configs)))
+    """Run every (architecture, load) combination once (:func:`run_points`)."""
+    points = {
+        (arch, load): ExperimentConfig(
+            architecture=arch,
+            load=load,
+            seed=seed,
+            topology=topology,
+            warmup_ns=warmup_ns,
+            measure_ns=measure_ns,
+            mix=mix_factory(load) if mix_factory is not None else None,
+        )
+        for arch in archs
+        for load in loads
+    }
+    return run_points(points, executor)
 
 
 def _class_stats(result: SweepResult, tclass: str) -> "ClassSummary":
@@ -151,8 +155,6 @@ def fig2_control(
     warmup_ns: int = units.us(200),
     measure_ns: int = units.ms(1),
     cdf_points: int = 12,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     executor: Optional["SweepExecutor"] = None,
     results: Optional[Dict[Tuple[str, float], SweepResult]] = None,
 ) -> FigureSeries:
@@ -160,8 +162,7 @@ def fig2_control(
     if results is None:
         results = sweep(
             archs, loads, topology=topology, seed=seed,
-            warmup_ns=warmup_ns, measure_ns=measure_ns,
-            jobs=jobs, cache_dir=cache_dir, executor=executor,
+            warmup_ns=warmup_ns, measure_ns=measure_ns, executor=executor,
         )
     series = FigureSeries(
         figure="Figure 2 -- Control traffic latency",
@@ -189,6 +190,13 @@ def fig2_control(
     return series
 
 
+def fig3_windows(time_scale: float) -> Tuple[int, int]:
+    """Figure 3's ``(warmup_ns, measure_ns)``: 2 + 6 video frame periods,
+    so a run sees the same number of frames at any ``time_scale``."""
+    frame_period_ns = units.ms(40 * time_scale)
+    return 2 * frame_period_ns, 6 * frame_period_ns
+
+
 def fig3_video(
     archs: Sequence[str] = DEFAULT_ARCHS,
     loads: Sequence[float] = (0.4, 0.7, 1.0),
@@ -199,8 +207,6 @@ def fig3_video(
     warmup_ns: Optional[int] = None,
     measure_ns: Optional[int] = None,
     cdf_points: int = 12,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     executor: Optional["SweepExecutor"] = None,
     results: Optional[Dict[Tuple[str, float], SweepResult]] = None,
 ) -> FigureSeries:
@@ -212,11 +218,11 @@ def fig3_video(
     almost exactly the 10 ms target" claim reads directly off it.
     """
     target_ns = units.ms(10 * time_scale)
-    frame_period_ns = units.ms(40 * time_scale)
+    frame_warmup_ns, frame_measure_ns = fig3_windows(time_scale)
     if warmup_ns is None:
-        warmup_ns = 2 * frame_period_ns
+        warmup_ns = frame_warmup_ns
     if measure_ns is None:
-        measure_ns = 6 * frame_period_ns
+        measure_ns = frame_measure_ns
     if results is None:
         results = sweep(
             archs,
@@ -226,7 +232,7 @@ def fig3_video(
             warmup_ns=warmup_ns,
             measure_ns=measure_ns,
             mix_factory=lambda load: scaled_video_mix(load, time_scale),
-            jobs=jobs, cache_dir=cache_dir, executor=executor,
+            executor=executor,
         )
     series = FigureSeries(
         figure="Figure 3 -- Multimedia (video frame) latency",
@@ -272,8 +278,6 @@ def fig4_best_effort(
     seed: int = 1,
     warmup_ns: int = units.us(200),
     measure_ns: int = units.ms(1),
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     executor: Optional["SweepExecutor"] = None,
     results: Optional[Dict[Tuple[str, float], SweepResult]] = None,
 ) -> FigureSeries:
@@ -281,8 +285,7 @@ def fig4_best_effort(
     if results is None:
         results = sweep(
             archs, loads, topology=topology, seed=seed,
-            warmup_ns=warmup_ns, measure_ns=measure_ns,
-            jobs=jobs, cache_dir=cache_dir, executor=executor,
+            warmup_ns=warmup_ns, measure_ns=measure_ns, executor=executor,
         )
     series = FigureSeries(
         figure="Figure 4 -- Best-effort class throughput",
@@ -328,8 +331,6 @@ def order_error_penalties(
     seed: int = 1,
     warmup_ns: int = units.us(200),
     measure_ns: int = units.ms(1),
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     executor: Optional["SweepExecutor"] = None,
     results: Optional[Dict[Tuple[str, float], SweepResult]] = None,
 ) -> Dict[str, float]:
@@ -342,8 +343,7 @@ def order_error_penalties(
     if results is None:
         results = sweep(
             archs, (load,), topology=topology, seed=seed,
-            warmup_ns=warmup_ns, measure_ns=measure_ns,
-            jobs=jobs, cache_dir=cache_dir, executor=executor,
+            warmup_ns=warmup_ns, measure_ns=measure_ns, executor=executor,
         )
     ideal = _class_stats(results[("ideal", load)], "control").message_latency.mean
     return {

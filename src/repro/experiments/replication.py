@@ -7,9 +7,9 @@ error bars.  :func:`replicate` runs one configuration across seeds and
 95% confidence interval.
 
 The runner is embarrassingly parallel across seeds, and ``replicate``
-exploits that directly: ``jobs=N`` fans the seeds across a process pool
-via :class:`repro.exec.executor.SweepExecutor` (``cache_dir`` replays
-finished seeds from the result cache).  Replicates come back as compact
+exploits that directly: pass a :class:`repro.exec.executor.SweepExecutor`
+built with ``jobs=N`` to fan the seeds across a process pool (its
+``cache_dir`` replays finished seeds).  Replicates come back as compact
 :class:`~repro.exec.summary.RunSummary` objects in seed order, so the
 statistics are identical at any job count.  :func:`run_one` remains the
 picklable single-replicate entry point for ad-hoc pools.
@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # runtime imports stay lazy: repro.exec imports this package
     from repro.exec.executor import SweepExecutor
     from repro.exec.summary import RunSummary
 
-__all__ = ["MetricSummary", "Replication", "replicate", "run_one"]
+__all__ = ["MetricSummary", "Replication", "check_seeds", "replicate", "run_one"]
 
 #: two-sided 95% normal quantile
 _Z95 = 1.959963984540054
@@ -103,42 +103,40 @@ class Replication:
     def throughput(self, tclass: str) -> MetricSummary:
         return self.metric(f"throughput [{tclass}]", lambda r: r.throughput(tclass))
 
-    def p99_latency(self, tclass: str) -> MetricSummary:
-        return self.metric(
-            f"p99 latency [{tclass}]",
-            lambda r: r.get(tclass).message_cdf().quantile(0.99),
-        )
-
 
 def run_one(config: ExperimentConfig, seed: int) -> RunResult:
     """One full-fidelity replicate (top-level, so ad-hoc process pools
-    can pickle it; the ``jobs=`` path in :func:`replicate` instead uses
+    can pickle it; the executor behind :func:`replicate` instead uses
     :func:`repro.exec.summary.execute_config`, which returns the compact
     summary)."""
     return run_experiment(config.with_(seed=seed))
+
+
+def check_seeds(seeds: Sequence[int]) -> None:
+    """Reject a seed list :func:`replicate` cannot key its results by."""
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"duplicate seeds in {seeds!r}")
 
 
 def replicate(
     config: ExperimentConfig,
     seeds: Sequence[int],
     *,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     executor: Optional["SweepExecutor"] = None,
 ) -> Replication:
     """Run ``config`` once per seed and bundle the results.
 
-    ``jobs=1`` runs in-process; ``jobs=N`` fans seeds across a process
-    pool.  Either way the per-seed summaries are identical (seeding is
-    entirely config-derived) and ordered by the ``seeds`` sequence.
+    The default executor runs in-process; one built with ``jobs=N`` fans
+    seeds across a process pool.  Either way the per-seed summaries are
+    identical (seeding is entirely config-derived) and ordered by the
+    ``seeds`` sequence.
     """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"duplicate seeds in {seeds!r}")
-    from repro.exec.executor import SweepExecutor
-
+    check_seeds(seeds)
     if executor is None:
-        executor = SweepExecutor(jobs=jobs, cache_dir=cache_dir)
+        from repro.exec.executor import SweepExecutor
+
+        executor = SweepExecutor()
     summaries = executor.run([config.with_(seed=seed) for seed in seeds])
     return Replication(config, dict(zip(seeds, summaries)))

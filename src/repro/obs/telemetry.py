@@ -112,10 +112,8 @@ class RunTelemetry:
         stream=None,
         timeseries_capacity: Optional[int] = TIMESERIES_CAPACITY,
     ):
-        if heartbeat_ns <= 0:
-            raise ValueError(f"heartbeat must be positive, got {heartbeat_ns}")
         self.engine = engine
-        self.heartbeat_ns = heartbeat_ns
+        self.heartbeat_ns = self.check_interval(heartbeat_ns)
         self.metrics = metrics
         self.live = live
         self.stream = stream if stream is not None else sys.stderr
@@ -124,9 +122,15 @@ class RunTelemetry:
         self._samplers: List[Sampler] = []
         self._after_tick: List[Callable[[], None]] = []
         self._until_ns: Optional[int] = None
-        self._wall_start: Optional[float] = None
         self._last_wall: Optional[float] = None
         self._last_events = 0
+
+    @staticmethod
+    def check_interval(heartbeat_ns: int) -> int:
+        """``heartbeat_ns`` if it can pace a heartbeat (the CLI asks before a run exists)."""
+        if heartbeat_ns <= 0:
+            raise ValueError(f"heartbeat must be positive, got {heartbeat_ns}")
+        return heartbeat_ns
 
     def add_sampler(self, name: str, fn: Callable[[], float]) -> None:
         """Register a named gauge probe (must be a pure observer)."""
@@ -145,7 +149,7 @@ class RunTelemetry:
         live_count = getattr(self.engine, "enable_live_event_count", None)
         if live_count is not None:
             live_count()
-        self._wall_start = self._last_wall = time.perf_counter()  # simlint: allow-wallclock
+        self._last_wall = time.perf_counter()  # simlint: allow-wallclock
         self._last_events = self.engine.events_executed
         self.engine.after(self.heartbeat_ns, self._tick)
 
@@ -192,12 +196,6 @@ class RunTelemetry:
         flush = getattr(self.stream, "flush", None)
         if flush is not None:
             flush()
-
-    @property
-    def wall_elapsed_s(self) -> float:
-        if self._wall_start is None:
-            return 0.0
-        return time.perf_counter() - self._wall_start  # simlint: allow-wallclock
 
 
 def attach_run_telemetry(

@@ -68,6 +68,8 @@ class Trace:
     ):
         if ring and capacity is None:
             raise ValueError("ring=True requires a capacity")
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"trace capacity must be >= 1, got {capacity}")
         self.topics: Optional[Set[str]] = set(topics) if topics is not None else None
         self.capacity = capacity
         self.ring = ring

@@ -6,12 +6,43 @@ in test-suite time budgets.
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.core.architectures import ARCHITECTURES
+from repro.experiments.config import scaled_video_mix
+from repro.experiments.figures import (
+    DEFAULT_ARCHS,
+    fig4_best_effort,
+    order_error_penalties,
+    sweep,
+)
+from repro.sim import units
 
 FAST = ["--topology", "tiny", "--warmup-us", "50", "--measure-us", "120"]
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Booby-trap every way a subcommand reaches the simulator: input it
+    cannot use must be rejected before any of them is called."""
+
+    def trap(*args, **kwargs):  # pragma: no cover - must never run
+        raise AssertionError("simulated before rejecting the input")
+
+    for target in (
+        "repro.cli.run.run_experiment",  # run
+        "repro.cli.probes.run_experiment",  # utilization
+        "repro.exec.summary.run_experiment",  # execute_config: sweeps, replicate, profile
+        "repro.analysis.measure_scheduling_cost",  # cost
+    ):
+        monkeypatch.setattr(target, trap)
 
 
 class TestParser:
@@ -34,13 +65,17 @@ class TestParser:
             build_parser().parse_args(["figure", "fig9"])
 
 
-def _command_paths(parser, prefix=()):
-    """Every parser in the tree, as the argv prefix that reaches it."""
-    yield prefix
+def _parsers(parser, prefix=()):
+    """Every parser in the tree, with the argv prefix that reaches it."""
+    yield prefix, parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, child in action.choices.items():
-                yield from _command_paths(child, prefix + (name,))
+                yield from _parsers(child, prefix + (name,))
+
+
+def _command_paths(parser):
+    return (path for path, _ in _parsers(parser))
 
 
 class TestHelp:
@@ -61,11 +96,134 @@ class TestHelp:
         assert {(), ("run",), ("replicate",), ("trace", "blame"), ("profile", "mem")} <= paths
 
 
+class TestSurface:
+    """The restructure into ``repro/cli/`` modules may not shrink or
+    re-default the command line silently.  ``SURFACE`` was captured at the
+    last single-file ``cli.py`` (commit ab87a91) by printing ``_surface``
+    of its parser; regenerate it the same way when a flag changes on purpose."""
+
+    ARCHS = ["advanced-2vc", "ideal", "ideal-pipelined", "simple-2vc", "traditional-2vc"]
+    POINT = {"--arch": ("advanced-2vc", ARCHS), "--load": (1.0, None)}
+    SIM = {
+        "--topology": ("small", ["medium", "paper", "scale512", "small", "tiny"]),
+        "--seed": (1, None),
+        "--warmup-us": (400.0, None),
+        "--measure-us": (1500.0, None),
+        "--time-scale": (0.02, None),
+    }
+    SWEEP = {"--jobs": (1, None), "--cache-dir": (None, None)}
+    SURFACE = {
+        "": {
+            "command": (
+                None,
+                ["claims", "cost", "figure", "lint", "list", "metrics", "profile",
+                 "replicate", "run", "trace", "utilization"],
+            )
+        },
+        "run": {
+            **POINT,
+            "--json": (False, None),
+            "--metrics-out": (None, None),
+            "--trace-out": (None, None),
+            "--trace-capacity": (100000, None),
+            "--trace-spans": (None, None),
+            "--span-policy": ("tail", ["head", "tail"]),
+            "--span-rate": (0.01, None),
+            "--span-capacity": (4096, None),
+            "--trace-chrome": (None, None),
+            "--heartbeat-us": (200.0, None),
+            "--live": (False, None),
+            **SIM,
+        },
+        "figure": {
+            "figure": (None, ["fig2", "fig3", "fig4"]),
+            "--loads": ([0.2, 0.4, 0.6, 0.8, 1.0], None),
+            "--archs": (["traditional-2vc", "ideal", "simple-2vc", "advanced-2vc"], ARCHS),
+            "--out": (None, None),
+            **SIM,
+            **SWEEP,
+        },
+        "claims": {"--load": (1.0, None), **SIM, **SWEEP},
+        "cost": {"--load": (1.0, None), **SIM},
+        "replicate": {**POINT, "--seeds": ([1, 2, 3], None), **SIM, **SWEEP},
+        "utilization": {**POINT, "--hotspots": (8, None), **SIM},
+        "list": {},
+        "metrics": {"snapshots": (None, None), "--schema": (None, None)},
+        "trace": {"trace_command": (None, ["blame", "export"])},
+        "trace blame": {
+            "spans": (None, None),
+            "--top": (5, None),
+            "--all": (False, None),
+            "--json": (False, None),
+        },
+        "trace export": {"spans": (None, None), "-o/--out": ("trace.json", None)},
+        "lint": {
+            "paths": (["src"], None),
+            "--format": ("text", ["json", "sarif", "text"]),
+            "--select": (None, None),
+            "--ignore": (None, None),
+            "--list-rules": (False, None),
+            "--project": (False, None),
+            "--cache-dir": (None, None),
+            "--explain": (None, None),
+            "--fix": (False, None),
+            "--dry-run": (False, None),
+            "--baseline": (None, None),
+            "--update-baseline": (False, None),
+            "--profile": (None, None),
+            "--memprofile": (None, None),
+        },
+        "profile": {"profile_command": (None, ["mem", "run"])},
+        "profile run": {**POINT, "-o/--out": ("prof.pstats", None), **SIM},
+        "profile mem": {
+            **POINT,
+            "--top": (512, None),
+            "-o/--out": ("mem.json", None),
+            **SIM,
+        },
+    }
+
+    @staticmethod
+    def _surface(parser):
+        """path -> {flags or positional: (default, sorted choices)}."""
+        return {
+            " ".join(path): {
+                "/".join(a.option_strings) or a.dest: (a.default, a.choices and sorted(a.choices))
+                for a in sub._actions
+                if not isinstance(a, argparse._HelpAction)
+            }
+            for path, sub in _parsers(parser)
+        }
+
+    def test_every_path_flag_choice_and_default_survives(self):
+        assert self._surface(build_parser()) == self.SURFACE
+
+    def test_list_imports_neither_linter_nor_executor_nor_analysis(self):
+        """Heavy dependencies stay behind the subcommand that needs them.
+        (``repro.obs.tracing`` cannot be on this list: ``repro.network.fabric``
+        imports ``NULL_TRACER`` from it, and naming the topology presets
+        imports the fabric.)"""
+        probe = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['list']) == 0\n"
+            "lazy = ('repro.lint', 'repro.exec', 'repro.analysis', 'cProfile', 'tracemalloc')\n"
+            "sys.exit(', '.join(m for m in lazy if m in sys.modules) or 0)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, f"`list` imported: {result.stderr}"
+
+
 class TestBadNumbers:
     """Out-of-range numbers are a usage error on every simulating
     subcommand: one ``repro-qos <command>: ...`` line on stderr and exit
     2, not a ``ValueError``/``SweepTaskError`` traceback from the config
-    classes (which stay the single definition of the valid ranges)."""
+    classes (which stay the single definition of the valid ranges) --
+    and found before anything simulates."""
 
     TINY = ["--topology", "tiny"]
     CASES = [
@@ -82,12 +240,20 @@ class TestBadNumbers:
         (["figure", "fig2", "--measure-us", "0"], "measurement window"),
         (["figure", "fig3", "--loads", "0.5", "-0.5"], "load"),
         (["claims", "--load", "-0.5"], "load"),
+        (["figure", "fig2", "--jobs", "0"], "jobs"),
+        (["figure", "fig4", "--out", "fig.txt"], "unsupported export format"),
+        (["run", "--metrics-out", "m.json", "--heartbeat-us", "0"], "heartbeat"),
+        (["run", "--trace-out", "t.jsonl", "--trace-capacity", "0"], "capacity"),
+        (["replicate", "--seeds", "1", "1"], "duplicate seeds"),
     ]
 
     @pytest.mark.parametrize(
         "argv, reason", CASES, ids=[" ".join(argv) for argv, _ in CASES]
     )
-    def test_exits_2_with_one_line(self, argv, reason, capsys):
+    def test_exits_2_with_one_line(
+        self, argv, reason, capsys, no_simulation, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # the relative output names above land here, if ever
         assert main([*argv, *self.TINY]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -99,23 +265,32 @@ class TestBadNumbers:
 
 class TestUnwritableOutputs:
     """An output path that cannot be opened is a usage error found
-    *before* simulating: one ``repro-qos run: ...`` line and exit 2, not
-    an ``OSError`` traceback after the run."""
+    *before* simulating: one ``repro-qos <command>: ...`` line and exit 2,
+    not an ``OSError`` traceback after the run."""
 
-    @pytest.mark.parametrize(
-        "flag", ["--metrics-out", "--trace-out", "--trace-spans", "--trace-chrome"]
-    )
-    def test_exits_2_before_simulating(self, flag, tmp_path, capsys, monkeypatch):
-        def no_run(*args, **kwargs):  # pragma: no cover - must never run
-            raise AssertionError("simulated before checking the output path")
+    #: argv up to the output flag; SPANS stands for a valid span dump.
+    CASES = {
+        "--metrics-out": ["run", *FAST, "--metrics-out"],
+        "--trace-out": ["run", *FAST, "--trace-out"],
+        "--trace-spans": ["run", *FAST, "--trace-spans"],
+        "--trace-chrome": ["run", *FAST, "--trace-chrome"],
+        "figure --out": ["figure", "fig2", *FAST, "--out"],
+        "profile run -o": ["profile", "run", *FAST, "-o"],
+        "profile mem -o": ["profile", "mem", *FAST, "-o"],
+        "trace export -o": ["trace", "export", "SPANS", "-o"],
+    }
 
-        monkeypatch.setattr("repro.cli.run_experiment", no_run)
+    @pytest.mark.parametrize("argv", list(CASES.values()), ids=list(CASES))
+    def test_exits_2_before_simulating(self, argv, tmp_path, capsys, no_simulation):
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text('{"type": "span-trace-summary"}\n', encoding="utf-8")
+        argv = [str(spans) if arg == "SPANS" else arg for arg in argv]
         target = tmp_path / "no_such_dir" / "out.json"
-        assert main(["run", *FAST, flag, str(target)]) == 2
+        assert main([*argv, str(target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line.startswith("repro-qos run: ")
+        assert line.startswith(f"repro-qos {argv[0]}: ")
         assert "no_such_dir" in line
 
 
@@ -167,6 +342,33 @@ class TestFigureCommand:
         )
         text = out_path.read_text()
         assert text.startswith("architecture,load")
+
+
+class TestTimeScale:
+    """``figure fig2|fig4`` and ``claims`` run the mix ``run`` runs -- Table 1
+    with video compressed by ``--time-scale`` -- through the one config
+    reader; they used to accept the flag, drop it and simulate the unscaled
+    25 fps mix (9 % of the video share at load 1.0 on ``small``)."""
+
+    @staticmethod
+    def _sweep(archs, time_scale):
+        return sweep(
+            archs, (1.0,), topology="tiny", warmup_ns=units.us(50), measure_ns=units.us(120),
+            mix_factory=lambda load: scaled_video_mix(load, time_scale),
+        )
+
+    def test_fig4_is_the_scaled_mix_sweep(self, capsys):
+        archs = ("advanced-2vc",)
+        assert main(["figure", "fig4", "--loads", "1.0", "--archs", *archs, *FAST]) == 0
+        expected = fig4_best_effort(archs, (1.0,), results=self._sweep(archs, 0.02))
+        assert capsys.readouterr().out == expected.text() + "\n"
+
+    def test_claims_reads_the_flag(self, capsys):
+        assert main(["claims", "--load", "1.0", "--time-scale", "0.05", *FAST]) == 0
+        out = capsys.readouterr().out
+        penalties = order_error_penalties(load=1.0, results=self._sweep(DEFAULT_ARCHS, 0.05))
+        for arch, factor in penalties.items():
+            assert f"  {ARCHITECTURES[arch].label:<18} x{factor:.3f}\n" in out
 
 
 class TestClaimsCommand:
