@@ -115,7 +115,7 @@ def test_bench_ablation_buffer_size(benchmark, bench_topology, bench_seed):
     throughput = {}
     for size, result in results.items():
         total = sum(
-            result.throughput(c)
+            result.collector.throughput(c)
             for c in ("control", "multimedia", "best-effort", "background")
         )
         control = result.collector.get("control").message_latency.mean

@@ -43,7 +43,7 @@ def test_bench_fig2_control_latency(benchmark, results, bench_topology, bench_se
     print(series.text())
 
     def mean(arch, load=max(LOADS)):
-        return results[(arch, load)].collector.get("control").message_latency.mean
+        return results[(arch, load)].get("control").message_latency.mean
 
     # Figure 2's content: EDF >> traditional; ideal <= advanced <= simple.
     for arch in ("ideal", "simple-2vc", "advanced-2vc"):
@@ -63,7 +63,7 @@ def test_bench_fig2_cdf_tails(benchmark, results):
     def tails():
         out = {}
         for arch in DEFAULT_ARCHS:
-            cdf = results[(arch, max(LOADS))].collector.get("control").message_cdf()
+            cdf = results[(arch, max(LOADS))].get("control").message_cdf()
             out[arch] = (cdf.quantile(0.5), cdf.quantile(0.99), cdf.max)
         return out
 

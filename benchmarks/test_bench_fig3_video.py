@@ -32,7 +32,7 @@ def test_bench_fig3_frame_latency(benchmark, results):
     series = benchmark.pedantic(
         fig3_video,
         args=(DEFAULT_ARCHS, LOADS),
-        kwargs=dict(results=results, time_scale=TIME_SCALE, cdf_points=10),
+        kwargs=dict(results=results, cdf_points=10),
         rounds=1,
         iterations=1,
     )
@@ -40,7 +40,7 @@ def test_bench_fig3_frame_latency(benchmark, results):
     print(series.text())
 
     def stats(arch, load):
-        return results[(arch, load)].collector.get("multimedia")
+        return results[(arch, load)].get("multimedia")
 
     # EDF architectures: mean frame latency ~ target at every load.
     for arch in ("ideal", "simple-2vc", "advanced-2vc"):
@@ -65,8 +65,8 @@ def test_bench_fig3_traditional_jitter(benchmark, results):
     def spreads():
         out = {}
         for arch in DEFAULT_ARCHS:
-            cdf = results[(arch, 1.0)].collector.get("multimedia").message_cdf()
-            jitter = results[(arch, 1.0)].collector.get("multimedia").jitter
+            cdf = results[(arch, 1.0)].get("multimedia").message_cdf()
+            jitter = results[(arch, 1.0)].get("multimedia").jitter
             out[arch] = (cdf.quantile(0.95) - cdf.quantile(0.05), jitter.mean)
         return out
 

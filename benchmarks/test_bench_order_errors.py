@@ -56,11 +56,11 @@ def test_bench_order_error_rate(benchmark, standard_sweep):
     def tail_excess():
         out = {}
         ideal_cdf = (
-            standard_sweep[("ideal", max(LOADS))].collector.get("control").message_cdf()
+            standard_sweep[("ideal", max(LOADS))].get("control").message_cdf()
         )
         for arch in ("simple-2vc", "advanced-2vc"):
             cdf = (
-                standard_sweep[(arch, max(LOADS))].collector.get("control").message_cdf()
+                standard_sweep[(arch, max(LOADS))].get("control").message_cdf()
             )
             # P(latency > ideal's p95): 0.05 means identical distributions.
             out[arch] = 1.0 - cdf.prob_leq(ideal_cdf.quantile(0.95))

@@ -14,8 +14,8 @@ architecture, and prints what each class experiences.
 Run:  python examples/mixed_datacenter.py        (~1 minute)
 """
 
+from repro.exec import execute_config
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
-from repro.experiments.runner import run_experiment
 from repro.sim import units
 
 LOAD = 1.0
@@ -23,7 +23,7 @@ TIME_SCALE = 0.02  # video compressed 50x so the demo finishes quickly
 
 
 def run(arch: str):
-    return run_experiment(
+    return execute_config(
         ExperimentConfig(
             architecture=arch,
             load=LOAD,
@@ -40,11 +40,11 @@ print(f"Table 1 workload at {LOAD:.0%} load on 32 hosts; video time-scale {TIME_
 results = {}
 for arch in ("traditional-2vc", "advanced-2vc"):
     results[arch] = run(arch)
-    print(results[arch].summary())
+    print(results[arch].table())
     print()
 
-traditional = results["traditional-2vc"].collector
-advanced = results["advanced-2vc"].collector
+traditional = results["traditional-2vc"]
+advanced = results["advanced-2vc"]
 
 ctrl_factor = (
     traditional.get("control").message_latency.mean
@@ -53,8 +53,8 @@ ctrl_factor = (
 video_target = round(10 * units.MS * TIME_SCALE)
 video_err = advanced.get("multimedia").message_latency.mean / video_target
 
-be = results["advanced-2vc"].throughput("best-effort")
-bg = results["advanced-2vc"].throughput("background")
+be = advanced.throughput("best-effort")
+bg = advanced.throughput("background")
 
 print("What the deadline architecture buys on ONE converged network:")
 print(f"  - control latency improves {ctrl_factor:.1f}x vs the conventional switch;")

@@ -16,12 +16,12 @@ the paper's evaluation.
 
 Quick start::
 
-    from repro import build_fabric, ADVANCED_2VC
-    from repro.experiments import ExperimentConfig, run_experiment
+    from repro.exec import execute_config
+    from repro.experiments import ExperimentConfig
 
-    result = run_experiment(ExperimentConfig(architecture="advanced-2vc",
-                                             load=0.8, seed=1))
-    print(result.summary())
+    summary = execute_config(ExperimentConfig(architecture="advanced-2vc",
+                                              load=0.8, seed=1))
+    print(summary.table())
 
 See ``examples/quickstart.py`` for the flow-level API.
 """

@@ -99,6 +99,8 @@ def register(sub) -> None:
 
 
 def command(args: argparse.Namespace):
+    from repro.exec.summary import summarize_run
+
     (config,) = common.sim_configs(args).values()
     metrics = trace = tracer = heartbeat_ns = None
     if args.metrics_out or args.live:
@@ -129,7 +131,17 @@ def command(args: argparse.Namespace):
             heartbeat_ns=heartbeat_ns,
             live_progress=args.live,
         )
-        print(result_to_json(result) if args.json else result.summary())
+        # every number below is read off the reduced summary, like figure's
+        # and replicate's; only the in-flight count needs the live fabric
+        summary = summarize_run(result)
+        if args.json:
+            print(result_to_json(summary))
+        else:
+            print(summary.table())
+            print(
+                f"[{summary.events_executed} events, {summary.wall_seconds:.2f}s wall, "
+                f"{result.fabric.packets_in_flight()} packets still in flight]"
+            )
         run_info = {
             "architecture": args.arch,
             "load": args.load,

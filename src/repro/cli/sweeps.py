@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 from pathlib import Path
 
 from repro.cli import common
@@ -51,17 +50,13 @@ def register(sub) -> None:
 def figure(args: argparse.Namespace):
     points = common.sim_configs(args, args.archs, args.loads)
     if args.figure == "fig3":
-        # Figure 3 counts in video frames: both its windows and the frame
-        # target its lat/target column divides by follow the time scale.
-        scale = args.time_scale
-        warmup_ns, measure_ns = figures.fig3_windows(scale)
-        points = {
-            key: config.with_(warmup_ns=warmup_ns, measure_ns=measure_ns)
-            for key, config in points.items()
-        }
-        draw = functools.partial(figures.fig3_video, time_scale=scale)
-    else:
-        draw = figures.fig2_control if args.figure == "fig2" else figures.fig4_best_effort
+        # Figure 3 counts in video frames, not microseconds.
+        points = {key: figures.fig3_windows(config) for key, config in points.items()}
+    draw = {
+        "fig2": figures.fig2_control,
+        "fig3": figures.fig3_video,
+        "fig4": figures.fig4_best_effort,
+    }[args.figure]
     executor = common.sweep_executor(args)
     export = contextlib.nullcontext()
     if args.out:

@@ -47,9 +47,6 @@ class ClockDomain:
     def __init__(self, offsets: Dict[Hashable, int] | None = None):
         self._offsets: Dict[Hashable, int] = dict(offsets or {})
 
-    def set_offset(self, node: Hashable, offset: int) -> None:
-        self._offsets[node] = offset
-
     def offset(self, node: Hashable) -> int:
         return self._offsets.get(node, 0)
 

@@ -23,7 +23,6 @@ from repro.exec.summary import (
     FrozenStats,
     RunSummary,
     downsample_sorted,
-    ensure_summary,
     execute_config,
     summarize_run,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "config_digest",
     "config_from_dict",
     "downsample_sorted",
-    "ensure_summary",
     "execute_config",
     "stable_hash",
     "summarize_run",

@@ -24,6 +24,7 @@ points within one campaign still coalesce.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -43,6 +44,15 @@ class ResultCache:
 
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        if self.cache_dir is not None:
+            # The directory is made by the first put(); a path that cannot
+            # become one must fail here, before a point is simulated for it.
+            anchor = next(p for p in (self.cache_dir, *self.cache_dir.parents) if p.exists())
+            if not (anchor.is_dir() and os.access(anchor, os.W_OK | os.X_OK)):
+                raise OSError(
+                    f"cannot use cache dir {self.cache_dir}: "
+                    f"{anchor} is not a writable directory"
+                )
         self.hits = 0
         self.misses = 0
         self._memory: Dict[str, RunSummary] = {}

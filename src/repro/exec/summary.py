@@ -2,19 +2,19 @@
 
 A :class:`~repro.experiments.runner.RunResult` pins the entire simulation
 graph -- the fabric, every queue, every traffic source, the engine's
-event heap.  That is the right return value for interactive use (you can
-inspect link utilization afterwards), but it is exactly wrong for a
+event heap.  That is the right return value for inspecting the network
+afterwards (link utilization, span blame), but it is exactly wrong for a
 process pool: pickling it would ship megabytes of live object graph (or
 fail outright on unpicklable callbacks) for every sweep point.
 
-:class:`RunSummary` is the wire/cache format instead: per-class latency,
+:class:`RunSummary` is the reduced result instead: per-class latency,
 jitter, CDF samples, and throughput, plus the run's config and event
-counts -- everything :mod:`repro.experiments.figures` reads, nothing it
-does not.  It crosses a process boundary in kilobytes, serializes to
-JSON for the content-addressed result cache, and exposes the same
-metric-access surface as the collector (``get(tclass)``, ``throughput``,
-``normalized_throughput``), so figure code runs identically on a live
-``RunResult`` or a summary replayed from cache.
+counts.  It crosses a process boundary in kilobytes, serializes to JSON
+for the content-addressed result cache, and is the one thing a printed,
+exported, plotted, cached or replicated number is read through
+(``get(tclass)``, ``throughput``, ``normalized_throughput``, ``table``):
+``repro-qos run`` reduces its live result with :func:`summarize_run`
+before printing, so every command shows the same numbers for one point.
 
 :func:`execute_config` is the process-pool worker entry point: config in,
 summary out, nothing else crosses the boundary.
@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.core.architectures import ARCHITECTURES
 from repro.exec.digest import (
     SUMMARY_SCHEMA_VERSION,
     canonical_config_dict,
@@ -33,9 +34,12 @@ from repro.exec.digest import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import RunResult, run_experiment
+from repro.sim import units
 from repro.stats.cdf import EmpiricalCDF
 from repro.stats.collectors import ClassStats
+from repro.stats.report import format_table
 from repro.stats.running import RunningStats
+from repro.traffic.mix import CLASS_NAMES
 
 __all__ = [
     "DEFAULT_CDF_SAMPLES",
@@ -43,7 +47,6 @@ __all__ = [
     "FrozenStats",
     "RunSummary",
     "downsample_sorted",
-    "ensure_summary",
     "execute_config",
     "summarize_run",
 ]
@@ -60,7 +63,9 @@ def downsample_sorted(values: Sequence[float], cap: int) -> Tuple[float, ...]:
     of the input, so serial and parallel sweeps (and cache replays)
     produce bit-identical curves.  Samples at or under the cap pass
     through untouched (the exact regime -- quantiles match the full
-    reservoir bit-for-bit).
+    reservoir bit-for-bit).  Beyond the cap a nearest-rank quantile over
+    the kept samples reads slightly high: p99 is the 99.02th percentile of
+    the full sample (kept as is: stored ``sim_digest``s hash the samples).
     """
     if cap < 2:
         raise ValueError(f"cdf sample cap must be >= 2, got {cap}")
@@ -117,9 +122,9 @@ class FrozenStats:
 class ClassSummary:
     """One traffic class's measured QoS, detached from the collector.
 
-    Mirrors the :class:`~repro.stats.collectors.ClassStats` reading
-    surface (``message_latency``, ``message_cdf()``, ``jitter``, ...)
-    over frozen data, so figure code is agnostic to which one it holds.
+    Named like :class:`~repro.stats.collectors.ClassStats`
+    (``message_latency``, ``message_cdf()``, ``jitter``, ...), over frozen
+    data.
     """
 
     tclass: str
@@ -194,7 +199,7 @@ class ClassSummary:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Everything the figure/replication layers read from one run.
+    """Everything a command prints, draws or exports from one run.
 
     Holds no :class:`~repro.network.fabric.Fabric` or
     :class:`~repro.traffic.mix.TrafficMix` reference -- only the config
@@ -212,7 +217,7 @@ class RunSummary:
     #: counters) captured by :func:`execute_config` on request.
     obs: Optional[Dict[str, Any]] = None
 
-    # -- collector-compatible reading surface ---------------------------
+    # -- reading surface ------------------------------------------------
     def get(self, tclass: str) -> ClassSummary:
         try:
             return self.classes[tclass]
@@ -221,12 +226,6 @@ class RunSummary:
             raise KeyError(
                 f"no deliveries recorded for class {tclass!r}; classes seen: {known}"
             ) from None
-
-    @property
-    def collector(self) -> "RunSummary":
-        """Compatibility shim: ``summary.collector.get(c)`` keeps working
-        for code written against ``RunResult.collector.get(c)``."""
-        return self
 
     def throughput(self, tclass: str) -> float:
         """Delivered bytes/ns of a class over the measurement window."""
@@ -245,6 +244,60 @@ class RunSummary:
     def normalized_throughput(self, tclass: str) -> float:
         offered = self.offered(tclass)
         return self.throughput(tclass) / offered if offered > 0 else 0.0
+
+    def table(self) -> str:
+        """The per-class QoS table ``repro-qos run`` prints."""
+        rows = []
+        for tclass in CLASS_NAMES:
+            stats = self.classes.get(tclass)
+            if stats is None or stats.packets == 0:
+                continue
+            # Message (frame) latency when full messages completed in the
+            # window; packet latency otherwise (e.g. video frames longer
+            # than a very short run); throughput only if nothing measured
+            # latency-wise (all births fell in the warm-up).
+            if stats.messages > 0:
+                latency = stats.message_latency
+                cdf = stats.message_cdf()
+                count = stats.messages
+            elif stats.packet_latency.count > 0:
+                latency = stats.packet_latency
+                cdf = stats.packet_cdf()
+                count = stats.packets
+            else:
+                latency = cdf = None
+                count = stats.packets
+            rows.append(
+                [
+                    tclass,
+                    count,
+                    units.ns_to_us(latency.mean) if latency else 0.0,
+                    units.ns_to_us(cdf.quantile(0.99)) if cdf else 0.0,
+                    units.ns_to_us(latency.max) if latency else 0.0,
+                    units.ns_to_us(stats.jitter.mean if stats.jitter.count else 0.0),
+                    self.throughput(tclass),
+                    self.normalized_throughput(tclass),
+                ]
+            )
+        arch = ARCHITECTURES[self.config.architecture].label
+        title = (
+            f"{arch}  load={self.config.load:.0%}  "
+            f"topology={self.config.topology}  seed={self.config.seed}"
+        )
+        return format_table(
+            [
+                "class",
+                "messages",
+                "avg lat (us)",
+                "p99 (us)",
+                "max (us)",
+                "jitter (us)",
+                "tput (B/ns)",
+                "tput/offered",
+            ],
+            rows,
+            title=title,
+        )
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -303,17 +356,6 @@ def summarize_run(
         classes=classes,
         obs=obs,
     )
-
-
-def ensure_summary(
-    result: Union[RunResult, RunSummary],
-    *,
-    cdf_samples: int = DEFAULT_CDF_SAMPLES,
-) -> RunSummary:
-    """Pass summaries through; reduce live results on the fly."""
-    if isinstance(result, RunSummary):
-        return result
-    return summarize_run(result, cdf_samples=cdf_samples)
 
 
 def execute_config(

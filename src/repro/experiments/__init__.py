@@ -6,12 +6,16 @@
 - :mod:`~repro.experiments.config` -- :class:`ExperimentConfig`, one run's
   complete parameterization.
 - :mod:`~repro.experiments.runner` -- :func:`run_experiment`: build the
-  fabric, attach the Table 1 mix, warm up, measure, return a
-  :class:`RunResult`.
-- :mod:`~repro.experiments.figures` -- the per-figure sweeps (fig2, fig3,
-  fig4) and the headline-claim computations (Simple ~ +25%, Advanced
+  fabric, attach the Table 1 mix, warm up, measure, return the live
+  :class:`RunResult` (fabric, mix, collector).  Its numbers are read
+  through one reduced :class:`~repro.exec.summary.RunSummary`:
+  ``repro.exec.execute_config(config)`` runs and reduces in one call
+  (``.table()``, ``.get(tclass)``, ``.throughput(tclass)``).
+- :mod:`~repro.experiments.figures` -- :func:`sweep` runs an
+  architectures x loads grid into ``{(arch, load): RunSummary}``; fig2,
+  fig3, fig4 and the headline-claim computations (Simple ~ +25%, Advanced
   ~ +5%, frames pinned at the target latency, best-effort weight
-  differentiation).
+  differentiation) draw from those ``results=``.
 """
 
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
@@ -26,12 +30,7 @@ from repro.experiments.figures import (
     order_error_penalties,
     sweep,
 )
-from repro.experiments.replication import (
-    MetricSummary,
-    Replication,
-    replicate,
-    run_one,
-)
+from repro.experiments.replication import MetricSummary, Replication, replicate
 from repro.experiments.export import (
     figure_to_csv,
     figure_to_json,
@@ -57,7 +56,6 @@ __all__ = [
     "replicate",
     "result_to_json",
     "run_experiment",
-    "run_one",
     "scaled_video_mix",
     "sweep",
     "write_figure",

@@ -3,7 +3,7 @@
 The text tables are for eyeballs; these exporters feed plotting scripts
 and downstream analysis.  Both figure series
 (:class:`~repro.experiments.figures.FigureSeries`) and single runs
-(:class:`~repro.experiments.runner.RunResult`) are supported, plus raw
+(:class:`~repro.exec.summary.RunSummary`) are supported, plus raw
 CDF curves for re-plotting the paper's right-hand panels.
 """
 
@@ -13,10 +13,12 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.experiments.figures import FigureSeries
-from repro.experiments.runner import RunResult
+
+if TYPE_CHECKING:  # runtime imports stay lazy: repro.exec imports this package
+    from repro.exec.summary import RunSummary
 
 __all__ = [
     "figure_serializer",
@@ -72,10 +74,10 @@ def write_figure(series: FigureSeries, path: PathLike, *, fmt: Optional[str] = N
     return path
 
 
-def result_to_json(result: RunResult) -> str:
+def result_to_json(result: "RunSummary") -> str:
     """One run's per-class metrics as a JSON document."""
     classes = {}
-    for tclass, stats in sorted(result.collector.classes.items()):
+    for tclass, stats in sorted(result.classes.items()):
         entry = {
             "packets": stats.packets,
             "bytes": stats.bytes,

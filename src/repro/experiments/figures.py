@@ -1,8 +1,9 @@
-"""The paper's figures as runnable sweeps.
+"""The paper's figures, drawn from a finished sweep.
 
-Each ``figN_*`` function runs the Table 1 workload over a load sweep for
-the four architectures and returns a :class:`FigureSeries` -- the same
-rows/series the corresponding figure in the paper plots:
+:func:`sweep` (or :func:`run_points` over configs built elsewhere) runs
+the Table 1 workload over an architectures x loads grid; each ``figN_*``
+function takes those ``results`` and returns a :class:`FigureSeries` --
+the same rows/series the corresponding figure in the paper plots:
 
 - :func:`fig2_control`: average latency of *Control* traffic vs input
   load, plus the latency CDF at the highest load.
@@ -30,20 +31,19 @@ byte-identical at any job count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.architectures import ARCHITECTURES
-from repro.experiments.config import ExperimentConfig, scaled_video_mix
-from repro.experiments.runner import RunResult
+from repro.experiments.config import ExperimentConfig
 from repro.sim import units
 from repro.stats.report import format_table
 
 if TYPE_CHECKING:  # runtime imports stay lazy: repro.exec imports this package
     from repro.exec.executor import SweepExecutor
-    from repro.exec.summary import ClassSummary, RunSummary
+    from repro.exec.summary import RunSummary
 
-#: Sweeps accept live results or cache/pool summaries interchangeably.
-SweepResult = Union[RunResult, "RunSummary"]
+#: What a sweep returns and a figure function draws.
+Results = Dict[Tuple[str, float], "RunSummary"]
 
 __all__ = [
     "FigureSeries",
@@ -89,7 +89,7 @@ class FigureSeries:
 def run_points(
     points: Dict[Tuple[str, float], ExperimentConfig],
     executor: Optional["SweepExecutor"] = None,
-) -> Dict[Tuple[str, float], "RunSummary"]:
+) -> Results:
     """Execute ``points`` and key each summary like its config.
 
     Points execute through a :class:`SweepExecutor` -- in-process at
@@ -116,7 +116,7 @@ def sweep(
     measure_ns: int = units.ms(1),
     mix_factory: Optional[Callable[[float], object]] = None,
     executor: Optional["SweepExecutor"] = None,
-) -> Dict[Tuple[str, float], "RunSummary"]:
+) -> Results:
     """Run every (architecture, load) combination once (:func:`run_points`)."""
     points = {
         (arch, load): ExperimentConfig(
@@ -134,14 +134,8 @@ def sweep(
     return run_points(points, executor)
 
 
-def _class_stats(result: SweepResult, tclass: str) -> "ClassSummary":
-    """Per-class stats from a live result or a summary, identically."""
-    return result.collector.get(tclass)
-
-
-def _cdf_curve(result: SweepResult, tclass: str, *, messages: bool, points: int) -> List[Tuple[float, float]]:
-    stats = _class_stats(result, tclass)
-    cdf = stats.message_cdf() if messages else stats.packet_cdf()
+def _cdf_curve(result: "RunSummary", tclass: str, points: int) -> List[Tuple[float, float]]:
+    cdf = result.get(tclass).message_cdf()
     return [(units.ns_to_us(x), p) for x, p in cdf.curve(points)]
 
 
@@ -150,20 +144,10 @@ def fig2_control(
     archs: Sequence[str] = DEFAULT_ARCHS,
     loads: Sequence[float] = DEFAULT_LOADS,
     *,
-    topology: str = "small",
-    seed: int = 1,
-    warmup_ns: int = units.us(200),
-    measure_ns: int = units.ms(1),
+    results: Results,
     cdf_points: int = 12,
-    executor: Optional["SweepExecutor"] = None,
-    results: Optional[Dict[Tuple[str, float], SweepResult]] = None,
 ) -> FigureSeries:
     """Figure 2: latency of the Control class."""
-    if results is None:
-        results = sweep(
-            archs, loads, topology=topology, seed=seed,
-            warmup_ns=warmup_ns, measure_ns=measure_ns, executor=executor,
-        )
     series = FigureSeries(
         figure="Figure 2 -- Control traffic latency",
         headers=["architecture", "load", "avg lat (us)", "p99 (us)", "max (us)"],
@@ -173,7 +157,7 @@ def fig2_control(
     for arch in archs:
         label = ARCHITECTURES[arch].label
         for load in loads:
-            stats = _class_stats(results[(arch, load)], "control")
+            stats = results[(arch, load)].get("control")
             cdf = stats.message_cdf()
             series.rows.append(
                 [
@@ -184,56 +168,34 @@ def fig2_control(
                     units.ns_to_us(stats.message_latency.max),
                 ]
             )
-        series.cdfs[label] = _cdf_curve(
-            results[(arch, top_load)], "control", messages=True, points=cdf_points
-        )
+        series.cdfs[label] = _cdf_curve(results[(arch, top_load)], "control", cdf_points)
     return series
 
 
-def fig3_windows(time_scale: float) -> Tuple[int, int]:
-    """Figure 3's ``(warmup_ns, measure_ns)``: 2 + 6 video frame periods,
-    so a run sees the same number of frames at any ``time_scale``."""
-    frame_period_ns = units.ms(40 * time_scale)
-    return 2 * frame_period_ns, 6 * frame_period_ns
+def fig3_windows(config: ExperimentConfig) -> ExperimentConfig:
+    """``config`` with Figure 3's windows: 2 + 6 of its own video frame
+    periods, so a run sees the same number of frames at any time scale."""
+    frame_period_ns = round(units.S / config.mix_config.video_fps)
+    return config.with_(warmup_ns=2 * frame_period_ns, measure_ns=6 * frame_period_ns)
 
 
 def fig3_video(
     archs: Sequence[str] = DEFAULT_ARCHS,
     loads: Sequence[float] = (0.4, 0.7, 1.0),
     *,
-    topology: str = "small",
-    seed: int = 1,
-    time_scale: float = 0.1,
-    warmup_ns: Optional[int] = None,
-    measure_ns: Optional[int] = None,
+    results: Results,
     cdf_points: int = 12,
-    executor: Optional["SweepExecutor"] = None,
-    results: Optional[Dict[Tuple[str, float], SweepResult]] = None,
 ) -> FigureSeries:
     """Figure 3: per-frame latency of the Multimedia class.
 
-    Video time is compressed by ``time_scale`` (see
-    :func:`~repro.experiments.config.scaled_video_mix`); the reported
-    ``lat/target`` column is scale-free, so the paper's "frames arrive at
-    almost exactly the 10 ms target" claim reads directly off it.
+    The frame-latency target is the one the results' own mix was built
+    with (see :func:`~repro.experiments.config.scaled_video_mix`); the
+    reported ``lat/target`` column is scale-free, so the paper's "frames
+    arrive at almost exactly the 10 ms target" claim reads directly off it.
     """
-    target_ns = units.ms(10 * time_scale)
-    frame_warmup_ns, frame_measure_ns = fig3_windows(time_scale)
-    if warmup_ns is None:
-        warmup_ns = frame_warmup_ns
-    if measure_ns is None:
-        measure_ns = frame_measure_ns
-    if results is None:
-        results = sweep(
-            archs,
-            loads,
-            topology=topology,
-            seed=seed,
-            warmup_ns=warmup_ns,
-            measure_ns=measure_ns,
-            mix_factory=lambda load: scaled_video_mix(load, time_scale),
-            executor=executor,
-        )
+    # one sweep, one video time scale: any point's mix names the target
+    target_ns = results[(archs[0], loads[0])].config.mix_config.video_target_latency_ns
+    time_scale = target_ns / units.ms(10)
     series = FigureSeries(
         figure="Figure 3 -- Multimedia (video frame) latency",
         headers=[
@@ -251,7 +213,7 @@ def fig3_video(
     for arch in archs:
         label = ARCHITECTURES[arch].label
         for load in loads:
-            stats = _class_stats(results[(arch, load)], "multimedia")
+            stats = results[(arch, load)].get("multimedia")
             cdf = stats.message_cdf()
             within = cdf.prob_leq(1.1 * target_ns) - cdf.prob_leq(0.9 * target_ns)
             series.rows.append(
@@ -264,9 +226,7 @@ def fig3_video(
                     within,
                 ]
             )
-        series.cdfs[label] = _cdf_curve(
-            results[(arch, top_load)], "multimedia", messages=True, points=cdf_points
-        )
+        series.cdfs[label] = _cdf_curve(results[(arch, top_load)], "multimedia", cdf_points)
     return series
 
 
@@ -274,19 +234,9 @@ def fig4_best_effort(
     archs: Sequence[str] = DEFAULT_ARCHS,
     loads: Sequence[float] = DEFAULT_LOADS,
     *,
-    topology: str = "small",
-    seed: int = 1,
-    warmup_ns: int = units.us(200),
-    measure_ns: int = units.ms(1),
-    executor: Optional["SweepExecutor"] = None,
-    results: Optional[Dict[Tuple[str, float], SweepResult]] = None,
+    results: Results,
 ) -> FigureSeries:
     """Figure 4: delivered throughput of the two best-effort classes."""
-    if results is None:
-        results = sweep(
-            archs, loads, topology=topology, seed=seed,
-            warmup_ns=warmup_ns, measure_ns=measure_ns, executor=executor,
-        )
     series = FigureSeries(
         figure="Figure 4 -- Best-effort class throughput",
         headers=[
@@ -324,29 +274,15 @@ def fig4_best_effort(
     return series
 
 
-def order_error_penalties(
-    *,
-    load: float = 1.0,
-    topology: str = "small",
-    seed: int = 1,
-    warmup_ns: int = units.us(200),
-    measure_ns: int = units.ms(1),
-    executor: Optional["SweepExecutor"] = None,
-    results: Optional[Dict[Tuple[str, float], SweepResult]] = None,
-) -> Dict[str, float]:
+def order_error_penalties(*, load: float = 1.0, results: Results) -> Dict[str, float]:
     """Section 3.4 / Section 5 headline: control-latency overhead vs Ideal.
 
     Returns ``{architecture: mean_latency / ideal_mean_latency}``.  The
     paper reports ~1.25 for Simple and ~1.05 for Advanced.
     """
     archs = ("ideal", "simple-2vc", "advanced-2vc", "traditional-2vc")
-    if results is None:
-        results = sweep(
-            archs, (load,), topology=topology, seed=seed,
-            warmup_ns=warmup_ns, measure_ns=measure_ns, executor=executor,
-        )
-    ideal = _class_stats(results[("ideal", load)], "control").message_latency.mean
+    ideal = results[("ideal", load)].get("control").message_latency.mean
     return {
-        arch: _class_stats(results[(arch, load)], "control").message_latency.mean / ideal
+        arch: results[(arch, load)].get("control").message_latency.mean / ideal
         for arch in archs
     }

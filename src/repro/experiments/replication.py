@@ -11,8 +11,7 @@ exploits that directly: pass a :class:`repro.exec.executor.SweepExecutor`
 built with ``jobs=N`` to fan the seeds across a process pool (its
 ``cache_dir`` replays finished seeds).  Replicates come back as compact
 :class:`~repro.exec.summary.RunSummary` objects in seed order, so the
-statistics are identical at any job count.  :func:`run_one` remains the
-picklable single-replicate entry point for ad-hoc pools.
+statistics are identical at any job count.
 """
 
 from __future__ import annotations
@@ -22,13 +21,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import RunResult, run_experiment
 
 if TYPE_CHECKING:  # runtime imports stay lazy: repro.exec imports this package
     from repro.exec.executor import SweepExecutor
     from repro.exec.summary import RunSummary
 
-__all__ = ["MetricSummary", "Replication", "check_seeds", "replicate", "run_one"]
+__all__ = ["MetricSummary", "Replication", "check_seeds", "replicate"]
 
 #: two-sided 95% normal quantile
 _Z95 = 1.959963984540054
@@ -102,14 +100,6 @@ class Replication:
 
     def throughput(self, tclass: str) -> MetricSummary:
         return self.metric(f"throughput [{tclass}]", lambda r: r.throughput(tclass))
-
-
-def run_one(config: ExperimentConfig, seed: int) -> RunResult:
-    """One full-fidelity replicate (top-level, so ad-hoc process pools
-    can pickle it; the executor behind :func:`replicate` instead uses
-    :func:`repro.exec.summary.execute_config`, which returns the compact
-    summary)."""
-    return run_experiment(config.with_(seed=seed))
 
 
 def check_seeds(seeds: Sequence[int]) -> None:

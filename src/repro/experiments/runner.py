@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.core.architectures import ARCHITECTURES
 from repro.experiments.config import ExperimentConfig
@@ -12,18 +12,18 @@ from repro.experiments.presets import make_topology
 from repro.network.fabric import Fabric
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.telemetry import RunTelemetry, attach_run_telemetry, sync_component_totals
-from repro.sim import units
 from repro.sim.rng import RandomStreams
 from repro.stats.collectors import MetricsCollector
-from repro.stats.report import format_table
-from repro.traffic.mix import CLASS_NAMES, TrafficMix, build_mix
+from repro.traffic.mix import TrafficMix, build_mix
 
 __all__ = ["RunResult", "run_experiment"]
 
 
 @dataclass
 class RunResult:
-    """Everything measured in one run."""
+    """The live handles of one finished run, for code that inspects the
+    simulation itself (link utilization, span blame).  Its numbers are read
+    through :func:`repro.exec.summary.summarize_run`, and only there."""
 
     config: ExperimentConfig
     collector: MetricsCollector
@@ -36,96 +36,10 @@ class RunResult:
     telemetry: Optional[RunTelemetry] = None
     tracer: Optional[object] = None
 
-    # ------------------------------------------------------------------
-    def mean_packet_latency(self, tclass: str) -> float:
-        return self.collector.get(tclass).packet_latency.mean
-
-    def mean_message_latency(self, tclass: str) -> float:
-        return self.collector.get(tclass).message_latency.mean
-
-    def throughput(self, tclass: str) -> float:
-        """Delivered bytes/ns of a class, fabric-wide."""
-        return self.collector.throughput(tclass)
-
-    def offered(self, tclass: str) -> float:
-        """Configured offered bytes/ns of a class, fabric-wide."""
-        per_host = self.config.mix_config.class_rate(
-            tclass, self.fabric.params.bytes_per_ns
-        )
-        return per_host * self.fabric.topology.n_hosts
-
-    def normalized_throughput(self, tclass: str) -> float:
-        offered = self.offered(tclass)
-        return self.throughput(tclass) / offered if offered > 0 else 0.0
-
-    # ------------------------------------------------------------------
-    def class_rows(self) -> List[List]:
-        rows: List[List] = []
-        for tclass in CLASS_NAMES:
-            stats = self.collector.classes.get(tclass)
-            if stats is None or stats.packets == 0:
-                continue
-            # Message (frame) latency when full messages completed in the
-            # window; packet latency otherwise (e.g. video frames longer
-            # than a very short run); throughput only if nothing measured
-            # latency-wise (all births fell in the warm-up).
-            if stats.messages > 0:
-                latency = stats.message_latency
-                cdf = stats.message_cdf()
-                count = stats.messages
-            elif stats.packet_latency.count > 0:
-                latency = stats.packet_latency
-                cdf = stats.packet_cdf()
-                count = stats.packets
-            else:
-                latency = cdf = None
-                count = stats.packets
-            rows.append(
-                [
-                    tclass,
-                    count,
-                    units.ns_to_us(latency.mean) if latency else 0.0,
-                    units.ns_to_us(cdf.quantile(0.99)) if cdf else 0.0,
-                    units.ns_to_us(latency.max) if latency else 0.0,
-                    units.ns_to_us(stats.jitter.mean if stats.jitter.count else 0.0),
-                    self.throughput(tclass),
-                    self.normalized_throughput(tclass),
-                ]
-            )
-        return rows
-
-    def summary(self) -> str:
-        arch = ARCHITECTURES[self.config.architecture].label
-        title = (
-            f"{arch}  load={self.config.load:.0%}  "
-            f"topology={self.config.topology}  seed={self.config.seed}"
-        )
-        table = format_table(
-            [
-                "class",
-                "messages",
-                "avg lat (us)",
-                "p99 (us)",
-                "max (us)",
-                "jitter (us)",
-                "tput (B/ns)",
-                "tput/offered",
-            ],
-            self.class_rows(),
-            title=title,
-        )
-        footer = (
-            f"\n[{self.events_executed} events, "
-            f"{self.wall_seconds:.2f}s wall, "
-            f"{self.fabric.packets_in_flight()} packets still in flight]"
-        )
-        return table + footer
-
 
 def run_experiment(
     config: ExperimentConfig,
     *,
-    collector: Optional[MetricsCollector] = None,
     metrics=None,
     trace=None,
     tracer=None,
@@ -171,8 +85,7 @@ def run_experiment(
     )
     streams = RandomStreams(config.seed)
     mix = build_mix(fabric, streams, config.mix_config)
-    if collector is None:
-        collector = MetricsCollector(warmup_ns=config.warmup_ns)
+    collector = MetricsCollector(warmup_ns=config.warmup_ns)
     fabric.subscribe_delivery(collector.on_delivery)
 
     telemetry = None

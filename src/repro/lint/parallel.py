@@ -42,14 +42,10 @@ from repro.lint.projectmodel import ModuleSummary, ProjectModel
 __all__ = ["ParallelAnalysis", "SubmissionSite", "analyze_parallel"]
 
 #: Worker entry points reached through indirection the resolver cannot
-#: see (``SweepExecutor`` stores its worker on an instance attribute;
-#: ``replicate`` passes ``run_one`` through the executor).  Dotted
-#: origins; entries absent from the scanned tree are ignored, so linting
-#: a fixture directory does not drag ``src/`` semantics along.
-KNOWN_WORKER_ENTRY_POINTS: Tuple[str, ...] = (
-    "repro.exec.summary.execute_config",
-    "repro.experiments.replication.run_one",
-)
+#: see (``SweepExecutor`` stores its worker on an instance attribute).
+#: Dotted origins; entries absent from the scanned tree are ignored, so
+#: linting a fixture directory does not drag ``src/`` semantics along.
+KNOWN_WORKER_ENTRY_POINTS: Tuple[str, ...] = ("repro.exec.summary.execute_config",)
 
 
 @dataclass

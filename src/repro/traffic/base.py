@@ -12,8 +12,9 @@ actually producing the configured rate (the workload tests do).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
+from repro.core.flow import FlowState
 from repro.network.fabric import Fabric
 from repro.sim.rng import RandomStream
 
@@ -22,6 +23,13 @@ __all__ = ["TrafficSource"]
 
 class TrafficSource:
     """Base class for message generators attached to one source host."""
+
+    #: Set by sources that open a flow per destination (:meth:`_flow_to`):
+    #: the class and ``open_flow`` keywords of those flows and, when they
+    #: share one virtual clock (a per-host record), that stamper.
+    tclass: str
+    _flow_kwargs: dict
+    stamper = None
 
     def __init__(self, fabric: Fabric, src: int, name: str, rng: RandomStream):
         if not 0 <= src < fabric.topology.n_hosts:
@@ -34,6 +42,7 @@ class TrafficSource:
         self.running = False
         self.messages_generated = 0
         self.bytes_generated = 0
+        self._flows: Dict[int, FlowState] = {}
 
     # ------------------------------------------------------------------
     def start(self, at: Optional[int] = None) -> None:
@@ -63,6 +72,22 @@ class TrafficSource:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
+    def _flow_to(self, dst: int) -> FlowState:
+        """This source's flow to ``dst``, opened on first use."""
+        flow = self._flows.get(dst)
+        if flow is None:
+            flow = self.fabric.open_flow(self.src, dst, self.tclass, **self._flow_kwargs)
+            if self.stamper is not None:
+                flow.stamper = self.stamper
+            self._flows[dst] = flow
+        return flow
+
+    def _pick_dst(self) -> int:
+        """A destination uniform over the other hosts."""
+        n = self.fabric.topology.n_hosts
+        dst = self.rng.randrange(n - 1)
+        return dst if dst < self.src else dst + 1
+
     def _account(self, nbytes: int) -> None:
         self.messages_generated += 1
         self.bytes_generated += nbytes

@@ -15,10 +15,10 @@ per-host control record would in hardware.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.deadline import ControlStamper
-from repro.core.flow import FlowKind, FlowState
+from repro.core.flow import FlowKind
 from repro.network.fabric import Fabric
 from repro.sim.rng import RandomStream
 from repro.traffic.base import TrafficSource
@@ -49,30 +49,14 @@ class ControlSource(TrafficSource):
         self.rate = rate_bytes_per_ns
         self.size_range = size_range
         self.tclass = tclass
-        self.vc = vc
+        self._flow_kwargs = {"kind": FlowKind.CONTROL, "vc": vc}
         self.mean_size = (lo + hi) / 2.0
         # Mean of a continuous distribution, kept float for expovariate;
         # the schedule sink rounds per sample (base.py _tick).
         self.mean_gap_ns = self.mean_size / rate_bytes_per_ns  # simlint: allow-float-time-flow
-        #: one shared per-host control record (Section 3.1)
+        #: one shared per-host control record (Section 3.1): all control
+        #: flows from this host share one virtual clock
         self.stamper = ControlStamper(fabric.params.bytes_per_ns)
-        self._flows: Dict[int, FlowState] = {}
-
-    def _flow_to(self, dst: int) -> FlowState:
-        flow = self._flows.get(dst)
-        if flow is None:
-            flow = self.fabric.open_flow(
-                self.src, dst, self.tclass, kind=FlowKind.CONTROL, vc=self.vc
-            )
-            # All control flows from this host share one virtual clock.
-            flow.stamper = self.stamper
-            self._flows[dst] = flow
-        return flow
-
-    def _pick_dst(self) -> int:
-        n = self.fabric.topology.n_hosts
-        dst = self.rng.randrange(n - 1)
-        return dst if dst < self.src else dst + 1
 
     def _emit(self) -> Optional[float]:
         size = self.rng.randint(*self.size_range)

@@ -20,9 +20,9 @@ Example -- an all-to-one barrier followed by a staggered broadcast::
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Tuple
+from typing import Generator, Optional, Tuple
 
-from repro.core.flow import FlowKind, FlowState
+from repro.core.flow import FlowKind
 from repro.network.fabric import Fabric
 from repro.sim.process import Delay, process
 from repro.sim.rng import local_stream
@@ -57,15 +57,7 @@ class ScriptedSource(TrafficSource):
             "kind": FlowKind.RATE,
             "bw_bytes_per_ns": 0.1 * fabric.params.bytes_per_ns,
         }
-        self._flows: Dict[int, FlowState] = {}
         self._process = None
-
-    def _flow_to(self, dst: int) -> FlowState:
-        flow = self._flows.get(dst)
-        if flow is None:
-            flow = self.fabric.open_flow(self.src, dst, self.tclass, **self._flow_kwargs)
-            self._flows[dst] = flow
-        return flow
 
     def start(self, at: Optional[int] = None) -> None:
         if self.running:

@@ -33,11 +33,11 @@ the Traditional architecture cannot provide).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.constants import VC_BEST_EFFORT
 from repro.core.deadline import RateBasedStamper
-from repro.core.flow import FlowKind, FlowState
+from repro.core.flow import FlowKind
 from repro.network.fabric import Fabric
 from repro.sim.rng import RandomStream
 from repro.traffic.base import TrafficSource
@@ -71,7 +71,6 @@ class SelfSimilarSource(TrafficSource):
             raise ValueError(f"gap_mode must be 'compensating' or 'pareto', got {gap_mode!r}")
         self.rate = rate_bytes_per_ns
         self.tclass = tclass
-        self.vc = vc
         self.gap_alpha = gap_alpha
         self.gap_mode = gap_mode
         self.sizes = BoundedPareto(size_alpha, *size_range)
@@ -84,30 +83,14 @@ class SelfSimilarSource(TrafficSource):
             if deadline_bw_bytes_per_ns is not None
             else fabric.params.bytes_per_ns
         )
-        #: one aggregated record per (host, class): a single virtual clock
+        self._flow_kwargs = {
+            "kind": FlowKind.RATE,
+            "vc": vc,
+            "bw_bytes_per_ns": self.deadline_bw,
+        }
+        #: one aggregated record per (host, class): all destinations share
+        #: a single virtual clock
         self.stamper = RateBasedStamper(self.deadline_bw)
-        self._flows: Dict[int, FlowState] = {}
-
-    def _flow_to(self, dst: int) -> FlowState:
-        flow = self._flows.get(dst)
-        if flow is None:
-            flow = self.fabric.open_flow(
-                self.src,
-                dst,
-                self.tclass,
-                kind=FlowKind.RATE,
-                vc=self.vc,
-                bw_bytes_per_ns=self.deadline_bw,
-            )
-            # Aggregated class record: all destinations share one clock.
-            flow.stamper = self.stamper
-            self._flows[dst] = flow
-        return flow
-
-    def _pick_dst(self) -> int:
-        n = self.fabric.topology.n_hosts
-        dst = self.rng.randrange(n - 1)
-        return dst if dst < self.src else dst + 1
 
     def _emit(self) -> Optional[float]:
         size = self.sizes.sample_int(self.rng)

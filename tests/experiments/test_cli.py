@@ -5,6 +5,7 @@ in test-suite time budgets.
 """
 
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -15,15 +16,23 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.cli.common import sim_configs
 from repro.core.architectures import ARCHITECTURES
-from repro.experiments.config import scaled_video_mix
+from repro.exec.summary import DEFAULT_CDF_SAMPLES, execute_config
+from repro.experiments.config import ExperimentConfig, scaled_video_mix
+from repro.experiments.export import result_to_json
 from repro.experiments.figures import (
     DEFAULT_ARCHS,
+    fig2_control,
+    fig3_video,
+    fig3_windows,
     fig4_best_effort,
     order_error_penalties,
+    run_points,
     sweep,
 )
 from repro.sim import units
+from repro.stats.report import format_row
 
 FAST = ["--topology", "tiny", "--warmup-us", "50", "--measure-us", "120"]
 
@@ -280,12 +289,27 @@ class TestUnwritableOutputs:
         "trace export -o": ["trace", "export", "SPANS", "-o"],
     }
 
-    @pytest.mark.parametrize("argv", list(CASES.values()), ids=list(CASES))
-    def test_exits_2_before_simulating(self, argv, tmp_path, capsys, no_simulation):
+    #: A cache directory is made lazily, so a missing one is fine; what
+    #: makes it unusable is what already sits where it would go.
+    CACHE_DIR = ["figure", "fig2", *FAST, "--cache-dir"]
+    PARAMS = [
+        *(pytest.param(argv, None, id=name) for name, argv in CASES.items()),
+        pytest.param(CACHE_DIR, "file", id="--cache-dir under a file"),
+        pytest.param(CACHE_DIR, "read-only", id="--cache-dir under a read-only directory"),
+    ]
+
+    @pytest.mark.parametrize("argv, in_the_way", PARAMS)
+    def test_exits_2_before_simulating(self, argv, in_the_way, tmp_path, capsys, no_simulation):
         spans = tmp_path / "spans.jsonl"
         spans.write_text('{"type": "span-trace-summary"}\n', encoding="utf-8")
         argv = [str(spans) if arg == "SPANS" else arg for arg in argv]
         target = tmp_path / "no_such_dir" / "out.json"
+        if in_the_way == "file":
+            target.parent.write_text("", encoding="utf-8")
+        elif in_the_way == "read-only":
+            if os.geteuid() == 0:
+                pytest.skip("root can write into a read-only directory")
+            target.parent.mkdir(mode=0o555)
         assert main([*argv, str(target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -369,6 +393,65 @@ class TestTimeScale:
         penalties = order_error_penalties(load=1.0, results=self._sweep(DEFAULT_ARCHS, 0.05))
         for arch, factor in penalties.items():
             assert f"  {ARCHITECTURES[arch].label:<18} x{factor:.3f}\n" in out
+
+
+class TestOnePointOneSetOfNumbers:
+    """A finished run is read one way, through its ``RunSummary``.  ``run``
+    used to take quantiles over the raw reservoir while ``figure``, ``claims``
+    and ``replicate`` read the summary's 4 096 order statistics, so one point
+    had two p99s (83.548 vs 83.97 us below); and the figure functions could
+    also run their own sweep, with their own idea of the workload."""
+
+    #: control completes 11 046 messages here, past the summary's sample cap
+    POINT = ["--arch", "advanced-2vc", "--load", "1.0", "--topology", "small"]
+
+    def test_run_figure_and_export_agree(self, capsys):
+        def stdout(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        def row(text, label):
+            (line,) = [line for line in text.splitlines() if line.startswith(label)]
+            return line[len(label):].split()
+
+        (config,) = sim_configs(build_parser().parse_args(["run", *self.POINT])).values()
+        summary = execute_config(config)
+        assert summary.get("control").messages > DEFAULT_CDF_SAMPLES
+
+        exported = json.loads(result_to_json(summary))
+        run_json = json.loads(stdout(["run", "--json", *self.POINT]))
+        del exported["wall_seconds"], run_json["wall_seconds"]
+        assert run_json == exported
+
+        latency = exported["classes"]["control"]["message_latency_ns"]
+        printed = format_row(
+            [units.ns_to_us(latency[key]) for key in ("mean", "p99", "max")], (0, 0, 0)
+        ).split()
+        # run: class, messages, avg lat, p99, max, ...; fig2: architecture, load, avg lat, p99, max
+        assert row(stdout(["run", *self.POINT]), "control")[1:4] == printed
+        fig2 = stdout(["figure", "fig2", "--archs", "advanced-2vc", "--loads", "1.0",
+                       "--topology", "small"])
+        assert row(fig2, "Advanced 2 VCs")[1:4] == printed
+
+    @pytest.mark.parametrize(
+        "draw", [fig2_control, fig3_video, fig4_best_effort, order_error_penalties]
+    )
+    def test_figure_functions_only_draw(self, draw):
+        parameters = inspect.signature(draw).parameters
+        assert not parameters.keys() & {
+            "topology", "seed", "warmup_ns", "measure_ns", "executor", "time_scale"
+        }
+        assert parameters["results"].default is inspect.Parameter.empty
+
+    def test_fig3_takes_its_frame_target_from_the_results(self):
+        config = ExperimentConfig(
+            architecture="ideal", load=0.4, topology="tiny", mix=scaled_video_mix(0.4, 0.02)
+        )
+        results = run_points({("ideal", 0.4): fig3_windows(config)})
+        series = fig3_video(("ideal",), (0.4,), results=results)
+        assert series.notes == ["frame-latency target = 200 us (time_scale=0.02)"]
+        ((_, _, _, lat_over_target, _, _),) = series.rows
+        assert lat_over_target == pytest.approx(1.0, abs=0.15)  # 0.2 against a 1000 us target
 
 
 class TestClaimsCommand:

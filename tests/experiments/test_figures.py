@@ -52,7 +52,7 @@ class TestFigureFunctions:
             assert curve[-1][1] == 1.0
 
     def test_fig3_reports_scale_free_ratio(self, results):
-        series = fig3_video(ARCHS, LOADS, results=results, time_scale=0.02, cdf_points=5)
+        series = fig3_video(ARCHS, LOADS, results=results, cdf_points=5)
         ratio_column = series.headers.index("lat/target")
         ideal_rows = [r for r in series.rows if r[0] == "Ideal"]
         assert ideal_rows[0][ratio_column] == pytest.approx(1.0, rel=0.3)

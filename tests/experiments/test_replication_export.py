@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.exec.summary import execute_config
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.export import (
     figure_to_csv,
@@ -12,7 +13,8 @@ from repro.experiments.export import (
     write_figure,
 )
 from repro.experiments.figures import FigureSeries
-from repro.experiments.replication import MetricSummary, replicate, run_one
+from repro.experiments.replication import MetricSummary, replicate
+from repro.experiments.runner import run_experiment
 from repro.sim import units
 
 
@@ -77,8 +79,8 @@ class TestReplicate:
 
     def test_run_one_respects_seed(self):
         config = quick_config()
-        a = run_one(config, 7)
-        b = run_one(config, 7)
+        a = run_experiment(config.with_(seed=7))
+        b = run_experiment(config.with_(seed=7))
         assert (
             a.collector.get("control").packet_latency.mean
             == b.collector.get("control").packet_latency.mean
@@ -126,8 +128,7 @@ class TestExport:
             write_figure(series, tmp_path / "fig.xlsx")
 
     def test_result_to_json(self):
-        result = run_one(quick_config(), 1)
-        doc = json.loads(result_to_json(result))
+        doc = json.loads(result_to_json(execute_config(quick_config(seed=1))))
         assert doc["architecture"] == "advanced-2vc"
         assert doc["load"] == 0.5
         assert "control" in doc["classes"]

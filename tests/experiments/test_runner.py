@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exec.summary import summarize_run
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.runner import run_experiment
 from repro.sim import units
@@ -34,14 +35,16 @@ class TestRunExperiment:
 
     def test_throughput_tracks_offered_at_half_load(self, result):
         for tclass in ("control", "multimedia"):
-            assert result.normalized_throughput(tclass) == pytest.approx(1.0, abs=0.3)
+            assert summarize_run(result).normalized_throughput(tclass) == pytest.approx(
+                1.0, abs=0.3
+            )
 
     def test_latency_positive_and_bounded(self, result):
         control = result.collector.get("control")
         assert 0 < control.packet_latency.mean < 100 * units.US
 
     def test_summary_renders(self, result):
-        text = result.summary()
+        text = summarize_run(result).table()
         assert "Advanced 2 VCs" in text
         assert "control" in text
 
@@ -50,7 +53,7 @@ class TestRunExperiment:
         assert result.wall_seconds > 0
 
     def test_offered_uses_configured_rate(self, result):
-        offered = result.offered("control")
+        offered = summarize_run(result).offered("control")
         # 16 hosts x 0.5 load x 0.25 share x 1 B/ns
         assert offered == pytest.approx(16 * 0.5 * 0.25)
 

@@ -135,7 +135,10 @@ class TestRunTelemetry:
         )
         assert observed.telemetry is not None and observed.telemetry.ticks > 0
         for tclass in ("control", "best-effort"):
-            assert observed.mean_packet_latency(tclass) == plain.mean_packet_latency(tclass)
+            assert (
+                observed.collector.get(tclass).packet_latency.mean
+                == plain.collector.get(tclass).packet_latency.mean
+            )
         assert observed.collector.classes.keys() == plain.collector.classes.keys()
 
 

@@ -30,10 +30,10 @@ class TestBuildFabricDefaults:
 class TestRunResultHelpers:
     @pytest.fixture(scope="class")
     def result(self):
+        from repro.exec.summary import execute_config
         from repro.experiments.config import ExperimentConfig, scaled_video_mix
-        from repro.experiments.runner import run_experiment
 
-        return run_experiment(
+        return execute_config(
             ExperimentConfig(
                 architecture="simple-2vc",
                 load=0.4,
@@ -45,8 +45,8 @@ class TestRunResultHelpers:
         )
 
     def test_latency_helpers(self, result):
-        assert result.mean_packet_latency("control") > 0
-        assert result.mean_message_latency("control") > 0
+        assert result.get("control").packet_latency.mean > 0
+        assert result.get("control").message_latency.mean > 0
 
     def test_unknown_class_offered_raises(self, result):
         # Typos in class names should fail loudly, not report 0.
