@@ -10,7 +10,7 @@ import sys
 from repro.cli import common
 from repro.experiments.export import result_to_json
 from repro.experiments.runner import run_experiment
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import dump_snapshot, run_snapshot, write_trace_jsonl
 from repro.obs.telemetry import RunTelemetry
 from repro.obs.tracing import PacketTracer, write_chrome_trace, write_spans_jsonl
@@ -114,7 +114,7 @@ def command(args: argparse.Namespace):
             rate=args.span_rate,
             capacity=args.span_capacity,
             seed=args.seed,
-            metrics=metrics if metrics is not None else NULL_METRICS,
+            metrics=metrics,
         )
     with contextlib.ExitStack() as stack:
         out = {

@@ -25,16 +25,8 @@ runs such a batch:
 
 from __future__ import annotations
 
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    TimeoutError as FutureTimeoutError,
-    as_completed,
-)
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.invariants import invariant
 from repro.exec.cache import ResultCache
 from repro.exec.digest import config_digest
 from repro.exec.summary import DEFAULT_CDF_SAMPLES, RunSummary, execute_config
@@ -43,6 +35,8 @@ from repro.experiments.config import ExperimentConfig
 __all__ = ["SweepExecutor", "SweepTaskError"]
 
 Worker = Callable[..., RunSummary]
+#: One unique point of a batch: its digest and the first index that asked for it.
+Unit = Tuple[str, int]
 
 
 class SweepTaskError(RuntimeError):
@@ -78,6 +72,20 @@ class SweepTaskError(RuntimeError):
         if detail:
             message += f": {detail}"
         super().__init__(message)
+
+
+def _task_error(
+    unit: Unit,
+    configs: Sequence[ExperimentConfig],
+    exc: BaseException,
+    kind: str = SweepTaskError.FAILED,
+    detail: str = "",
+) -> SweepTaskError:
+    """The error naming ``unit``'s task; a worker's own exception is quoted."""
+    digest, index = unit
+    return SweepTaskError(
+        index, configs[index], digest, kind, detail or f"{type(exc).__name__}: {exc}"
+    )
 
 
 class SweepExecutor:
@@ -138,111 +146,80 @@ class SweepExecutor:
         """Execute every config; results align with ``configs`` by index."""
         configs = list(configs)
         self.tasks += len(configs)
-        out: List[Optional[RunSummary]] = [None] * len(configs)
-        # Unique work units in first-appearance order: digest -> indices.
-        pending: Dict[str, List[int]] = {}
-        for index, config in enumerate(configs):
-            digest = self.digest_of(config)
-            if digest in pending:
-                pending[digest].append(index)  # duplicate point: coalesce
-                continue
+        digests = [self.digest_of(config) for config in configs]
+        # Unique points in first-appearance order; duplicates coalesce.
+        first: Dict[str, int] = {}
+        for index, digest in enumerate(digests):
+            first.setdefault(digest, index)
+        done: Dict[str, RunSummary] = {}
+        for digest in first:
             cached = self.cache.get(digest)
             if cached is not None:
-                out[index] = cached
-                self.cache_hits += 1
-                pending.setdefault(digest, [])  # claim slot to catch dups
-                pending[digest].append(index)
-                # mark as satisfied: indices already filled below
-                continue
-            pending[digest] = [index]
-        units: List[Tuple[str, List[int]]] = [
-            (digest, indices)
-            for digest, indices in pending.items()
-            if out[indices[0]] is None
-        ]
-        # Fan duplicate/cached indices out to their shared summary.
-        for digest, indices in pending.items():
-            first = out[indices[0]]
-            if first is not None:
-                for index in indices[1:]:
-                    out[index] = first
-                    self.cache_hits += 1
-        if units:
-            if self.jobs == 1 or len(units) == 1:
-                self._run_serial(configs, units, out)
-            else:
-                self._run_pool(configs, units, out)
-        invariant(
-            all(summary is not None for summary in out),
-            "sweep merge left %d of %d positions unfilled",
-            sum(1 for summary in out if summary is None),
-            len(out),
-        )
-        return out  # type: ignore[return-value]
+                done[digest] = cached
+        self.cache_hits += sum(digest in done for digest in digests)
+        todo = [(digest, index) for digest, index in first.items() if digest not in done]
+        if self.jobs == 1 or len(todo) <= 1:
+            self._run_serial(configs, todo, done)
+        else:
+            self._run_pool(configs, todo, done)
+        return [done[digest] for digest in digests]
 
     # ------------------------------------------------------------------
     def _worker_kwargs(self) -> Dict[str, object]:
         return {"cdf_samples": self.cdf_samples, "collect_obs": self.collect_obs}
 
     def _finish(
-        self,
-        digest: str,
-        indices: List[int],
-        summary: RunSummary,
-        out: List[Optional[RunSummary]],
-        *,
-        store: bool = True,
+        self, digest: str, summary: RunSummary, done: Dict[str, RunSummary], *, store: bool = True
     ) -> None:
         if store:
             self.cache.put(digest, summary)
         self.executed += 1
-        for index in indices:
-            out[index] = summary
+        done[digest] = summary
 
     def _run_serial(
         self,
         configs: Sequence[ExperimentConfig],
-        units: Sequence[Tuple[str, List[int]]],
-        out: List[Optional[RunSummary]],
+        todo: Sequence[Unit],
+        done: Dict[str, RunSummary],
     ) -> None:
         kwargs = self._worker_kwargs()
-        for digest, indices in units:
-            config = configs[indices[0]]
+        for unit in todo:
+            digest, index = unit
             try:
-                summary = self.worker(config, **kwargs)
+                summary = self.worker(configs[index], **kwargs)
             except Exception as exc:
-                raise SweepTaskError(
-                    indices[0],
-                    config,
-                    digest,
-                    SweepTaskError.FAILED,
-                    f"{type(exc).__name__}: {exc}",
-                ) from exc
-            self._finish(digest, indices, summary, out)
+                raise _task_error(unit, configs, exc) from exc
+            self._finish(digest, summary, done)
 
     def _run_pool(
         self,
         configs: Sequence[ExperimentConfig],
-        units: Sequence[Tuple[str, List[int]]],
-        out: List[Optional[RunSummary]],
+        todo: Sequence[Unit],
+        done: Dict[str, RunSummary],
     ) -> None:
+        # Imported here: a single run, and every --jobs 1 campaign, never
+        # builds a pool and should not load multiprocessing to say so.
+        from concurrent.futures import (
+            BrokenExecutor,
+            ProcessPoolExecutor,
+            TimeoutError as FutureTimeoutError,
+            as_completed,
+        )
+
         kwargs = self._worker_kwargs()
-        max_workers = min(self.jobs, len(units))
-        stored: set = set()
-        pool = ProcessPoolExecutor(max_workers=max_workers)
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(todo)))
         try:
             # `self.worker` looks like a bound-method submission but is a
             # plain module-level function stored on the instance
             # (execute_config by default; the constructor documents the
             # picklability requirement for overrides), so only the
             # function reference pickles, never `self`.
-            futures: List[Future] = [
-                pool.submit(self.worker, configs[indices[0]], **kwargs)  # simlint: allow-unpicklable-worker
-                for _, indices in units
+            futures = [
+                pool.submit(self.worker, configs[index], **kwargs)  # simlint: allow-unpicklable-worker
+                for _, index in todo
             ]
-            position: Dict[Future, int] = {
-                future: pos for pos, future in enumerate(futures)
-            }
+            unit_of = dict(zip(futures, todo))
+            stored = set()
             try:
                 if self.timeout_s is None:
                     # Persist points as they finish (completion order is
@@ -256,42 +233,31 @@ class SweepExecutor:
                             summary = future.result()
                         except Exception:
                             continue
-                        digest, _ = units[position[future]]
-                        self.cache.put(digest, summary)
-                        stored.add(position[future])
+                        self.cache.put(unit_of[future][0], summary)
+                        stored.add(future)
                 # Deterministic merge: strictly by submission index.
-                for pos, future in enumerate(futures):
-                    digest, indices = units[pos]
-                    config = configs[indices[0]]
+                for future, unit in unit_of.items():
                     try:
                         summary = future.result(timeout=self.timeout_s)
                     except FutureTimeoutError as exc:
-                        raise SweepTaskError(
-                            indices[0],
-                            config,
-                            digest,
+                        raise _task_error(
+                            unit,
+                            configs,
+                            exc,
                             SweepTaskError.TIMEOUT,
                             f"no result within {self.timeout_s}s",
                         ) from exc
                     except BrokenExecutor as exc:
-                        raise SweepTaskError(
-                            indices[0],
-                            config,
-                            digest,
+                        raise _task_error(
+                            unit,
+                            configs,
+                            exc,
                             SweepTaskError.CRASHED,
                             "worker process died before returning a result",
                         ) from exc
                     except Exception as exc:
-                        raise SweepTaskError(
-                            indices[0],
-                            config,
-                            digest,
-                            SweepTaskError.FAILED,
-                            f"{type(exc).__name__}: {exc}",
-                        ) from exc
-                    self._finish(
-                        digest, indices, summary, out, store=pos not in stored
-                    )
+                        raise _task_error(unit, configs, exc) from exc
+                    self._finish(unit[0], summary, done, store=future not in stored)
             except SweepTaskError:
                 # Abort the campaign *now*: cancel queued tasks and kill
                 # running workers, otherwise shutdown would block on the

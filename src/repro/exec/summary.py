@@ -281,7 +281,7 @@ class RunSummary:
             )
         arch = ARCHITECTURES[self.config.architecture].label
         title = (
-            f"{arch}  load={self.config.load:.0%}  "
+            f"{arch}  load={self.config.mix_config.load:.0%}  "
             f"topology={self.config.topology}  seed={self.config.seed}"
         )
         return format_table(

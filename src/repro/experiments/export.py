@@ -104,7 +104,7 @@ def result_to_json(result: "RunSummary") -> str:
         classes[tclass] = entry
     payload = {
         "architecture": result.config.architecture,
-        "load": result.config.load,
+        "load": result.config.mix_config.load,
         "seed": result.config.seed,
         "topology": result.config.topology,
         "warmup_ns": result.config.warmup_ns,

@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.architectures import ARCHITECTURES
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.presets import make_topology
 from repro.network.fabric import Fabric
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.telemetry import RunTelemetry, attach_run_telemetry, sync_component_totals
 from repro.sim.rng import RandomStreams
 from repro.stats.collectors import MetricsCollector
 from repro.traffic.mix import TrafficMix, build_mix
+
+if TYPE_CHECKING:  # repro.obs loads only for the runs that observe
+    from repro.obs.telemetry import RunTelemetry
 
 __all__ = ["RunResult", "run_experiment"]
 
@@ -57,9 +58,10 @@ def run_experiment(
     the run, and a ``heartbeat_ns`` to sample telemetry on that
     simulated-time interval (``live_progress`` additionally prints a
     stderr status line).  The fabric folds the three sinks into one
-    :class:`repro.obs.observer.FabricObserver` (none at all when no sink
-    is given).  None of these change simulation results -- observers
-    only read (``tests/obs/test_observer_equivalence.py``).
+    :class:`repro.obs.observer.FabricObserver`; off is ``None``, and a
+    run that asks for nothing imports none of :mod:`repro.obs`.  None of
+    these change simulation results -- observers only read
+    (``tests/obs/test_observer_equivalence.py``).
 
     ``engine_factory`` swaps the event kernel: it is the seam through
     which ``tests/sim/test_engine_differential.py`` substitutes its
@@ -69,19 +71,18 @@ def run_experiment(
     """
     topology = make_topology(config.topology)
     architecture = ARCHITECTURES[config.architecture]
-    metrics = metrics if metrics is not None else NULL_METRICS
-    fabric_kwargs = {"metrics": metrics}
-    if trace is not None:
-        fabric_kwargs["trace"] = trace
-    if tracer is not None:
-        fabric_kwargs["tracer"] = tracer
-    if engine_factory is not None:
-        fabric_kwargs["engine"] = engine_factory()
     # Every in-repo delivery observer copies scalars out of the packet,
     # so delivered-packet storage can be recycled; uids stay fresh per
     # logical packet, keeping results byte-identical with pooling off.
     fabric = Fabric(
-        topology, architecture, config.params, packet_pooling=True, **fabric_kwargs
+        topology,
+        architecture,
+        config.params,
+        engine=engine_factory() if engine_factory is not None else None,
+        trace=trace,
+        metrics=metrics,
+        tracer=tracer,
+        packet_pooling=True,
     )
     streams = RandomStreams(config.seed)
     mix = build_mix(fabric, streams, config.mix_config)
@@ -90,6 +91,8 @@ def run_experiment(
 
     telemetry = None
     if heartbeat_ns is not None:
+        from repro.obs.telemetry import attach_run_telemetry
+
         telemetry = attach_run_telemetry(
             fabric.engine,
             fabric,
@@ -108,9 +111,12 @@ def run_experiment(
     mix.stop()
     collector.finalize(fabric.engine.now)
     wall = time.perf_counter() - started  # simlint: allow-wallclock
-    # Lift the always-on component tallies into the registry so the final
-    # snapshot carries them even without a heartbeat.
-    sync_component_totals(fabric.engine, fabric, metrics)
+    if metrics is not None:
+        from repro.obs.telemetry import sync_component_totals
+
+        # Lift the always-on component tallies into the registry so the
+        # final snapshot carries them even without a heartbeat.
+        sync_component_totals(fabric.engine, fabric, metrics)
 
     return RunResult(
         config=config,
@@ -119,7 +125,7 @@ def run_experiment(
         mix=mix,
         events_executed=fabric.engine.events_executed,
         wall_seconds=wall,
-        metrics=metrics if metrics is not NULL_METRICS else None,
+        metrics=metrics,
         telemetry=telemetry,
         tracer=tracer,
     )

@@ -32,18 +32,13 @@ from repro.network.host import Host
 from repro.network.link import Link
 from repro.network.packet import Packet, PacketFactory, VC_BEST_EFFORT, VC_REGULATED
 from repro.network.routing import RoutingTable
+from repro.network.switch import Switch
 from repro.network.topology import Topology, paper_topology
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.observer import FabricObserver
-from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import Engine
-from repro.sim.monitor import NullTrace
 from repro.sim.rng import RandomStreams
 from repro.sim.units import KB, gbps
 
 __all__ = ["Fabric", "FabricParams", "build_fabric"]
-
-_NULL_TRACE = NullTrace()
 
 
 @dataclass(frozen=True)
@@ -112,9 +107,9 @@ class Fabric:
         params: FabricParams = FabricParams(),
         *,
         engine: Optional[Engine] = None,
-        trace=_NULL_TRACE,
-        metrics=NULL_METRICS,
-        tracer=NULL_TRACER,
+        trace=None,
+        metrics=None,
+        tracer=None,
         packet_pooling: bool = False,
     ):
         self.topology = topology
@@ -151,12 +146,13 @@ class Fabric:
             )
 
         # The one observation handle every component reports to; None on
-        # an unobserved run, so the hot paths have nothing to call.
-        obs = (
-            FabricObserver(trace, metrics, tracer, params.n_vcs)
-            if trace.enabled or metrics.enabled or tracer.enabled
-            else None
-        )
+        # an unobserved run, so the hot paths have nothing to call and the
+        # network model never imports its observers.
+        obs = None
+        if trace is not None or metrics is not None or tracer is not None:
+            from repro.obs.observer import FabricObserver
+
+            obs = FabricObserver(trace, metrics, tracer, params.n_vcs)
         eligible_policy = EligiblePolicy(params.eligible_offset_ns)
         self.hosts: List[Host] = [
             Host(
@@ -176,8 +172,6 @@ class Fabric:
             )
             for index, node_id in enumerate(topology.host_ids)
         ]
-        from repro.network.switch import Switch  # local to avoid cycle at import
-
         self.switches: Dict[str, Switch] = {
             sw_id: Switch(
                 self.engine,

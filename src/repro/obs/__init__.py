@@ -1,15 +1,16 @@
 """Runtime observability: metrics registry, heartbeat telemetry, export.
 
-A run that does not ask for observability pays one ``is not None`` test
-per packet-lifecycle point:
+Off is ``None``: every sink keyword (``trace=``, ``metrics=``, ``tracer=``)
+takes the object or ``None``, and there are no null objects or ``enabled``
+flags.  A run that asks for nothing pays one ``is not None`` test per
+packet-lifecycle point and imports none of this package:
 
 - :mod:`repro.obs.observer` -- the one seam: ``Switch`` and ``Host``
   report each lifecycle point to a single
   :class:`~repro.obs.observer.FabricObserver` (``None`` when nothing is
   on), which fans out to the sinks below.
 - :mod:`repro.obs.metrics` -- ``Counter`` / ``Gauge`` / ``Histogram``
-  primitives and the :class:`~repro.obs.metrics.MetricsRegistry`;
-  :data:`~repro.obs.metrics.NULL_METRICS` is the disabled default.
+  primitives and the :class:`~repro.obs.metrics.MetricsRegistry`.
 - :mod:`repro.obs.telemetry` -- :class:`~repro.obs.telemetry.RunTelemetry`
   heartbeat sampling into :class:`repro.stats.timeseries.GaugeTimeSeries`
   plus optional live stderr progress.
@@ -19,8 +20,7 @@ per packet-lifecycle point:
 - :mod:`repro.obs.tracing` / :mod:`repro.obs.blame` -- span-based
   packet-lifecycle tracing (exact integer-ns per-stage decomposition,
   head/tail sampling, Chrome-trace + JSONL export) and the
-  ``trace blame`` slack-attribution analyzer;
-  :data:`~repro.obs.tracing.NULL_TRACER` is the disabled default.
+  ``trace blame`` slack-attribution analyzer.
 
 See docs/ARCHITECTURE.md section 8 for the design rationale, the metric
 naming scheme (``<layer>.<component>.<name>_<unit>``), and section 8.1
@@ -35,8 +35,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricError,
     MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
     SLACK_BUCKETS_NS,
     WAIT_BUCKETS_NS,
     class_counter,
@@ -59,8 +57,6 @@ from repro.obs.telemetry import (
     sync_component_totals,
 )
 from repro.obs.tracing import (
-    NULL_TRACER,
-    NullPacketTracer,
     PacketTracer,
     Span,
     SpanTrace,
@@ -78,10 +74,6 @@ __all__ = [
     "Histogram",
     "MetricError",
     "MetricsRegistry",
-    "NULL_METRICS",
-    "NULL_TRACER",
-    "NullMetrics",
-    "NullPacketTracer",
     "PacketTracer",
     "RunTelemetry",
     "SLACK_BUCKETS_NS",

@@ -13,10 +13,11 @@ Three instrument kinds, mirroring the classic time-series taxonomy:
   ``bisect`` on a small tuple -- no allocation, no resizing -- which is
   what makes it safe to call per forwarded packet.
 
-:data:`NULL_METRICS` is the disabled registry (``enabled = False``,
-shared no-op instruments).  The network model never sees either kind:
-:class:`repro.obs.observer.FabricObserver` mints and feeds the
-per-packet instruments, and is not built at all for a disabled run.
+There is no disabled registry: a run without metrics passes ``None``
+where a :class:`MetricsRegistry` would go.  The network model never sees
+a registry either way: :class:`repro.obs.observer.FabricObserver` mints
+and feeds the per-packet instruments, and is neither built nor imported
+for a run that passes no sink.
 
 Metric names follow ``<layer>.<component>.<name>_<unit>`` with optional
 qualifier segments between component and leaf (``network.switch.vc0.
@@ -36,8 +37,6 @@ __all__ = [
     "Histogram",
     "MetricError",
     "MetricsRegistry",
-    "NULL_METRICS",
-    "NullMetrics",
     "SLACK_BUCKETS_NS",
     "WAIT_BUCKETS_NS",
     "class_counter",
@@ -196,58 +195,6 @@ class Histogram:
         }
 
 
-# ----------------------------------------------------------------------
-# the null objects (disabled path)
-# ----------------------------------------------------------------------
-class _NullInstrument:
-    """Inert counter, gauge and histogram in one: nothing on a packet path
-    reaches it (a disabled run has no observer), so one shape suffices."""
-
-    __slots__ = ()
-    value = 0
-    count = 0
-
-    def inc(self, delta: int = 1) -> None:
-        return None
-
-    def set(self, value: Number) -> None:
-        return None
-
-    def observe(self, value: Number) -> None:
-        return None
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetrics:
-    """Disabled registry: hands out the shared no-op instrument.
-
-    ``enabled`` is False so callers can skip instrumentation entirely;
-    any call that does slip through is a no-op, never an error.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def counter(self, name: str, unit: str = "") -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, unit: str = "") -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, bounds: Iterable[int], unit: str = "") -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> Dict[str, dict]:
-        return {}
-
-
-#: Shared default instance (one per process is plenty: it is stateless).
-NULL_METRICS = NullMetrics()
-
-
 class MetricsRegistry:
     """Run-wide instrument registry.
 
@@ -260,8 +207,6 @@ class MetricsRegistry:
     """
 
     __slots__ = ("_instruments",)
-
-    enabled = True
 
     def __init__(self) -> None:
         self._instruments: Dict[str, Union[Counter, Gauge, Histogram]] = {}

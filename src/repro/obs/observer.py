@@ -11,8 +11,9 @@ and :meth:`~FabricObserver.forward`.
 and buckets, the event ring's topics and payload tuples, the span
 tracer's hooks and the ``pkt.traced`` test -- and fans each point out to
 whichever of the three sinks the :class:`~repro.network.fabric.Fabric`
-was built with.  Observers only read simulation state, so no result
-changes with the sinks on (``tests/obs/test_observer_equivalence.py``).
+was built with (one that is off is ``None``).  Observers only read
+simulation state, so no result changes with the sinks on
+(``tests/obs/test_observer_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ class FabricObserver:
     """
 
     def __init__(self, trace, metrics, tracer, n_vcs: int):
-        self._metrics = metrics if metrics.enabled else None
-        self._ring = trace if trace.enabled else None
-        self._spans = tracer if tracer.enabled else None
+        self._metrics = metrics
+        self._ring = trace
+        self._spans = tracer
+        if metrics is None:
+            return  # every instrument below is read behind `_metrics is not None`
 
         def per_vc(mint, name: str, *args, unit: str) -> list:
             return [mint(name.format(vc=vc), *args, unit=unit) for vc in range(n_vcs)]

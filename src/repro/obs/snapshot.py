@@ -68,9 +68,9 @@ def run_snapshot(
         doc["timeseries"] = telemetry.timeseries.to_dict()
         doc["run"].setdefault("heartbeat_ns", telemetry.heartbeat_ns)
         doc["run"].setdefault("telemetry_ticks", telemetry.ticks)
-    if trace is not None and getattr(trace, "enabled", False):
+    if trace is not None:
         doc["trace"] = trace.snapshot()
-    if tracer is not None and getattr(tracer, "enabled", False):
+    if tracer is not None:
         doc["spans"] = tracer.snapshot()
     return doc
 

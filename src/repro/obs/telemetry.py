@@ -26,7 +26,6 @@ import sys
 import time
 from typing import Callable, List, Optional, Tuple
 
-from repro.obs.metrics import NULL_METRICS
 from repro.stats.timeseries import GaugeTimeSeries
 
 __all__ = [
@@ -59,11 +58,11 @@ def sync_component_totals(engine, fabric, metrics) -> None:
     """Fold always-on component tallies into registry counters.
 
     Hot components keep some totals as bare ints (cheap enough to leave
-    on even with metrics disabled); this lifts them into the registry so
-    ``snapshot()`` sees them.  Safe to call repeatedly -- counters are
-    advanced by the delta since the last sync.
+    on without a registry); this lifts them into ``metrics`` so
+    ``snapshot()`` sees them, and does nothing when it is ``None``.  Safe to
+    call repeatedly -- counters are advanced by the delta since the last sync.
     """
-    if not metrics.enabled:
+    if metrics is None:
         return
     _sync(metrics.counter("core.takeover.hits_total", unit="packets"), fabric.takeover_hits())
     _sync(
@@ -107,7 +106,7 @@ class RunTelemetry:
         engine,
         *,
         heartbeat_ns: int,
-        metrics=NULL_METRICS,
+        metrics=None,
         live: bool = False,
         stream=None,
         timeseries_capacity: Optional[int] = TIMESERIES_CAPACITY,
@@ -170,7 +169,7 @@ class RunTelemetry:
         for name, fn in self._samplers:
             values[name] = fn()
         self.timeseries.append(now_ns, values)
-        if self.metrics.enabled:
+        if self.metrics is not None:
             for name, value in values.items():
                 self.metrics.gauge(name).set(value)
         for fn in self._after_tick:
@@ -203,7 +202,7 @@ def attach_run_telemetry(
     fabric,
     *,
     heartbeat_ns: int,
-    metrics=NULL_METRICS,
+    metrics=None,
     live: bool = False,
     until_ns: Optional[int] = None,
     stream=None,

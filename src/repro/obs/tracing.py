@@ -44,9 +44,10 @@ Retained traces live in a bounded ring (``capacity`` newest kept, like
 :meth:`PacketTracer.snapshot`, mirroring the drop-policy discipline of
 :meth:`repro.sim.monitor.Trace.snapshot`.
 
-**Overhead discipline.**  :data:`NULL_TRACER` is the disabled default.
-Only :class:`repro.obs.observer.FabricObserver` calls the hooks, after
-testing ``pkt.traced``; a run without a tracer builds no observer.
+**Overhead discipline.**  Off is ``None``: a run without a tracer passes
+none, and a fabric given no sink builds no observer.  Only
+:class:`repro.obs.observer.FabricObserver` calls the hooks, after testing
+``pkt.traced``; ``metrics=None`` likewise means no per-class counters.
 """
 
 from __future__ import annotations
@@ -55,12 +56,10 @@ import json
 from collections import deque
 from typing import IO, Any, Deque, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.obs.metrics import NULL_METRICS, Counter, class_counter
+from repro.obs.metrics import Counter, class_counter
 from repro.sim.rng import RandomStream, derive_seed
 
 __all__ = [
-    "NULL_TRACER",
-    "NullPacketTracer",
     "PacketTracer",
     "Span",
     "SpanTrace",
@@ -269,40 +268,6 @@ def decompose_events(
     return tuple(spans)
 
 
-# ----------------------------------------------------------------------
-# the null object (disabled path)
-# ----------------------------------------------------------------------
-class NullPacketTracer:
-    """Disabled tracer: every hook is a no-op.
-
-    ``enabled`` is False so the fabric never routes a lifecycle point
-    here; a call that slips through is a no-op, never an error.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def begin(self, pkt: Any, t_ns: int, node: str) -> None:
-        return None
-
-    def event(self, pkt: Any, kind: str, t_ns: int, node: str = "") -> None:
-        return None
-
-    def arrive(self, pkt: Any, t_ns: int, node: str, link: Any) -> None:
-        return None
-
-    def finish(self, pkt: Any, t_ns: int, *, node: str, link: Any, slack_ns: int) -> None:
-        return None
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-#: Shared default instance (stateless, one per process is plenty).
-NULL_TRACER = NullPacketTracer()
-
-
 class PacketTracer:
     """Span-based packet-lifecycle tracer with deterministic sampling.
 
@@ -321,8 +286,6 @@ class PacketTracer:
     and retention ledger for the run snapshot's ``spans`` section.
     """
 
-    enabled = True
-
     def __init__(
         self,
         *,
@@ -330,7 +293,7 @@ class PacketTracer:
         rate: float = 0.01,
         capacity: int = 4096,
         seed: int = 0,
-        metrics=NULL_METRICS,
+        metrics=None,
     ):
         if policy not in _POLICY_LABELS:
             raise ValueError(
@@ -424,7 +387,7 @@ class PacketTracer:
         if len(self.records) == self.capacity:
             self.dropped += 1  # deque(maxlen=...) evicts the oldest
         self.records.append(record)
-        if self.metrics.enabled:
+        if self.metrics is not None:
             class_counter(
                 self.metrics,
                 self._m_retained_by_class,

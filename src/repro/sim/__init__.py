@@ -20,7 +20,7 @@ Public surface:
 """
 
 from repro.sim.engine import Engine, EventHandle, SimulationError
-from repro.sim.monitor import NullTrace, Trace, TraceRecord
+from repro.sim.monitor import Trace, TraceRecord
 from repro.sim.process import Delay, Process, Signal, process
 from repro.sim.rng import RandomStreams, derive_seed
 from repro.sim import units
@@ -29,7 +29,6 @@ __all__ = [
     "Delay",
     "Engine",
     "EventHandle",
-    "NullTrace",
     "Process",
     "RandomStreams",
     "Signal",

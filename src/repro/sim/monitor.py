@@ -8,7 +8,7 @@ in :mod:`repro.stats`.  A fabric built with ``trace=`` records four
 topics through :class:`repro.obs.observer.FabricObserver`:
 ``host.inject``, ``switch.enqueue``, ``switch.forward``, ``host.deliver``.
 
-:class:`NullTrace` is the default no-op sink (``enabled = False``).
+There is no no-op sink: a run that records nothing passes ``trace=None``.
 """
 
 from __future__ import annotations
@@ -16,25 +16,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Set, Union
 
-__all__ = ["NullTrace", "Trace", "TraceRecord"]
+__all__ = ["Trace", "TraceRecord"]
 
 
 class TraceRecord(NamedTuple):
     time: int
     topic: str
     payload: tuple
-
-
-class NullTrace:
-    """Discards everything.  ``enabled`` lets callers skip payload building."""
-
-    enabled = False
-
-    def record(self, time: int, topic: str, *payload: Any) -> None:
-        return None
-
-    def subscribe(self, topic: str, fn: Callable[[TraceRecord], None]) -> None:
-        raise TypeError("NullTrace cannot deliver records; use Trace instead")
 
 
 class Trace:
@@ -56,8 +44,6 @@ class Trace:
     matching records regardless of buffer state: capacity bounds
     memory, not the callback stream.
     """
-
-    enabled = True
 
     def __init__(
         self,

@@ -89,6 +89,11 @@ class TrafficMixConfig:
         )
         if total > 1.0 + 1e-9:
             raise ValueError(f"class shares sum to {total}, must be <= 1")
+        if self.video_target_latency_ns < 1:
+            raise ValueError(
+                f"video_target_latency_ns must be >= 1, got {self.video_target_latency_ns} "
+                "(a time_scale below 5e-8 rounds the 10 ms frame target to 0 ns)"
+            )
 
     def class_rate(self, tclass: str, link_bytes_per_ns: float) -> float:
         """Offered rate of one class at one host, in bytes/ns."""

@@ -1,5 +1,7 @@
 """Tests for RunSummary extraction: pickling, parity, serialization."""
 
+import dataclasses
+import json
 import math
 import pickle
 
@@ -14,6 +16,7 @@ from repro.exec.summary import (
     summarize_run,
 )
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
+from repro.experiments.export import result_to_json
 from repro.experiments.runner import run_experiment
 from repro.sim import units
 from repro.stats.running import RunningStats
@@ -156,6 +159,14 @@ class TestSummarySurface:
         _, summary = run_pair
         with pytest.raises(KeyError, match="telepathy.*classes seen"):
             summary.get("telepathy")
+
+    def test_printed_load_is_the_load_that_ran(self, run_pair):
+        # an explicit mix decides the load (test_config.py::test_explicit_mix_wins),
+        # so that is the load a run is labelled with: 50 % here, whatever `load` says
+        _, summary = run_pair
+        relabelled = dataclasses.replace(summary, config=summary.config.with_(load=0.3))
+        assert "load=50%" in relabelled.table()
+        assert json.loads(result_to_json(relabelled))["load"] == 0.5
 
     def test_ensure_summary_idempotent(self, run_pair):
         result, summary = run_pair

@@ -209,9 +209,11 @@ class TestSurface:
 
     def test_list_imports_neither_linter_nor_executor_nor_analysis(self):
         """Heavy dependencies stay behind the subcommand that needs them.
-        (``repro.obs.tracing`` cannot be on this list: ``repro.network.fabric``
-        imports ``NULL_TRACER`` from it, and naming the topology presets
-        imports the fabric.)"""
+        (``repro.obs`` is not on this list because ``cli/run.py`` and
+        ``cli/dumps.py`` build sinks and read dumps, and every command
+        module loads to build the parser; the network model no longer
+        imports it -- ``tests/experiments/test_runner.py::
+        TestUnobservedRunImports`` holds that line.)"""
         probe = (
             "import sys\n"
             "from repro.cli import main\n"
@@ -240,6 +242,8 @@ class TestBadNumbers:
         (["run", "--measure-us", "0"], "measurement window"),
         (["run", "--warmup-us", "-5"], "warmup"),
         (["run", "--time-scale", "0"], "time_scale"),
+        (["run", "--time-scale", "1e-9"], "time_scale below 5e-8"),
+        (["figure", "fig2", "--time-scale", "1e-9"], "time_scale below 5e-8"),
         (["run", "--measure-us", "inf"], "infinity"),
         (["replicate", "--load", "-0.5"], "load"),
         (["utilization", "--measure-us", "0"], "measurement window"),

@@ -1,7 +1,13 @@
 """Tests for the experiment runner (short windows, tiny topology)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.exec.summary import summarize_run
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.runner import run_experiment
@@ -56,6 +62,30 @@ class TestRunExperiment:
         offered = summarize_run(result).offered("control")
         # 16 hosts x 0.5 load x 0.25 share x 1 B/ns
         assert offered == pytest.approx(16 * 0.5 * 0.25)
+
+
+class TestUnobservedRunImports:
+    def test_unobserved_run_loads_neither_observers_nor_process_pool(self):
+        """Off is ``None``: the network model names no sink, so a run that
+        passes none imports none of ``repro.obs``; and reducing it builds
+        no pool, so ``repro.exec`` loads no ``multiprocessing``."""
+        probe = (
+            "import sys\n"
+            "from repro.exec.summary import summarize_run\n"
+            "from repro.experiments.config import ExperimentConfig\n"
+            "from repro.experiments.runner import run_experiment\n"
+            "config = ExperimentConfig(topology='tiny', warmup_ns=20_000, measure_ns=50_000)\n"
+            "assert summarize_run(run_experiment(config)).events_executed > 0\n"
+            "lazy = ('repro.obs', 'multiprocessing', 'concurrent.futures.process')\n"
+            "loaded = [m for m in sys.modules if m.startswith(lazy)]\n"
+            "sys.exit(', '.join(sorted(loaded)) or 0)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, f"an unobserved run imported: {result.stderr}"
 
 
 class TestDeterminism:

@@ -73,4 +73,10 @@ class TestFabricTracing:
 
     def test_null_trace_default_records_nothing(self, make_fabric):
         fabric = make_fabric()
-        assert fabric.trace.enabled is False
+        assert fabric.trace is None
+        assert all(node.obs is None for node in (*fabric.hosts, *fabric.switches.values()))
+        delivered = []
+        fabric.subscribe_delivery(lambda pkt, now: delivered.append(pkt))
+        fabric.submit(fabric.open_flow(0, 9, "control", kind=FlowKind.CONTROL), 2000)
+        fabric.run(until=100_000)
+        assert len(delivered) == 1 and delivered[0].traced is False

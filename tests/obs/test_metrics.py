@@ -2,18 +2,20 @@
 
 import pytest
 
+from repro.core.arbiter import MeteredPicker
 from repro.obs.metrics import (
     DEPTH_BUCKETS,
-    NULL_METRICS,
     Counter,
     Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
-    NullMetrics,
     SLACK_BUCKETS_NS,
     WAIT_BUCKETS_NS,
 )
+from repro.obs.observer import FabricObserver
+from repro.sim.monitor import Trace
+from tests.helpers import mkpkt
 
 
 class TestCounter:
@@ -185,26 +187,39 @@ class TestMetricsRegistry:
 
 
 class TestNullMetrics:
-    def test_disabled_flag(self):
-        assert NULL_METRICS.enabled is False
-        assert MetricsRegistry().enabled is True
+    """Off is ``None``: no disabled registry, no ``enabled`` flag, and an
+    observer without a registry has no instruments to feed."""
+
+    def test_disabled_flag(self, make_fabric):
+        assert not hasattr(MetricsRegistry(), "enabled")
+        fabric = make_fabric()
+        assert fabric.metrics is None
+        assert all(host.obs is None for host in fabric.hosts)
+        assert all(switch.obs is None for switch in fabric.switches.values())
 
     def test_instruments_are_shared_inert_singletons(self):
-        a = NULL_METRICS.counter("a.b.c_total")
-        b = NULL_METRICS.counter("x.y.z_total")
-        assert a is b  # one singleton per kind, no per-name allocation
-        a.inc(100)
-        assert a.value == 0
-        g = NULL_METRICS.gauge("a.b.c_ratio")
-        g.set(5.0)
-        assert g.value == 0.0
-        h = NULL_METRICS.histogram("a.b.c_ns", bounds=(0, 10))
-        h.observe(3)
-        assert h.count == 0
+        # a ring-only observer mints no instrument, leaves the pickers
+        # unwrapped, and still reports every lifecycle point to its ring
+        ring = Trace()
+        obs = FabricObserver(ring, None, None, 2)
+        assert not any(isinstance(v, (Counter, Histogram, list)) for v in vars(obs).values())
+        pickers = [[object(), object()]]
+        assert obs.meter_pickers(pickers) is pickers
+        pkt = mkpkt(1000)
+        obs.submit(pkt, 0, "h0", True)
+        obs.deliver(pkt, 20, "h1", None, -5)  # a miss: would hit three instruments
+        assert [r.topic for r in ring.records] == ["host.deliver"]
 
     def test_snapshot_empty(self):
-        assert NULL_METRICS.snapshot() == {}
-        assert NullMetrics().snapshot() == {}
+        # the same observer over a registry mints into it, and only then
+        reg = MetricsRegistry()
+        assert reg.snapshot() == {}
+        obs = FabricObserver(None, reg, None, 2)
+        assert "network.host.vc1.deadline_miss_total" in reg
+        ((wrapped,),) = obs.meter_pickers([[object()]])
+        assert isinstance(wrapped, MeteredPicker) and "core.arbiter.picks_total" in reg
+        obs.deliver(mkpkt(1000), 20, "h1", None, -5)
+        assert reg.get("network.host.vc0.deadline_miss_total").value == 1
 
 
 class TestBucketConstants:

@@ -159,10 +159,10 @@ class TestSpansSection:
         assert doc["spans"] == tracer.snapshot()
         assert doc["spans"]["retained"] == 2
         assert "spans" not in run_snapshot(_registry())
-        # a disabled tracer contributes nothing either
-        from repro.obs.tracing import NULL_TRACER
-
-        assert "spans" not in run_snapshot(_registry(), tracer=NULL_TRACER)
+        # off is None; a tracer that retained nothing still reports its ledger
+        assert "spans" not in run_snapshot(_registry(), tracer=None)
+        _, idle = _traced_registry(misses=0)
+        assert run_snapshot(_registry(), tracer=idle)["spans"]["retained"] == 0
 
     def test_roundtrip_preserves_spans(self, tmp_path):
         reg, tracer = _traced_registry()

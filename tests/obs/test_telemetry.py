@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.runner import run_experiment
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry, sync_component_totals
 from repro.sim import units
 from repro.sim.engine import Engine
@@ -153,9 +153,11 @@ class TestSyncComponentTotals:
         assert reg.counter("sim.engine.events_total").value == events
 
     def test_sync_noop_when_disabled(self):
+        # off is None: an unobserved run carries no registry, and syncing
+        # into none is a no-op rather than an error
         result = run_experiment(ExperimentConfig(**FAST))
-        sync_component_totals(result.fabric.engine, result.fabric, NULL_METRICS)
-        assert NULL_METRICS.snapshot() == {}
+        assert result.metrics is None and result.fabric.metrics is None
+        assert sync_component_totals(result.fabric.engine, result.fabric, None) is None
 
     def test_takeover_hits_counted_under_load(self):
         result = run_experiment(ExperimentConfig(**FAST), metrics=MetricsRegistry())

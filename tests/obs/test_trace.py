@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.sim.monitor import NullTrace, Trace, TraceRecord
+from repro.core.architectures import ARCHITECTURES
+from repro.core.flow import FlowKind
+from repro.network.fabric import Fabric
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.snapshot import run_snapshot
+from repro.sim.monitor import Trace, TraceRecord
 
 
 class TestTopicsAndSubscribers:
@@ -98,11 +103,22 @@ class TestDropPolicies:
 
 
 class TestNullTrace:
-    def test_disabled_and_inert(self):
-        n = NullTrace()
-        assert n.enabled is False
-        n.record(0, "a", "payload")  # no-op
+    """Off is ``None``: a ``Trace`` that is passed is a sink, whatever it
+    holds, and nothing stands in for one that is not."""
+
+    def test_disabled_and_inert(self, tiny_topology):
+        # a trace alone is a complete set of sinks: one shared observer,
+        # the other two off
+        trace = Trace()
+        fabric = Fabric(tiny_topology, ARCHITECTURES["advanced-2vc"], trace=trace)
+        assert fabric.trace is trace and fabric.metrics is None and fabric.tracer is None
+        observers = {id(node.obs) for node in (*fabric.hosts, *fabric.switches.values())}
+        assert len(observers) == 1 and fabric.hosts[0].obs is not None
+        fabric.submit(fabric.open_flow(0, 9, "control", kind=FlowKind.CONTROL), 2000)
+        fabric.run(until=100_000)
+        assert len(trace.by_topic("host.deliver")) == 1
 
     def test_subscribe_rejected(self):
-        with pytest.raises(TypeError):
-            NullTrace().subscribe("a", lambda rec: None)
+        # the snapshot reports a trace that retained nothing; only None is off
+        assert "trace" not in run_snapshot(MetricsRegistry(), trace=None)
+        assert run_snapshot(MetricsRegistry(), trace=Trace())["trace"]["retained"] == 0

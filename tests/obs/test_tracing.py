@@ -23,8 +23,6 @@ from repro.experiments.runner import run_experiment
 from repro.network.fabric import FabricParams
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
-    NULL_TRACER,
-    NullPacketTracer,
     PacketTracer,
     Span,
     SpanTrace,
@@ -184,16 +182,21 @@ class TestDecompositionProperty:
 
 
 class TestNullTracer:
+    """Off is ``None``: no disabled tracer, and a tracer without a
+    registry is a complete tracer that counts nothing per class."""
+
     def test_disabled_and_inert(self):
-        assert NULL_TRACER.enabled is False
-        assert isinstance(NULL_TRACER, NullPacketTracer)
-        pkt = mkpkt(1000)
-        NULL_TRACER.begin(pkt, 0, "h0")
-        NULL_TRACER.event(pkt, "inject", 5)
-        NULL_TRACER.arrive(pkt, 10, "sw0", LINK)
-        NULL_TRACER.finish(pkt, 20, node="h1", link=LINK, slack_ns=980)
-        assert pkt.traced is False
-        assert NULL_TRACER.snapshot() == {}
+        tracer = PacketTracer(policy="tail", capacity=8, metrics=None)
+        assert not hasattr(tracer, "enabled") and tracer.metrics is None
+        pkt = mkpkt(5, size=10)
+        tracer.begin(pkt, 0, "h0")
+        tracer.event(pkt, "inject", 5)
+        tracer.arrive(pkt, 40, "sw0", LINK)
+        tracer.event(pkt, "forward", 50, "sw0")
+        tracer.finish(pkt, 100, node="h1", link=LINK, slack_ns=-95)
+        assert pkt.traced is True
+        assert [t.uid for t in tracer.records] == [pkt.uid]
+        tracer.records[0].verify()
 
 
 class TestPacketTracerValidation:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.monitor import NullTrace, Trace
+from repro.sim import monitor
+from repro.sim.monitor import Trace
 
 
 class TestTrace:
@@ -58,11 +59,22 @@ class TestTrace:
 
 
 class TestNullTrace:
+    """There is no no-op sink: off is ``trace=None`` at the call site, and
+    the quietest ``Trace`` is one filtered to no topic."""
+
     def test_is_disabled_and_silent(self):
-        null = NullTrace()
-        assert null.enabled is False
-        null.record(1, "anything", "payload")  # no-op, no error
+        assert monitor.__all__ == ["Trace", "TraceRecord"]
+        assert not hasattr(Trace(), "enabled")
+        silent = Trace(topics=())
+        silent.record(1, "anything", "payload")
+        assert len(silent.records) == 0 and silent.dropped == 0
 
     def test_cannot_subscribe(self):
-        with pytest.raises(TypeError):
-            NullTrace().subscribe("t", lambda r: None)
+        # ... and unlike the old null sink, even that one delivers on demand
+        silent = Trace(topics=())
+        seen = []
+        silent.subscribe("t", seen.append)
+        silent.record(1, "t", "x")
+        silent.record(2, "u", "y")
+        assert [r.time for r in seen] == [1]
+        assert [r.topic for r in silent.records] == ["t"]
