@@ -16,8 +16,12 @@ module is that centralized point:
   an advantage over deterministic routing.
 
 Paths are any objects exposing ``ports`` (source-route port indices) and
-``links`` (hashable directed-link ids for accounting); the routing layer
-provides them.
+``links`` (hashable directed-link ids for accounting).  The routing layer
+offers a host pair's candidates unbuilt (:class:`CandidateSet`): the
+links each one traverses beyond those common to all, and a way to build
+candidate ``k``.  Only those are scored -- a link common to every
+candidate cannot change which sorted profile is smallest -- so an open
+builds one path, the winner's, however many it chose from.
 
 The per-link ledgers are kept in **integer bytes/second**
 (:func:`repro.sim.units.bps`): requests arrive as float bytes/ns, are
@@ -29,7 +33,7 @@ with no float drift and no epsilon guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Optional, Protocol, Sequence, Tuple
 
 from repro.sim.units import bps
 
@@ -39,6 +43,15 @@ __all__ = ["AdmissionController", "AdmissionError", "Reservation"]
 class PathLike(Protocol):
     ports: Tuple[int, ...]
     links: Tuple[Hashable, ...]
+
+
+class CandidateSet(Protocol):
+    """The usable paths between two hosts, unbuilt: ``path(k).links`` is
+    ``varying[k]`` plus links that every candidate traverses."""
+
+    varying: Sequence[Sequence[Hashable]]
+
+    def path(self, k: int) -> PathLike: ...
 
 
 class AdmissionError(RuntimeError):
@@ -64,7 +77,7 @@ class AdmissionController:
 
     def __init__(
         self,
-        candidates: Callable[[int, int], Sequence[PathLike]],
+        candidates: Callable[[int, int], CandidateSet],
         link_capacity: float,
         *,
         max_utilization: float = 1.0,
@@ -89,11 +102,11 @@ class AdmissionController:
 
     def _least_loaded(
         self, src: int, dst: int, extra_bps: int, table: Dict[Hashable, int]
-    ) -> Tuple[PathLike, List[float]]:
+    ) -> Tuple[PathLike, int]:
         """The candidate with the smallest post-assignment utilization
-        *profile* (its links' utilizations, sorted descending), and that
-        profile.  Among equal profiles the first in the routing layer's
-        (stable) order wins.
+        *profile* (its links' utilizations, sorted descending), and how
+        many it was chosen from.  Among equal profiles the first in the
+        routing layer's (stable) order wins.
 
         Comparing profiles lexicographically (not just the maximum)
         matters: every candidate path between two hosts shares the same
@@ -102,17 +115,21 @@ class AdmissionController:
         collapse onto the first candidate forever -- one spine hot, the
         rest idle.  Lexicographic water-filling keeps spreading load by
         the busiest *distinct* link.
+
+        Which is also why only each candidate's ``varying`` links are
+        sorted: merging the same shared values into every profile moves
+        none of them past another, ties included.
         """
-        paths = self._candidates(src, dst)
-        if not paths:
+        candidates = self._candidates(src, dst)
+        varying = candidates.varying
+        if not varying:
             raise AdmissionError(f"no route from host {src} to host {dst}")
         load, capacity = table.get, self._capacity_bps
         profiles = [
-            sorted([(load(link, 0) + extra_bps) / capacity for link in path.links], reverse=True)
-            for path in paths
+            sorted([(load(link, 0) + extra_bps) / capacity for link in links], reverse=True)
+            for links in varying
         ]
-        best = min(profiles)
-        return paths[profiles.index(best)], best
+        return candidates.path(profiles.index(min(profiles))), len(varying)
 
     # ------------------------------------------------------------------
     def reserve(self, flow_id: int, src: int, dst: int, bw_bytes_per_ns: float) -> Reservation:
@@ -122,11 +139,15 @@ class AdmissionController:
         if flow_id in self._reservations:
             raise AdmissionError(f"flow {flow_id} already holds a reservation")
         bw_bps = bps(bw_bytes_per_ns)
-        best_path, profile = self._least_loaded(src, dst, bw_bps, self.reserved)
-        if profile and profile[0] > self.max_utilization:
+        best_path, n_paths = self._least_loaded(src, dst, bw_bps, self.reserved)
+        # The head of the winner's whole profile, shared links included:
+        # the busiest link the flow would cross.
+        load, capacity = self.reserved.get, self._capacity_bps
+        peak = max([(load(link, 0) + bw_bps) / capacity for link in best_path.links], default=0.0)
+        if peak > self.max_utilization:
             raise AdmissionError(
                 f"flow {flow_id} ({src}->{dst}, {bw_bytes_per_ns:.4f} B/ns) rejected: "
-                f"all {len(self._candidates(src, dst))} candidate paths above "
+                f"all {n_paths} candidate paths above "
                 f"{self.max_utilization:.0%} utilization"
             )
         for link in best_path.links:

@@ -126,12 +126,16 @@ class FlowRegistry:
         self._flows: Dict[int, FlowState] = {}
         self._next_id = 1
 
-    def create(self, **spec_kwargs) -> FlowState:
-        """Create a flow, auto-assigning ``flow_id``."""
+    def create(self, *, stamper: Optional[DeadlineStamper] = None, **spec_kwargs) -> FlowState:
+        """Create a flow, auto-assigning ``flow_id``.  ``stamper`` is the
+        virtual clock to stamp with when several flows share one; by
+        default the flow gets its own, as its spec describes."""
         flow_id = self._next_id
         self._next_id += 1
         spec = FlowSpec(flow_id=flow_id, **spec_kwargs)
-        state = FlowState(spec=spec, stamper=spec.make_stamper())
+        if stamper is None:
+            stamper = spec.make_stamper()
+        state = FlowState(spec=spec, stamper=stamper)
         self._flows[flow_id] = state
         return state
 

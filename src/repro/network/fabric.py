@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.admission import AdmissionController, AdmissionError
 from repro.core.architectures import ADVANCED_2VC, Architecture
+from repro.core.deadline import DeadlineStamper
 from repro.core.eligible import DEFAULT_OFFSET_NS, EligiblePolicy
 from repro.core.flow import FlowKind, FlowRegistry, FlowState
 from repro.core.invariants import invariant
@@ -234,6 +235,7 @@ class Fabric:
         bw_bytes_per_ns: Optional[float] = None,
         target_latency_ns: Optional[int] = None,
         smoothing: bool = False,
+        stamper: Optional[DeadlineStamper] = None,
     ) -> FlowState:
         """Create a flow, run admission, and fix its route.
 
@@ -246,6 +248,9 @@ class Fabric:
           admission) and stamp at full link bandwidth.
         - Best-effort flows (``vc=1``) never reserve; their
           ``bw_bytes_per_ns`` only shapes deadlines (and path balancing).
+
+        ``stamper`` makes the flow stamp from a virtual clock it shares
+        with others (a per-host record) instead of one of its own.
         """
         if vc is None:
             vc = VC_BEST_EFFORT if tclass in ("best-effort", "background") else VC_REGULATED
@@ -264,6 +269,7 @@ class Fabric:
             bw_bytes_per_ns=bw_bytes_per_ns,
             target_latency_ns=target_latency_ns,
             smoothing=smoothing,
+            stamper=stamper,
         )
         reserve = vc == VC_REGULATED and kind != FlowKind.CONTROL
         if reserve:

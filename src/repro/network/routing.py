@@ -8,7 +8,10 @@ In a folded MIN / fat-tree, all minimal host-to-host paths go *up* to a
 common-ancestor stage and then *down* -- the classic deadlock-free
 up*/down* discipline.  :class:`RoutingTable` enumerates those minimal
 paths (one per choice of ancestor switch) once per pair of attach
-switches, caches them per host pair, and converts them to:
+switches and caches only that: a host pair's :class:`Candidates` are its
+two endpoint links around the shared walks, and a :class:`RoutePath` is
+built for the candidate somebody asks for (admission: the winner).  A
+path is:
 
 - ``ports``: the output-port index to take at each *switch* (the source
   route carried in the packet header), and
@@ -31,15 +34,19 @@ LinkId = Tuple[str, int]  # (sending node, sending port)
 #: switches visited, the output port at each but the last (whose exit
 #: depends on the destination host), and those hops as directed links.
 Segment = Tuple[Tuple[str, ...], Tuple[int, ...], Tuple[LinkId, ...]]
+#: Every such walk between two attach switches, in admission's tie-break
+#: order, and beside them their links alone (what admission scores).
+Walks = Tuple[Tuple[Segment, ...], Tuple[Tuple[LinkId, ...], ...]]
 
 
 class RoutePath:
-    """One fixed path between two hosts.
+    """One fixed path between two hosts; two are equal when they join
+    the same hosts over the same ``links``.
 
-    Admission scores every candidate's ``links`` on every open, so those
-    are stored; ``nodes`` and ``ports`` are read for the one path a flow
-    is fixed to, so they are joined on demand from the segment the path
-    shares with every host pair under the same two attach switches.
+    The ledger walks ``links`` on reserve and release, so those are
+    stored; ``nodes`` and ``ports`` are read once per flow, so they are
+    joined on demand from the segment the path shares with every host
+    pair under the same two attach switches.
     """
 
     __slots__ = ("src", "dst", "links", "_hosts", "_segment")
@@ -59,6 +66,14 @@ class RoutePath:
         self._hosts = hosts
         self._segment = segment
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoutePath):
+            return NotImplemented
+        return (self.src, self.dst, self.links) == (other.src, other.dst, other.links)
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst, self.links))
+
     @property
     def nodes(self) -> Tuple[str, ...]:
         """Node ids visited, host to host inclusive."""
@@ -75,20 +90,55 @@ class RoutePath:
         return len(self._segment[0])
 
 
+class Candidates:
+    """The minimal paths between two hosts, as admission scores them.
+
+    Candidate ``k`` uses the ``shared`` links (injection and delivery,
+    common to all) plus ``varying[k]`` (its switch-level walk); ``path(k)``
+    builds it.  Also a read-only sequence of those paths, built as they
+    are indexed.
+    """
+
+    __slots__ = ("src", "dst", "shared", "varying", "_hosts", "_segments")
+
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        shared: Tuple[LinkId, LinkId],
+        hosts: Tuple[str, str],
+        walks: Walks,
+    ):
+        self.src = src
+        self.dst = dst
+        self.shared = shared
+        self._hosts = hosts
+        self._segments, self.varying = walks
+
+    def path(self, k: int) -> RoutePath:
+        inject, deliver = self.shared
+        segment = self._segments[k]
+        return RoutePath(self.src, self.dst, (inject, *segment[2], deliver), self._hosts, segment)
+
+    __getitem__ = path
+
+    def __len__(self) -> int:
+        return len(self._segments)
+
+
 class RoutingTable:
-    """Per-pair cache of candidate paths (lazy: the paper's MIN has 16k
-    host pairs and ``scale512`` 261k, of which a run opens only some).
+    """Candidate paths for any host pair, on demand (the paper's MIN has
+    16k host pairs and ``scale512`` 261k, of which a run opens only some).
 
     Every host pair under the same two attach switches shares its
     switch-level walks, so those are enumerated once per switch pair
-    (:meth:`_enumerate`); a host pair's candidates are its two endpoint
-    links joined onto the cached segments.
+    (:meth:`_enumerate`) and are all the table keeps; a host pair's
+    candidates are its two endpoint links around the cached segments.
     """
 
     def __init__(self, topo: Topology):
         self.topo = topo
-        self._cache: Dict[Tuple[int, int], Tuple[RoutePath, ...]] = {}
-        self._segments: Dict[Tuple[str, str], Tuple[Segment, ...]] = {}
+        self._segments: Dict[Tuple[str, str], Walks] = {}
         #: per host index: its injection link and the link that delivers to
         #: it (whose sender is the host's attach switch).
         self._attach: List[Tuple[LinkId, LinkId]] = []
@@ -108,7 +158,7 @@ class RoutingTable:
             for sw in topo.switch_ids
         }
 
-    def _enumerate(self, src_sw: str, dst_sw: str) -> Tuple[Segment, ...]:
+    def _enumerate(self, src_sw: str, dst_sw: str) -> Walks:
         """All minimal up*/down* segments between two attach switches.
 
         Walks up from both switches simultaneously; at the first stage
@@ -134,29 +184,21 @@ class RoutingTable:
             if found:
                 port_to = self.topo.port_to
                 ports = [tuple(port_to(a, b) for a, b in zip(nodes, nodes[1:])) for nodes in found]
-                segments = self._segments[(src_sw, dst_sw)] = tuple(
-                    (nodes, out, tuple(zip(nodes, out))) for nodes, out in zip(found, ports)
-                )
-                return segments
+                links = tuple(tuple(zip(nodes, out)) for nodes, out in zip(found, ports))
+                walks = self._segments[(src_sw, dst_sw)] = (tuple(zip(found, ports, links)), links)
+                return walks
             up_from_src = [path + (peer,) for path in up_from_src for peer in up[path[-1]]]
             up_from_dst = [path + (peer,) for path in up_from_dst for peer in up[path[-1]]]
         raise TopologyError(f"no up*/down* path between {src_sw} and {dst_sw}")
 
-    def candidates(self, src: int, dst: int) -> Tuple[RoutePath, ...]:
-        key = (src, dst)
-        paths = self._cache.get(key)
-        if paths is None:
-            if src == dst:
-                raise ValueError(f"src and dst are the same host ({src})")
-            inject, (src_sw, _) = self._attach[src]
-            (dst_host, _), deliver = self._attach[dst]
-            dst_sw = deliver[0]
-            segments = self._segments.get((src_sw, dst_sw)) or self._enumerate(src_sw, dst_sw)
-            hosts = (inject[0], dst_host)
-            paths = self._cache[key] = tuple(
-                [RoutePath(src, dst, (inject, *seg[2], deliver), hosts, seg) for seg in segments]
-            )
-        return paths
+    def candidates(self, src: int, dst: int) -> Candidates:
+        if src == dst:
+            raise ValueError(f"src and dst are the same host ({src})")
+        inject, (src_sw, _) = self._attach[src]
+        (dst_host, _), deliver = self._attach[dst]
+        dst_sw = deliver[0]
+        walks = self._segments.get((src_sw, dst_sw)) or self._enumerate(src_sw, dst_sw)
+        return Candidates(src, dst, (inject, deliver), (inject[0], dst_host), walks)
 
     #: Alias so the table itself is a valid admission ``candidates``.
     __call__ = candidates
@@ -165,4 +207,4 @@ class RoutingTable:
 def compute_updown_paths(topo: Topology, src: int, dst: int) -> Tuple[RoutePath, ...]:
     """All minimal fixed paths from host index ``src`` to host index ``dst``
     (builds a table per call; hold a :class:`RoutingTable` to ask twice)."""
-    return RoutingTable(topo).candidates(src, dst)
+    return tuple(RoutingTable(topo).candidates(src, dst))

@@ -46,6 +46,30 @@ from repro.sim.engine import Engine
 __all__ = ["Switch"]
 
 
+class _UnusedVOQ(PacketQueue):
+    """The slot of a VOQ no packet has needed yet: always empty.
+
+    One shared instance fills every unused slot of every switch, so a
+    whole-row reader (``queued_packets``, ``check_backlogged``, a picker
+    that polls every head) sees an ordinary empty queue and a cold fabric
+    costs what it touches, not ports squared.
+    """
+
+    __slots__ = ()
+
+    def push(self, pkt) -> None:
+        raise TypeError("the unused-VOQ placeholder holds no packets; go through Switch.voq")
+
+    def head(self) -> None:
+        return None
+
+    def __len__(self) -> int:
+        return 0
+
+
+_UNUSED = _UnusedVOQ()
+
+
 class Switch:
     """One switch node.  Wire links via :meth:`attach_in` / :meth:`attach_out`."""
 
@@ -89,15 +113,11 @@ class Switch:
         self.in_links: List[Optional[Link]] = [None] * n_ports
         self.out_links: List[Optional[Link]] = [None] * n_ports
         # The VOQs, output-major as the arbiter reads them:
-        # _candidates[out_port][vc][in_port].  Byte capacity is enforced
-        # upstream by the credit loop (per input port and VC), so queues
-        # are unbounded.
+        # _candidates[out_port][vc][in_port].  A slot holds the shared
+        # placeholder until the first packet needs it (``voq``): up*/down*
+        # routing uses a fraction of a switch's (in, out) pairs.
         self._candidates: List[List[List[PacketQueue]]] = [
-            [
-                [architecture.make_queue(None) for _in in range(n_ports)]
-                for _vc in range(n_vcs)
-            ]
-            for _out in range(n_ports)
+            [[_UNUSED] * n_ports for _vc in range(n_vcs)] for _out in range(n_ports)
         ]
         # Per-(output, vc) backlogged list: the input ports whose VOQ is
         # non-empty, so arbitration costs follow the contenders, not the
@@ -111,18 +131,25 @@ class Switch:
             for _out in range(n_ports)
         ]
         self._pickers = pickers if obs is None else obs.meter_pickers(pickers)
-        # Clock-aware buffer structures (the pipelined heap) need the
-        # switch's local cycle counter to model their settle window.
-        for per_out in self._candidates:
-            for queues in per_out:
-                for queue in queues:
-                    if hasattr(queue, "now_fn"):
-                        queue.now_fn = self._clock
         self.packets_forwarded = 0
         self.bytes_forwarded = 0
 
     def _clock(self) -> int:
         return self.engine.now
+
+    def voq(self, in_port: int, out_port: int, vc: int) -> PacketQueue:
+        """The queue from ``in_port`` to ``out_port`` on ``vc``, created
+        on first use.  Byte capacity is enforced upstream by the credit
+        loop (per input port and VC), so queues are unbounded."""
+        row = self._candidates[out_port][vc]
+        queue = row[in_port]
+        if queue is _UNUSED:
+            queue = row[in_port] = self.architecture.make_queue(None)
+            # Clock-aware buffer structures (the pipelined heap) need the
+            # switch's local cycle counter to model their settle window.
+            if hasattr(queue, "now_fn"):
+                queue.now_fn = self._clock
+        return queue
 
     # ------------------------------------------------------------------
     # wiring
@@ -153,6 +180,8 @@ class Switch:
                 f"but switch has {self.n_ports} ports"
             )
         queue = self._candidates[out_port][pkt.vc][in_port]
+        if queue is _UNUSED:
+            queue = self.voq(in_port, out_port, pkt.vc)
         queue.push(pkt)
         if len(queue) == 1:
             self._backlogged[out_port][pkt.vc].append(in_port)
@@ -237,8 +266,15 @@ class Switch:
         """Occupancy of one input port's VC buffer (across all VOQs)."""
         return sum(per_out[vc][in_port].used_bytes for per_out in self._candidates)
 
-    def voq(self, in_port: int, out_port: int, vc: int) -> PacketQueue:
-        return self._candidates[out_port][vc][in_port]
+    def voq_count(self) -> int:
+        """How many VOQs exist: the (in, out, VC) slots :meth:`voq` has
+        been asked for so far, by an arriving packet or anyone else."""
+        return sum(
+            queue is not _UNUSED
+            for per_out in self._candidates
+            for queues in per_out
+            for queue in queues
+        )
 
     def check_backlogged(self) -> None:
         """Raise :class:`InvariantViolation` unless every (output, VC)

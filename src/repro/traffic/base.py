@@ -76,10 +76,9 @@ class TrafficSource:
         """This source's flow to ``dst``, opened on first use."""
         flow = self._flows.get(dst)
         if flow is None:
-            flow = self.fabric.open_flow(self.src, dst, self.tclass, **self._flow_kwargs)
-            if self.stamper is not None:
-                flow.stamper = self.stamper
-            self._flows[dst] = flow
+            flow = self._flows[dst] = self.fabric.open_flow(
+                self.src, dst, self.tclass, stamper=self.stamper, **self._flow_kwargs
+            )
         return flow
 
     def _pick_dst(self) -> int:

@@ -5,11 +5,16 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.admission import AdmissionController, AdmissionError, Reservation
+from repro.experiments.presets import make_topology
 from repro.network.routing import RoutingTable
-from repro.network.topology import paper_topology
+from repro.network.topology import FatTreeSpec, build_fat_tree, paper_topology
 from repro.sim import units
+from tests.helpers import whole_paths
+from tests.network.updown_oracle import OracleRoutingTable
 
 
 @dataclass(frozen=True)
@@ -18,6 +23,7 @@ class FakePath:
     links: Tuple[str, ...]
 
 
+@whole_paths
 def two_parallel_paths(src, dst):
     """Two disjoint candidate paths, as a MIN with two spines offers."""
     return (
@@ -26,6 +32,7 @@ def two_parallel_paths(src, dst):
     )
 
 
+@whole_paths
 def single_shared_path(src, dst):
     return (FakePath(ports=(0,), links=("shared",)),)
 
@@ -75,7 +82,7 @@ class TestReservation:
             ctl.reserve(1, 0, 1, 0.0)
 
     def test_no_route_raises(self):
-        ctl = AdmissionController(lambda s, d: (), link_capacity=1.0)
+        ctl = AdmissionController(whole_paths(lambda s, d: ()), link_capacity=1.0)
         with pytest.raises(AdmissionError):
             ctl.reserve(1, 0, 1, 0.1)
 
@@ -139,7 +146,7 @@ class TestBestEffortAssignment:
         ctl.reserve(1, 0, 1, 1.0)  # still fully reservable
 
     def test_no_route_raises(self):
-        ctl = AdmissionController(lambda s, d: (), link_capacity=1.0)
+        ctl = AdmissionController(whole_paths(lambda s, d: ()), link_capacity=1.0)
         with pytest.raises(AdmissionError):
             ctl.assign_path(0, 1)
 
@@ -154,6 +161,32 @@ class TestValidation:
             AdmissionController(two_parallel_paths, link_capacity=1.0, max_utilization=0.0)
         with pytest.raises(ValueError):
             AdmissionController(two_parallel_paths, link_capacity=1.0, max_utilization=1.5)
+
+
+@st.composite
+def _profiles_and_common(draw):
+    """Equal-length candidate multisets ``A_k`` and a common multiset ``C``
+    of non-negative integers, from a small range so that ties happen."""
+    loads = st.integers(0, 6)
+    length = draw(st.integers(0, 5))
+    one = st.lists(loads, min_size=length, max_size=length)
+    candidates = draw(st.lists(one, min_size=1, max_size=8))
+    return candidates, draw(st.lists(loads, max_size=4))
+
+
+class TestSharedLinksDoNotDecide:
+    """Why admission may score the ``varying`` links alone."""
+
+    @given(_profiles_and_common())
+    def test_common_elements_never_change_the_leximin_winner(self, drawn):
+        candidates, common = drawn
+
+        def winner(profiles):
+            return profiles.index(min(profiles))  # first index on ties, as admission
+
+        with_common = [sorted(links + common, reverse=True) for links in candidates]
+        without = [sorted(links, reverse=True) for links in candidates]
+        assert winner(with_common) == winner(without)
 
 
 class ReferenceController(AdmissionController):
@@ -223,52 +256,85 @@ class ReferenceController(AdmissionController):
         return best_path
 
 
+def _route(path):
+    """A route by value: the production and the oracle ``RoutePath`` are
+    different classes."""
+    return (path.src, path.dst, path.ports, path.links)
+
+
+def _replay_both(new, ref, n_hosts, steps):
+    """Drive ``new`` and ``ref`` through one seeded reserve / assign /
+    release sequence, requiring equal routes, error strings and ledgers
+    at every step and exactly-zero ledgers once every flow is released."""
+    rng = random.Random(14)
+    # Awkward rates (no finite binary representation) next to round ones;
+    # large enough that a few dozen per host reach the ceiling.
+    rates = [1.0 / 3.0, 0.1, 1.0 / 7.0, 0.25, 0.05, 2.0 / 9.0]
+    n_hot = min(n_hosts // 4, 32)
+    live, rejected, next_id = [], 0, 0
+    for _step in range(steps):
+        # Hot spots: a few hosts source most of the traffic.
+        src = rng.randrange(n_hot) if rng.random() < 0.7 else rng.randrange(n_hosts)
+        dst = rng.choice([h for h in (rng.randrange(n_hosts), (src + 1) % n_hosts) if h != src])
+        roll = rng.random()
+        if roll < 0.5:
+            rate = rng.choice(rates)
+            outcomes = []
+            for ctl in (new, ref):
+                try:
+                    outcomes.append(_route(ctl.reserve(next_id, src, dst, rate).path))
+                except AdmissionError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1]
+            if isinstance(outcomes[0], str):
+                rejected += 1
+            else:
+                live.append(next_id)
+            next_id += 1
+        elif roll < 0.8:
+            weight = rng.choice(rates)
+            assert _route(new.assign_path(src, dst, weight)) == _route(
+                ref.assign_path(src, dst, weight)
+            )
+        elif live:
+            flow_id = live.pop(rng.randrange(len(live)))
+            new.release(flow_id)
+            ref.release(flow_id)
+        assert new.reserved == ref.reserved
+        assert new.assigned_weight == ref.assigned_weight
+    assert rejected > 50 and len(live) > 100, "the sequence must reach the ceiling"
+    for flow_id in live:
+        new.release(flow_id)
+        ref.release(flow_id)
+    assert new.reserved == ref.reserved
+    assert set(new.reserved.values()) == {0}
+    assert new.reservation_count == ref.reservation_count == 0
+
+
 class TestEquivalenceWithReferenceRule:
     """Production selection == the per-link rule it replaced, step by step."""
 
     @pytest.mark.parametrize("ceiling", [1.0, 0.6])
     def test_seeded_call_sequence_on_paper_candidates(self, ceiling):
         routing = RoutingTable(paper_topology())
-        n_hosts = routing.topo.n_hosts
         new = AdmissionController(routing, units.gbps(8.0), max_utilization=ceiling)
         ref = ReferenceController(routing, units.gbps(8.0), max_utilization=ceiling)
-        rng = random.Random(14)
-        # Awkward rates (no finite binary representation) next to round ones;
-        # large enough that a few dozen per host reach the ceiling.
-        rates = [1.0 / 3.0, 0.1, 1.0 / 7.0, 0.25, 0.05, 2.0 / 9.0]
-        live, rejected, next_id = [], 0, 0
-        for _step in range(4_000):
-            # Hot spots: a quarter of the hosts source most of the traffic.
-            src = rng.randrange(n_hosts // 4) if rng.random() < 0.7 else rng.randrange(n_hosts)
-            dst = rng.choice([h for h in (rng.randrange(n_hosts), (src + 1) % n_hosts) if h != src])
-            roll = rng.random()
-            if roll < 0.5:
-                rate = rng.choice(rates)
-                outcomes = []
-                for ctl in (new, ref):
-                    try:
-                        outcomes.append(ctl.reserve(next_id, src, dst, rate).path)
-                    except AdmissionError as err:
-                        outcomes.append(str(err))
-                assert outcomes[0] == outcomes[1] and type(outcomes[0]) is type(outcomes[1])
-                if isinstance(outcomes[0], str):
-                    rejected += 1
-                else:
-                    live.append(next_id)
-                next_id += 1
-            elif roll < 0.8:
-                weight = rng.choice(rates)
-                assert new.assign_path(src, dst, weight) is ref.assign_path(src, dst, weight)
-            elif live:
-                flow_id = live.pop(rng.randrange(len(live)))
-                new.release(flow_id)
-                ref.release(flow_id)
-            assert new.reserved == ref.reserved
-            assert new.assigned_weight == ref.assigned_weight
-        assert rejected > 50 and len(live) > 100, "the sequence must reach the ceiling"
-        for flow_id in live:
-            new.release(flow_id)
-            ref.release(flow_id)
-        assert new.reserved == ref.reserved
-        assert set(new.reserved.values()) == {0}
-        assert new.reservation_count == 0
+        _replay_both(new, ref, routing.topo.n_hosts, 4_000)
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            pytest.param(lambda: make_topology("scale512"), id="scale512"),
+            # five-switch walks: four varying links per candidate, so more
+            # than a pair is sorted
+            pytest.param(lambda: build_fat_tree(FatTreeSpec(arity=4, levels=3)), id="4-ary-3-tree"),
+        ],
+    )
+    def test_segment_scoring_against_whole_paths_of_the_oracle(self, topology):
+        """The reference rule scores whole paths from the per-host-pair
+        enumeration; production scores the shared segments and builds
+        only the winner."""
+        topo = topology()
+        new = AdmissionController(RoutingTable(topo), units.gbps(8.0))
+        ref = ReferenceController(OracleRoutingTable(topo), units.gbps(8.0))
+        _replay_both(new, ref, topo.n_hosts, 2_000)

@@ -5,6 +5,28 @@ from __future__ import annotations
 from repro.network.packet import Packet
 
 
+class WholePaths:
+    """What :class:`~repro.core.admission.AdmissionController` scores, for
+    candidates that come as finished paths (the admission fakes,
+    ``OracleRoutingTable``): nothing is shared, so every candidate's
+    ``varying`` links are all of its links and the selection rule is the
+    whole-profile one."""
+
+    shared = ()
+
+    def __init__(self, paths):
+        self.paths = paths
+        self.varying = [path.links for path in paths]
+
+    def path(self, k):
+        return self.paths[k]
+
+
+def whole_paths(candidates):
+    """Adapt ``candidates(src, dst) -> sequence of paths`` for admission."""
+    return lambda src, dst: WholePaths(candidates(src, dst))
+
+
 def mkpkt(
     deadline: int,
     *,

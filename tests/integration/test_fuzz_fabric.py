@@ -12,7 +12,10 @@ must hold for *any* configuration:
 - deterministic replay: the same drawn scenario produces the same
   deliveries;
 - arbiter differential: the scanning oracle pickers
-  (``tests/core/scanning_pickers.py``) produce the same deliveries.
+  (``tests/core/scanning_pickers.py``) produce the same deliveries --
+  polling the placeholder in every VOQ slot no packet has needed;
+- VOQ differential: with every VOQ built before the first packet
+  (``tests/network/dense_voqs.py``) the deliveries are the same.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.core.flow import FlowKind
 from repro.network.fabric import Fabric, FabricParams
 from repro.network.topology import FatTreeSpec, build_fat_tree, build_folded_shuffle_min
 from tests.core.scanning_pickers import with_scanning_pickers
+from tests.network.dense_voqs import materialise_every_voq
 
 
 @st.composite
@@ -69,8 +73,10 @@ def scenarios(draw):
 def test_random_fabrics_preserve_invariants(scenario):
     topo, arch, flows = scenario
 
-    def run(architecture=ARCHITECTURES[arch]):
+    def run(architecture=ARCHITECTURES[arch], dense=False):
         fabric = Fabric(topo, architecture, FabricParams())
+        if dense:
+            materialise_every_voq(fabric)
         deliveries: list[tuple[int, int, int]] = []
         fabric.subscribe_delivery(
             lambda p, t: deliveries.append((p.flow_id, p.seq, t))
@@ -115,3 +121,7 @@ def test_random_fabrics_preserve_invariants(scenario):
     # Arbiter differential: polling every head grants the same inputs.
     _, scanned = run(with_scanning_pickers(ARCHITECTURES[arch]))
     assert scanned == deliveries
+
+    # VOQ differential: when a queue came to exist changes nothing.
+    _, dense = run(dense=True)
+    assert dense == deliveries

@@ -92,13 +92,29 @@ class TestFatTreeRouting:
 
 
 class TestRoutingTable:
-    def test_caching_returns_same_tuple(self, topo):
+    def test_caching_returns_same_tuple(self, topo, monkeypatch):
+        """What is cached is the switch-level walks, once per pair of
+        attach switches -- not the host pair's paths."""
         table = RoutingTable(topo)
-        assert table.candidates(0, 5) is table.candidates(0, 5)
+        enumerated = []
+        enumerate_segments = table._enumerate
+        monkeypatch.setattr(
+            table,
+            "_enumerate",
+            lambda *switches: enumerated.append(switches) or enumerate_segments(*switches),
+        )
+        first = table.candidates(0, 5)  # sw0.0 -> sw0.1
+        again = table.candidates(0, 5)
+        sibling = table.candidates(1, 6)  # other hosts, same two attach switches
+        assert enumerated == [("sw0.0", "sw0.1")]
+        assert first._segments is again._segments is sibling._segments
+        assert first.varying is sibling.varying and first.shared != sibling.shared
+        assert list(first) == list(again) and first[0] is not again[0]  # built, not kept
 
     def test_callable_alias(self, topo):
         table = RoutingTable(topo)
-        assert table(0, 5) == table.candidates(0, 5)
+        assert list(table(0, 5)) == list(table.candidates(0, 5))
+        assert len(table(0, 5)) == 4 and table(0, 5).path(3) == table.candidates(0, 5)[3]
 
     def test_deadlock_freedom_no_up_after_down(self, topo):
         """up*/down*: once a path descends it never ascends again, which

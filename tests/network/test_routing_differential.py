@@ -8,7 +8,10 @@ every architecture, on the three figure-style configs the engine
 differential uses, a run with the oracle table installed in the fabric
 must produce **byte-identical** ``RunSummary`` JSON and span-trace JSONL
 -- every flow was offered the same candidates in the same order, so
-admission fixed the same route.
+admission fixed the same route.  The oracle hands admission whole paths
+(``tests.helpers.whole_paths``: every link scored), so this is also the
+whole-run proof that scoring only the switch-level links picks the same
+winner.
 """
 
 import dataclasses
@@ -17,6 +20,7 @@ import pytest
 
 from repro.core.architectures import ARCHITECTURES
 from repro.network import fabric as fabric_module
+from tests.helpers import whole_paths
 from tests.network.updown_oracle import OracleRoutingTable
 from tests.sim.test_engine_differential import _figure_configs, _run_artifacts
 
@@ -31,7 +35,7 @@ def test_byte_identical_to_per_pair_oracle(monkeypatch, arch_name, figure):
 
     def build_oracle_table(topology):
         built.append(OracleRoutingTable(topology))
-        return built[-1]
+        return whole_paths(built[-1])
 
     monkeypatch.setattr(fabric_module, "RoutingTable", build_oracle_table)
     oracle_summary, oracle_spans = _run_artifacts(config, None)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.architectures import (
     ADVANCED_2VC,
     IDEAL,
+    IDEAL_PIPELINED,
     SIMPLE_2VC,
     TRADITIONAL_2VC,
 )
@@ -250,6 +251,55 @@ class TestBackloggedLists:
             rig.switch.check_backlogged()
         assert rig.switch.queued_packets() == 0
         assert len(rig.sinks[0].received) + len(rig.sinks[1].received) == 12
+
+
+class TestVOQsAppearOnFirstArrival:
+    def test_fresh_switch_holds_no_queue(self, engine):
+        rig = SwitchRig(engine, ADVANCED_2VC)
+        assert rig.switch.voq_count() == 0
+        assert rig.switch.queued_packets() == rig.switch.queued_bytes(0, 0) == 0
+        rig.switch.check_backlogged()
+        # every slot is one shared placeholder that nothing can be put in
+        slots = {id(q) for per_out in rig.switch._candidates for row in per_out for q in row}
+        assert len(slots) == 1
+        with pytest.raises(TypeError):
+            rig.switch._candidates[0][0][0].push(mkpkt(5))
+
+    def test_accept_creates_exactly_the_voq_it_names(self, engine):
+        rig = SwitchRig(engine, ADVANCED_2VC)
+        rig.feed(2, 10, out_port=1, vc=1)
+        assert rig.switch.voq_count() == 1
+        rig.switch.voq(2, 1, 1)  # the one that exists: asking for it adds none
+        assert rig.switch.voq_count() == 1
+        rig.feed(2, 20, out_port=1, vc=1)  # and a second arrival reuses it
+        assert rig.switch.voq_count() == 1
+        rig.switch.voq(1, 2, 1)
+        assert rig.switch.voq_count() == 2
+
+    def test_accept_binds_the_clock_of_a_clock_aware_voq(self, engine):
+        rig = SwitchRig(engine, IDEAL_PIPELINED)
+        engine.at(123, rig.feed, 0, 10)
+        engine.run_all()
+        assert rig.switch.voq_count() == 1
+        assert rig.switch.voq(0, 0, 0).now_fn() == engine.now >= 123
+        assert rig.departures() == [10]
+
+    def test_introspection_reads_a_half_empty_table(self, engine):
+        rig = SwitchRig(engine, ADVANCED_2VC)
+        rig.sinks[0].auto_credit = False
+        for deadline in (100, 200, 300, 400, 500):  # four fill the credit window
+            rig.feed(0, deadline, size=2048)
+            engine.run_all()
+        rig.feed(0, 50, size=2048)  # lower than the queued 500: takes over
+        rig.feed(3, 60, size=512, vc=1)  # VC1 has credits: straight onto the wire
+        rig.feed(3, 70, size=512, vc=1)  # ...which is now busy
+        assert rig.switch.voq_count() == 2
+        assert rig.switch.queued_packets() == 3
+        assert rig.switch.queued_bytes(0, 0) == 2 * 2048
+        assert rig.switch.queued_bytes(3, 1) == 512
+        assert rig.switch.queued_bytes(1, 0) == 0  # a port with no queue at all
+        assert rig.switch.takeover_hits() == 1
+        rig.switch.check_backlogged()
 
 
 class TestFlowState:
