@@ -20,8 +20,8 @@ traditional architecture masks, as real request-grant arbiters do.  The
 EDF architectures must *not* mask: the appendix's no-reordering proof
 requires that only the minimum-deadline candidate be checked for
 credits, so their switch calls ``pick`` without a predicate and then
-checks the single winner itself.  (An ablation benchmark measures what
-masking would break.)
+checks the single winner itself.  (``tests/core/test_takeover_credit_rule.py``
+shows what masking would break: packets of one flow leave out of order.)
 
 ``pick`` is side-effect free; the switch calls :meth:`Picker.granted`
 once the chosen head actually wins the credit check and is sent, so a

@@ -21,8 +21,9 @@ def scaled_video_mix(load: float, time_scale: float = 0.1, **overrides) -> Traff
     simulated milliseconds.  Compressing *time* (frame period and target
     latency down, per-stream rate up by the same factor) keeps frame
     sizes, packet counts per frame, and every deadline *relationship*
-    identical while shrinking the needed simulation window -- the
-    ablation benches verify scaled and unscaled runs agree.
+    identical while shrinking the needed simulation window
+    (``tests/experiments/test_config.py::TestScaledVideoMix`` checks the
+    relations; no test compares a scaled run with an unscaled one).
     """
     if not 0 < time_scale <= 1:
         raise ValueError(f"time_scale must be in (0, 1], got {time_scale}")

@@ -5,8 +5,11 @@ import os
 import subprocess
 import sys
 
+from repro.exec.cache import ResultCache
 from repro.exec.digest import canonical_config_dict, config_digest, config_from_dict
+from repro.exec.summary import execute_config
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
+from repro.network.fabric import FabricParams
 from repro.sim import units
 
 
@@ -36,6 +39,25 @@ class TestCanonicalDict:
     def test_round_trip_without_mix(self):
         config = quick_config(mix=None)
         assert config_from_dict(canonical_config_dict(config)) == config
+
+    def test_round_trip_with_a_mapping_field(self, tmp_path):
+        """The Section 6 counterfactual: ``vc_map`` is the one Mapping a
+        config carries, next to ``n_vcs=4`` in the nested params -- through
+        the canonical dict and through a cache entry on disk."""
+        vc_map = {"control": 0, "multimedia": 1, "best-effort": 2, "background": 3}
+        config = quick_config(
+            architecture="traditional-2vc",
+            params=FabricParams(n_vcs=4),
+            mix=scaled_video_mix(0.5, 0.02, vc_map=vc_map),
+        )
+        assert config_from_dict(canonical_config_dict(config)) == config
+        digest = config_digest(config)
+        assert digest != config_digest(quick_config(architecture="traditional-2vc"))
+        summary = execute_config(config)
+        ResultCache(tmp_path).put(digest, summary)
+        replayed = ResultCache(tmp_path).get(digest)
+        assert replayed == summary
+        assert replayed.config.mix.vc_map == vc_map and replayed.config.params.n_vcs == 4
 
     def test_json_safe(self):
         # must serialize without a custom encoder (tuples already lists)

@@ -15,22 +15,11 @@ from repro.network.fabric import Fabric, FabricParams
 from repro.sim import units
 from repro.sim.rng import RandomStreams
 from repro.stats.collectors import MetricsCollector
-from repro.traffic.mix import TrafficMixConfig, build_mix
+from repro.traffic.mix import build_mix
 from repro.experiments.config import scaled_video_mix
 
 #: one strict-priority VC per Table 1 class, latency-critical first
 VC_MAP = {"control": 0, "multimedia": 1, "best-effort": 2, "background": 3}
-
-
-def four_vc_mix(load: float) -> TrafficMixConfig:
-    base = scaled_video_mix(load, 0.02)
-    return TrafficMixConfig(
-        load=base.load,
-        video_fps=base.video_fps,
-        video_target_latency_ns=base.video_target_latency_ns,
-        video_stream_rate_bytes_per_ns=base.video_stream_rate_bytes_per_ns,
-        vc_map=VC_MAP,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +32,7 @@ def four_vc_run():
     )
     collector = MetricsCollector(warmup_ns=1_100 * units.US)
     fabric.subscribe_delivery(collector.on_delivery)
-    mix = build_mix(fabric, RandomStreams(4), four_vc_mix(1.0))
+    mix = build_mix(fabric, RandomStreams(4), scaled_video_mix(1.0, 0.02, vc_map=VC_MAP))
     mix.start()
     fabric.run(until=2_400 * units.US)
     collector.finalize(fabric.engine.now)

@@ -1,7 +1,8 @@
 """The paper's Section 5 claims as executable assertions (scaled down).
 
-One shared full-load sweep over the four architectures on the tiny
-network (time-scaled video), then each claim reads off it:
+One shared sweep over the four architectures on the tiny network
+(time-scaled video) at a light and at full load, then each claim reads
+off it:
 
 - Figure 2: EDF architectures beat Traditional on control latency by a
   large factor; Ideal <= Advanced <= Simple.
@@ -9,6 +10,8 @@ network (time-scaled video), then each claim reads off it:
   with small jitter; Traditional's frame latency spreads widely.
 - Figure 4: EDF differentiates the two best-effort classes by their
   deadline weights; Traditional cannot tell them apart.
+- Ablations (DESIGN.md section 5 ``abl-*``): the corner points of the
+  grids EXPERIMENTS.md tabulates, beside the sweep's own points.
 
 Scale note: the *shape* claims (orderings, differentiation) are asserted
 strictly; the paper's exact 25%/5% overhead factors are workload- and
@@ -19,8 +22,10 @@ records the measured factors at larger scale).
 import pytest
 
 from repro.experiments.config import scaled_video_mix
-from repro.experiments.figures import sweep
+from repro.experiments.figures import run_points, sweep
+from repro.network.fabric import FabricParams
 from repro.sim import units
+from repro.traffic.mix import CLASS_NAMES
 
 ARCHS = ("traditional-2vc", "ideal", "simple-2vc", "advanced-2vc")
 TIME_SCALE = 0.02
@@ -28,23 +33,26 @@ TARGET_NS = round(10 * units.MS * TIME_SCALE)
 # Warm-up must cover the video ramp: streams phase in over one frame
 # period (800 us at this scale) and frames take one target (200 us).
 WARMUP_NS = 1_100 * units.US
+MEASURE_NS = 1_600 * units.US
+LIGHT = 0.3
 
 
 @pytest.fixture(scope="module")
 def full_load_results():
+    """(architecture, load) -> summary at loads ``LIGHT`` and 1.0."""
     return sweep(
         ARCHS,
-        (1.0,),
+        (LIGHT, 1.0),
         topology="tiny",
         seed=5,
         warmup_ns=WARMUP_NS,
-        measure_ns=1_600 * units.US,
+        measure_ns=MEASURE_NS,
         mix_factory=lambda load: scaled_video_mix(load, TIME_SCALE),
     )
 
 
-def control_mean(results, arch):
-    return results[(arch, 1.0)].get("control").message_latency.mean
+def control_mean(results, arch, load=1.0):
+    return results[(arch, load)].get("control").message_latency.mean
 
 
 class TestFigure2Control:
@@ -83,6 +91,12 @@ class TestFigure2Control:
             .message_cdf().quantile(0.99)
         )
         assert advanced <= ideal * 1.25
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_latency_does_not_fall_with_load(self, full_load_results, arch):
+        """The left panel's shape, per architecture."""
+        light = control_mean(full_load_results, arch, LIGHT)
+        assert light <= control_mean(full_load_results, arch)
 
 
 class TestFigure3Video:
@@ -136,8 +150,69 @@ class TestFigure4BestEffort:
         assert be == pytest.approx(bg, rel=0.15)
 
     @pytest.mark.parametrize("arch", ARCHS)
+    def test_light_load_delivers_what_is_offered(self, full_load_results, arch):
+        """The figure's left edge: no differentiation is needed yet, the
+        curves of both classes start together under every architecture."""
+        result = full_load_results[(arch, LIGHT)]
+        assert result.normalized_throughput("best-effort") > 0.7
+        assert result.normalized_throughput("background") > 0.7
+
+    @pytest.mark.parametrize("arch", ARCHS)
     def test_regulated_classes_get_their_throughput(self, full_load_results, arch):
         """Admitted traffic is never starved: multimedia delivers its
         offered load under every architecture."""
         result = full_load_results[(arch, 1.0)]
         assert result.normalized_throughput("multimedia") > 0.8
+
+
+@pytest.fixture(scope="module")
+def corner_results(full_load_results):
+    """The ablation grids' corner points the sweep does not already hold:
+    the sweep's own configs with other hardware parameters."""
+
+    def corner(arch, load=1.0, **params):
+        return full_load_results[(arch, load)].config.with_(params=FabricParams(**params))
+
+    points = {("unsmoothed", load): corner("advanced-2vc", load, eligible_offset_ns=None)
+              for load in (LIGHT, 1.0)}
+    for size in (4 * units.KB, 32 * units.KB):
+        points["buffer", size] = corner(
+            "advanced-2vc", buffer_bytes_per_vc=size, host_buffer_bytes_per_vc=size)
+    for arch in ("ideal", "simple-2vc", "advanced-2vc"):
+        points["harsh", arch] = corner(
+            arch, buffer_bytes_per_vc=32 * units.KB, eligible_offset_ns=None)
+    return run_points(points)
+
+
+class TestAblations:
+    def test_unsmoothed_video_tracks_load_not_the_target(self, full_load_results, corner_results):
+        """``abl-eligible``: holding packets until ``deadline - 20 us`` is
+        what pins frame latency; without it frames arrive early at light
+        load, late at full load, and jitter several times more."""
+        light = corner_results["unsmoothed", LIGHT].get("multimedia")
+        full = corner_results["unsmoothed", 1.0].get("multimedia")
+        smoothed = full_load_results[("advanced-2vc", LIGHT)].get("multimedia")
+        assert full.message_latency.mean > 1.3 * light.message_latency.mean
+        assert full.jitter.mean > 3 * smoothed.jitter.mean
+
+    def test_buffer_size_throttles_then_saturates(self, full_load_results, corner_results):
+        """``abl-buffer``: 4 KB/VC (two MTUs) starves the credit loop; the
+        paper's 8 KB already delivers most of what 4x the silicon buys."""
+
+        def delivered(result):
+            return sum(result.throughput(tclass) for tclass in CLASS_NAMES)
+
+        paper = delivered(full_load_results[("advanced-2vc", 1.0)])
+        assert delivered(corner_results["buffer", 4 * units.KB]) < paper
+        assert paper > 0.7 * delivered(corner_results["buffer", 32 * units.KB])
+
+    def test_depth_and_bursts_amplify_simple_not_advanced(self, full_load_results, corner_results):
+        """``abl-order-error``: order errors need FIFO depth and
+        unsmoothed bursts; Simple's penalty over Ideal grows with both,
+        the take-over queue keeps Advanced pinned near Ideal."""
+        ideal = corner_results["harsh", "ideal"].get("control").message_latency.mean
+        harsh = {arch: corner_results["harsh", arch].get("control").message_latency.mean / ideal
+                 for arch in ("simple-2vc", "advanced-2vc")}
+        gentle = control_mean(full_load_results, "simple-2vc") / control_mean(full_load_results, "ideal")
+        assert harsh["simple-2vc"] > gentle + 0.03
+        assert harsh["advanced-2vc"] < 1.08
