@@ -134,7 +134,8 @@ class RoundRobinPicker(Picker):
 class MeteredPicker(Picker):
     """Transparent wrapper counting arbitration attempts and grants.
 
-    The counters are injected (any object with ``inc()``) so this module
+    The counters are injected (any object with an integer ``value``,
+    bumped in place: no call per pick) so this module
     stays free of an ``repro.obs`` import; the switch only wraps its
     pickers when metrics are enabled, so the disabled path never pays the
     extra indirection.
@@ -153,9 +154,9 @@ class MeteredPicker(Picker):
         backlogged: Sequence[int],
         sendable: Optional[SendablePredicate] = None,
     ) -> Optional[int]:
-        self.picks.inc()
+        self.picks.value += 1
         return self.inner.pick(queues, backlogged, sendable)
 
     def granted(self, index: int) -> None:
-        self.grants.inc()
+        self.grants.value += 1
         self.inner.granted(index)

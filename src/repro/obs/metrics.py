@@ -139,7 +139,7 @@ class Histogram:
     def __init__(self, name: str, bounds: Iterable[int], unit: str = ""):
         edges = tuple(bounds)
         if not edges:
-            raise MetricError(f"histogram {self.__class__.__name__} needs >= 1 bucket edge")
+            raise MetricError(f"histogram {name!r} needs >= 1 bucket edge")
         if any(b >= a for b, a in zip(edges, edges[1:])):
             raise MetricError(
                 f"histogram {name!r} bucket edges must be strictly increasing, got {edges}"

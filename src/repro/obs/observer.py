@@ -78,19 +78,25 @@ class FabricObserver:
             # Sampling decision at birth; winners get pkt.traced set.
             self._spans.begin(pkt, now, node)
         if stalled and self._metrics is not None:
-            self._stalls.inc()
+            self._stalls.value += 1
 
     def release(self, pkt: Any, now: int) -> None:
         """Packet became eligible and moved to its injection queue."""
+        # Between ``begin`` and ``finish`` a span event is one append to the
+        # tracer's open chain, made here: no tracer call per hop.
         if self._spans is not None and pkt.traced:
-            self._spans.event(pkt, "eligible", now)
+            chain = self._spans.live.get(pkt.uid)
+            if chain is not None:
+                chain.append(("eligible", "", now, 0))
 
     def inject(self, pkt: Any, now: int, node: str) -> None:
         """Packet won the NIC and is about to start onto the wire."""
         if self._ring is not None:
             self._ring.record(now, "host.inject", node, pkt.uid, pkt.vc)
         if self._spans is not None and pkt.traced:
-            self._spans.event(pkt, "inject", now)
+            chain = self._spans.live.get(pkt.uid)
+            if chain is not None:
+                chain.append(("inject", "", now, 0))
 
     def deliver(self, pkt: Any, now: int, node: str, link: Any, slack_ns: int) -> None:
         """Packet consumed by its destination NIC with ``slack_ns`` to
@@ -100,7 +106,7 @@ class FabricObserver:
         if self._metrics is not None:
             self._slack[pkt.vc].observe(slack_ns)
             if slack_ns < 0:
-                self._miss[pkt.vc].inc()
+                self._miss[pkt.vc].value += 1
                 # First miss per class mints (and caches) its counter;
                 # every later miss is one dict probe, no formatting.
                 class_counter(
@@ -108,7 +114,7 @@ class FabricObserver:
                     self._miss_by_class,
                     pkt.tclass,
                     "network.host.class.{tclass}.deadline_miss_total",
-                ).inc()
+                ).value += 1
         if self._spans is not None and pkt.traced:
             self._spans.finish(pkt, now, node=node, link=link, slack_ns=slack_ns)
 
@@ -117,19 +123,21 @@ class FabricObserver:
         """Packet fully arrived over ``link`` into a VOQ now ``depth`` deep."""
         if self._metrics is not None:
             pkt.hop_arrival = now
-            self._enqueue[pkt.vc].inc()
+            self._enqueue[pkt.vc].value += 1
             self._depth.observe(depth)
         if self._ring is not None:
             self._ring.record(now, "switch.enqueue", node, link.dst_port, out_port, pkt.uid)
         if self._spans is not None and pkt.traced:
-            # ``link`` is the wire the packet just crossed: its occupancy
-            # splits the segment into transmit + propagate exactly.
-            self._spans.arrive(pkt, now, node, link)
+            chain = self._spans.live.get(pkt.uid)
+            if chain is not None:
+                # ``link`` is the wire the packet just crossed: its occupancy
+                # splits the segment into transmit + propagate exactly.
+                chain.append(("arrive", node, now, link.occupancy_ns(pkt.size)))
 
     def forward(self, pkt: Any, now: int, node: str, in_port: int, out_port: int, queue: Any) -> None:
         """Packet won arbitration, left ``queue`` and started draining."""
         if self._metrics is not None:
-            self._dequeue[pkt.vc].inc()
+            self._dequeue[pkt.vc].value += 1
             if pkt.hop_arrival is not None:
                 self._wait.observe(now - pkt.hop_arrival)
                 pkt.hop_arrival = None
@@ -138,8 +146,10 @@ class FabricObserver:
             # inversion the take-over structure exists to prevent.
             head = queue.head()
             if head is not None and head.deadline < pkt.deadline:
-                self._order_errors[pkt.vc].inc()
+                self._order_errors[pkt.vc].value += 1
         if self._spans is not None and pkt.traced:
-            self._spans.event(pkt, "forward", now, node)
+            chain = self._spans.live.get(pkt.uid)
+            if chain is not None:
+                chain.append(("forward", node, now, 0))
         if self._ring is not None:
             self._ring.record(now, "switch.forward", node, in_port, out_port, pkt.uid)

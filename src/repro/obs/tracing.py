@@ -4,10 +4,9 @@ The metrics layer (:mod:`repro.obs.metrics`) answers *how many* packets
 missed their deadline per class; this module answers *why one packet*
 missed.  Every traced packet accumulates timestamped lifecycle events --
 host submit, eligible-queue release, injection, per-switch VOQ arrival
-and forward, delivery -- and at delivery those events are decomposed
-into **spans**: contiguous ``(stage, node, start_ns, dur_ns)`` intervals
-that partition the packet's end-to-end latency *exactly*, in integer
-nanoseconds:
+and forward, delivery -- which decompose into **spans**: contiguous
+``(stage, node, start_ns, dur_ns)`` intervals that partition the packet's
+end-to-end latency *exactly*, in integer nanoseconds:
 
 - ``host.eligible_wait`` -- submit until the eligible-time regulator
   released the packet (smoothed regulated flows only);
@@ -46,8 +45,18 @@ Retained traces live in a bounded ring (``capacity`` newest kept, like
 
 **Overhead discipline.**  Off is ``None``: a run without a tracer passes
 none, and a fabric given no sink builds no observer.  Only
-:class:`repro.obs.observer.FabricObserver` calls the hooks, after testing
+:class:`repro.obs.observer.FabricObserver` feeds a tracer, after testing
 ``pkt.traced``; ``metrics=None`` likewise means no per-class counters.
+On, the rule is append on the hot path, check at ``finish``, build on
+read.  A per-hop event is one tuple appended to the packet's open chain.
+:meth:`PacketTracer.finish` checks the whole chain inside the delivering
+event and stores it raw, so a malformed chain fails the event that
+produced it and a chain the ring later evicts -- nine in ten at rate 1.0
+-- was checked like any other (checking on read would be cheaper still,
+and would never look at those).  :class:`Span` and :class:`SpanTrace`
+objects exist only for chains still retained when
+:attr:`PacketTracer.records` is read: the first read builds at most
+``capacity`` of them, later reads only what was appended since.
 """
 
 from __future__ import annotations
@@ -225,6 +234,52 @@ class SpanTrace:
         )
 
 
+#: What :meth:`PacketTracer.finish` copies off the packet, in ring-entry order.
+_HEADER_FIELDS = SpanTrace.__slots__[:-1]
+
+
+def _check_chain(events: List[Tuple[str, str, int, int]]) -> None:
+    """Raise :class:`ValueError` unless ``events`` is a chain
+    :func:`_build_spans` can decompose exactly (starts with ``submit``,
+    known kinds, non-decreasing times, serialization inside its wire
+    segment).  Allocates nothing: this is what runs per delivered packet."""
+    if not events or events[0][0] != "submit":
+        raise ValueError(f"event chain must start with 'submit', got {events[:1]}")
+    t = events[0][2]
+    for kind, node, te, ser in events[1:]:
+        if te < t:
+            raise ValueError(f"event {kind!r} at t={te} precedes t={t}")
+        if kind == "arrive" or kind == "deliver":
+            if not 0 <= ser <= te - t:
+                raise ValueError(
+                    f"serialization {ser}ns does not fit the {te - t}ns "
+                    f"wire segment into {node!r}"
+                )
+        elif kind not in ("forward", "inject", "eligible"):
+            raise ValueError(f"unknown lifecycle event kind {kind!r}")
+        t = te
+
+
+def _build_spans(events: List[Tuple[str, str, int, int]]) -> Tuple[Span, ...]:
+    """The span chain of an event list that passed :func:`_check_chain`."""
+    _, source, t, _ = events[0]
+    sender = source
+    spans: List[Span] = []
+    for kind, node, te, ser in events[1:]:
+        if kind == "eligible":
+            spans.append(Span("host.eligible_wait", source, t, te - t))
+        elif kind == "inject":
+            spans.append(Span("host.queue_wait", source, t, te - t))
+        elif kind == "forward":
+            spans.append(Span("switch.voq_wait", node, t, te - t))
+            sender = node
+        else:  # arrive / deliver
+            spans.append(Span("link.transmit", sender, t, ser))
+            spans.append(Span("link.propagate", sender, t + ser, te - t - ser))
+        t = te
+    return tuple(spans)
+
+
 def decompose_events(
     events: List[Tuple[str, str, int, int]],
 ) -> Tuple[Span, ...]:
@@ -239,45 +294,26 @@ def decompose_events(
     between two consecutive timestamps, so the chain telescopes from
     submit to delivery with no remainder.
     """
-    if not events or events[0][0] != "submit":
-        raise ValueError(f"event chain must start with 'submit', got {events[:1]}")
-    _, source, t, _ = events[0]
-    sender = source
-    spans: List[Span] = []
-    for kind, node, te, ser in events[1:]:
-        if te < t:
-            raise ValueError(f"event {kind!r} at t={te} precedes t={t}")
-        if kind == "eligible":
-            spans.append(Span("host.eligible_wait", source, t, te - t))
-        elif kind == "inject":
-            spans.append(Span("host.queue_wait", source, t, te - t))
-        elif kind == "arrive" or kind == "deliver":
-            if not 0 <= ser <= te - t:
-                raise ValueError(
-                    f"serialization {ser}ns does not fit the {te - t}ns "
-                    f"wire segment into {node!r}"
-                )
-            spans.append(Span("link.transmit", sender, t, ser))
-            spans.append(Span("link.propagate", sender, t + ser, te - t - ser))
-        elif kind == "forward":
-            spans.append(Span("switch.voq_wait", node, t, te - t))
-            sender = node
-        else:
-            raise ValueError(f"unknown lifecycle event kind {kind!r}")
-        t = te
-    return tuple(spans)
+    _check_chain(events)
+    return _build_spans(events)
 
 
 class PacketTracer:
     """Span-based packet-lifecycle tracer with deterministic sampling.
 
-    The fabric's observer calls the four hooks (for packets whose
-    ``traced`` bit is set, once :meth:`begin` has decided it):
+    A packet's lifecycle reaches the tracer through four hooks (for
+    packets whose ``traced`` bit is set, once :meth:`begin` has decided
+    it):
 
     - :meth:`begin`   at submit (makes the head-sampling decision),
     - :meth:`event`   for ``eligible`` / ``inject`` / ``forward``,
     - :meth:`arrive`  at switch VOQ entry (captures link occupancy),
-    - :meth:`finish`  at delivery (decomposes, applies retention).
+    - :meth:`finish`  at delivery (checks the chain, applies retention).
+
+    The fabric's observer calls :meth:`begin` and :meth:`finish`; between
+    them it appends to ``live[pkt.uid]`` itself, which is all
+    :meth:`event` and :meth:`arrive` do for a caller driving a tracer by
+    hand.
 
     ``policy="tail"`` retains only deadline misses; ``policy="head"``
     retains every packet that won the per-flow Bernoulli draw at
@@ -310,14 +346,20 @@ class PacketTracer:
         self.seed = seed
         self.metrics = metrics
         #: Retained traces, newest kept (ring semantics like Trace(ring=True)).
-        self.records: Deque[SpanTrace] = deque(maxlen=capacity)
+        #: :meth:`finish` appends a flat tuple: ``_HEADER_FIELDS`` copied
+        #: off the packet (which its factory recycles right after
+        #: delivery), then the checked event chain; :attr:`records` turns
+        #: the entries still in that form into :class:`SpanTrace`s, in place.
+        self._ring: Deque[Any] = deque(maxlen=capacity)
         self.sampled = 0
         self.unsampled = 0
         self.completed = 0
         self.misses = 0
         self.dropped = 0
         #: In-flight event chains: pkt.uid -> [(kind, node, t_ns, ser_ns)].
-        self._live: Dict[int, List[Tuple[str, str, int, int]]] = {}
+        #: Whoever appends (the observer, per hop) appends unchecked;
+        #: :meth:`finish` checks the chain as a whole.
+        self.live: Dict[int, List[Tuple[str, str, int, int]]] = {}
         #: Per-flow head-sampling streams, derived from (seed, flow_id) so
         #: adding flows never perturbs the draws of existing ones.
         self._streams: Dict[int, RandomStream] = {}
@@ -342,24 +384,24 @@ class PacketTracer:
                 return
         pkt.traced = True
         self.sampled += 1
-        self._live[pkt.uid] = [("submit", node, t_ns, 0)]
+        self.live[pkt.uid] = [("submit", node, t_ns, 0)]
 
     def event(self, pkt: Any, kind: str, t_ns: int, node: str = "") -> None:
         """Record a serialization-free lifecycle event (``eligible``,
         ``inject``, ``forward``)."""
-        events = self._live.get(pkt.uid)
+        events = self.live.get(pkt.uid)
         if events is not None:
             events.append((kind, node, t_ns, 0))
 
     def arrive(self, pkt: Any, t_ns: int, node: str, link: Any) -> None:
         """Packet fully arrived at a switch VOQ over ``link``."""
-        events = self._live.get(pkt.uid)
+        events = self.live.get(pkt.uid)
         if events is not None:
             events.append(("arrive", node, t_ns, link.occupancy_ns(pkt.size)))
 
     def finish(self, pkt: Any, t_ns: int, *, node: str, link: Any, slack_ns: int) -> None:
-        """Packet delivered: close the chain, decompose, apply retention."""
-        events = self._live.pop(pkt.uid, None)
+        """Packet delivered: close the chain, check it, apply retention."""
+        events = self.live.pop(pkt.uid, None)
         if events is None:
             return
         self.completed += 1
@@ -369,39 +411,58 @@ class PacketTracer:
         if self.policy == "tail" and not missed:
             return
         events.append(("deliver", node, t_ns, link.occupancy_ns(pkt.size)))
-        record = SpanTrace(
-            uid=pkt.uid,
-            flow_id=pkt.flow_id,
-            tclass=pkt.tclass,
-            vc=pkt.vc,
-            src=pkt.src,
-            dst=pkt.dst,
-            size=pkt.size,
-            deadline=pkt.deadline,
-            birth_ns=pkt.birth,
-            deliver_ns=t_ns,
-            slack_ns=slack_ns,
-            missed=missed,
-            spans=decompose_events(events),
-        )
-        if len(self.records) == self.capacity:
+        _check_chain(events)  # a malformed chain fails the event that delivered it
+        ring = self._ring
+        if len(ring) == self.capacity:
             self.dropped += 1  # deque(maxlen=...) evicts the oldest
-        self.records.append(record)
+        ring.append(
+            (
+                pkt.uid,
+                pkt.flow_id,
+                pkt.tclass,
+                pkt.vc,
+                pkt.src,
+                pkt.dst,
+                pkt.size,
+                pkt.deadline,
+                pkt.birth,
+                t_ns,
+                slack_ns,
+                missed,
+                events,
+            )
+        )
         if self.metrics is not None:
             class_counter(
                 self.metrics,
                 self._m_retained_by_class,
                 pkt.tclass,
                 "obs.tracing.class.{tclass}.retained_total",
-            ).inc()
+            ).value += 1
 
     # ------------------------------------------------------------------
     # introspection / export
     # ------------------------------------------------------------------
     @property
+    def records(self) -> Deque[SpanTrace]:
+        """The retained traces, oldest first.  Reading builds the
+        :class:`SpanTrace` of every entry added since the last read (at
+        most ``capacity`` of them, however many packets were delivered)."""
+        ring = self._ring
+        # Built entries are a prefix: finish() only ever appends raw ones.
+        index = len(ring) - 1
+        while index >= 0 and type(ring[index]) is tuple:
+            *header, events = ring[index]
+            ring[index] = SpanTrace(
+                **dict(zip(_HEADER_FIELDS, header)), spans=_build_spans(events)
+            )
+            index -= 1
+        return ring
+
+    @property
     def inflight(self) -> int:
         """Open chains: sampled packets submitted but not yet delivered."""
-        return len(self._live)
+        return len(self.live)
 
     def snapshot(self) -> dict:
         """Sampling + retention ledger, JSON-ready (the run snapshot's
@@ -415,9 +476,9 @@ class PacketTracer:
             "unsampled": self.unsampled,
             "completed": self.completed,
             "misses": self.misses,
-            "retained": len(self.records),
+            "retained": len(self._ring),
             "dropped": self.dropped,
-            "inflight": len(self._live),
+            "inflight": len(self.live),
         }
 
 

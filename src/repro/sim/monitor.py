@@ -68,15 +68,21 @@ class Trace:
     def record(self, time: int, topic: str, *payload: Any) -> None:
         if self.topics is not None and topic not in self.topics:
             return
-        rec = TraceRecord(time, topic, payload)
-        if self.capacity is not None and len(self.records) >= self.capacity:
-            self.dropped += 1
-            if self.ring:
-                self.records.append(rec)  # deque(maxlen=...) evicts the oldest
+        # One call per observed lifecycle point: tuple.__new__ skips the
+        # Python-level TraceRecord.__new__ and builds the same record.
+        rec = tuple.__new__(TraceRecord, (time, topic, payload))
+        records = self.records
+        if self.ring:
+            if len(records) == self.capacity:
+                self.dropped += 1  # deque(maxlen=...) evicts the oldest
+            records.append(rec)
+        elif self.capacity is None or len(records) < self.capacity:
+            records.append(rec)
         else:
-            self.records.append(rec)
-        for fn in self._subscribers.get(topic, ()):
-            fn(rec)
+            self.dropped += 1
+        if self._subscribers:
+            for fn in self._subscribers.get(topic, ()):
+                fn(rec)
 
     def subscribe(self, topic: str, fn: Callable[[TraceRecord], None]) -> None:
         """Call ``fn`` synchronously for every record on ``topic``."""

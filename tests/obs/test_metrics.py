@@ -59,11 +59,12 @@ class TestGauge:
 
 class TestHistogram:
     def test_edges_must_be_nonempty_and_strictly_increasing(self):
-        with pytest.raises(MetricError):
+        # each message names the instrument, not the class
+        with pytest.raises(MetricError, match=r"histogram 'a\.b\.c_ns' needs >= 1 bucket edge"):
             Histogram("a.b.c_ns", bounds=())
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match=r"histogram 'a\.b\.c_ns' bucket edges must be strictly"):
             Histogram("a.b.c_ns", bounds=(1, 1, 2))
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match=r"histogram 'a\.b\.c_ns' bucket edges must be strictly"):
             Histogram("a.b.c_ns", bounds=(2, 1))
 
     def test_bucket_boundaries_are_inclusive_upper(self):

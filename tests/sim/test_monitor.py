@@ -1,9 +1,10 @@
 """Tests for the tracing facility."""
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import monitor
-from repro.sim.monitor import Trace
+from repro.sim.monitor import Trace, TraceRecord
 
 
 class TestTrace:
@@ -78,3 +79,75 @@ class TestNullTrace:
         silent.record(2, "u", "y")
         assert [r.time for r in seen] == [1]
         assert [r.topic for r in silent.records] == ["t"]
+
+
+class ListModel:
+    """What ``Trace`` promises, as the shortest code that keeps it: one
+    list, trimmed after every append."""
+
+    def __init__(self, topics, capacity, ring):
+        self.topics = None if topics is None else set(topics)
+        self.capacity, self.ring = capacity, ring
+        self.records, self.dropped, self.heard = [], 0, []
+        self.subscribers = []  # (topic, name), in subscription order
+
+    def subscribe(self, topic, name):
+        self.subscribers.append((topic, name))
+        if self.topics is not None:
+            self.topics.add(topic)
+
+    def record(self, time, topic, *payload):
+        if self.topics is not None and topic not in self.topics:
+            return
+        rec = TraceRecord(time, topic, payload)
+        self.records.append(rec)
+        if self.capacity is not None and len(self.records) > self.capacity:
+            self.dropped += 1
+            del self.records[0 if self.ring else -1]
+        self.heard += [(name, rec) for to, name in self.subscribers if to == topic]
+
+
+_TOPICS = st.sampled_from(["a", "b", "c"])
+_OPS = st.one_of(
+    st.tuples(st.just("record"), _TOPICS, st.lists(st.integers(0, 9), max_size=3)),
+    st.tuples(st.just("subscribe"), _TOPICS),
+    st.tuples(st.just("clear")),
+)
+
+
+class TestTraceAgainstModel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        topics=st.none() | st.sets(_TOPICS),
+        capacity=st.none() | st.integers(1, 4),
+        ring=st.booleans(),
+        ops=st.lists(_OPS, max_size=40),
+    )
+    def test_same_buffer_drops_and_callback_stream(self, topics, capacity, ring, ops):
+        if ring and capacity is None:
+            capacity = 2  # ring=True requires one
+        trace = Trace(topics=topics, capacity=capacity, ring=ring)
+        model = ListModel(topics, capacity, ring)
+        heard = []
+        for time, op in enumerate(ops):
+            if op[0] == "record":
+                trace.record(time, op[1], *op[2])
+                model.record(time, op[1], *op[2])
+            elif op[0] == "subscribe":
+                trace.subscribe(op[1], lambda rec, name=time: heard.append((name, rec)))
+                model.subscribe(op[1], time)
+            elif op[0] == "clear":
+                trace.clear()
+                model.records, model.dropped = [], 0
+            assert list(trace.records) == model.records
+            assert trace.dropped == model.dropped
+        # capacity bounds memory, not the callback stream
+        assert heard == model.heard
+        assert all(type(rec) is TraceRecord for rec in trace.records)
+        assert trace.snapshot() == {
+            "retained": len(model.records),
+            "dropped": model.dropped,
+            "capacity": capacity,
+            "policy": "ring-keep-newest" if ring else "keep-oldest",
+            "topics": None if model.topics is None else sorted(model.topics),
+        }
