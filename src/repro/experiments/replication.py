@@ -3,8 +3,9 @@
 A single seeded run is deterministic but still one sample of the
 workload process; claims like "Advanced is within 5% of Ideal" deserve
 error bars.  :func:`replicate` runs one configuration across seeds and
-:class:`Replication` reduces any scalar metric to mean / std / a normal
-95% confidence interval.
+:class:`Replication` reduces any scalar metric to mean / std / a
+Student-t 95% confidence interval (three to five seeds is the usual
+count, where the normal quantile is 1.4-2.2x too narrow).
 
 The runner is embarrassingly parallel across seeds, and ``replicate``
 exploits that directly: pass a :class:`repro.exec.executor.SweepExecutor`
@@ -28,8 +29,16 @@ if TYPE_CHECKING:  # runtime imports stay lazy: repro.exec imports this package
 
 __all__ = ["MetricSummary", "Replication", "check_seeds", "replicate"]
 
-#: two-sided 95% normal quantile
+#: two-sided 95% normal quantile: the t quantile's limit, used past the table
 _Z95 = 1.959963984540054
+
+#: two-sided 95% Student-t quantiles, ``_T95[df - 1]`` for df = 1..30
+#: (tests/experiments/test_replication_export.py checks them against scipy)
+_T95 = (
+    12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060, 2.2622, 2.2281,
+    2.2010, 2.1788, 2.1604, 2.1448, 2.1314, 2.1199, 2.1098, 2.1009, 2.0930, 2.0860,
+    2.0796, 2.0739, 2.0687, 2.0639, 2.0595, 2.0555, 2.0518, 2.0484, 2.0452, 2.0423,
+)
 
 
 @dataclass(frozen=True)
@@ -56,8 +65,12 @@ class MetricSummary:
 
     @property
     def ci95(self) -> Tuple[float, float]:
-        """Normal-approximation 95% confidence interval of the mean."""
-        half = _Z95 * self.std / math.sqrt(self.n) if self.n > 1 else 0.0
+        """Student-t 95% confidence interval of the mean (n - 1 degrees of freedom)."""
+        n = self.n
+        if n < 2:
+            return (self.mean, self.mean)
+        quantile = _T95[n - 2] if n - 1 <= len(_T95) else _Z95
+        half = quantile * self.std / math.sqrt(n)
         return (self.mean - half, self.mean + half)
 
     def overlaps(self, other: "MetricSummary") -> bool:

@@ -8,9 +8,9 @@ reproduced figure.
 
 Public surface:
 
-- :class:`~repro.sim.engine.Engine` -- the event loop (timing wheel plus
-  overflow heap); the only engine in ``src/``.  Its binary-heap test
-  oracle is ``tests/sim/heap_engine.py``.
+- :class:`~repro.sim.engine.Engine` -- the event loop (one list per
+  pending timestamp, a min-heap of the timestamps); the only engine in
+  ``src/``.  Its binary-heap test oracle is ``tests/sim/heap_engine.py``.
 - :class:`~repro.sim.engine.EventHandle` -- cancellable scheduled callback.
 - :class:`~repro.sim.process.Process` / :func:`~repro.sim.process.process`
   -- optional coroutine-style processes layered on top of the engine.

@@ -1,27 +1,21 @@
 """The discrete-event simulation kernel.
 
-A timing wheel with an overflow heap -- the two regimes the simulator's
-traffic actually uses (about 98 % / 2 % of schedules on the benchmark
-workloads; ARCHITECTURE.md section 10 has the measured table).  The
-seed's binary heap is the differential-testing oracle and lives with the
-tests (``tests/sim/heap_engine.py``).  Design notes, informed by
-profiling -- the dispatch loop and the two schedule methods are the
-hottest code in the whole library:
+A calendar in a dict: one list per pending timestamp, beside a min-heap
+of the distinct timestamps.  The seed's binary heap is the
+differential-testing oracle and lives with the tests
+(``tests/sim/heap_engine.py``).  Design notes, informed by profiling --
+the dispatch loop and the two schedule methods are the hottest code in
+the whole library:
 
-- **Timing wheel.**  Link/switch delays are small fixed integer-ns
-  constants, so almost every event lands within a bounded horizon of
-  ``now``.  The wheel is ``wheel_slots`` (a power of two) persistent
-  bucket lists indexed by ``time & mask``; a min-heap of *occupied
-  bucket times* (``_times``) replaces per-event heap churn with
-  per-timestamp heap churn.  The window invariant -- every wheeled time
-  lies in ``[now, now + horizon)`` -- makes slot<->time a bijection, so
-  a bucket never mixes timestamps and append order *is* schedule order.
-- **Overflow heap.**  Events beyond the horizon go to a conventional
-  ``(time, seq, entry)`` heap and are *drained* into the wheel at every
-  clock advancement, before any callback at the new time runs.  That
-  ordering discipline is what keeps runs byte-for-bit identical to the
-  reference heap engine (see ARCHITECTURE.md section 10 for the proof
-  sketch).
+- **One bucket per timestamp.**  ``_buckets[time]`` is the list of
+  entries scheduled for ``time``, in schedule order, and ``_times`` is a
+  min-heap holding each pending timestamp once, so the heap churns once
+  per distinct timestamp instead of once per event (1.4-2.1 events per
+  timestamp on the steady-state benchmark workloads; ARCHITECTURE.md
+  section 10 has the measured table).  A bucket holds one timestamp and
+  is only ever appended to, so append order *is* schedule order and
+  ``_times`` orders the buckets: the ``(time, insertion)`` total order
+  of the reference heap engine, with no sequence number stored anywhere.
 - **Tombstone cancellation.**  ``at``/``after`` return ``None`` (the
   handle allocation was the single largest schedule-path cost); the
   ``*_cancellable`` variants return a fresh :class:`EventHandle` whose
@@ -51,12 +45,6 @@ _heappop = heapq.heappop
 #: `is not None` twice per event (int/int compares stay in C).
 _NO_BOUND = sys.maxsize
 
-#: Default wheel size: 4096 slots = a 4.096 us horizon at 1 ns
-#: resolution, comfortably covering serialization (~250 ns/MTU at the
-#: paper's 8 Gb/s) and propagation (tens of ns) delays; heartbeats and
-#: traffic inter-arrivals take the overflow heap.
-_DEFAULT_WHEEL_SLOTS = 4096
-
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduling requests (e.g. scheduling in the past)."""
@@ -76,11 +64,10 @@ class EventHandle:
     caller cancels.
     """
 
-    __slots__ = ("time", "seq", "cancelled", "_entry")
+    __slots__ = ("time", "cancelled", "_entry")
 
-    def __init__(self, time: int, seq: int, entry: list):
+    def __init__(self, time: int, entry: list):
         self.time = time
-        self.seq = seq
         self.cancelled = False
         self._entry = entry
 
@@ -99,7 +86,7 @@ class EventHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time} seq={self.seq} {state}>"
+        return f"<EventHandle t={self.time} {state}>"
 
 
 #: Shared placeholder entry for cancelled handles (never dispatched).
@@ -122,12 +109,8 @@ class Engine:
 
     __slots__ = (
         "_now",
-        "_seq",
-        "_mask",
-        "_horizon",
-        "_wheel",
+        "_buckets",
         "_times",
-        "_overflow",
         "_running",
         "_stopped",
         "_events_executed",
@@ -135,27 +118,16 @@ class Engine:
         "_count_live",
     )
 
-    def __init__(self, start_time: int = 0, *, wheel_slots: int = _DEFAULT_WHEEL_SLOTS):
+    def __init__(self, start_time: int = 0):
         if start_time < 0:
             raise SimulationError(f"start time must be >= 0, got {start_time}")
-        if wheel_slots < 2 or wheel_slots & (wheel_slots - 1):
-            raise SimulationError(
-                f"wheel_slots must be a power of two >= 2, got {wheel_slots}"
-            )
         self._now: int = start_time
-        self._seq: int = 0
-        self._mask: int = wheel_slots - 1
-        self._horizon: int = wheel_slots
-        #: one persistent list per slot; index = time & mask.  The window
-        #: invariant (all wheeled times in [now, now+horizon)) keeps each
-        #: bucket single-timestamped, so append order == schedule order.
-        self._wheel: List[list] = [[] for _ in range(wheel_slots)]
-        #: min-heap of occupied bucket *times* (pushed on the empty ->
-        #: non-empty transition only, so entries are unique).
+        #: one list per pending timestamp, never empty; append order ==
+        #: schedule order.
+        self._buckets: Dict[int, list] = {}
+        #: min-heap of the keys of `_buckets` (pushed when a bucket is
+        #: created, so entries are unique).
         self._times: List[int] = []
-        #: beyond-horizon events: heap of (time, seq, entry); seq breaks
-        #: same-time ties in schedule order among overflow entries.
-        self._overflow: List[tuple] = []
         self._running = False
         self._stopped = False
         self._events_executed = 0
@@ -194,10 +166,7 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of scheduled entries, *including* cancelled tombstones."""
-        wheel = self._wheel
-        mask = self._mask
-        count = sum(len(wheel[t & mask]) for t in self._times)
-        return count + len(self._overflow)
+        return sum(map(len, self._buckets.values()))
 
     @property
     def tombstones_discarded(self) -> int:
@@ -214,38 +183,17 @@ class Engine:
         total = self._tombstones_discarded + self._events_executed
         return self._tombstones_discarded / total if total else 0.0
 
-    def wheel_stats(self) -> Dict[str, Any]:
-        """Occupancy counters for the wheel structure (telemetry/tests).
-
-        ``occupied_buckets`` is the size of the occupied-time heap (one
-        entry per distinct in-window timestamp), ``overflow_pending`` the
-        beyond-horizon backlog.
-        """
-        return {
-            "slots": self._horizon,
-            "horizon_ns": self._horizon,
-            "occupied_buckets": len(self._times),
-            "overflow_pending": len(self._overflow),
-            "pending": self.pending,
-            "events_executed": self._events_executed,
-            "tombstones_discarded": self._tombstones_discarded,
-        }
-
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next live event, or ``None`` if nothing is pending.
 
         Reclaims (and counts) exactly the tombstones the reference engine's
-        discard-on-peek does: those ahead of the first live event.  The
-        drain discipline keeps every overflow time beyond every wheeled
-        time, so the overflow heap is only looked at once the wheel holds
-        nothing live.
+        discard-on-peek does: those ahead of the first live event.
         """
         times = self._times
-        wheel = self._wheel
-        mask = self._mask
+        buckets = self._buckets
         while times:
             t = times[0]
-            bucket = wheel[t & mask]
+            bucket = buckets[t]
             k = 0
             for entry in bucket:
                 if entry[0] is not _noop:
@@ -255,13 +203,8 @@ class Engine:
             if k < len(bucket):
                 del bucket[:k]
                 return t
-            bucket.clear()
-            _heappop(times)
-        overflow = self._overflow
-        while overflow and overflow[0][2][0] is _noop:
-            _heappop(overflow)
-            self._tombstones_discarded += 1
-        return overflow[0][0] if overflow else None
+            del buckets[_heappop(times)]
+        return None
 
     # ------------------------------------------------------------------
     # scheduling
@@ -272,18 +215,20 @@ class Engine:
         Returns ``None``; use :meth:`at_cancellable` if the event may
         need to be revoked.
         """
+        # Integer nanoseconds, by identity: 100.0 hashes equal to 100 and
+        # would share its bucket, then leak a float into `now`.
+        if time.__class__ is not int:
+            raise SimulationError(f"time must be an int (nanoseconds), got {time!r}")
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self._now}"
             )
-        if time - self._now < self._horizon:
-            bucket = self._wheel[time & self._mask]
-            if not bucket:
-                _heappush(self._times, time)
-            bucket.append((fn, args))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [(fn, args)]
+            _heappush(self._times, time)
         else:
-            self._seq += 1
-            _heappush(self._overflow, (time, self._seq, (fn, args)))
+            bucket.append((fn, args))
 
     def after(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` after ``delay`` nanoseconds from now.
@@ -295,22 +240,24 @@ class Engine:
         method second only to the run loop itself).  Returns ``None``;
         use :meth:`after_cancellable` if the event may need revoking.
         """
+        if delay.__class__ is not int:
+            raise SimulationError(f"delay must be an int (nanoseconds), got {delay!r}")
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         time = self._now + delay
-        if delay < self._horizon:
-            bucket = self._wheel[time & self._mask]
-            if not bucket:
-                _heappush(self._times, time)
-            bucket.append((fn, args))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [(fn, args)]
+            _heappush(self._times, time)
         else:
-            self._seq += 1
-            _heappush(self._overflow, (time, self._seq, (fn, args)))
+            bucket.append((fn, args))
 
     def at_cancellable(
         self, time: int, fn: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Schedule ``fn(*args)`` at ``time``; returns a cancellable handle."""
+        if time.__class__ is not int:
+            raise SimulationError(f"time must be an int (nanoseconds), got {time!r}")
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self._now}"
@@ -321,6 +268,8 @@ class Engine:
         self, delay: int, fn: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` ns; returns a cancellable handle."""
+        if delay.__class__ is not int:
+            raise SimulationError(f"delay must be an int (nanoseconds), got {delay!r}")
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         return self._push_cancellable(self._now + delay, fn, args)
@@ -329,37 +278,13 @@ class Engine:
         self, time: int, fn: Callable[..., Any], args: tuple
     ) -> EventHandle:
         entry = [fn, args]
-        self._seq += 1
-        if time - self._now < self._horizon:
-            bucket = self._wheel[time & self._mask]
-            if not bucket:
-                _heappush(self._times, time)
-            bucket.append(entry)
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [entry]
+            _heappush(self._times, time)
         else:
-            _heappush(self._overflow, (time, self._seq, entry))
-        return EventHandle(time, self._seq, entry)
-
-    def _drain_overflow(self) -> None:
-        """Move every overflow entry now inside the horizon onto the wheel.
-
-        Must run at *every* clock advancement, before any callback at the
-        new time: that guarantees an overflow entry for time T always
-        reaches T's bucket before any direct in-window append for T can
-        happen (a direct append requires now > T - horizon, and the first
-        advancement past T - horizon performs the drain), preserving the
-        global (time, schedule-order) total order.
-        """
-        bound = self._now + self._horizon
-        overflow = self._overflow
-        wheel = self._wheel
-        mask = self._mask
-        times = self._times
-        while overflow and overflow[0][0] < bound:
-            time, _seq, entry = _heappop(overflow)
-            bucket = wheel[time & mask]
-            if not bucket:
-                _heappush(times, time)
             bucket.append(entry)
+        return EventHandle(time, entry)
 
     # ------------------------------------------------------------------
     # execution
@@ -385,14 +310,10 @@ class Engine:
         if until is not None and until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
 
-        wheel = self._wheel
-        mask = self._mask
+        buckets = self._buckets
         times = self._times
-        overflow = self._overflow
         pop = _heappop
-        push = _heappush
         length = len
-        drain = self._drain_overflow
         base = self._events_executed
         # Sentinel bounds: comparing against maxsize is always false for
         # real timestamps/counts, which removes two `is not None` tests
@@ -410,82 +331,61 @@ class Engine:
         self._running = True
         self._stopped = False
         try:
-            while True:
-                if times:
-                    t = times[0]
-                    bucket = wheel[t & mask]
-                    # Reclaim the head-of-queue tombstone prefix *before*
-                    # the until/limit checks and without advancing the
-                    # clock -- exact parity with the reference heap
-                    # engine, which discards cancelled head entries even
-                    # when the next live event lies beyond the window.
-                    k = 0
-                    for item in bucket:
-                        if item[0] is not _noop:
-                            break
-                        k += 1
-                    if k:
-                        tombstones += k
-                        if k == length(bucket):
-                            pop(times)
-                            bucket.clear()
-                            continue
-                        del bucket[:k]
-                    if t > until_bound:
+            while times:
+                t = times[0]
+                bucket = buckets[t]
+                # Reclaim the head-of-queue tombstone prefix *before* the
+                # until/limit checks and without advancing the clock --
+                # exact parity with the reference heap engine, which
+                # discards cancelled head entries even when the next live
+                # event lies beyond the window.
+                k = 0
+                for item in bucket:
+                    if item[0] is not _noop:
                         break
-                    if executed >= limit:
-                        break
-                    pop(times)
-                    self._now = t
-                    if overflow:
-                        drain()
-                    consumed = 0
-                    # CPython list iteration observes appends, so events
-                    # scheduled *at the current time* by callbacks in this
-                    # bucket are picked up in the same pass, in order.
-                    for item in bucket:
-                        f = item[0]
-                        if f is _noop:
-                            consumed += 1
-                            tombstones += 1
-                            continue
-                        if executed >= limit:
-                            break
+                    k += 1
+                if k:
+                    tombstones += k
+                    if k == length(bucket):
+                        del buckets[pop(times)]
+                        continue
+                    del bucket[:k]
+                if t > until_bound:
+                    break
+                if executed >= limit:
+                    break
+                pop(times)
+                self._now = t
+                consumed = 0
+                # The key stays in `buckets` during the pass and CPython
+                # list iteration observes appends, so events scheduled *at
+                # the current time* by callbacks in this bucket are picked
+                # up in the same pass, in order.
+                for item in bucket:
+                    f = item[0]
+                    if f is _noop:
                         consumed += 1
-                        f(*item[1])
-                        executed += 1
-                        if live:
-                            self._events_executed = base + executed
-                        if self._stopped:
-                            break
-                    if consumed != length(bucket):
-                        # limit/stop hit mid-bucket: keep the unconsumed
-                        # tail in place and re-register the timestamp so
-                        # the next run() resumes exactly here.
-                        del bucket[:consumed]
-                        push(times, t)
-                        break
-                    bucket.clear()
-                    if self._stopped:
-                        break
-                    continue
-                if overflow:
-                    head = overflow[0]
-                    if head[2][0] is _noop:
-                        pop(overflow)
                         tombstones += 1
                         continue
-                    t = head[0]
-                    if t > until_bound:
-                        break
                     if executed >= limit:
                         break
-                    # Jump the clock to the overflow head and drain: the
-                    # wheel is empty, so this is a plain clock advancement.
-                    self._now = t
-                    drain()
-                    continue
-                break
+                    consumed += 1
+                    f(*item[1])
+                    executed += 1
+                    if live:
+                        self._events_executed = base + executed
+                    if self._stopped:
+                        break
+                if consumed != length(bucket):
+                    # limit/stop hit mid-bucket: keep the unconsumed tail
+                    # in place and re-register the timestamp so the next
+                    # run() resumes exactly here.
+                    del bucket[:consumed]
+                    _heappush(times, t)
+                    break
+                del buckets[t]
+                if self._stopped:
+                    break
         finally:
             self._running = False
             self._events_executed = base + executed
@@ -493,10 +393,7 @@ class Engine:
         if until is not None and not self._stopped and (
             max_events is None or executed < max_events
         ):
-            if until > self._now:
-                self._now = until
-                if overflow:
-                    self._drain_overflow()
+            self._now = max(self._now, until)
         return executed
 
     def run_all(self, max_events: int = 50_000_000) -> int:

@@ -42,6 +42,25 @@ class TestMetricSummary:
         lo, hi = summary.ci95
         assert lo < summary.mean < hi
 
+    def test_ci_is_a_t_interval(self):
+        # n = 3: 2.0 +- 4.303 / sqrt(3); the z-interval said +- 1.132.
+        lo, hi = MetricSummary("x", (1.0, 2.0, 3.0)).ci95
+        assert (lo, hi) == pytest.approx((2.0 - 2.484, 2.0 + 2.484), abs=5e-4)
+        # Past the table the normal quantile takes over.
+        many = MetricSummary("x", tuple(float(i % 2) for i in range(40)))
+        lo, hi = many.ci95
+        assert hi - many.mean == pytest.approx(1.959964 * many.std / 40**0.5)
+
+    def test_t_table_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")  # a dev dependency
+
+        from repro.experiments.replication import _T95, _Z95
+
+        assert len(_T95) == 30
+        for df, quantile in enumerate(_T95, start=1):
+            assert quantile == pytest.approx(stats.t.ppf(0.975, df), abs=5e-5)
+        assert _Z95 < _T95[-1] < _T95[0]
+
     def test_single_sample_ci_degenerate(self):
         summary = MetricSummary("x", (5.0,))
         assert summary.ci95 == (5.0, 5.0)

@@ -2,7 +2,7 @@
 
 This is the engine the repo shipped with through PR 8, preserved
 byte-for-byte in behaviour so the differential harness
-(``tests/sim/test_engine_differential.py``) can prove the timing-wheel
+(``tests/sim/test_engine_differential.py``) can prove the dict-calendar
 :class:`repro.sim.engine.Engine` dispatches the exact same event order:
 same seed through both engines must yield byte-identical run summaries.
 It lives beside that harness, like ``tests/core/scanning_pickers.py``
@@ -190,7 +190,7 @@ class HeapEngine:
         return ev
 
     # ------------------------------------------------------------------
-    # API parity with the timing-wheel engine (components call these)
+    # API parity with repro.sim.engine.Engine (components call these)
     # ------------------------------------------------------------------
     def at_cancellable(self, time, fn, *args) -> HeapEventHandle:
         """Alias: every heap-engine event is cancellable."""

@@ -1,21 +1,24 @@
 """Unit tests for the event kernel.
 
-The timing-wheel engine has two internal regimes -- wheel buckets
-(within the horizon) and the overflow heap (beyond it) -- plus the
-transition between them at every clock advancement.  The classes below
-cover the public contract; the ``TestWheelRegimes`` class drives the
-regime boundary explicitly (its ``hot``-named tests date from a deleted
-single-event fast path and stay as ordering regressions).  Byte-for-bit
-equivalence with the reference heap engine (``tests/sim/heap_engine.py``)
-is proven separately in ``test_engine_differential.py``.
+The classes below cover the public contract.  ``TestWheelRegimes``
+dates from a timing-wheel kernel with a 4 096 ns horizon and an overflow
+heap beyond it (its ``hot``-named tests from a still older single-event
+fast path); the kernel is one list per pending timestamp now, and the
+class stays as ordering regressions across short and long jumps of the
+clock.  Byte-for-bit equivalence with the reference heap engine
+(``tests/sim/heap_engine.py``) is proven separately in
+``test_engine_differential.py``.
 """
+
+import re
 
 import pytest
 
-from repro.sim.engine import _DEFAULT_WHEEL_SLOTS, Engine, SimulationError
+from repro.sim.engine import Engine, SimulationError
 
-#: A delay guaranteed to land beyond the wheel horizon (overflow heap).
-FAR = _DEFAULT_WHEEL_SLOTS * 3 + 7
+#: A delay far beyond every link and switch delay (and beyond the 4 096 ns
+#: horizon of the timing wheel these tests were first written against).
+FAR = 4096 * 3 + 7
 
 
 class TestScheduling:
@@ -68,6 +71,25 @@ class TestScheduling:
         engine.after(10, lambda: None)
         with pytest.raises(SimulationError):
             engine.after(-1, lambda: None)
+
+    @pytest.mark.parametrize("value", [10.5, 100.0, FAR + 0.5, float(FAR), True])
+    @pytest.mark.parametrize(
+        "method", ["at", "after", "at_cancellable", "after_cancellable"]
+    )
+    def test_non_integer_time_is_refused_where_it_is_scheduled(
+        self, engine, method, value
+    ):
+        # Time is integer nanoseconds.  A float used to be refused only by
+        # accident, and a far one only inside run(), after `now` had
+        # already become it; 100.0 would share a bucket with 100.
+        engine.at(100, lambda: None)
+        engine.run(until=50)
+        with pytest.raises(SimulationError, match=re.escape(repr(value))):
+            getattr(engine, method)(value, lambda: None)
+        assert engine.now == 50 and engine.now.__class__ is int
+        assert engine.pending == 1
+        assert engine.run_all() == 1
+        assert engine.now == 100
 
     def test_zero_delay_fires_at_current_time(self, engine):
         seen = []
@@ -259,7 +281,7 @@ class TestCancellation:
 
 
 class TestWheelRegimes:
-    """Drive the wheel / overflow boundary explicitly."""
+    """Order and bookkeeping across near (ns) and far (``FAR``) delays."""
 
     def test_far_future_events_cross_the_horizon(self, engine):
         order = []
@@ -356,32 +378,33 @@ class TestWheelRegimes:
         assert engine.pending == 0
 
     def test_wheel_stats_shape(self, engine):
+        # The counters wheel_stats() used to bundle, read where they live.
+        handle = engine.after_cancellable(1, lambda: None)
         engine.after(1, lambda: None)
-        stats = engine.wheel_stats()
-        assert "hot_armed" not in stats
-        assert stats["occupied_buckets"] == 1
-        assert stats["overflow_pending"] == 0
         engine.after(FAR, lambda: None)
-        stats = engine.wheel_stats()
-        assert stats["occupied_buckets"] == 1
-        assert stats["overflow_pending"] == 1
-        assert stats["pending"] == 2
+        handle.cancel()
+        assert (engine.pending, engine.events_executed, engine.tombstones_discarded) == (3, 0, 0)
         engine.run_all()
-        assert engine.wheel_stats()["pending"] == 0
+        assert (engine.pending, engine.events_executed, engine.tombstones_discarded) == (0, 2, 1)
+        assert not hasattr(engine, "wheel_stats")
 
     def test_small_wheel_still_correct(self):
-        # A 4-slot wheel pushes nearly everything through the overflow
-        # machinery -- worst case for the drain logic.
-        engine = Engine(wheel_slots=4)
-        order = []
-        for t in (17, 3, 9, 3, 64, 2, 33):
-            engine.at(t, order.append, t)
-        engine.run_all()
-        assert order == [2, 3, 3, 9, 17, 33, 64]
+        # Delays straddling 4 096 ns from clocks on either side of a
+        # multiple of it: nothing depends on where `now` sits.
+        delays = (17, 3, 4096, 9, 3, 64, 2, 4097, 33, 4095, 3 * 4096)
+        for start_time in (0, 4095, 4096 * 5 + 1):
+            engine = Engine(start_time=start_time)
+            order = []
+            for delay in delays:
+                engine.after(delay, order.append, delay)
+            engine.run_all()
+            assert order == sorted(delays)
+            assert engine.now == start_time + 3 * 4096
 
     def test_wheel_slots_must_be_power_of_two(self):
-        with pytest.raises(SimulationError):
-            Engine(wheel_slots=1000)
+        # The option is gone, not ignored.
+        with pytest.raises(TypeError):
+            Engine(wheel_slots=4)
 
 
 class TestConstruction:

@@ -1,17 +1,16 @@
-"""Differential proof: timing-wheel engine == binary-heap reference.
+"""Differential proof: dict-calendar engine == binary-heap reference.
 
-The wheel engine's only license to exist is byte-for-bit equivalence
-with the reference heap engine (`tests.sim.heap_engine.HeapEngine`,
-the pre-overhaul kernel kept verbatim beside this file).  Two layers of
-evidence:
+The engine's only license to exist is byte-for-bit equivalence with the
+reference heap engine (`tests.sim.heap_engine.HeapEngine`, the seed's
+kernel kept verbatim beside this file).  Two layers of evidence:
 
 1. A Hypothesis property drives both engines through the *same* random
    interleaving of schedule / cancellable-schedule / cancel /
    ``run(until)`` / ``run(max_events)`` operations -- including
    callbacks that schedule more work or call ``stop()``, zero delays,
-   and delays far past the wheel horizon -- and requires identical
-   execution logs ``(time, tag)``, clocks, and counters at every
-   observation point.
+   and delays from 0 to 12 us -- and requires identical execution logs
+   ``(time, tag)``, clocks, and counters at every observation point,
+   and that the engine's two containers describe the same buckets.
 
 2. The three figure-style experiment configs (fig2 control / fig3
    video / fig4 best-effort shapes) run end-to-end under both engines
@@ -30,12 +29,13 @@ from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.runner import run_experiment
 from repro.obs.tracing import PacketTracer, write_spans_jsonl
 from repro.sim import units
-from repro.sim.engine import _DEFAULT_WHEEL_SLOTS, Engine
+from repro.sim.engine import Engine
 from tests.sim.heap_engine import HeapEngine
 
-# Delays deliberately straddle the wheel horizon so the overflow heap,
-# the drain-on-advance path, and the in-window fast path all see load.
-_MAX_DELAY = _DEFAULT_WHEEL_SLOTS * 3
+# Delays straddle 4 096 ns, the horizon of the timing wheel this harness
+# was written against: few enough distinct times that buckets fill,
+# enough that `_times` holds many at once.
+_MAX_DELAY = 4096 * 3
 
 
 class _Driver:
@@ -95,6 +95,13 @@ class _Driver:
         self.log.append(
             ("obs", engine.now, engine.peek_time(), engine.pending, engine.tombstones_discarded)
         )
+        if isinstance(engine, Engine):
+            # Fails if an edit leaks a bucket or a timestamp: the heap
+            # names exactly the dict's keys, and no bucket is empty.
+            buckets = engine._buckets
+            assert sorted(engine._times) == sorted(buckets)
+            assert all(buckets.values())
+            assert engine.pending == sum(map(len, buckets.values()))
 
     def finish(self):
         # A pending stop callback ends run_all() early: go on until drained.
@@ -104,6 +111,8 @@ class _Driver:
             if not self.engine.pending:
                 break
         assert self.engine.peek_time() is None
+        if isinstance(self.engine, Engine):
+            assert not self.engine._times and not self.engine._buckets
         return self.log
 
 
@@ -128,25 +137,25 @@ class TestEngineEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(ops=_OPS)
     def test_random_interleavings_execute_identically(self, ops):
-        wheel = _Driver(Engine())
+        calendar = _Driver(Engine())
         heap = _Driver(HeapEngine())
         for op in ops:
-            wheel.apply(op)
+            calendar.apply(op)
             heap.apply(op)
-        assert wheel.finish() == heap.finish()
-        assert wheel.engine.events_executed == heap.engine.events_executed
+        assert calendar.finish() == heap.finish()
+        assert calendar.engine.events_executed == heap.engine.events_executed
 
     @settings(max_examples=50, deadline=None)
-    @given(ops=_OPS, slots=st.sampled_from([4, 16, 256]))
-    def test_equivalence_holds_for_tiny_wheels(self, ops, slots):
-        # Small wheels force nearly all traffic through the overflow
-        # heap -- the drain logic's worst case.
-        wheel = _Driver(Engine(wheel_slots=slots))
-        heap = _Driver(HeapEngine())
+    @given(ops=_OPS, start_time=st.sampled_from([1, 4095, 4096, 10**9 + 7]))
+    def test_equivalence_holds_for_tiny_wheels(self, ops, start_time):
+        # No wheel any more: the same delays from clocks that do not
+        # start at zero, on either side of a multiple of 4 096.
+        calendar = _Driver(Engine(start_time=start_time))
+        heap = _Driver(HeapEngine(start_time=start_time))
         for op in ops:
-            wheel.apply(op)
+            calendar.apply(op)
             heap.apply(op)
-        assert wheel.finish() == heap.finish()
+        assert calendar.finish() == heap.finish()
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +199,8 @@ def _run_artifacts(config, engine_factory):
 class TestFigureConfigDigests:
     def test_figure_configs_byte_identical_across_engines(self):
         for name, config in _figure_configs().items():
-            wheel_summary, wheel_spans = _run_artifacts(config, None)
+            calendar_summary, calendar_spans = _run_artifacts(config, None)
             heap_summary, heap_spans = _run_artifacts(config, HeapEngine)
-            assert wheel_summary == heap_summary, f"{name}: RunSummary diverged"
-            assert wheel_spans == heap_spans, f"{name}: span traces diverged"
-            assert b'"events_executed"' in wheel_summary
+            assert calendar_summary == heap_summary, f"{name}: RunSummary diverged"
+            assert calendar_spans == heap_spans, f"{name}: span traces diverged"
+            assert b'"events_executed"' in calendar_summary
