@@ -27,13 +27,27 @@ The per-link ledgers are kept in **integer bytes/second**
 (:func:`repro.sim.units.bps`): requests arrive as float bytes/ns, are
 converted once at the ledger boundary, and the same converted integer is
 subtracted on release -- so a fully released link reads exactly zero,
-with no float drift and no epsilon guard.
+with no float drift and no epsilon guard.  Those integers are also what
+an open is decided on (:meth:`AdmissionController._least_loaded` says why
+no division is needed), read from one mutable cell per link that the
+controller finds once per pair of attach switches, not once per open.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Mapping,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from repro.sim.units import bps
 
@@ -47,8 +61,12 @@ class PathLike(Protocol):
 
 class CandidateSet(Protocol):
     """The usable paths between two hosts, unbuilt: ``path(k).links`` is
-    ``varying[k]`` plus links that every candidate traverses."""
+    ``varying[k]`` plus links that every candidate traverses.  Sets with
+    equal ``key`` have equal ``varying``, link for link (the routing layer
+    shares one between every host pair under the same two switches), so
+    the controller looks those links up in its ledger once per key."""
 
+    key: Hashable
     varying: Sequence[Sequence[Hashable]]
 
     def path(self, k: int) -> PathLike: ...
@@ -65,6 +83,35 @@ class Reservation:
     flow_id: int
     path: PathLike
     bw_bytes_per_ns: float
+
+
+class _LedgerColumn(Mapping):
+    """One column of the ledger's per-link cells, as the ``link ->
+    integer bytes/second`` mapping it is read (and, by tests, written) as.
+    Every link the controller has looked at is in it, at zero if nothing
+    holds bandwidth there."""
+
+    def __init__(self, cells: Dict[Hashable, List[int]], column: int):
+        self._cells = cells
+        self._column = column
+
+    def __getitem__(self, link: Hashable) -> int:
+        cell = self._cells.get(link)  # not [link]: reading makes no cell
+        if cell is None:
+            raise KeyError(link)
+        return cell[self._column]
+
+    def __setitem__(self, link: Hashable, value: int) -> None:
+        self._cells[link][self._column] = value
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+
+_RESERVED, _ASSIGNED = 0, 1
 
 
 class AdmissionController:
@@ -89,20 +136,23 @@ class AdmissionController:
         self._candidates = candidates
         self._capacity_bps = bps(link_capacity)
         self.max_utilization = max_utilization
-        #: reserved bandwidth per directed link id, integer bytes/second
-        self.reserved: Dict[Hashable, int] = {}
-        #: best-effort balancing weight (integer bytes/second of assigned
-        #: deadline-bw)
-        self.assigned_weight: Dict[Hashable, int] = {}
+        #: the ledger: per directed link id one mutable ``[reserved,
+        #: assigned]`` cell of integer bytes/second
+        self._cells: Dict[Hashable, List[int]] = defaultdict(lambda: [0, 0])
+        #: reserved bandwidth per directed link id
+        self.reserved = _LedgerColumn(self._cells, _RESERVED)
+        #: best-effort balancing weight (assigned deadline-bw) per link id
+        self.assigned_weight = _LedgerColumn(self._cells, _ASSIGNED)
+        #: per candidate-set key: the cells of each candidate's varying
+        #: links, so that scoring reads list slots, not link-keyed dicts
+        self._varying_cells: Dict[Hashable, Tuple[Tuple[List[int], ...], ...]] = {}
         self._reservations: Dict[int, Reservation] = {}
 
     # ------------------------------------------------------------------
     def utilization(self, link: Hashable) -> float:
         return self.reserved.get(link, 0) / self._capacity_bps
 
-    def _least_loaded(
-        self, src: int, dst: int, extra_bps: int, table: Dict[Hashable, int]
-    ) -> Tuple[PathLike, int]:
+    def _least_loaded(self, src: int, dst: int, column: int) -> Tuple[PathLike, int]:
         """The candidate with the smallest post-assignment utilization
         *profile* (its links' utilizations, sorted descending), and how
         many it was chosen from.  Among equal profiles the first in the
@@ -119,17 +169,37 @@ class AdmissionController:
         Which is also why only each candidate's ``varying`` links are
         sorted: merging the same shared values into every profile moves
         none of them past another, ties included.
+
+        And why the ledger's integers are compared as they stand.  A
+        link's utilization after the request is ``(load + extra) /
+        capacity`` with the same ``extra`` and the same positive
+        ``capacity`` on every link, and that map keeps order *and ties*
+        exactly as the loads have them so long as distinct numerators
+        divide to distinct floats -- which they do while ``load + extra <
+        2**52`` bytes/second (then ``1 / capacity`` exceeds the spacing of
+        the floats around the quotient; at 2**53 it no longer does), four
+        million of the paper's links.  So the request does not enter the
+        choice at all, only the ceiling test after it.
         """
         candidates = self._candidates(src, dst)
-        varying = candidates.varying
-        if not varying:
+        walks = self._varying_cells.get(candidates.key)
+        if walks is None:
+            ledger = self._cells
+            walks = self._varying_cells[candidates.key] = tuple(
+                [tuple([ledger[link] for link in links]) for links in candidates.varying]
+            )
+        if not walks:
             raise AdmissionError(f"no route from host {src} to host {dst}")
-        load, capacity = table.get, self._capacity_bps
-        profiles = [
-            sorted([(load(link, 0) + extra_bps) / capacity for link in links], reverse=True)
-            for links in varying
-        ]
-        return candidates.path(profiles.index(min(profiles))), len(varying)
+        best, winner = None, 0
+        for k, cells in enumerate(walks):
+            if len(cells) == 2:  # a leaf-spine-leaf walk: sorted by hand
+                a, b = cells[0][column], cells[1][column]
+                profile = (a, b) if a >= b else (b, a)
+            else:
+                profile = tuple(sorted([cell[column] for cell in cells], reverse=True))
+            if best is None or profile < best:
+                best, winner = profile, k
+        return candidates.path(winner), len(walks)
 
     # ------------------------------------------------------------------
     def reserve(self, flow_id: int, src: int, dst: int, bw_bytes_per_ns: float) -> Reservation:
@@ -139,19 +209,20 @@ class AdmissionController:
         if flow_id in self._reservations:
             raise AdmissionError(f"flow {flow_id} already holds a reservation")
         bw_bps = bps(bw_bytes_per_ns)
-        best_path, n_paths = self._least_loaded(src, dst, bw_bps, self.reserved)
-        # The head of the winner's whole profile, shared links included:
-        # the busiest link the flow would cross.
-        load, capacity = self.reserved.get, self._capacity_bps
-        peak = max([(load(link, 0) + bw_bps) / capacity for link in best_path.links], default=0.0)
-        if peak > self.max_utilization:
+        best_path, n_paths = self._least_loaded(src, dst, _RESERVED)
+        ledger = self._cells
+        cells = [ledger[link] for link in best_path.links]
+        # The busiest link the flow would cross, shared links included
+        # (division by one capacity is monotone, so it is the peak).
+        peak_bps = max([cell[_RESERVED] + bw_bps for cell in cells], default=0)
+        if peak_bps / self._capacity_bps > self.max_utilization:
             raise AdmissionError(
                 f"flow {flow_id} ({src}->{dst}, {bw_bytes_per_ns:.4f} B/ns) rejected: "
                 f"all {n_paths} candidate paths above "
                 f"{self.max_utilization:.0%} utilization"
             )
-        for link in best_path.links:
-            self.reserved[link] = self.reserved.get(link, 0) + bw_bps
+        for cell in cells:
+            cell[_RESERVED] += bw_bps
         reservation = Reservation(flow_id, best_path, bw_bytes_per_ns)
         self._reservations[flow_id] = reservation
         return reservation
@@ -164,15 +235,17 @@ class AdmissionController:
         # bps() is deterministic, so subtracting the same conversion that
         # was added on admit returns the ledger to exactly zero.
         bw_bps = bps(reservation.bw_bytes_per_ns)
+        ledger = self._cells
         for link in reservation.path.links:
-            self.reserved[link] = self.reserved.get(link, 0) - bw_bps
+            ledger[link][_RESERVED] -= bw_bps
 
     def assign_path(self, src: int, dst: int, weight: float = 1.0) -> PathLike:
         """Fixed-path assignment for unregulated traffic (no reservation)."""
         weight_bps = bps(weight)
-        best_path, _ = self._least_loaded(src, dst, weight_bps, self.assigned_weight)
+        best_path, _ = self._least_loaded(src, dst, _ASSIGNED)
+        ledger = self._cells
         for link in best_path.links:
-            self.assigned_weight[link] = self.assigned_weight.get(link, 0) + weight_bps
+            ledger[link][_ASSIGNED] += weight_bps
         return best_path
 
     # ------------------------------------------------------------------

@@ -5,8 +5,8 @@ route, and whatever is needed to compute deadlines.  All of this state
 lives in the **end hosts** -- switches keep no flow records, which is the
 paper's central implementability constraint.
 
-- :class:`FlowSpec` -- immutable description (who, where, which class,
-  how deadlines are computed).
+- :class:`FlowSpec` -- the description (who, where, which class, how
+  deadlines are computed), validated where it is built.
 - :class:`FlowState` -- the mutable sender-side record: deadline stamper
   (virtual clock), sequence counters, and the route assigned at admission.
 - :class:`FlowRegistry` -- id allocation and lookup for a simulation.
@@ -14,7 +14,6 @@ paper's central implementability constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.invariants import invariant
@@ -37,45 +36,72 @@ class FlowKind:
     CONTROL = "control"  # rate-based at full link bandwidth, no admission
 
 
-@dataclass(frozen=True)
+#: The kinds whose deadlines come from a bandwidth.
+_RATE_STAMPED = (FlowKind.RATE, FlowKind.CONTROL)
+
+
 class FlowSpec:
-    """Immutable flow description.
+    """A flow's description, checked once and not rewritten afterwards.
 
     ``bw_bytes_per_ns`` is the reserved average bandwidth for RATE flows
     and the *deadline-generation* bandwidth for best-effort aggregated
     flows (no reservation is made for those, but the weight still shapes
     their deadlines and hence their share under contention -- Figure 4).
-    ``target_latency_ns`` applies to FRAME flows.
+    ``target_latency_ns`` applies to FRAME flows.  ``smoothing`` says
+    whether eligible-time smoothing applies to this flow's packets.
+
+    A slotted class with a hand-written ``__init__``: a run at the
+    paper's size opens tens of thousands of these.
     """
 
-    flow_id: int
-    src: int
-    dst: int
-    tclass: str
-    kind: str = FlowKind.RATE
-    vc: int = VC_REGULATED
-    bw_bytes_per_ns: Optional[float] = None
-    target_latency_ns: Optional[int] = None
-    #: Whether eligible-time smoothing applies to this flow's packets.
-    smoothing: bool = False
+    __slots__ = (
+        "flow_id",
+        "src",
+        "dst",
+        "tclass",
+        "kind",
+        "vc",
+        "bw_bytes_per_ns",
+        "target_latency_ns",
+        "smoothing",
+    )
 
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError(f"flow {self.flow_id}: src == dst == {self.src}")
-        if self.kind not in (FlowKind.RATE, FlowKind.FRAME, FlowKind.CONTROL):
-            raise ValueError(f"unknown flow kind {self.kind!r}")
-        if self.kind in (FlowKind.RATE, FlowKind.CONTROL):
-            if not self.bw_bytes_per_ns or self.bw_bytes_per_ns <= 0:
-                raise ValueError(
-                    f"flow {self.flow_id}: {self.kind} flows need bw_bytes_per_ns > 0"
-                )
-        if self.kind == FlowKind.FRAME:
-            if not self.target_latency_ns or self.target_latency_ns <= 0:
-                raise ValueError(
-                    f"flow {self.flow_id}: frame flows need target_latency_ns > 0"
-                )
-        if self.vc < 0:
-            raise ValueError(f"flow {self.flow_id}: bad vc {self.vc}")
+    def __init__(
+        self,
+        flow_id: int,
+        src: int,
+        dst: int,
+        tclass: str,
+        kind: str = FlowKind.RATE,
+        vc: int = VC_REGULATED,
+        bw_bytes_per_ns: Optional[float] = None,
+        target_latency_ns: Optional[int] = None,
+        smoothing: bool = False,
+    ):
+        if src == dst:
+            raise ValueError(f"flow {flow_id}: src == dst == {src}")
+        if kind == FlowKind.FRAME:
+            if not target_latency_ns or target_latency_ns <= 0:
+                raise ValueError(f"flow {flow_id}: frame flows need target_latency_ns > 0")
+        elif kind not in _RATE_STAMPED:
+            raise ValueError(f"unknown flow kind {kind!r}")
+        elif not bw_bytes_per_ns or bw_bytes_per_ns <= 0:
+            raise ValueError(f"flow {flow_id}: {kind} flows need bw_bytes_per_ns > 0")
+        if vc < 0:
+            raise ValueError(f"flow {flow_id}: bad vc {vc}")
+        self.flow_id = flow_id
+        self.src = src
+        self.dst = dst
+        self.tclass = tclass
+        self.kind = kind
+        self.vc = vc
+        self.bw_bytes_per_ns = bw_bytes_per_ns
+        self.target_latency_ns = target_latency_ns
+        self.smoothing = smoothing
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"FlowSpec({fields})"
 
     def make_stamper(self) -> DeadlineStamper:
         if self.kind == FlowKind.FRAME:
@@ -94,19 +120,35 @@ class FlowSpec:
         return RateBasedStamper(self.bw_bytes_per_ns)
 
 
-@dataclass
 class FlowState:
     """Mutable sender-side record for one flow."""
 
-    spec: FlowSpec
-    stamper: DeadlineStamper
-    #: Source route: output port to take at each switch (set at admission).
-    path: Tuple[int, ...] = ()
-    next_seq: int = 0
-    next_msg: int = 0
-    #: Totals for statistics/validation.
-    packets_sent: int = 0
-    bytes_sent: int = 0
+    __slots__ = (
+        "spec",
+        "stamper",
+        "path",
+        "next_seq",
+        "next_msg",
+        "packets_sent",
+        "bytes_sent",
+    )
+
+    def __init__(self, spec: FlowSpec, stamper: DeadlineStamper):
+        self.spec = spec
+        self.stamper = stamper
+        #: Source route: output port to take at each switch (set at admission).
+        self.path: Tuple[int, ...] = ()
+        self.next_seq = 0
+        self.next_msg = 0
+        #: Totals for statistics/validation.
+        self.packets_sent = 0
+        self.bytes_sent = 0
+
+    def __repr__(self) -> str:
+        return (
+            f"FlowState({self.spec!r}, path={self.path}, next_seq={self.next_seq}, "
+            f"next_msg={self.next_msg})"
+        )
 
     def take_seq(self) -> int:
         seq = self.next_seq
@@ -126,17 +168,19 @@ class FlowRegistry:
         self._flows: Dict[int, FlowState] = {}
         self._next_id = 1
 
-    def create(self, *, stamper: Optional[DeadlineStamper] = None, **spec_kwargs) -> FlowState:
-        """Create a flow, auto-assigning ``flow_id``.  ``stamper`` is the
-        virtual clock to stamp with when several flows share one; by
+    def create(
+        self, *spec_args, stamper: Optional[DeadlineStamper] = None, **spec_kwargs
+    ) -> FlowState:
+        """Create a flow, auto-assigning ``flow_id``; the other arguments
+        are :class:`FlowSpec`'s, in its order or by name.  ``stamper`` is
+        the virtual clock to stamp with when several flows share one; by
         default the flow gets its own, as its spec describes."""
         flow_id = self._next_id
-        self._next_id += 1
-        spec = FlowSpec(flow_id=flow_id, **spec_kwargs)
+        self._next_id = flow_id + 1
+        spec = FlowSpec(flow_id, *spec_args, **spec_kwargs)
         if stamper is None:
             stamper = spec.make_stamper()
-        state = FlowState(spec=spec, stamper=stamper)
-        self._flows[flow_id] = state
+        state = self._flows[flow_id] = FlowState(spec, stamper)
         return state
 
     def get(self, flow_id: int) -> FlowState:

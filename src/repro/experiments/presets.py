@@ -28,9 +28,9 @@ TOPOLOGY_PRESETS: Dict[str, Tuple[int, int, int]] = {
     "medium": (8, 8, 8),
     # The paper's network: 128 endpoints, 16 leaves x 8 hosts, 8 spines.
     "paper": (16, 8, 8),
-    # 4x the paper: 512 endpoints, 32 leaves x 16 hosts, 16 spines.
-    # Exercises the fabric at the scale the SIM5xx lint pass and the
-    # scale benchmark guard (full bisection is preserved: 16 == 16).
+    # 4x the paper: 512 endpoints, 32 leaves x 16 hosts, 16 spines (full
+    # bisection is preserved: 16 == 16).  The scale the SIM5xx lint pass
+    # is about and the benchmark's ``scale512_cold`` workload runs.
     "scale512": (32, 16, 16),
 }
 

@@ -261,14 +261,7 @@ class Fabric:
         if kind == FlowKind.CONTROL and bw_bytes_per_ns is None:
             bw_bytes_per_ns = self.params.bytes_per_ns
         flow = self.flows.create(
-            src=src,
-            dst=dst,
-            tclass=tclass,
-            kind=kind,
-            vc=vc,
-            bw_bytes_per_ns=bw_bytes_per_ns,
-            target_latency_ns=target_latency_ns,
-            smoothing=smoothing,
+            src, dst, tclass, kind, vc, bw_bytes_per_ns, target_latency_ns, smoothing,
             stamper=stamper,
         )
         reserve = vc == VC_REGULATED and kind != FlowKind.CONTROL

@@ -95,11 +95,13 @@ class Candidates:
 
     Candidate ``k`` uses the ``shared`` links (injection and delivery,
     common to all) plus ``varying[k]`` (its switch-level walk); ``path(k)``
-    builds it.  Also a read-only sequence of those paths, built as they
-    are indexed.
+    builds it.  ``key`` names the two attach switches: every host pair
+    with that key has this same ``varying``, which lets admission find
+    those links in its ledger once.  Also a read-only sequence of those
+    paths, built as they are indexed.
     """
 
-    __slots__ = ("src", "dst", "shared", "varying", "_hosts", "_segments")
+    __slots__ = ("src", "dst", "shared", "key", "varying", "_hosts", "_segments")
 
     def __init__(
         self,
@@ -107,12 +109,14 @@ class Candidates:
         dst: int,
         shared: Tuple[LinkId, LinkId],
         hosts: Tuple[str, str],
+        key: Tuple[str, str],
         walks: Walks,
     ):
         self.src = src
         self.dst = dst
         self.shared = shared
         self._hosts = hosts
+        self.key = key
         self._segments, self.varying = walks
 
     def path(self, k: int) -> RoutePath:
@@ -132,13 +136,16 @@ class RoutingTable:
 
     Every host pair under the same two attach switches shares its
     switch-level walks, so those are enumerated once per switch pair
-    (:meth:`_enumerate`) and are all the table keeps; a host pair's
-    candidates are its two endpoint links around the cached segments.
+    (:meth:`_enumerate`, joining what each switch climbed once --
+    :meth:`_climb`) and are all the table keeps; a host pair's candidates
+    are its two endpoint links around the cached segments.
     """
 
     def __init__(self, topo: Topology):
         self.topo = topo
         self._segments: Dict[Tuple[str, str], Walks] = {}
+        #: per attach switch, per stage climbed: see :meth:`_climb`.
+        self._climbs: Dict[str, List[Tuple[List[Segment], Dict[str, Segment]]]] = {}
         #: per host index: its injection link and the link that delivers to
         #: it (whose sender is the host's attach switch).
         self._attach: List[Tuple[LinkId, LinkId]] = []
@@ -158,38 +165,63 @@ class RoutingTable:
             for sw in topo.switch_ids
         }
 
+    def _climb(self, sw: str, height: int) -> Tuple[List[Segment], Dict[str, Segment]]:
+        """The walks ``height`` stages up from ``sw``, in wiring order, and
+        for each switch they reach the way back down to ``sw`` (the first
+        such walk's, reversed, less the switch it starts from) -- each as
+        switches, out-ports and links, hop for hop.
+
+        Climbed once per attach switch and kept, with the ports and links
+        of every hop: meeting two switches is then tuple joins alone.
+        """
+        stages = self._climbs.get(sw)
+        if stages is None:
+            stages = self._climbs[sw] = [([((sw,), (), ())], {sw: ((), (), ())})]
+        port_to = self.topo.port_to
+        while len(stages) <= height:
+            ups: List[Segment] = []
+            downs: Dict[str, Segment] = {}
+            for nodes, ports, links in stages[-1][0]:
+                for peer in self._up[nodes[-1]]:
+                    port = port_to(nodes[-1], peer)
+                    ups.append((nodes + (peer,), ports + (port,), links + ((nodes[-1], port),)))
+                    if peer not in downs:
+                        back = (peer, *reversed(nodes))
+                        out = tuple(port_to(a, b) for a, b in zip(back, back[1:]))
+                        downs[peer] = (back[1:], out, tuple(zip(back, out)))
+            stages.append((ups, downs))
+        return stages[height]
+
     def _enumerate(self, src_sw: str, dst_sw: str) -> Walks:
         """All minimal up*/down* segments between two attach switches.
 
-        Walks up from both switches simultaneously; at the first stage
+        Walks up from both switches a stage at a time; at the first stage
         where the two ascents can meet in a common switch, each such
         switch yields one walk.  In a (folded) MIN the up-neighbour sets
         are deterministic, so this enumerates exactly the minimal paths
         without a graph search.
         """
-        up = self._up
-        up_from_src: List[Tuple[str, ...]] = [(src_sw,)]
-        up_from_dst: List[Tuple[str, ...]] = [(dst_sw,)]
-        while up_from_src and up_from_dst:
-            # Keep the first (deterministic) descent per meeting switch.
-            down: Dict[str, Tuple[str, ...]] = {}
-            for path in up_from_dst:
-                down.setdefault(path[-1], path)
-            # Stable order: admission tie-breaks then pick the same path every run.
-            found = sorted(
-                path + tuple(reversed(down[path[-1]][:-1]))
-                for path in up_from_src
-                if path[-1] in down
-            )
+        height = 0
+        while True:
+            ups, _ = self._climb(src_sw, height)
+            _, downs = self._climb(dst_sw, height)
+            if not ups or not downs:
+                raise TopologyError(f"no up*/down* path between {src_sw} and {dst_sw}")
+            found: List[Segment] = []
+            for nodes, ports, links in ups:
+                down = downs.get(nodes[-1])
+                if down is not None:
+                    found.append((nodes + down[0], ports + down[1], links + down[2]))
             if found:
-                port_to = self.topo.port_to
-                ports = [tuple(port_to(a, b) for a, b in zip(nodes, nodes[1:])) for nodes in found]
-                links = tuple(tuple(zip(nodes, out)) for nodes, out in zip(found, ports))
-                walks = self._segments[(src_sw, dst_sw)] = (tuple(zip(found, ports, links)), links)
+                # Stable order (by the switches visited, which no two walks
+                # share): admission tie-breaks then pick the same path every run.
+                found.sort()
+                walks = self._segments[(src_sw, dst_sw)] = (
+                    tuple(found),
+                    tuple([links for _, _, links in found]),
+                )
                 return walks
-            up_from_src = [path + (peer,) for path in up_from_src for peer in up[path[-1]]]
-            up_from_dst = [path + (peer,) for path in up_from_dst for peer in up[path[-1]]]
-        raise TopologyError(f"no up*/down* path between {src_sw} and {dst_sw}")
+            height += 1
 
     def candidates(self, src: int, dst: int) -> Candidates:
         if src == dst:
@@ -197,8 +229,9 @@ class RoutingTable:
         inject, (src_sw, _) = self._attach[src]
         (dst_host, _), deliver = self._attach[dst]
         dst_sw = deliver[0]
-        walks = self._segments.get((src_sw, dst_sw)) or self._enumerate(src_sw, dst_sw)
-        return Candidates(src, dst, (inject, deliver), (inject[0], dst_host), walks)
+        key = (src_sw, dst_sw)
+        walks = self._segments.get(key) or self._enumerate(src_sw, dst_sw)
+        return Candidates(src, dst, (inject, deliver), (inject[0], dst_host), key, walks)
 
     #: Alias so the table itself is a valid admission ``candidates``.
     __call__ = candidates

@@ -8,14 +8,25 @@ the source sleeps, then submits.
 
 Example -- an all-to-one barrier followed by a staggered broadcast::
 
+    # Ride the best-effort VC: nothing is reserved, so no open is refused.
+    unreserved = {"vc": 1, "bw_bytes_per_ns": 0.1}
+
     def barrier_then_fanout(src):
         yield 1_000 * src, 0, 64          # skewed arrival at the root
         yield 50_000, 0, 2048             # barrier payload
         for dst in range(1, 16):
-            yield 500, dst, 1024          # fan-out, 500 ns apart
+            if dst != src:
+                yield 500, dst, 1024      # fan-out, 500 ns apart
 
     for src in range(1, 16):
-        ScriptedSource(fabric, src, barrier_then_fanout(src)).start()
+        script = barrier_then_fanout(src)
+        ScriptedSource(fabric, src, script, flow_kwargs=unreserved).start()
+
+Without ``flow_kwargs`` every destination's flow *reserves* a tenth of
+each link it crosses, the source's injection link included: the eleventh
+destination from one host (and the eleventh source to one destination)
+is refused, and the :class:`~repro.core.admission.AdmissionError` comes
+out of ``fabric.run``.
 """
 
 from __future__ import annotations
@@ -37,8 +48,10 @@ class ScriptedSource(TrafficSource):
     """Replays a user generator of ``(delay_ns, dst, nbytes)`` steps.
 
     Flows are opened lazily per destination with ``flow_kwargs``
-    (default: an unreserved rate flow on the regulated VC at 10% link
-    rate -- override for control/frame/best-effort semantics).
+    (default: a rate flow on the regulated VC that *reserves* 10% of the
+    link rate, so one host reaches ten destinations and the eleventh open
+    raises :class:`~repro.core.admission.AdmissionError` -- override for
+    control/frame/best-effort semantics, or a smaller reservation).
     """
 
     def __init__(

@@ -189,6 +189,55 @@ class TestSharedLinksDoNotDecide:
         assert winner(with_common) == winner(without)
 
 
+@st.composite
+def _loaded_candidates(draw):
+    """Candidates as lists of integer link loads below 2**50 -- of one
+    length or of several, a few values recurring so that whole profiles
+    tie -- with a request and a capacity to turn them into utilizations."""
+    pool = draw(st.lists(st.integers(0, 2**50 - 1), min_size=1, max_size=4))
+    loads = st.one_of(st.sampled_from(pool), st.integers(0, 2**50 - 1), st.integers(0, 6))
+    if draw(st.booleans()):
+        length = draw(st.integers(0, 5))
+        one = st.lists(loads, min_size=length, max_size=length)
+    else:
+        one = st.lists(loads, max_size=5)
+    candidates = draw(st.lists(one, min_size=1, max_size=8))
+    return candidates, draw(st.integers(0, 2**50)), draw(st.integers(1, 2**60))
+
+
+class TestIntegersDecide:
+    """Why admission may compare the ledger's integers as they stand:
+    below 2**52 the utilizations ``(load + extra) / capacity`` order, and
+    tie, exactly as the loads do."""
+
+    @given(_loaded_candidates())
+    def test_integer_winner_is_the_float_profiles_winner(self, drawn):
+        candidates, extra_bps, capacity_bps = drawn
+        paths = tuple(
+            FakePath(ports=(k,), links=tuple((k, i) for i in range(len(loads))))
+            for k, loads in enumerate(candidates)
+        )
+        ctl = AdmissionController(whole_paths(lambda s, d: paths), link_capacity=1.0)
+        for path, loads in zip(paths, candidates):
+            for link, load in zip(path.links, loads):
+                ctl.assigned_weight[link] = load
+        profiles = [
+            sorted([(load + extra_bps) / capacity_bps for load in loads], reverse=True)
+            for loads in candidates
+        ]
+        (winner,) = ctl.assign_path(0, 1).ports
+        assert winner == profiles.index(min(profiles))  # first index on ties
+
+    def test_the_bound_is_not_2_to_the_53(self):
+        """Past 2**52 two loads one byte/second apart can divide to the
+        same float, and the float rule then sees a tie the ledger does not
+        have: the bound ``_least_loaded`` states is the one that holds."""
+        load, capacity_bps = 5 * 2**50 + 2, 5
+        assert load + 1 < 2**53 and load / capacity_bps == (load + 1) / capacity_bps
+        below = 2**52 - 2
+        assert below / capacity_bps < (below + 1) / capacity_bps
+
+
 class ReferenceController(AdmissionController):
     """The selection rule as it was before profiles were built in one
     pass: ``_path_profile`` verbatim (per-link capacity lookup, ``bps``
@@ -262,7 +311,28 @@ def _route(path):
     return (path.src, path.dst, path.ports, path.links)
 
 
-def _replay_both(new, ref, n_hosts, steps):
+def _assert_same_ledger(new, ref):
+    """``reserved`` and ``assigned_weight`` are views of the controller's
+    per-link cells, and production makes a cell (reading zero) for every
+    varying link of a candidate set the first time it scores it, where the
+    reference makes one only for a link it writes.  So the two are
+    compared per link over the union of the links either side has touched,
+    a link one side never saw reading zero -- nothing is filtered out."""
+    for ours, theirs in ((new.reserved, ref.reserved), (new.assigned_weight, ref.assigned_weight)):
+        for link in ours.keys() | theirs.keys():
+            assert ours.get(link, 0) == theirs.get(link, 0), link
+
+
+def _hot_spot_pair(rng, n_hosts):
+    """Hot spots: a few hosts source most of the traffic; half the
+    destinations are the next host, so often under the same leaf."""
+    n_hot = min(n_hosts // 4, 32)
+    src = rng.randrange(n_hot) if rng.random() < 0.7 else rng.randrange(n_hosts)
+    dst = rng.choice([h for h in (rng.randrange(n_hosts), (src + 1) % n_hosts) if h != src])
+    return src, dst
+
+
+def _replay_both(new, ref, n_hosts, steps, pick_pair=_hot_spot_pair):
     """Drive ``new`` and ``ref`` through one seeded reserve / assign /
     release sequence, requiring equal routes, error strings and ledgers
     at every step and exactly-zero ledgers once every flow is released."""
@@ -270,12 +340,9 @@ def _replay_both(new, ref, n_hosts, steps):
     # Awkward rates (no finite binary representation) next to round ones;
     # large enough that a few dozen per host reach the ceiling.
     rates = [1.0 / 3.0, 0.1, 1.0 / 7.0, 0.25, 0.05, 2.0 / 9.0]
-    n_hot = min(n_hosts // 4, 32)
     live, rejected, next_id = [], 0, 0
     for _step in range(steps):
-        # Hot spots: a few hosts source most of the traffic.
-        src = rng.randrange(n_hot) if rng.random() < 0.7 else rng.randrange(n_hosts)
-        dst = rng.choice([h for h in (rng.randrange(n_hosts), (src + 1) % n_hosts) if h != src])
+        src, dst = pick_pair(rng, n_hosts)
         roll = rng.random()
         if roll < 0.5:
             rate = rng.choice(rates)
@@ -300,14 +367,13 @@ def _replay_both(new, ref, n_hosts, steps):
             flow_id = live.pop(rng.randrange(len(live)))
             new.release(flow_id)
             ref.release(flow_id)
-        assert new.reserved == ref.reserved
-        assert new.assigned_weight == ref.assigned_weight
+        _assert_same_ledger(new, ref)
     assert rejected > 50 and len(live) > 100, "the sequence must reach the ceiling"
     for flow_id in live:
         new.release(flow_id)
         ref.release(flow_id)
-    assert new.reserved == ref.reserved
-    assert set(new.reserved.values()) == {0}
+    _assert_same_ledger(new, ref)
+    assert set(new.reserved.values()) == {0} == set(ref.reserved.values())
     assert new.reservation_count == ref.reservation_count == 0
 
 
@@ -338,3 +404,63 @@ class TestEquivalenceWithReferenceRule:
         new = AdmissionController(RoutingTable(topo), units.gbps(8.0))
         ref = ReferenceController(OracleRoutingTable(topo), units.gbps(8.0))
         _replay_both(new, ref, topo.n_hosts, 2_000)
+
+
+    def test_same_leaf_pairs_have_nothing_to_score(self):
+        """Two hosts under one switch: one candidate, no varying link
+        (``varying == ((),)``) -- the ledger is written on the injection
+        and delivery links alone, and the ceiling is met there."""
+        topo = paper_topology()
+        routing = RoutingTable(topo)
+        per_leaf = 8
+        assert routing.candidates(0, per_leaf - 1).varying == ((),)
+        assert len(routing.candidates(0, per_leaf).varying) > 1
+
+        def same_leaf_pair(rng, n_hosts):
+            src = rng.randrange(n_hosts)
+            dst = src - src % per_leaf + rng.randrange(per_leaf - 1)
+            return src, dst + (dst >= src)
+
+        new = AdmissionController(routing, units.gbps(8.0))
+        ref = ReferenceController(OracleRoutingTable(topo), units.gbps(8.0))
+        _replay_both(new, ref, topo.n_hosts, 3_000, same_leaf_pair)
+
+    def test_walks_of_two_and_four_links_in_one_candidate_set(self):
+        """A candidate set whose walks differ in length (a short cut over
+        a spine beside detours over a core stage) sorts some profiles by
+        hand and some with ``sorted``, and compares a pair with a
+        quadruple: same winners as the float rule over the same fakes."""
+        n_hosts, per_leaf, n_spines, n_cores = 48, 4, 3, 2
+
+        @dataclass(frozen=True)
+        class Walk:
+            src: int
+            dst: int
+            ports: Tuple[int, ...]
+            links: Tuple[Tuple[str, int, int], ...]
+
+        def candidates(src, dst):
+            a, b = src // per_leaf, dst // per_leaf
+            if a == b:
+                return (Walk(src, dst, (0,), ()),)
+            short = [
+                Walk(src, dst, (j,), (("up", a, j), ("down", j, b))) for j in range(n_spines)
+            ]
+            long = [
+                Walk(
+                    src,
+                    dst,
+                    (j, c),
+                    (("up", a, j), ("core-up", j, c), ("core-down", c, j), ("down", j, b)),
+                )
+                for j in range(n_spines)
+                for c in range(n_cores)
+            ]
+            # interleaved, so the first-index tie-break crosses lengths
+            return tuple(short[:1] + long[:2] + short[1:] + long[2:])
+
+        lengths = {len(walk.links) for walk in candidates(0, n_hosts - 1)}
+        assert lengths == {2, 4}
+        new = AdmissionController(whole_paths(candidates), units.gbps(8.0))
+        ref = ReferenceController(candidates, units.gbps(8.0))
+        _replay_both(new, ref, n_hosts, 4_000)

@@ -16,7 +16,7 @@ class WholePaths:
 
     def __init__(self, paths):
         self.paths = paths
-        self.varying = [path.links for path in paths]
+        self.key = self.varying = tuple(path.links for path in paths)
 
     def path(self, k):
         return self.paths[k]

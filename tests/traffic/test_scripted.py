@@ -1,8 +1,12 @@
 """Tests for the generator-scripted traffic source."""
 
+import textwrap
+
 import pytest
 
+from repro.core.admission import AdmissionError
 from repro.core.flow import FlowKind
+from repro.traffic import scripted
 from repro.traffic.scripted import ScriptedSource
 
 
@@ -116,3 +120,38 @@ class TestScriptedSource:
         source.start()
         with pytest.raises(RuntimeError):
             source.start()
+
+
+class TestDocumentedDefaults:
+    def test_the_module_docstring_example_runs(self, make_fabric):
+        """The example is executed as written (the indented block after
+        ``::``), on the 16-host fabric its host numbers assume."""
+        _, _, rest = scripted.__doc__.partition("::\n")
+        lines = rest.splitlines()
+        end = next(i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("    "))
+        example = textwrap.dedent("\n".join(lines[:end]))
+        assert "ScriptedSource(" in example and "flow_kwargs" in example
+
+        fabric = make_fabric()
+        delivered = []
+        fabric.subscribe_delivery(lambda p, t: delivered.append((p.src, p.dst, p.vc)))
+        exec(example, {"fabric": fabric, "ScriptedSource": ScriptedSource})
+        fabric.run(until=500_000)
+        # per source: two messages to the root and one to each of 14 others
+        assert len(delivered) == 15 * 16
+        assert {vc for _, _, vc in delivered} == {1}
+        assert sum(dst == 0 for _, dst, _ in delivered) == 30
+        assert fabric.admission.reservation_count == 0
+
+    def test_default_flows_reserve_and_the_eleventh_destination_is_refused(self, make_fabric):
+        fabric = make_fabric()
+
+        def fan_out():
+            for dst in range(1, 13):
+                yield 100, dst, 64
+
+        ScriptedSource(fabric, 0, fan_out()).start()
+        with pytest.raises(AdmissionError, match=r"flow 11 \(0->11, 0\.1000 B/ns\) rejected"):
+            fabric.run(until=100_000)
+        assert fabric.admission.reservation_count == 10
+        assert len(fabric.flows) == 10
