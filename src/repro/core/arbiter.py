@@ -77,16 +77,23 @@ class EDFPicker(Picker):
         backlogged: Sequence[int],
         sendable: Optional[SendablePredicate] = None,
     ) -> Optional[int]:
+        # The order of ``(deadline, uid)`` tuples, compared field by field
+        # as integers: this loop runs once per contender per decision.
         best_index: Optional[int] = None
-        best_key: Optional[tuple[int, int]] = None
+        best_deadline = best_uid = 0
         for index in backlogged:
             head = queues[index].head()
             if sendable is not None and not sendable(head):
                 continue
-            key = (head.deadline, head.uid)
-            if best_key is None or key < best_key:
-                best_key = key
+            deadline = head.deadline
+            if (
+                best_index is None
+                or deadline < best_deadline
+                or (deadline == best_deadline and head.uid < best_uid)
+            ):
                 best_index = index
+                best_deadline = deadline
+                best_uid = head.uid
         return best_index
 
 

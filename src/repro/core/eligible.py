@@ -44,7 +44,10 @@ class EligiblePolicy:
         return self.offset_ns is not None
 
     def eligible_time(self, *, deadline: int, now: int) -> int:
-        """Earliest injection time for a packet stamped with ``deadline``."""
+        """Earliest injection time for a packet stamped with ``deadline``.
+
+        ``Host.submit_message`` applies this rule inline, reading
+        ``offset_ns`` once per message."""
         if self.offset_ns is None:
             return now
         eligible = deadline - self.offset_ns

@@ -73,6 +73,9 @@ class PacketQueue:
         raise NotImplementedError
 
     # -- shared helpers ------------------------------------------------------
+    # The FIFO, heap and take-over queues add and subtract ``used_bytes``
+    # inline (they are on every packet hop) and call ``_charge`` only when
+    # bounded; a queue with no such reason uses both helpers.
     def __bool__(self) -> bool:
         return len(self) > 0
 

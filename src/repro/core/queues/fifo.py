@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, Optional
 
+from repro.core.invariants import InvariantViolation
 from repro.core.queues.base import DeadlineTagged, PacketQueue
 
 __all__ = ["FifoQueue"]
@@ -28,12 +29,17 @@ class FifoQueue(PacketQueue):
         self._items: deque[DeadlineTagged] = deque()
 
     def push(self, pkt: DeadlineTagged) -> None:
-        self._charge(pkt)
+        if self.capacity_bytes is None:
+            self.used_bytes += pkt.size
+        else:
+            self._charge(pkt)
         self._items.append(pkt)
 
     def pop(self) -> DeadlineTagged:
         pkt = self._items.popleft()
-        self._discharge(pkt)
+        self.used_bytes -= pkt.size
+        if self.used_bytes < 0:
+            raise InvariantViolation("queue byte accounting went negative")
         return pkt
 
     def head(self) -> Optional[DeadlineTagged]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, Optional
 
+from repro.core.invariants import InvariantViolation
 from repro.core.queues.base import DeadlineTagged, PacketQueue
 
 __all__ = ["EDFHeapQueue"]
@@ -28,12 +29,17 @@ class EDFHeapQueue(PacketQueue):
         self._heap: list[tuple[int, int, DeadlineTagged]] = []
 
     def push(self, pkt: DeadlineTagged) -> None:
-        self._charge(pkt)
+        if self.capacity_bytes is None:
+            self.used_bytes += pkt.size
+        else:
+            self._charge(pkt)
         heapq.heappush(self._heap, (pkt.deadline, pkt.uid, pkt))
 
     def pop(self) -> DeadlineTagged:
         _, _, pkt = heapq.heappop(self._heap)
-        self._discharge(pkt)
+        self.used_bytes -= pkt.size
+        if self.used_bytes < 0:
+            raise InvariantViolation("queue byte accounting went negative")
         return pkt
 
     def head(self) -> Optional[DeadlineTagged]:

@@ -29,7 +29,7 @@ from collections import deque
 from itertools import chain
 from typing import Iterator, Optional
 
-from repro.core.invariants import invariant
+from repro.core.invariants import InvariantViolation
 from repro.core.queues.base import DeadlineTagged, PacketQueue
 
 __all__ = ["TakeOverQueue"]
@@ -55,7 +55,10 @@ class TakeOverQueue(PacketQueue):
 
     # -- enqueuing (appendix Definition 1) ---------------------------------
     def push(self, pkt: DeadlineTagged) -> None:
-        self._charge(pkt)
+        if self.capacity_bytes is None:
+            self.used_bytes += pkt.size
+        else:
+            self._charge(pkt)
         lower = self._lower
         if not lower and not self._upper:
             lower.append(pkt)
@@ -64,33 +67,44 @@ class TakeOverQueue(PacketQueue):
         else:
             # Lemma 1 guarantees L is never empty while U holds packets, so
             # reaching here with an empty L would mean the invariant broke.
-            invariant(lower, "take-over queue occupied while ordered queue empty")
+            if not lower:
+                raise InvariantViolation("take-over queue occupied while ordered queue empty")
             self._upper.append(pkt)
             self.takeover_hits += 1
 
     # -- dequeuing (appendix Definition 2) ----------------------------------
     def head(self) -> Optional[DeadlineTagged]:
-        lower, upper = self._lower, self._upper
+        lower = self._lower
         if not lower:
-            invariant(not upper, "Lemma 1 violated: packets only in take-over queue")
+            if self._upper:
+                raise InvariantViolation("Lemma 1 violated: packets only in take-over queue")
             return None
+        upper = self._upper
         if not upper:
             return lower[0]
-        l_head, u_head = lower[0], upper[0]
-        # Tie-break on uid (arrival order) so equal deadlines stay FIFO.
-        if (u_head.deadline, u_head.uid) < (l_head.deadline, l_head.uid):
+        l_head = lower[0]
+        u_head = upper[0]
+        # (deadline, uid) order, field by field: the uid tie-break (arrival
+        # order) keeps equal deadlines FIFO.
+        u_deadline = u_head.deadline
+        l_deadline = l_head.deadline
+        if u_deadline < l_deadline or (u_deadline == l_deadline and u_head.uid < l_head.uid):
             return u_head
         return l_head
 
     def pop(self) -> DeadlineTagged:
+        # Through head(), never around it: a subclass's head() decides.
         pkt = self.head()
         if pkt is None:
             raise IndexError("pop from empty TakeOverQueue")
-        if self._upper and pkt is self._upper[0]:
-            self._upper.popleft()
+        upper = self._upper
+        if upper and pkt is upper[0]:
+            upper.popleft()
         else:
             self._lower.popleft()
-        self._discharge(pkt)
+        self.used_bytes -= pkt.size
+        if self.used_bytes < 0:
+            raise InvariantViolation("queue byte accounting went negative")
         return pkt
 
     # -- introspection -------------------------------------------------------

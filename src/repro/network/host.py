@@ -169,23 +169,36 @@ class Host:
             deadlines = [flow.stamper.stamp(now, size) for size in sizes]
 
         msg_id = flow.take_msg()
-        smoothing = spec.smoothing and self.architecture.host_edf
+        # EligiblePolicy.eligible_time with its offset read once per
+        # message: None = no smoothing, eligible at once.
+        offset = (
+            self.eligible_policy.offset_ns
+            if spec.smoothing and self.architecture.host_edf
+            else None
+        )
+        vc = spec.vc
+        regulated = vc == VC_REGULATED  # only regulated packets wait to be eligible
+        ready = self._ready[vc]
+        pending = self._pending
+        mint = self._packets.mint
+        obs = self.obs
         packets: List[Packet] = []
         for part, (size, deadline) in enumerate(zip(sizes, deadlines)):
-            eligible = (
-                self.eligible_policy.eligible_time(deadline=deadline, now=now)
-                if smoothing
-                else now
-            )
+            if offset is None:
+                eligible = now
+            else:
+                eligible = deadline - offset
+                if not eligible > now:
+                    eligible = now
             # The allocation IS the workload here: submit_message exists to
             # mint the packets being injected, one per message part.
-            pkt = self._packets.mint(  # simlint: allow-hot-loop-allocation
+            pkt = mint(  # simlint: allow-hot-loop-allocation
                 flow_id=spec.flow_id,
                 seq=flow.take_seq(),
                 src=spec.src,
                 dst=spec.dst,
                 size=size,
-                vc=spec.vc,
+                vc=vc,
                 tclass=spec.tclass,
                 deadline=deadline,
                 eligible=eligible,
@@ -196,18 +209,20 @@ class Host:
                 birth=true_now,  # statistics are always in simulation time
             )
             packets.append(pkt)
-            self.packets_submitted += 1
-            self.bytes_submitted += size
-            flow.packets_sent += 1
-            flow.bytes_sent += size
-            stalled = pkt.vc == VC_REGULATED and eligible > now
-            if self.obs is not None:
-                self.obs.submit(pkt, true_now, self.node_id, stalled)
+            stalled = regulated and eligible > now
+            if obs is not None:
+                obs.submit(pkt, true_now, self.node_id, stalled)
             if stalled:
-                heapq.heappush(self._pending, (eligible, pkt.uid, pkt))
+                heapq.heappush(pending, (eligible, pkt.uid, pkt))
             else:
-                self._ready[pkt.vc].push(pkt)
-        self._arm_wake()
+                ready.push(pkt)
+        # Counted per message: the parts add up to ``message_bytes``.
+        self.packets_submitted += parts
+        self.bytes_submitted += message_bytes
+        flow.packets_sent += parts
+        flow.bytes_sent += message_bytes
+        if pending:
+            self._arm_wake()
         self._try_inject()
         return packets
 
@@ -256,9 +271,10 @@ class Host:
         # wire meanwhile (work conservation); within a VC the blocked
         # minimum-deadline head still bars every other packet, which is
         # the credit rule the appendix's proof requires.
+        credits = link.channel.credits
         for ready in self._ready:
             head = ready.head()
-            if head is not None and link.channel.can_send(head.vc, head.size):
+            if head is not None and credits[head.vc] >= head.size:
                 self._inject(ready.pop(), link)
                 return
 

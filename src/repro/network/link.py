@@ -23,12 +23,12 @@ out so the host NIC and switch tests can exercise it alone.
 
 from __future__ import annotations
 
+from math import ceil
 from typing import Optional, Protocol
 
-from repro.core.invariants import invariant
+from repro.core.invariants import InvariantViolation
 from repro.network.packet import Packet
 from repro.sim.engine import Engine
-from repro.sim.units import serialization_ns
 
 __all__ = ["CreditChannel", "CreditError", "Link"]
 
@@ -56,6 +56,10 @@ class CreditChannel:
     transmit, ``replenish`` when the downstream frees space.  The sum of
     credits held here and bytes occupied (or in flight) downstream is
     invariant -- the credit-conservation property test pins that down.
+
+    :class:`Link` applies the same two rules to ``credits`` in place, on
+    the per-hop path, with the same :class:`CreditError` texts
+    (``tests/network/test_link_properties.py`` drives both side by side).
     """
 
     __slots__ = ("initial", "credits")
@@ -127,6 +131,8 @@ class Link:
     ):
         if prop_delay_ns < 0:
             raise ValueError(f"propagation delay must be >= 0, got {prop_delay_ns}")
+        if not bytes_per_ns > 0:
+            raise ValueError(f"bandwidth must be positive, got {bytes_per_ns}")
         self.engine = engine
         self.src = src
         self.src_port = src_port
@@ -170,8 +176,12 @@ class Link:
         segment.  The span tracer uses it to split each arrival interval
         into ``link.transmit`` + ``link.propagate`` exactly (the same
         rounded-up value :meth:`transmit` schedules with, so the split
-        telescopes without remainder)."""
-        return serialization_ns(size_bytes, self.bytes_per_ns)
+        telescopes without remainder).  Rounded up like
+        :func:`repro.sim.units.serialization_ns`; the bandwidth was checked
+        positive at construction."""
+        if size_bytes < 0:
+            raise ValueError(f"size must be non-negative, got {size_bytes}")
+        return ceil(size_bytes / self.bytes_per_ns)
 
     # ------------------------------------------------------------------
     def can_send(self, pkt: Packet) -> bool:
@@ -181,9 +191,16 @@ class Link:
         """Start clocking ``pkt`` out.  Caller must have checked :meth:`can_send`."""
         if self.busy:
             raise CreditError(f"link {self.src}:{self.src_port} is busy")
-        self.channel.consume(pkt.vc, pkt.size)
+        # CreditChannel.consume and occupancy_ns, written out: this runs
+        # once per packet hop.
+        vc = pkt.vc
+        size = pkt.size
+        credits = self.channel.credits
+        if credits[vc] < size:
+            raise CreditError(f"sending {size} B on vc{vc} with only {credits[vc]} credits")
+        credits[vc] -= size
         self.busy = True
-        tx_ns = self.occupancy_ns(pkt.size)
+        tx_ns = ceil(size / self.bytes_per_ns)
         self.busy_ns += tx_ns
         self._after(tx_ns, self._tx_done_cb, pkt)
 
@@ -205,14 +222,16 @@ class Link:
             sender.pull(self)
 
     def _deliver(self, pkt: Packet) -> None:
-        invariant(self.receiver is not None, "link %s has no receiver", self.link_id)
+        receiver = self.receiver
+        if receiver is None:
+            raise InvariantViolation(f"link {self.link_id} has no receiver")
         if self.clock_domain is not None:
             # Section 3.3: the header carried TTD = deadline - local clock of
             # the sender; the receiver reconstructs a deadline on *its* clock.
             pkt.deadline = self.clock_domain.rebase(
                 pkt.deadline, self.src, self.dst, self.engine.now
             )
-        self.receiver.accept(pkt, self)
+        receiver.accept(pkt, self)
 
     # ------------------------------------------------------------------
     def return_credit(self, vc: int, size: int) -> None:
@@ -224,7 +243,15 @@ class Link:
         self._after(self.prop_delay_ns, self._credit_cb, vc, size)
 
     def _credit_arrived(self, vc: int, size: int) -> None:
-        self.channel.replenish(vc, size)
+        # CreditChannel.replenish, written out (see transmit).
+        channel = self.channel
+        credits = channel.credits
+        credits[vc] += size
+        if credits[vc] > channel.initial[vc]:
+            raise CreditError(
+                f"vc{vc} credits ({credits[vc]}) exceed buffer size "
+                f"({channel.initial[vc]}): double credit return"
+            )
         sender = self.sender
         if sender is not None and not self.busy:
             sender.pull(self)

@@ -176,18 +176,41 @@ class PacketFactory:
     def pooled(self) -> int:
         return len(self._pool)
 
-    def mint(self, **fields) -> Packet:
-        """A fresh logical packet: pooled storage, never a pooled uid."""
+    def mint(
+        self,
+        *,
+        flow_id: int,
+        seq: int,
+        src: int,
+        dst: int,
+        size: int,
+        vc: int,
+        tclass: str,
+        deadline: int,
+        eligible: int = 0,
+        path: Tuple[int, ...] = (),
+        msg_id: int = 0,
+        msg_seq: int = 0,
+        msg_parts: int = 1,
+        birth: int = 0,
+    ) -> Packet:
+        """A fresh logical packet: pooled storage, never a pooled uid.
+
+        Takes :class:`Packet`'s keywords (less ``uid``) with its defaults,
+        spelled out so that minting packs and unpacks no keyword dict."""
         self._next_uid += 1
         pool = self._pool
-        if pool:
-            pkt = pool.pop()
-            # Re-running __init__ resets every slot (hop, inject, deliver,
-            # hop_arrival, traced, ...) -- a recycled packet is
-            # indistinguishable from a newly allocated one.
-            pkt.__init__(uid=self._next_uid, **fields)
-            return pkt
-        return Packet(uid=self._next_uid, **fields)
+        pkt = pool.pop() if pool else Packet.__new__(Packet)
+        # Running __init__ sets every slot (hop, inject, deliver,
+        # hop_arrival, traced, ...) -- a recycled packet is
+        # indistinguishable from a newly allocated one.
+        pkt.__init__(
+            flow_id=flow_id, seq=seq, src=src, dst=dst, size=size, vc=vc,
+            tclass=tclass, deadline=deadline, eligible=eligible, path=path,
+            msg_id=msg_id, msg_seq=msg_seq, msg_parts=msg_parts, birth=birth,
+            uid=self._next_uid,
+        )
+        return pkt
 
     def recycle(self, pkt: Packet) -> None:
         """Return a delivered packet's storage to the free list.

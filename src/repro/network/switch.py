@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.architectures import Architecture
-from repro.core.invariants import invariant
+from repro.core.invariants import InvariantViolation, invariant
 from repro.core.queues import PacketQueue
 from repro.network.link import Link
 from repro.network.packet import N_VCS, Packet
@@ -172,7 +172,13 @@ class Switch:
     def accept(self, pkt: Packet, link: Link) -> None:
         """A packet has fully arrived at one of our input ports."""
         in_port = link.dst_port
-        out_port = pkt.path[pkt.hop]
+        try:
+            out_port = pkt.path[pkt.hop]
+        except IndexError:
+            raise ValueError(
+                f"{self.node_id}: source route {pkt.path!r} is exhausted at "
+                f"hop {pkt.hop} (packet {pkt.uid})"
+            ) from None
         pkt.hop += 1
         if not 0 <= out_port < self.n_ports:
             raise ValueError(
@@ -183,10 +189,11 @@ class Switch:
         if queue is _UNUSED:
             queue = self.voq(in_port, out_port, pkt.vc)
         queue.push(pkt)
-        if len(queue) == 1:
+        depth = len(queue)
+        if depth == 1:
             self._backlogged[out_port][pkt.vc].append(in_port)
         if self.obs is not None:
-            self.obs.enqueue(pkt, self.engine.now, self.node_id, link, out_port, len(queue))
+            self.obs.enqueue(pkt, self.engine.now, self.node_id, link, out_port, depth)
         out_link = self.out_links[out_port]
         if out_link is not None and not out_link.busy:
             self._try_output(out_port)
@@ -203,28 +210,29 @@ class Switch:
         if out_link is None or out_link.busy:
             return
         masking = self.architecture.credit_masking
-        channel = out_link.channel
+        credits = out_link.channel.credits
+        backlogged_by_vc = self._backlogged[out_port]
+        queues_by_vc = self._candidates[out_port]
+        pickers_by_vc = self._pickers[out_port]
         for vc in range(self.n_vcs):  # ascending index = descending priority
-            backlogged = self._backlogged[out_port][vc]
+            backlogged = backlogged_by_vc[vc]
             if not backlogged:
                 continue
-            queues = self._candidates[out_port][vc]
-            picker = self._pickers[out_port][vc]
+            queues = queues_by_vc[vc]
+            picker = pickers_by_vc[vc]
             if masking:
-                # The closure must capture this iteration's (channel, vc):
+                # The closure must capture this iteration's (credits, vc):
                 # hoisting it would freeze the VC and caching predicates
                 # per port would couple the arbiter to link rewiring.
                 # Masking architectures only; the common path never pays.
-                index = picker.pick(queues, backlogged, lambda head: channel.can_send(vc, head.size))  # simlint: allow-hot-loop-allocation
+                index = picker.pick(queues, backlogged, lambda head: credits[vc] >= head.size)  # simlint: allow-hot-loop-allocation
             else:
                 index = picker.pick(queues, backlogged)
-                if index is not None:
-                    head = queues[index].head()
-                    if not channel.can_send(vc, head.size):
-                        # The appendix's rule: the chosen candidate (and only
-                        # it) is checked for credits; nothing else on this VC
-                        # may overtake it.
-                        index = None
+                if index is not None and queues[index].head().size > credits[vc]:
+                    # The appendix's rule: the chosen candidate (and only
+                    # it) is checked for credits; nothing else on this VC
+                    # may overtake it.
+                    index = None
             if index is None:
                 continue
             queue = queues[index]
@@ -232,24 +240,22 @@ class Switch:
             if len(queue) == 0:
                 backlogged.remove(index)
             picker.granted(index)
-            self._send(pkt, out_link, index, queue)
+            out_link.transmit(pkt)
+            self.packets_forwarded += 1
+            self.bytes_forwarded += pkt.size
+            if self.obs is not None:
+                # After transmit: an observer sees the output link already busy.
+                self.obs.forward(pkt, self.engine.now, self.node_id, index, out_link.src_port, queue)
+            # Input buffer space frees as the packet drains through the
+            # crossbar; the credit goes back when draining *starts* (the
+            # upstream cannot land a new packet here in less than one
+            # serialization anyway, so transient over-occupancy is bounded
+            # by one MTU -- see the credit-conservation tests).
+            in_link = self.in_links[index]
+            if in_link is None:
+                raise InvariantViolation("packet came from an unwired input port")
+            in_link.return_credit(pkt.vc, pkt.size)
             return
-
-    def _send(self, pkt: Packet, out_link: Link, in_port: int, queue: PacketQueue) -> None:
-        out_link.transmit(pkt)
-        self.packets_forwarded += 1
-        self.bytes_forwarded += pkt.size
-        if self.obs is not None:
-            # After transmit: an observer sees the output link already busy.
-            self.obs.forward(pkt, self.engine.now, self.node_id, in_port, out_link.src_port, queue)
-        # Input buffer space frees as the packet drains through the
-        # crossbar; the credit goes back when draining *starts* (the
-        # upstream cannot land a new packet here in less than one
-        # serialization anyway, so transient over-occupancy is bounded by
-        # one MTU -- see the credit-conservation tests).
-        in_link = self.in_links[in_port]
-        invariant(in_link is not None, "packet came from an unwired input port")
-        in_link.return_credit(pkt.vc, pkt.size)
 
     # ------------------------------------------------------------------
     # introspection (tests, metrics)

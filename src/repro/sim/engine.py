@@ -307,6 +307,10 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine is not reentrant: run() called from a callback")
+        # Integer nanoseconds, by identity (as at the schedule calls): a
+        # float bound would become `now` on the way out.
+        if until is not None and until.__class__ is not int:
+            raise SimulationError(f"until must be an int (nanoseconds), got {until!r}")
         if until is not None and until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
 

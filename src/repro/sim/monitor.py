@@ -43,6 +43,14 @@ class Trace:
     every record not retained, and subscribers always see **all**
     matching records regardless of buffer state: capacity bounds
     memory, not the callback stream.
+
+    **Storage.**  A retained record is one flat tuple ``(time, topic,
+    *payload)``; :attr:`records` builds a :class:`TraceRecord` from
+    each on read.  A fabric's ring takes a record per lifecycle point and evicts
+    most of them unread, and a flat tuple of integers and strings is one
+    object the garbage collector stops tracking after its first pass,
+    where a ``TraceRecord`` (a tuple subclass) and its payload tuple stay
+    tracked for as long as the ring holds them.
     """
 
     def __init__(
@@ -59,30 +67,33 @@ class Trace:
         self.topics: Optional[Set[str]] = set(topics) if topics is not None else None
         self.capacity = capacity
         self.ring = ring
-        self.records: Union[List[TraceRecord], "deque[TraceRecord]"] = (
-            deque(maxlen=capacity) if ring else []
-        )
+        self._kept: Union[List[tuple], "deque[tuple]"] = deque(maxlen=capacity) if ring else []
         self.dropped = 0
         self._subscribers: dict[str, list[Callable[[TraceRecord], None]]] = {}
+
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The retained records, oldest first (a new list on every read)."""
+        return [TraceRecord(kept[0], kept[1], kept[2:]) for kept in self._kept]
 
     def record(self, time: int, topic: str, *payload: Any) -> None:
         if self.topics is not None and topic not in self.topics:
             return
-        # One call per observed lifecycle point: tuple.__new__ skips the
-        # Python-level TraceRecord.__new__ and builds the same record.
-        rec = tuple.__new__(TraceRecord, (time, topic, payload))
-        records = self.records
+        kept = self._kept
         if self.ring:
-            if len(records) == self.capacity:
+            if len(kept) == self.capacity:
                 self.dropped += 1  # deque(maxlen=...) evicts the oldest
-            records.append(rec)
-        elif self.capacity is None or len(records) < self.capacity:
-            records.append(rec)
+            kept.append((time, topic) + payload)
+        elif self.capacity is None or len(kept) < self.capacity:
+            kept.append((time, topic) + payload)
         else:
             self.dropped += 1
         if self._subscribers:
-            for fn in self._subscribers.get(topic, ()):
-                fn(rec)
+            subscribers = self._subscribers.get(topic)
+            if subscribers:
+                rec = TraceRecord(time, topic, payload)
+                for fn in subscribers:
+                    fn(rec)
 
     def subscribe(self, topic: str, fn: Callable[[TraceRecord], None]) -> None:
         """Call ``fn`` synchronously for every record on ``topic``."""
@@ -94,13 +105,13 @@ class Trace:
         return [r for r in self.records if r.topic == topic]
 
     def clear(self) -> None:
-        self.records.clear()
+        self._kept.clear()
         self.dropped = 0
 
     def snapshot(self) -> dict:
         """Buffer state as a JSON-ready summary (policy, retention, drops)."""
         return {
-            "retained": len(self.records),
+            "retained": len(self._kept),
             "dropped": self.dropped,
             "capacity": self.capacity,
             "policy": "ring-keep-newest" if self.ring else "keep-oldest",

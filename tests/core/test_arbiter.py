@@ -144,3 +144,42 @@ class TestAgreesWithScanningOracle:
         rr.granted(pointer - 1)
         rr_oracle.granted(pointer - 1)
         assert rr.pick(qs, listed, sendable) == rr_oracle.pick(qs, listed, sendable)
+
+
+class _HeadOnly:
+    """A queue reduced to what a picker reads of it."""
+
+    __slots__ = ("_pkt",)
+
+    def __init__(self, pkt):
+        self._pkt = pkt
+
+    def head(self):
+        return self._pkt
+
+
+class TestIntegerComparisonMatchesTuples:
+    """``EDFPicker.pick`` compares ``deadline`` and then ``uid`` as
+    integers; the rule it implements is the first listed candidate with the
+    least ``(deadline, uid)`` tuple -- ties on both fields included, which
+    only hand-made uids can produce."""
+
+    @given(
+        heads=st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(0, 3), st.integers(1, 3)),
+            min_size=1,
+            max_size=10,
+        ),
+        budget=st.one_of(st.none(), st.integers(1, 3)),
+        shuffle_seed=st.integers(0, 1 << 16),
+    )
+    def test_same_index_as_the_tuple_minimum(self, heads, budget, shuffle_seed):
+        qs = [_HeadOnly(mkpkt(d, uid=uid, size=size)) for d, uid, size in heads]
+        listed = list(range(len(qs)))
+        random.Random(shuffle_seed).shuffle(listed)
+        sendable = None if budget is None else (lambda head: head.size <= budget)
+        eligible = [i for i in listed if sendable is None or sendable(qs[i].head())]
+        expected = min(
+            eligible, key=lambda i: (qs[i].head().deadline, qs[i].head().uid), default=None
+        )
+        assert EDFPicker().pick(qs, listed, sendable) == expected

@@ -23,6 +23,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.invariants import invariant
 from repro.core.queues import EDFHeapQueue, TakeOverQueue
 from tests.helpers import mkpkt
 
@@ -191,3 +192,53 @@ def test_heap_queue_pops_in_exact_deadline_order(entries):
     assert [(p.deadline, p.uid) for p in out] == sorted(
         (p.deadline, p.uid) for p in pkts
     )
+
+
+# ----------------------------------------------------------------------
+# head() compares integers; the rule is the (deadline, uid) tuple order
+# ----------------------------------------------------------------------
+class TupleTakeOverQueue(TakeOverQueue):
+    """``head()`` as it was written before it compared integers: two
+    ``(deadline, uid)`` tuples.  ``pop`` is inherited and goes through
+    this ``head()``."""
+
+    def head(self):
+        lower, upper = self._lower, self._upper
+        if not lower:
+            invariant(not upper, "Lemma 1 violated: packets only in take-over queue")
+            return None
+        if not upper:
+            return lower[0]
+        l_head, u_head = lower[0], upper[0]
+        if (u_head.deadline, u_head.uid) < (l_head.deadline, l_head.uid):
+            return u_head
+        return l_head
+
+
+#: push (deadline, uid, size) -- few values, so deadlines and uids tie -- or pop
+ops_with_ties = st.lists(
+    st.one_of(
+        st.tuples(st.integers(0, 6), st.integers(0, 4), st.integers(1, 3)),
+        st.just("pop"),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=400)
+@given(ops_with_ties)
+def test_head_and_pop_match_the_tuple_comparing_reference(ops):
+    queue, reference = TakeOverQueue(), TupleTakeOverQueue()
+    for op in ops:
+        if op == "pop":
+            if reference:
+                assert queue.pop() is reference.pop()
+        else:
+            deadline, uid, size = op
+            pkt = mkpkt(deadline, uid=uid, size=size)
+            queue.push(pkt)
+            reference.push(pkt)
+        assert queue.head() is reference.head()
+        assert queue.ordered_snapshot == reference.ordered_snapshot
+        assert queue.takeover_snapshot == reference.takeover_snapshot
+        assert queue.used_bytes == sum(pkt.size for pkt in queue)

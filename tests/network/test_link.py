@@ -195,5 +195,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_link(engine, prop=-1)
 
+    @pytest.mark.parametrize("bw", [0, 0.0, -1.0, float("nan")])
+    def test_non_positive_bandwidth_rejected_at_construction(self, engine, bw):
+        # Used to be accepted here and to fail at the first transmit, from
+        # inside engine.run.
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            make_link(engine, bw=bw)
+
     def test_link_id(self, engine):
         assert make_link(engine).link_id == ("a", 0)

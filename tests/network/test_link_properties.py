@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.network.link import CreditChannel, CreditError, Link
 from repro.sim.engine import Engine
+from repro.sim.units import serialization_ns
 from tests.helpers import mkpkt
 
 BUFFER = 8192
@@ -116,3 +117,76 @@ class TestLinkSerialization:
         assert len(deliveries) == len(sizes)
         for (t_prev, _), (t_next, size_next) in zip(deliveries, deliveries[1:]):
             assert t_next - t_prev >= size_next
+
+
+def _raised(fn, *args):
+    """The CreditError text ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except CreditError as exc:
+        return str(exc)
+    return None
+
+
+class TestLinkAppliesTheChannelRules:
+    """``Link.transmit`` and ``Link._credit_arrived`` apply
+    ``CreditChannel.consume`` / ``replenish`` to ``channel.credits`` in
+    place; driven side by side with a bare channel through any sequence of
+    sends and returns -- over-sends and double returns included -- both
+    hold the same credits after every step and the first ``CreditError``
+    comes at the same step with the same text.  Every transmit books
+    ``serialization_ns`` of its packet."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(st.sampled_from(("send", "return")), st.integers(0, 1), st.integers(1, 4096)),
+            max_size=40,
+        ),
+        bytes_per_ns=st.sampled_from((1.0, 0.5, 0.3, 1.25, 3.0)),
+    )
+    def test_same_credits_and_same_errors_as_a_bare_channel(self, ops, bytes_per_ns):
+        capacity = (BUFFER, BUFFER // 2)
+        engine = Engine()
+        link = Link(
+            engine,
+            src="a",
+            src_port=0,
+            dst="b",
+            dst_port=0,
+            bytes_per_ns=bytes_per_ns,
+            prop_delay_ns=3,
+            buffer_bytes_per_vc=capacity,
+        )
+
+        class Sink:
+            def accept(self, pkt, link):
+                pass
+
+        link.receiver = Sink()
+        channel = CreditChannel(capacity)
+        busy_ns = 0
+
+        def send(vc, size):
+            link.transmit(mkpkt(0, vc=vc, size=size))
+            engine.run_all()  # the wire frees and the packet lands
+
+        def give_back(vc, size):
+            link.return_credit(vc, size)
+            engine.run_all()
+
+        for op, vc, size in ops:
+            if op == "send":
+                expected = _raised(channel.consume, vc, size)
+                got = _raised(send, vc, size)
+                if got is None:
+                    busy_ns += serialization_ns(size, bytes_per_ns)
+            else:
+                expected = _raised(channel.replenish, vc, size)
+                got = _raised(give_back, vc, size)
+            assert got == expected
+            assert link.channel.credits == channel.credits
+            assert link.busy_ns == busy_ns
+            assert link.occupancy_ns(size) == serialization_ns(size, bytes_per_ns)
+            if expected is not None:
+                break

@@ -320,6 +320,16 @@ class TestFlowState:
         with pytest.raises(ValueError):
             rig.feed(0, 10, out_port=99)
 
+    def test_exhausted_route_raises_a_value_error_naming_it(self, engine):
+        # A packet whose route ran out one switch early used to surface as
+        # a bare `IndexError: tuple index out of range`.
+        rig = SwitchRig(engine, ADVANCED_2VC)
+        pkt = mkpkt(10, path=(2, 0))
+        pkt.hop = 2
+        with pytest.raises(ValueError, match=r"^sw: source route \(2, 0\) is exhausted at hop 2"):
+            rig.switch.accept(pkt, rig.in_links[0])
+        assert pkt.hop == 2 and rig.switch.queued_packets() == 0
+
     def test_forwarding_counters(self, engine):
         rig = SwitchRig(engine, ADVANCED_2VC)
         rig.feed(0, 1, size=100)

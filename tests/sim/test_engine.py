@@ -15,6 +15,7 @@ import re
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
+from tests.sim.heap_engine import HeapEngine
 
 #: A delay far beyond every link and switch delay (and beyond the 4 096 ns
 #: horizon of the timing wheel these tests were first written against).
@@ -136,6 +137,23 @@ class TestRunWindow:
         engine.run(until=100)
         with pytest.raises(SimulationError):
             engine.run(until=50)
+
+    @pytest.mark.parametrize("until", [1e3, 10.5, True])
+    @pytest.mark.parametrize("make_engine", [Engine, HeapEngine], ids=["engine", "heap_engine"])
+    def test_non_integer_until_is_refused(self, make_engine, until):
+        # A float bound used to become `now` on the way out of run(), and
+        # every later `after` inherited it: 1e3 then after(5) fired at 1005.0.
+        engine = make_engine()
+        seen = []
+        engine.after(10, seen.append, "f")
+        with pytest.raises(SimulationError, match=re.escape(repr(until))):
+            engine.run(until=until)
+        assert engine.now == 0 and seen == []
+        engine.run(until=1000)
+        engine.after(5, lambda: seen.append(engine.now))
+        engine.run_all()
+        assert seen == ["f", 1005]
+        assert seen[1].__class__ is int and engine.now.__class__ is int
 
     def test_max_events_bounds_execution(self, engine):
         seen = []
