@@ -88,8 +88,8 @@ class ResultCache:
             return None  # foreign or renamed file: never trust the name alone
         try:
             return RunSummary.from_dict(payload["summary"])
-        except (KeyError, TypeError, ValueError):
-            return None
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return None  # a "summary" that is not a summary object
 
     def put(self, digest: str, summary: RunSummary) -> None:
         """Store one finished point (written to disk immediately, so an

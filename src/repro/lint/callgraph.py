@@ -15,15 +15,37 @@ edges are not, which keeps the rules' findings explainable.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple, TypeVar
+from weakref import WeakKeyDictionary
 
+from repro.lint.dataflow import FunctionFact
 from repro.lint.projectmodel import ModuleSummary, ProjectModel
 
-__all__ = ["CallGraph", "Node"]
+__all__ = ["CallGraph", "Node", "closure", "per_graph"]
 
 #: (module_name, function_qualname)
 Node = Tuple[str, str]
+
+
+def closure(
+    roots: Iterable[Node], successors: Callable[[Node], Iterable[Node]]
+) -> Dict[Node, Node]:
+    """Breadth-first closure from ``roots`` over ``successors``: every
+    node reached -> the root it was first discovered from (the witness
+    used for provenance).  Roots map to themselves; roots and each
+    node's successors are visited in sorted order, so witnesses are
+    deterministic."""
+    witness: Dict[Node, Node] = {root: root for root in sorted(set(roots))}
+    queue: "deque[Node]" = deque(witness)
+    while queue:
+        node = queue.popleft()
+        for successor in sorted(successors(node)):
+            if successor not in witness:
+                witness[successor] = witness[node]
+                queue.append(successor)
+    return witness
 
 
 class CallGraph:
@@ -49,46 +71,36 @@ class CallGraph:
                     self.edges[caller].add(callee)
                     self.reverse.setdefault(callee, set()).add(caller)
 
-    def nodes(self) -> List[Node]:
-        return sorted(self.edges)
-
     def summary_of(self, node: Node) -> Optional[ModuleSummary]:
         return self.model.modules.get(node[0])
 
     def reachable_from(self, roots: Iterable[Node]) -> Dict[Node, Node]:
-        """Forward closure: node -> the root it was first discovered
-        from (the witness used for provenance).  Roots map to
-        themselves."""
-        witness: Dict[Node, Node] = {}
-        queue: deque = deque()
-        for root in sorted(set(roots)):
-            if root not in witness:
-                witness[root] = root
-                queue.append(root)
-        while queue:
-            node = queue.popleft()
-            for successor in sorted(self.edges.get(node, ())):
-                if successor not in witness:
-                    witness[successor] = witness[node]
-                    queue.append(successor)
-        return witness
+        """Forward :func:`closure`: node -> the root it is reached from."""
+        return closure(roots, lambda node: self.edges.get(node, ()))
 
     def nodes_reaching(self, base: Iterable[Node]) -> Dict[Node, Node]:
-        """Reverse closure: every node from which some ``base`` node is
-        reachable, mapped to the base node it reaches (the witness)."""
-        witness: Dict[Node, Node] = {}
-        queue: deque = deque()
-        for node in sorted(set(base)):
-            if node not in witness:
-                witness[node] = node
-                queue.append(node)
-        while queue:
-            node = queue.popleft()
-            for predecessor in sorted(self.reverse.get(node, ())):
-                if predecessor not in witness:
-                    witness[predecessor] = witness[node]
-                    queue.append(predecessor)
-        return witness
+        """Reverse :func:`closure`: every node from which some ``base``
+        node is reachable -> the base node it reaches."""
+        return closure(base, lambda node: self.reverse.get(node, ()))
+
+    def facts(
+        self,
+        reachable: Dict[Node, Node],
+        skip: Callable[[str], bool] = lambda path: False,
+    ) -> Iterator[Tuple[Node, ModuleSummary, FunctionFact, str]]:
+        """``(node, summary, fact, witness_path)`` for every function of
+        a closure, in node order; modules whose path ``skip`` accepts
+        are left out."""
+        for node in sorted(reachable):
+            summary = self.summary_of(node)
+            if summary is None or skip(summary.path):
+                continue
+            fact = summary.functions.get(node[1])
+            if fact is None:
+                continue
+            witness_summary = self.summary_of(reachable[node])
+            witness_path = witness_summary.path if witness_summary else summary.path
+            yield node, summary, fact, witness_path
 
     def nodes_in_modules(self, path_patterns: Iterable[str]) -> Set[Node]:
         """All functions defined in modules whose posix path contains
@@ -114,3 +126,22 @@ class CallGraph:
                         selected.add((summary.module, fact.qualname))
                         break
         return selected
+
+
+_Analysis = TypeVar("_Analysis")
+
+
+def per_graph(
+    analyze: Callable[[ProjectModel, CallGraph], _Analysis],
+) -> Callable[[ProjectModel, CallGraph], _Analysis]:
+    """Memoize a whole-program analysis per call graph, so the rules of
+    a family share one pass (each lint run builds a new graph)."""
+    cache: "WeakKeyDictionary[CallGraph, _Analysis]" = WeakKeyDictionary()
+
+    @functools.wraps(analyze)
+    def memoized(model: ProjectModel, graph: CallGraph) -> _Analysis:
+        if graph not in cache:
+            cache[graph] = analyze(model, graph)
+        return cache[graph]
+
+    return memoized

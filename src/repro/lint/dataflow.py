@@ -58,8 +58,26 @@ from __future__ import annotations
 
 import ast
 import builtins
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+import functools
+from dataclasses import dataclass, field, fields
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.lint.temporal import (
     ANCHORED,
@@ -75,8 +93,10 @@ from repro.lint.temporal import (
 )
 
 __all__ = [
+    "FactRecord",
     "FunctionAnalyzer",
     "FunctionFact",
+    "arg_names",
     "classify_name",
     "dims_compatible",
 ]
@@ -258,8 +278,95 @@ def dotted_name(node: ast.AST) -> str:
     return ""
 
 
+def arg_names(args: ast.arguments, *, star: bool = False) -> List[str]:
+    """Parameter names of a def or lambda (``*args``/``**kw`` too when
+    ``star``)."""
+    names = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+    if star:
+        names += [arg.arg for arg in (args.vararg, args.kwarg) if arg is not None]
+    return names
+
+
+def loaded_names(nodes: Iterable[ast.AST]) -> Set[str]:
+    """Every name read (``Load`` context) anywhere under ``nodes``."""
+    return {
+        sub.id
+        for node in nodes
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+class FactRecord:
+    """JSON form of a fact dataclass, driven by its fields: the facts
+    the project cache stores (:class:`CallFact`, :class:`FunctionFact`,
+    :class:`~repro.lint.projectmodel.ModuleSummary`) share it.
+
+    :meth:`to_dict` writes the fields in declaration order -- tuples as
+    lists, nested records as dicts, dict keys as strings;
+    :meth:`from_dict` inverts it from the field annotations (tuples and
+    ``int`` keys come back) and leaves a field the payload lacks at its
+    default.
+    """
+
+    __dataclass_fields__: ClassVar[Dict[str, Any]]
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls: Type[_Record], payload: Mapping[str, Any]) -> _Record:
+        build: Callable[..., _Record] = cls
+        return build(
+            **{
+                name: decode(payload[name])
+                for name, decode in _field_decoders(cls)
+                if name in payload
+            }
+        )
+
+
+_Record = TypeVar("_Record", bound=FactRecord)
+
+
+def _to_json(value: Any) -> Any:
+    if isinstance(value, FactRecord):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _to_json(item) for key, item in value.items()}
+    return value
+
+
+def _decoder(hint: Any) -> Callable[[Any], Any]:
+    """Rebuild a value annotated ``hint`` from its JSON form."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is list:
+        item = _decoder(args[0])
+        return lambda value: [item(v) for v in value]
+    if origin is dict:
+        key, item = _decoder(args[0]), _decoder(args[1])
+        return lambda value: {key(k): item(v) for k, v in value.items()}
+    if origin is tuple:
+        return tuple
+    if isinstance(hint, type) and issubclass(hint, FactRecord):
+        return hint.from_dict
+    if hint is int:  # int dict keys come back from JSON as strings
+        return int
+    return lambda value: value
+
+
+@functools.lru_cache(maxsize=None)
+def _field_decoders(
+    cls: Type[FactRecord],
+) -> List[Tuple[str, Callable[[Any], Any]]]:
+    hints = get_type_hints(cls)
+    return [(f.name, _decoder(hints[f.name])) for f in fields(cls)]
+
+
 @dataclass
-class CallFact:
+class CallFact(FactRecord):
     """One call site: who is (maybe) called, with what dimensions."""
 
     raw: str  # dotted callee as written ("self.engine.after"), "" if opaque
@@ -270,32 +377,9 @@ class CallFact:
     arg_dims: List[Optional[Dim]] = field(default_factory=list)
     kw_dims: Dict[str, Optional[Dim]] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "raw": self.raw,
-            "resolved": self.resolved,
-            "attr": self.attr,
-            "line": self.line,
-            "col": self.col,
-            "arg_dims": self.arg_dims,
-            "kw_dims": self.kw_dims,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CallFact":
-        return cls(
-            raw=payload["raw"],
-            resolved=payload["resolved"],
-            attr=payload["attr"],
-            line=payload["line"],
-            col=payload["col"],
-            arg_dims=list(payload["arg_dims"]),
-            kw_dims=dict(payload["kw_dims"]),
-        )
-
 
 @dataclass
-class FunctionFact:
+class FunctionFact(FactRecord):
     """Everything the project rules need to know about one function."""
 
     qualname: str  # "f", "Class.method", or "<module>"
@@ -403,82 +487,6 @@ class FunctionFact:
     #: lambda default arguments, or ``None``.
     closure_retentions: List[Dict[str, Any]] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "params": self.params,
-            "is_method": self.is_method,
-            "calls": [call.to_dict() for call in self.calls],
-            "set_iters": [list(item) for item in self.set_iters],
-            "io_calls": [list(item) for item in self.io_calls],
-            "mixes": [list(item) for item in self.mixes],
-            "submissions": self.submissions,
-            "global_mutations": [list(item) for item in self.global_mutations],
-            "varying_calls": self.varying_calls,
-            "varying_args": self.varying_args,
-            "file_writes": [list(item) for item in self.file_writes],
-            "atomic_renames": self.atomic_renames,
-            "env_writes": [list(item) for item in self.env_writes],
-            "loop_allocs": self.loop_allocs,
-            "loop_attr_repeats": self.loop_attr_repeats,
-            "loop_global_lookups": self.loop_global_lookups,
-            "loop_try_excepts": self.loop_try_excepts,
-            "str_builds": [list(item) for item in self.str_builds],
-            "schedule_calls": self.schedule_calls,
-            "float_compares": self.float_compares,
-            "float_time_assigns": self.float_time_assigns,
-            "sort_keys": self.sort_keys,
-            "loop_captures": self.loop_captures,
-            "ns_true_divs": self.ns_true_divs,
-            "container_ops": self.container_ops,
-            "pool_flows": self.pool_flows,
-            "closure_retentions": self.closure_retentions,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FunctionFact":
-        return cls(
-            qualname=payload["qualname"],
-            line=payload["line"],
-            params=list(payload["params"]),
-            is_method=payload["is_method"],
-            calls=[CallFact.from_dict(c) for c in payload["calls"]],
-            set_iters=[(i[0], i[1], i[2]) for i in payload["set_iters"]],
-            io_calls=[(i[0], i[1], i[2]) for i in payload["io_calls"]],
-            mixes=[(i[0], i[1], i[2]) for i in payload["mixes"]],
-            submissions=list(payload.get("submissions", ())),
-            global_mutations=[
-                (i[0], i[1], i[2], i[3], i[4])
-                for i in payload.get("global_mutations", ())
-            ],
-            varying_calls=list(payload.get("varying_calls", ())),
-            varying_args=list(payload.get("varying_args", ())),
-            file_writes=[
-                (i[0], i[1], i[2]) for i in payload.get("file_writes", ())
-            ],
-            atomic_renames=payload.get("atomic_renames", 0),
-            env_writes=[
-                (i[0], i[1], i[2]) for i in payload.get("env_writes", ())
-            ],
-            loop_allocs=list(payload.get("loop_allocs", ())),
-            loop_attr_repeats=list(payload.get("loop_attr_repeats", ())),
-            loop_global_lookups=list(payload.get("loop_global_lookups", ())),
-            loop_try_excepts=list(payload.get("loop_try_excepts", ())),
-            str_builds=[
-                (i[0], i[1], i[2]) for i in payload.get("str_builds", ())
-            ],
-            schedule_calls=list(payload.get("schedule_calls", ())),
-            float_compares=list(payload.get("float_compares", ())),
-            float_time_assigns=list(payload.get("float_time_assigns", ())),
-            sort_keys=list(payload.get("sort_keys", ())),
-            loop_captures=list(payload.get("loop_captures", ())),
-            ns_true_divs=list(payload.get("ns_true_divs", ())),
-            container_ops=list(payload.get("container_ops", ())),
-            pool_flows=list(payload.get("pool_flows", ())),
-            closure_retentions=list(payload.get("closure_retentions", ())),
-        )
-
 
 class FunctionAnalyzer:
     """One pass over a function (or module-level) body.
@@ -531,7 +539,7 @@ class FunctionAnalyzer:
         self._loop_stack: List[Set[str]] = []
         #: AST nodes of functions defined in this body, so a local
         #: ``def`` handed to the scheduler can be checked for captures.
-        self._local_def_nodes: Dict[str, ast.AST] = {}
+        self._local_def_nodes: Dict[str, Union[ast.FunctionDef, ast.AsyncFunctionDef]] = {}
         #: Locals currently bound to a container display/constructor
         #: (SIM506 retention detection); membership tracks the *latest*
         #: binding, so a rebind to a scalar clears the mark.
@@ -836,37 +844,20 @@ class FunctionAnalyzer:
     def _lambda_payload(self, node: ast.Lambda) -> Dict[str, Any]:
         """Everything the lift-lambda fix needs: params, verbatim body
         text, free variables (which veto the lift), and the exact span."""
-        params = [
-            arg.arg
-            for arg in (
-                *node.args.posonlyargs,
-                *node.args.args,
-                *node.args.kwonlyargs,
-            )
-        ]
-        body_src: Optional[str] = None
-        if self.source is not None:
-            body_src = ast.get_source_segment(self.source, node.body)
+        params = arg_names(node.args)
         known = (
             set(params)
             | set(self.module_symbols)
             | set(self.bindings)
             | set(dir(builtins))
         )
-        free = sorted(
-            {
-                sub.id
-                for sub in ast.walk(node.body)
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
-            }
-            - known
-        )
+        free = sorted(loaded_names([node.body]) - known)
         has_defaults = bool(node.args.defaults) or any(
             default is not None for default in node.args.kw_defaults
         )
         return {
             "params": params,
-            "body_src": body_src,
+            "body_src": self._src(node.body),
             "free_vars": free,
             "line": node.lineno,
             "col": node.col_offset,
@@ -1358,232 +1349,74 @@ class FunctionAnalyzer:
                 ),
             }
         )
-        for arg in node.args[sink + 1 :]:
-            if isinstance(arg, ast.Lambda):
-                self._note_closure_retention(node, attr, arg)
-            elif isinstance(arg, ast.Name) and arg.id in self.local_defs:
-                def_node = self._local_def_nodes.get(arg.id)
-                if def_node is not None:
-                    self._note_def_retention(node, attr, arg.id, def_node)
-        if not self._loop_stack:
-            return
-        active: Set[str] = set().union(*self._loop_stack)
-        for arg in node.args[sink + 1 :]:
-            if isinstance(arg, ast.Lambda):
-                self._note_lambda_capture(node, attr, arg, active)
-            elif isinstance(arg, ast.Name) and arg.id in self.local_defs:
-                def_node = self._local_def_nodes.get(arg.id)
-                if def_node is not None:
-                    self._note_def_capture(node, attr, arg.id, def_node, active)
+        callbacks = node.args[sink + 1 :]
+        if self.container_locals:
+            for callback in callbacks:
+                self._note_captures(
+                    node, attr, callback, self.container_locals, self.fact.closure_retentions
+                )
+        if self._loop_stack:
+            active: Set[str] = set().union(*self._loop_stack)
+            for callback in callbacks:
+                self._note_captures(node, attr, callback, active, self.fact.loop_captures)
 
-    def _note_lambda_capture(
-        self, call: ast.Call, attr: str, lam: ast.Lambda, active: Set[str]
-    ) -> None:
-        params = [
-            arg.arg
-            for arg in (
-                *lam.args.posonlyargs,
-                *lam.args.args,
-                *lam.args.kwonlyargs,
-            )
-        ]
-        if lam.args.vararg is not None:
-            params.append(lam.args.vararg.arg)
-        if lam.args.kwarg is not None:
-            params.append(lam.args.kwarg.arg)
-        captured = sorted(
-            {
-                sub.id
-                for sub in ast.walk(lam.body)
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
-            }
-            & active
-            - set(params)
-        )
-        if not captured:
-            return
-        fix: Optional[Dict[str, Any]] = None
-        plain_args = [arg.arg for arg in lam.args.args]
-        fixable = (
-            len(plain_args) == len(params)
-            and not lam.args.defaults
-            and not any(default is not None for default in lam.args.kw_defaults)
-            and lam.body.lineno == lam.lineno
-        )
-        if fixable:
-            bound = ", ".join([*plain_args, *[f"{v}={v}" for v in captured]])
-            fix = {
-                "span": [
-                    lam.lineno,
-                    lam.col_offset,
-                    lam.body.lineno,
-                    lam.body.col_offset,
-                ],
-                "replacement": f"lambda {bound}: ",
-            }
-        if self.fact is not None:
-            self.fact.loop_captures.append(
-                {
-                    "line": call.lineno,
-                    "col": call.col_offset,
-                    "attr": attr,
-                    "kind": "lambda",
-                    "callee": "<lambda>",
-                    "vars": captured,
-                    "fix": fix,
-                }
-            )
-
-    def _note_def_capture(
+    def _note_captures(
         self,
         call: ast.Call,
         attr: str,
-        name: str,
-        def_node: ast.AST,
-        active: Set[str],
+        callback: ast.expr,
+        names: Set[str],
+        records: List[Dict[str, Any]],
     ) -> None:
-        if not isinstance(def_node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return
-        bound = {
-            arg.arg
-            for arg in (
-                *def_node.args.posonlyargs,
-                *def_node.args.args,
-                *def_node.args.kwonlyargs,
-            )
-        }
-        for node in def_node.body:
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and isinstance(
-                    sub.ctx, (ast.Store, ast.Del)
-                ):
-                    bound.add(sub.id)
-        captured = sorted(
-            {
-                sub.id
-                for stmt in def_node.body
-                for sub in ast.walk(stmt)
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
-            }
-            & active
-            - bound
-        )
-        if captured and self.fact is not None:
-            self.fact.loop_captures.append(
-                {
-                    "line": call.lineno,
-                    "col": call.col_offset,
-                    "attr": attr,
-                    "kind": "local-def",
-                    "callee": name,
-                    "vars": captured,
-                    "fix": None,
-                }
-            )
-
-    def _note_closure_retention(
-        self, call: ast.Call, attr: str, lam: ast.Lambda
-    ) -> None:
-        """SIM506 raw material: a scheduled lambda whose free variables
-        include a container-valued local retains the whole container
-        until the callback fires (or forever, if it re-arms)."""
-        if self.fact is None or not self.container_locals:
-            return
-        params = {
-            arg.arg
-            for arg in (
-                *lam.args.posonlyargs,
-                *lam.args.args,
-                *lam.args.kwonlyargs,
-            )
-        }
-        if lam.args.vararg is not None:
-            params.add(lam.args.vararg.arg)
-        if lam.args.kwarg is not None:
-            params.add(lam.args.kwarg.arg)
-        retained = sorted(
-            {
-                sub.id
-                for sub in ast.walk(lam.body)
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
-            }
-            & self.container_locals
-            - params
-        )
-        if not retained:
-            return
+        """One scheduled callback -- a lambda, or the name of a ``def``
+        in this body -- that reads any of ``names`` by reference: loop
+        variables for SIM405, container locals for SIM506.  A
+        single-line lambda gets the fix rebinding them as default
+        arguments."""
         fix: Optional[Dict[str, Any]] = None
-        plain_args = [arg.arg for arg in lam.args.args]
-        fixable = (
-            len(plain_args) == len(params)
-            and not lam.args.defaults
-            and not any(default is not None for default in lam.args.kw_defaults)
-            and lam.body.lineno == lam.lineno
-        )
-        if fixable:
-            bound = ", ".join([*plain_args, *[f"{v}={v}" for v in retained]])
-            fix = {
-                "span": [
-                    lam.lineno,
-                    lam.col_offset,
-                    lam.body.lineno,
-                    lam.body.col_offset,
-                ],
-                "replacement": f"lambda {bound}: ",
-            }
-        self.fact.closure_retentions.append(
-            {
-                "line": call.lineno,
-                "col": call.col_offset,
-                "attr": attr,
-                "kind": "lambda",
-                "callee": "<lambda>",
-                "vars": retained,
-                "fix": fix,
-            }
-        )
-
-    def _note_def_retention(
-        self, call: ast.Call, attr: str, name: str, def_node: ast.AST
-    ) -> None:
-        if self.fact is None or not self.container_locals:
-            return
-        if not isinstance(def_node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return
-        bound = {
-            arg.arg
-            for arg in (
-                *def_node.args.posonlyargs,
-                *def_node.args.args,
-                *def_node.args.kwonlyargs,
-            )
-        }
-        for stmt in def_node.body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, ast.Name) and isinstance(
-                    sub.ctx, (ast.Store, ast.Del)
-                ):
-                    bound.add(sub.id)
-        retained = sorted(
-            {
+        if isinstance(callback, ast.Lambda):
+            params = arg_names(callback.args, star=True)
+            captured = sorted(loaded_names([callback.body]) & names - set(params))
+            kind, callee = "lambda", "<lambda>"
+            plain = [arg.arg for arg in callback.args.args]
+            if (
+                len(plain) == len(params)
+                and not callback.args.defaults
+                and not any(d is not None for d in callback.args.kw_defaults)
+                and callback.body.lineno == callback.lineno
+            ):
+                bound = ", ".join([*plain, *[f"{v}={v}" for v in captured]])
+                fix = {
+                    "span": [
+                        callback.lineno,
+                        callback.col_offset,
+                        callback.body.lineno,
+                        callback.body.col_offset,
+                    ],
+                    "replacement": f"lambda {bound}: ",
+                }
+        elif isinstance(callback, ast.Name) and callback.id in self._local_def_nodes:
+            def_node = self._local_def_nodes[callback.id]
+            local = set(arg_names(def_node.args)) | {
                 sub.id
                 for stmt in def_node.body
                 for sub in ast.walk(stmt)
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, (ast.Store, ast.Del))
             }
-            & self.container_locals
-            - bound
-        )
-        if retained:
-            self.fact.closure_retentions.append(
+            captured = sorted(loaded_names(def_node.body) & names - local)
+            kind, callee = "local-def", callback.id
+        else:
+            return
+        if captured:
+            records.append(
                 {
                     "line": call.lineno,
                     "col": call.col_offset,
                     "attr": attr,
-                    "kind": "local-def",
-                    "callee": name,
-                    "vars": retained,
-                    "fix": None,
+                    "kind": kind,
+                    "callee": callee,
+                    "vars": captured,
+                    "fix": fix,
                 }
             )
 
@@ -1940,14 +1773,10 @@ class FunctionAnalyzer:
             # A closure's calls are attributed to the enclosing function:
             # an inner callback handed to the engine still runs on the
             # caller's path, so its facts belong to the caller.
-            for arg in [
-                *stmt.args.posonlyargs,
-                *stmt.args.args,
-                *stmt.args.kwonlyargs,
-            ]:
-                dim = classify_name(arg.arg)
+            for name in arg_names(stmt.args):
+                dim = classify_name(name)
                 if dim is not None:
-                    self.env[arg.arg] = dim
+                    self.env[name] = dim
             self._visit_block(stmt.body)
         elif isinstance(stmt, ast.ClassDef):
             # Nested class in a function body: analyze field defaults.

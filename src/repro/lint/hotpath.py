@@ -1,4 +1,4 @@
-"""Hot-path reachability + profile ranking under the SIM3xx rules.
+"""Hot-path reachability + measured ranking under the SIM3xx-SIM5xx rules.
 
 The SIM104 purity rule introduced the idea of the *hot path*: every
 function reachable, through the approximate call graph, from the
@@ -8,32 +8,50 @@ performance family (:mod:`repro.lint.project_rules`) needs the same
 closure, so this module hoists it into one shared, memoized pass --
 :func:`analyze_hotpath` -- that SIM104 and SIM301-SIM306 all consume.
 
-The second half is the **profile-guided mode**: :class:`ProfileIndex`
-ingests a ``cProfile``/``pstats`` dump (produced by ``repro-qos profile
-run`` or any ``python -m cProfile -o ...`` invocation), maps cumulative
-time onto project-model functions by ``(file, def-line)`` -- falling
-back to the bare function name -- and :func:`annotate_profile` ranks
-SIM3xx findings by measured cost:
+The second half is the **profile-guided mode**, one ranking pass over
+two kinds of dump.  :class:`ProfileIndex` ingests a ``cProfile``/
+``pstats`` dump (``repro-qos profile run`` or any ``python -m cProfile
+-o ...``) and measures a function by its cumulative time, matched by
+``(file, def-line)`` with a bare-name fallback; :class:`MemProfileIndex`
+ingests a ``repro-qos profile mem`` tracemalloc dump and measures a
+function by the bytes allocated inside it.  :func:`annotate_profile`
+ranks the SIM3xx/SIM4xx findings by seconds and the SIM5xx findings by
+bytes:
 
-- the top decile (by cumulative seconds) is flagged ``hot:``;
-- findings whose function never appeared in the profile (or measured
-  zero) are demoted to ``note`` severity -- real anti-patterns, but not
-  where the time goes *in the profiled workload*;
+- the top decile of measured findings is flagged ``hot:``;
+- findings whose function the dump never measured are demoted to
+  ``note`` severity -- real anti-patterns, but not where the time or
+  memory goes *in the profiled workload*;
 - everything in between is ``warm``.
 
-The bucket plus the measured seconds ride on
+The bucket plus the measured amount ride on
 :attr:`repro.lint.violations.Violation.profile` and round-trip through
 the JSON and SARIF emitters.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import marshal
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
-from weakref import WeakKeyDictionary
+from pathlib import Path
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
-from repro.lint.callgraph import CallGraph, Node
+from repro.lint.callgraph import CallGraph, Node, per_graph
 from repro.lint.dataflow import FunctionFact
 from repro.lint.projectmodel import ModuleSummary, ProjectModel
 from repro.lint.violations import Violation
@@ -45,7 +63,6 @@ __all__ = [
     "MemProfileIndex",
     "ProfileIndex",
     "analyze_hotpath",
-    "annotate_memprofile",
     "annotate_profile",
     "is_sanctioned",
 ]
@@ -86,21 +103,12 @@ class HotPathAnalysis:
     reachable: Dict[Node, Node]
 
 
-_CACHE: "WeakKeyDictionary[CallGraph, HotPathAnalysis]" = WeakKeyDictionary()
-
-
+@per_graph
 def analyze_hotpath(model: ProjectModel, graph: CallGraph) -> HotPathAnalysis:
     """Compute (once per call graph) the hot-path closure SIM104 and the
     SIM3xx rules share."""
-    cached = _CACHE.get(graph)
-    if cached is not None:
-        return cached
     roots = graph.nodes_in_modules(HOT_PATH_PATTERNS)
-    analysis = HotPathAnalysis(
-        roots=roots, reachable=graph.reachable_from(roots)
-    )
-    _CACHE[graph] = analysis
-    return analysis
+    return HotPathAnalysis(roots=roots, reachable=graph.reachable_from(roots))
 
 
 def iter_hot_facts(
@@ -108,86 +116,220 @@ def iter_hot_facts(
 ) -> Iterator[Tuple[Node, ModuleSummary, FunctionFact, str]]:
     """Hot-reachable ``(node, summary, fact, witness_path)`` quadruples
     in deterministic node order, sanctioned subsystems excluded."""
-    analysis = analyze_hotpath(model, graph)
-    for node in sorted(analysis.reachable):
-        summary = graph.summary_of(node)
-        if summary is None or is_sanctioned(summary.path):
-            continue
-        fact = summary.functions.get(node[1])
-        if fact is None:
-            continue
-        witness = analysis.reachable[node]
-        witness_summary = graph.summary_of(witness)
-        witness_path = witness_summary.path if witness_summary else summary.path
-        yield node, summary, fact, witness_path
+    return graph.facts(analyze_hotpath(model, graph).reachable, skip=is_sanctioned)
 
 
 # ----------------------------------------------------------------------
-# profile-guided ranking
+# measured ranking: pstats seconds (SIM3xx/SIM4xx), tracemalloc bytes
+# (SIM5xx)
 # ----------------------------------------------------------------------
-class ProfileIndex:
+#: Schema tag written by ``repro-qos profile mem`` and required by the
+#: reader -- a dump from a different writer fails fast, not quietly.
+MEMPROFILE_SCHEMA = "simlint-memprofile/v1"
+
+
+_Index = TypeVar("_Index", bound="_MeasuredIndex")
+
+
+class _MeasuredIndex:
+    """Per-file measurement records ``(file, ...)`` from one dump.
+
+    Records are indexed by file basename; a record matches a model path
+    when the two agree on their common suffix, so a dump taken from any
+    working directory lines up with a lint run rooted elsewhere.
+    """
+
+    #: Dump kind and the ``repro-qos profile`` verb that writes one,
+    #: for error messages.
+    KIND = ""
+    WRITER = ""
+    #: Rule-id prefixes whose findings this measurement ranks.
+    FAMILIES: Tuple[str, ...] = ()
+    #: First 16 hex digits of the dump's sha256 (set by :meth:`load`);
+    #: folded into the cache key, so a different dump is a miss.
+    digest = ""
+
+    def __init__(self, records: Sequence[Tuple[Any, ...]]) -> None:
+        self._by_base: Dict[str, List[Tuple[Any, ...]]] = {}
+        for record in records:
+            base = record[0].rsplit("/", 1)[-1]
+            self._by_base.setdefault(base, []).append(record)
+
+    def _matching(self, path: str) -> Iterator[Tuple[Any, ...]]:
+        for record in self._by_base.get(path.rsplit("/", 1)[-1], ()):
+            filename = record[0]
+            if (
+                filename == path
+                or filename.endswith("/" + path)
+                or path.endswith("/" + filename)
+            ):
+                yield record
+
+    @classmethod
+    def load(cls: Type[_Index], path: Union[str, Path]) -> _Index:
+        """Read a dump once: parse it and keep its digest.  Raises
+        :class:`FileNotFoundError` when missing and :class:`ValueError`
+        when unreadable or corrupt in any way."""
+        try:
+            data = Path(path).read_bytes()
+        except FileNotFoundError:
+            raise
+        except OSError as exc:
+            raise ValueError(f"unreadable {cls.KIND} dump: {path} ({exc})")
+        # Corrupt in any way: bad marshal/JSON/UTF-8, truncation, records
+        # of the wrong type or length, nulls, unparseable or infinite numbers.
+        try:
+            index = cls._parse(data)
+        except (ArithmeticError, AttributeError, EOFError, LookupError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"not a readable {cls.KIND} dump: {path} ({exc}) "
+                f"(produce one with `repro-qos profile {cls.WRITER}`)"
+            )
+        index.digest = hashlib.sha256(data).hexdigest()[:16]
+        return index
+
+    @classmethod
+    def _parse(cls: Type[_Index], data: bytes) -> _Index:
+        raise NotImplementedError
+
+    def measure(self, summary: ModuleSummary, fact: FunctionFact) -> Optional[float]:
+        """What the dump measured in ``fact`` (``None``: never seen)."""
+        raise NotImplementedError
+
+    def attachment(self, measured: Optional[float]) -> Dict[str, Any]:
+        """What a ranked finding carries beside its bucket."""
+        raise NotImplementedError
+
+    def totals(self) -> Dict[str, Any]:
+        """The dump-wide figures that lead the stats block."""
+        raise NotImplementedError
+
+
+class ProfileIndex(_MeasuredIndex):
     """Cumulative-time lookup over one ``pstats`` dump.
 
-    Entries are indexed by file basename; a lookup matches when the
-    profiled filename and the model path agree on their common suffix
-    *and* either the function's ``def`` line or its bare name matches
-    (cProfile keys functions by definition line, which survives the
-    relative-vs-absolute path mismatch between a profile taken anywhere
-    and a lint run rooted elsewhere).
+    A lookup matches when the profiled filename and the model path agree
+    on their common suffix *and* either the function's ``def`` line or
+    its bare name matches (cProfile keys functions by definition line).
     """
+
+    KIND = "pstats"
+    WRITER = "run"
+    FAMILIES = ("SIM3", "SIM4")
 
     def __init__(
         self,
         entries: Sequence[Tuple[str, int, str, float]],
         total_seconds: float,
     ) -> None:
+        super().__init__(entries)
         self.total_seconds = total_seconds
-        self._by_base: Dict[str, List[Tuple[str, int, str, float]]] = {}
-        for filename, lineno, funcname, cum in entries:
-            base = filename.rsplit("/", 1)[-1]
-            self._by_base.setdefault(base, []).append(
-                (filename, lineno, funcname, cum)
-            )
 
     @classmethod
-    def load(cls, path: Union[str, "object"]) -> "ProfileIndex":
-        """Read a cProfile/pstats dump.  Raises :class:`FileNotFoundError`
-        when missing and :class:`ValueError` when unreadable."""
-        import pstats
-
-        try:
-            stats = pstats.Stats(str(path))
-        except FileNotFoundError:
-            raise
-        except Exception as exc:  # marshal errors, truncated dumps, ...
-            raise ValueError(f"not a readable pstats dump: {path} ({exc})")
+    def _parse(cls, data: bytes) -> "ProfileIndex":
+        raw = marshal.loads(data)
+        if not isinstance(raw, dict) or not raw:
+            raise ValueError("no profile entries")
         entries: List[Tuple[str, int, str, float]] = []
-        raw: Dict[Any, Any] = getattr(stats, "stats", {})
+        total = 0
         for (filename, lineno, funcname), row in raw.items():
-            cum = float(row[3])
+            total += row[2]  # own time: the sum pstats reports as total_tt
             posix = str(filename).replace("\\", "/")
-            if posix.startswith("~") or posix.startswith("<"):
+            if posix.startswith(("~", "<")):
                 continue  # builtins / compiled / <string> frames
-            entries.append((posix, int(lineno), str(funcname), cum))
-        total = float(getattr(stats, "total_tt", 0.0))
-        return cls(entries, total)
+            entries.append((posix, int(lineno), str(funcname), float(row[3])))
+        return cls(entries, float(total))
 
     def cumtime_for(self, path: str, line: int, name: str) -> Optional[float]:
         """Cumulative seconds for the function defined at ``path:line``
         (bare-name fallback), or ``None`` when the profile never saw it."""
-        base = path.rsplit("/", 1)[-1]
-        best: Optional[float] = None
-        for filename, lineno, funcname, cum in self._by_base.get(base, ()):
-            if not (
-                filename == path
-                or filename.endswith("/" + path)
-                or path.endswith("/" + filename)
-            ):
+        cums: List[float] = [
+            cum
+            for _, lineno, funcname, cum in self._matching(path)
+            if lineno == line or funcname == name
+        ]
+        return max(cums, default=None)
+
+    def measure(self, summary: ModuleSummary, fact: FunctionFact) -> Optional[float]:
+        bare = fact.qualname.rsplit(".", 1)[-1]
+        return self.cumtime_for(summary.path, fact.line, bare)
+
+    def attachment(self, measured: Optional[float]) -> Dict[str, Any]:
+        total = self.total_seconds
+        return {
+            "cum_seconds": round(measured, 6) if measured else 0.0,
+            "fraction": round(measured / total, 6) if measured and total else 0.0,
+        }
+
+    def totals(self) -> Dict[str, Any]:
+        return {"total_seconds": round(self.total_seconds, 6)}
+
+
+class MemProfileIndex(_MeasuredIndex):
+    """Per-site allocation lookup over one tracemalloc snapshot dump.
+
+    The dump is the JSON produced by ``repro-qos profile mem``: total
+    and peak traced bytes plus ``sites`` records of ``{file, line,
+    size_bytes, count}`` (one per ``tracemalloc.statistics("lineno")``
+    entry).  A finding is measured by the bytes allocated inside its
+    enclosing function.
+    """
+
+    KIND = "memprofile"
+    WRITER = "mem"
+    FAMILIES = ("SIM5",)
+
+    def __init__(
+        self,
+        sites: Sequence[Tuple[str, int, int]],
+        total_bytes: int,
+        peak_bytes: int,
+    ) -> None:
+        super().__init__(sites)
+        self.total_bytes = total_bytes
+        self.peak_bytes = peak_bytes
+
+    @classmethod
+    def _parse(cls, data: bytes) -> "MemProfileIndex":
+        payload = json.loads(data.decode("utf-8"))
+        if not isinstance(payload, dict) or payload.get("schema") != MEMPROFILE_SCHEMA:
+            raise ValueError(f"not a {MEMPROFILE_SCHEMA} dump")
+        sites: List[Tuple[str, int, int]] = []
+        for site in payload.get("sites", ()):
+            posix = str(site.get("file", "")).replace("\\", "/")
+            if not posix or posix.startswith("<"):
                 continue
-            if lineno == line or funcname == name:
-                if best is None or cum > best:
-                    best = cum
-        return best
+            sites.append(
+                (posix, int(site.get("line", 0)), int(site.get("size_bytes", 0)))
+            )
+        return cls(
+            sites,
+            int(payload.get("total_bytes", 0)),
+            int(payload.get("peak_bytes", 0)),
+        )
+
+    def sites_for(self, path: str) -> Iterator[Tuple[int, int]]:
+        """``(line, size_bytes)`` pairs recorded against ``path``."""
+        for _, lineno, size in self._matching(path):
+            yield lineno, size
+
+    def measure(self, summary: ModuleSummary, fact: FunctionFact) -> Optional[float]:
+        sizes = [
+            size
+            for line, size in self.sites_for(summary.path)
+            if _enclosing_fact(summary, line) is fact
+        ]
+        return sum(sizes) if sizes else None
+
+    def attachment(self, measured: Optional[float]) -> Dict[str, Any]:
+        total = self.total_bytes
+        return {
+            "alloc_bytes": int(measured or 0),
+            "fraction": round(measured / total, 6) if measured and total else 0.0,
+        }
+
+    def totals(self) -> Dict[str, Any]:
+        return {"total_bytes": int(self.total_bytes), "peak_bytes": int(self.peak_bytes)}
 
 
 def _enclosing_fact(
@@ -207,219 +349,43 @@ def _enclosing_fact(
 def annotate_profile(
     violations: Sequence[Violation],
     model: ProjectModel,
-    index: ProfileIndex,
+    index: _MeasuredIndex,
 ) -> Tuple[List[Violation], Dict[str, Any]]:
-    """Attach ``{bucket, cum_seconds, fraction}`` to every SIM3xx and
-    SIM4xx finding, ranking by measured cumulative time.
+    """Rank the findings of ``index.FAMILIES`` by what the dump measured
+    in their enclosing function, and attach ``{bucket, <amount>,
+    fraction}`` to each: the top decile of measured findings is
+    ``hot``, unmeasured ones are ``cold`` notes (real anti-patterns,
+    but not where the time or memory goes *in the profiled workload*),
+    the rest ``warm``.  A :class:`ProfileIndex` ranks SIM3xx and SIM4xx
+    by cumulative seconds, a :class:`MemProfileIndex` SIM5xx by bytes;
+    the families are disjoint, so a run may rank by both.
 
-    The temporal family rides the same attachment so a float deadline
-    in a measured-hot function surfaces before one in setup code.
-
-    Returns the annotated list (same order) plus summary stats for the
-    runner's ``--format json`` block.
+    Returns the annotated list (same order) plus the stats block the
+    runner reports (``--format json``).
     """
     annotated = list(violations)
-    ranked: List[Tuple[int, Optional[float]]] = []
+    ranked: List[int] = []
+    measured: Dict[int, float] = {}
     for i, violation in enumerate(annotated):
-        if not violation.rule_id.startswith(("SIM3", "SIM4")):
+        if not violation.rule_id.startswith(index.FAMILIES):
             continue
-        cum: Optional[float] = None
+        ranked.append(i)
         summary = model.by_path.get(violation.path)
         if summary is not None:
             fact = _enclosing_fact(summary, violation.line)
-            if fact is not None:
-                bare = fact.qualname.rsplit(".", 1)[-1]
-                cum = index.cumtime_for(violation.path, fact.line, bare)
-        ranked.append((i, cum))
-
-    timed = sorted(
-        [(i, c) for i, c in ranked if c is not None and c > 0.0],
-        key=lambda item: (-item[1], item[0]),
-    )
-    hot_count = max(1, math.ceil(len(timed) / 10)) if timed else 0
-    hot_indices = {i for i, _ in timed[:hot_count]}
-    total = index.total_seconds
+            amount = index.measure(summary, fact) if fact is not None else None
+            if amount is not None and amount > 0:
+                measured[i] = amount
+    order = sorted(measured, key=lambda i: (-measured[i], i))
+    hot = set(order[: math.ceil(len(order) / 10)])
     counts = {"hot": 0, "warm": 0, "cold": 0}
-    for i, cum in ranked:
-        if cum is None or cum <= 0.0:
-            bucket = "cold"
-        elif i in hot_indices:
-            bucket = "hot"
-        else:
-            bucket = "warm"
+    for i in ranked:
+        bucket = "hot" if i in hot else "warm" if i in measured else "cold"
         counts[bucket] += 1
         annotated[i] = replace(
             annotated[i],
-            profile={
-                "bucket": bucket,
-                "cum_seconds": round(cum, 6) if cum else 0.0,
-                "fraction": round(cum / total, 6) if cum and total else 0.0,
-            },
+            profile={"bucket": bucket, **index.attachment(measured.get(i))},
         )
-    stats: Dict[str, Any] = {
-        "total_seconds": round(total, 6),
-        "ranked": len(ranked),
-        "matched": len(timed),
-    }
-    stats.update(counts)
-    return annotated, stats
-
-
-# ----------------------------------------------------------------------
-# allocation-guided ranking (the SIM5xx mirror of the pstats mode)
-# ----------------------------------------------------------------------
-#: Schema tag written by ``repro-qos profile mem`` and required by the
-#: reader -- a dump from a different writer fails fast, not quietly.
-MEMPROFILE_SCHEMA = "simlint-memprofile/v1"
-
-
-class MemProfileIndex:
-    """Per-site allocation lookup over one tracemalloc snapshot dump.
-
-    The dump is the JSON produced by ``repro-qos profile mem``: total
-    and peak traced bytes plus ``sites`` records of ``{file, line,
-    size_bytes, count}`` (one per ``tracemalloc.statistics("lineno")``
-    entry).  Sites are indexed by file basename and matched to model
-    paths by common suffix, the same contract as :class:`ProfileIndex`.
-    """
-
-    def __init__(
-        self,
-        sites: Sequence[Tuple[str, int, int]],
-        total_bytes: int,
-        peak_bytes: int,
-    ) -> None:
-        self.total_bytes = total_bytes
-        self.peak_bytes = peak_bytes
-        self._by_base: Dict[str, List[Tuple[str, int, int]]] = {}
-        for filename, lineno, size in sites:
-            base = filename.rsplit("/", 1)[-1]
-            self._by_base.setdefault(base, []).append((filename, lineno, size))
-
-    @classmethod
-    def load(cls, path: Union[str, "object"]) -> "MemProfileIndex":
-        """Read a ``profile mem`` JSON dump.  Raises
-        :class:`FileNotFoundError` when missing and :class:`ValueError`
-        when unreadable or not a memprofile dump."""
-        import json
-
-        try:
-            text = open(str(path), "r", encoding="utf-8").read()
-        except FileNotFoundError:
-            raise
-        except OSError as exc:
-            raise ValueError(f"unreadable memprofile dump: {path} ({exc})")
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise ValueError(
-                f"not a JSON memprofile dump: {path} ({exc}) "
-                "(produce one with `repro-qos profile mem`)"
-            )
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != MEMPROFILE_SCHEMA
-        ):
-            raise ValueError(
-                f"not a {MEMPROFILE_SCHEMA} dump: {path} "
-                "(produce one with `repro-qos profile mem`)"
-            )
-        sites: List[Tuple[str, int, int]] = []
-        for site in payload.get("sites", ()):
-            posix = str(site.get("file", "")).replace("\\", "/")
-            if not posix or posix.startswith("<"):
-                continue
-            sites.append(
-                (posix, int(site.get("line", 0)), int(site.get("size_bytes", 0)))
-            )
-        return cls(
-            sites,
-            int(payload.get("total_bytes", 0)),
-            int(payload.get("peak_bytes", 0)),
-        )
-
-    def sites_for(self, path: str) -> Iterator[Tuple[int, int]]:
-        """``(line, size_bytes)`` pairs recorded against ``path``
-        (suffix-matched, so dumps taken from any working directory
-        line up with model paths rooted elsewhere)."""
-        base = path.rsplit("/", 1)[-1]
-        for filename, lineno, size in self._by_base.get(base, ()):
-            if (
-                filename == path
-                or filename.endswith("/" + path)
-                or path.endswith("/" + filename)
-            ):
-                yield lineno, size
-
-
-def annotate_memprofile(
-    violations: Sequence[Violation],
-    model: ProjectModel,
-    index: MemProfileIndex,
-) -> Tuple[List[Violation], Dict[str, Any]]:
-    """Attach ``{bucket, alloc_bytes, fraction}`` to every SIM5xx
-    finding, ranking by bytes measured against the finding's enclosing
-    function.
-
-    Mirrors :func:`annotate_profile`: the top decile by measured bytes
-    is ``hot``, unmeasured findings demote to ``cold`` notes (real
-    anti-patterns, but not where the memory goes *in the profiled
-    workload*), and the rest are ``warm``.  Only the SIM5xx family is
-    touched, so a run may rank by time and bytes simultaneously.
-    """
-    annotated = list(violations)
-    alloc: Dict[Tuple[str, str], int] = {}
-    for summary in model.summaries():
-        for lineno, size in index.sites_for(summary.path):
-            fact = _enclosing_fact(summary, lineno)
-            if fact is None:
-                continue
-            key = (summary.path, fact.qualname)
-            alloc[key] = alloc.get(key, 0) + size
-
-    ranked: List[Tuple[int, Optional[int]]] = []
-    for i, violation in enumerate(annotated):
-        if not violation.rule_id.startswith("SIM5"):
-            continue
-        measured: Optional[int] = None
-        summary = model.by_path.get(violation.path)
-        if summary is not None:
-            fact = _enclosing_fact(summary, violation.line)
-            if fact is not None:
-                measured = alloc.get((violation.path, fact.qualname))
-        ranked.append((i, measured))
-
-    timed = sorted(
-        [(i, b) for i, b in ranked if b],
-        key=lambda item: (-item[1], item[0]),
-    )
-    hot_count = max(1, math.ceil(len(timed) / 10)) if timed else 0
-    hot_indices = {i for i, _ in timed[:hot_count]}
-    total = index.total_bytes
-    counts = {"hot": 0, "warm": 0, "cold": 0}
-    for i, measured in ranked:
-        if not measured:
-            bucket = "cold"
-        elif i in hot_indices:
-            bucket = "hot"
-        else:
-            bucket = "warm"
-        counts[bucket] += 1
-        annotated[i] = replace(
-            annotated[i],
-            profile={
-                "bucket": bucket,
-                "alloc_bytes": int(measured or 0),
-                "fraction": (
-                    round(measured / total, 6) if measured and total else 0.0
-                ),
-            },
-        )
-    stats: Dict[str, Any] = {
-        "total_bytes": int(total),
-        "peak_bytes": int(index.peak_bytes),
-        "ranked": len(ranked),
-        "matched": len(timed),
-    }
+    stats = {**index.totals(), "ranked": len(ranked), "matched": len(measured)}
     stats.update(counts)
     return annotated, stats

@@ -28,12 +28,10 @@ still a leak at 1024 endpoints.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
-from weakref import WeakKeyDictionary
 
-from repro.lint.callgraph import CallGraph, Node
+from repro.lint.callgraph import CallGraph, Node, closure, per_graph
 from repro.lint.dataflow import FunctionFact
 from repro.lint.hotpath import HOT_PATH_PATTERNS
 from repro.lint.projectmodel import ModuleSummary, ProjectModel
@@ -129,9 +127,6 @@ class ScaleAnalysis:
         return (module, qualname) in self.reachable
 
 
-_CACHE: "WeakKeyDictionary[CallGraph, ScaleAnalysis]" = WeakKeyDictionary()
-
-
 def _collect_lifecycles(
     model: ProjectModel,
 ) -> Dict[Tuple[str, str], ClassLifecycle]:
@@ -213,41 +208,18 @@ def _scale_roots(model: ProjectModel, graph: CallGraph) -> Set[Node]:
     return roots
 
 
-def _closure(
-    graph: CallGraph,
-    extra_edges: Dict[Node, Set[Node]],
-    roots: Set[Node],
-) -> Dict[Node, Node]:
-    witness: Dict[Node, Node] = {}
-    queue: deque = deque()
-    for root in sorted(roots):
-        if root not in witness:
-            witness[root] = root
-            queue.append(root)
-    while queue:
-        node = queue.popleft()
-        successors = set(graph.edges.get(node, ()))
-        successors.update(extra_edges.get(node, ()))
-        for successor in sorted(successors):
-            if successor not in witness:
-                witness[successor] = witness[node]
-                queue.append(successor)
-    return witness
-
-
+@per_graph
 def analyze_scale(model: ProjectModel, graph: CallGraph) -> ScaleAnalysis:
     """Compute (once per call graph) the shared SIM5xx analysis."""
-    cached = _CACHE.get(graph)
-    if cached is not None:
-        return cached
     lifecycles = _collect_lifecycles(model)
     dispatch = _dispatch_edges(model, lifecycles)
     roots = _scale_roots(model, graph)
-    analysis = ScaleAnalysis(
+    return ScaleAnalysis(
         lifecycles=lifecycles,
         roots=roots,
-        reachable=_closure(graph, dispatch, roots),
+        reachable=closure(
+            roots,
+            lambda node: graph.edges.get(node, set()) | dispatch.get(node, set()),
+        ),
         dispatch_edges=dispatch,
     )
-    _CACHE[graph] = analysis
-    return analysis

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
-from weakref import WeakKeyDictionary
 
-from repro.lint.callgraph import CallGraph, Node
+from repro.lint.callgraph import CallGraph, Node, per_graph
 from repro.lint.dataflow import FunctionFact
 from repro.lint.projectmodel import ModuleSummary, ProjectModel
 
-__all__ = ["ParallelAnalysis", "SubmissionSite", "analyze_parallel"]
+__all__ = ["SubmissionSite", "analyze_parallel"]
 
 #: Worker entry points reached through indirection the resolver cannot
 #: see (``SweepExecutor`` stores its worker on an instance attribute).
@@ -91,15 +90,9 @@ class ParallelAnalysis:
         return f"reachable from `{witness[0]}.{witness[1]}` ({reason})"
 
 
-_CACHE: "WeakKeyDictionary[CallGraph, ParallelAnalysis]" = WeakKeyDictionary()
-
-
+@per_graph
 def analyze_parallel(model: ProjectModel, graph: CallGraph) -> ParallelAnalysis:
     """The (memoized) parallel analysis for one model/graph pair."""
-    cached = _CACHE.get(graph)
-    if cached is not None:
-        return cached
-
     analysis = ParallelAnalysis()
     for summary in model.summaries():
         for qualname in sorted(summary.functions):
@@ -135,7 +128,6 @@ def analyze_parallel(model: ProjectModel, graph: CallGraph) -> ParallelAnalysis:
             add_root(resolved, f"known worker entry point `{dotted}`")
 
     analysis.reachable = graph.reachable_from(analysis.roots)
-    _CACHE[graph] = analysis
     return analysis
 
 

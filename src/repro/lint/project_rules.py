@@ -1,4 +1,4 @@
-"""The interprocedural SIM1xx rules, run over the project model.
+"""The interprocedural SIM1xx-SIM5xx rules, run over the project model.
 
 Unlike the per-file SIM0xx rules (:mod:`repro.lint.rules`), these see
 every module of the scanned tree at once -- the import graph, the
@@ -85,10 +85,11 @@ alias for every rule).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Type
+import operator
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.lint.callgraph import CallGraph, Node
-from repro.lint.dataflow import classify_name, dims_compatible
+from repro.lint.dataflow import FunctionFact, classify_name, dims_compatible
 from repro.lint.hotpath import (
     HOT_PATH_PATTERNS,
     SANCTIONED_PATH_PATTERNS,
@@ -102,29 +103,17 @@ from repro.lint.lifecycle import (
     ScaleAnalysis,
     analyze_scale,
 )
-from repro.lint.parallel import ParallelAnalysis, SubmissionSite, analyze_parallel
+from repro.lint.parallel import SubmissionSite, analyze_parallel
 from repro.lint.projectmodel import ModuleSummary, ProjectModel
+from repro.lint.rules import PROJECT_RULES, BaseRule, register
 from repro.lint.temporal import FLOAT, SUBTRACTION, iter_temporal_facts
 from repro.lint.violations import Violation
 
 __all__ = ["PROJECT_RULES", "ProjectRule", "register_project_rule"]
 
 
-class ProjectRule:
+class ProjectRule(BaseRule):
     """Base class for whole-program rules."""
-
-    #: Stable identifier, ``SIM1`` + two digits.
-    id: str = ""
-    #: Pragma name (``simlint: allow-<name>`` suppresses the rule).
-    name: str = ""
-    #: One-line description (``repro-qos lint --list-rules``).
-    description: str = ""
-    #: Longer why-this-matters text (``repro-qos lint --explain``).
-    rationale: str = ""
-    #: Minimal embedded examples, used by ``--explain`` when the fixture
-    #: tree is not available (e.g. installed package).
-    example_bad: str = ""
-    example_good: str = ""
 
     def check(self, model: ProjectModel, graph: CallGraph) -> Iterator[Violation]:
         """Yield one :class:`Violation` per finding (pragma filtering is
@@ -152,20 +141,35 @@ class ProjectRule:
         )
 
 
-#: The project-rule registry, keyed by rule id.
-PROJECT_RULES: Dict[str, ProjectRule] = {}
-
-
 def register_project_rule(cls: Type[ProjectRule]) -> Type[ProjectRule]:
-    rule = cls()
-    if not rule.id or not rule.name:
-        raise ValueError(f"rule {cls.__name__} must define id and name")
-    if rule.id in PROJECT_RULES:
-        raise ValueError(f"duplicate rule id {rule.id}")
-    if any(existing.name == rule.name for existing in PROJECT_RULES.values()):
-        raise ValueError(f"duplicate rule name {rule.name!r}")
-    PROJECT_RULES[rule.id] = rule
-    return cls
+    """Class decorator: instantiate and register a project rule."""
+    return register(PROJECT_RULES, cls)
+
+
+#: ``[line, col, end_line, end_col]`` of a dataflow record.
+_record_span = operator.itemgetter("line", "col", "end_line", "end_col")
+
+
+def _fix(
+    kind: str,
+    path: str,
+    description: str,
+    edits: Iterable[Tuple[Sequence[Any], str]],
+    **extra: str,
+) -> Dict[str, Any]:
+    """A machine-fix payload (what :mod:`repro.lint.fixes` applies);
+    ``edits`` are ``([line, col, end_line, end_col], replacement)``."""
+    keys = ("start_line", "start_col", "end_line", "end_col")
+    return {
+        "kind": kind,
+        "path": path,
+        "description": description,
+        "edits": [
+            {**dict(zip(keys, map(int, span))), "replacement": replacement}
+            for span, replacement in edits
+        ],
+        **extra,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -287,15 +291,8 @@ class NondeterministicIterationRule(ProjectRule):
         base = graph.nodes_in_modules(self.SINK_PATH_PATTERNS)
         base |= graph.nodes_calling_attrs(self.SINK_ATTRS)
         reaching = graph.nodes_reaching(base)
-        for node, witness in sorted(reaching.items()):
-            summary = graph.summary_of(node)
-            if summary is None:
-                continue
-            fact = summary.functions.get(node[1])
-            if fact is None:
-                continue
-            witness_summary = graph.summary_of(witness)
-            witness_path = witness_summary.path if witness_summary else node[0]
+        for node, summary, fact, witness_path in graph.facts(reaching):
+            witness = reaching[node]
             for line, col, detail in fact.set_iters:
                 yield self._violation(
                     summary.path,
@@ -437,24 +434,6 @@ class HotPathPurityRule(ProjectRule):
 # ----------------------------------------------------------------------
 # SIM2xx: parallel safety (worker-reachability based)
 # ----------------------------------------------------------------------
-def _reachable_facts(
-    analysis: ParallelAnalysis, graph: CallGraph
-) -> Iterator[Tuple[Node, ModuleSummary, Any, str]]:
-    """Worker-reachable (node, summary, fact, witness_path) quadruples,
-    in deterministic node order."""
-    for node in sorted(analysis.reachable):
-        summary = graph.summary_of(node)
-        if summary is None:
-            continue
-        fact = summary.functions.get(node[1])
-        if fact is None:
-            continue
-        witness = analysis.reachable[node]
-        witness_summary = graph.summary_of(witness)
-        witness_path = witness_summary.path if witness_summary else summary.path
-        yield node, summary, fact, witness_path
-
-
 @register_project_rule
 class UnpicklableWorkerRule(ProjectRule):
     id = "SIM201"
@@ -541,21 +520,13 @@ class UnpicklableWorkerRule(ProjectRule):
         if name in site.summary.symbols:
             return None  # already lifted (or colliding): leave it alone
         params = ", ".join(payload["params"])
-        return {
-            "kind": "lift-lambda",
-            "path": site.summary.path,
-            "description": f"lift the lambda to module-level `{name}`",
-            "edits": [
-                {
-                    "start_line": payload["line"],
-                    "start_col": payload["col"],
-                    "end_line": payload["end_line"],
-                    "end_col": payload["end_col"],
-                    "replacement": name,
-                }
-            ],
-            "append": f"\n\ndef {name}({params}):\n    return {body_src}\n",
-        }
+        return _fix(
+            "lift-lambda",
+            site.summary.path,
+            f"lift the lambda to module-level `{name}`",
+            [(_record_span(payload), name)],
+            append=f"\n\ndef {name}({params}):\n    return {body_src}\n",
+        )
 
 
 @register_project_rule
@@ -591,9 +562,7 @@ class SharedMutableGlobalRule(ProjectRule):
 
     def check(self, model: ProjectModel, graph: CallGraph) -> Iterator[Violation]:
         analysis = analyze_parallel(model, graph)
-        for node, summary, fact, witness_path in _reachable_facts(
-            analysis, graph
-        ):
+        for node, summary, fact, witness_path in graph.facts(analysis.reachable):
             for line, col, origin, kind, detail in fact.global_mutations:
                 resolved = model.resolve_symbol(origin)
                 if resolved is None:
@@ -706,24 +675,13 @@ class ProcessVaryingValueRule(ProjectRule):
         arg_src = record.get("arg_src")
         if not arg_src:
             return None
-        return {
-            "kind": "stable-hash",
-            "path": path,
-            "description": (
-                "replace hash() with the deterministic sha256-based "
-                "stable_hash()"
-            ),
-            "edits": [
-                {
-                    "start_line": record["line"],
-                    "start_col": record["col"],
-                    "end_line": record["end_line"],
-                    "end_col": record["end_col"],
-                    "replacement": f"stable_hash({arg_src})",
-                }
-            ],
-            "ensure_import": "from repro.exec.digest import stable_hash",
-        }
+        return _fix(
+            "stable-hash",
+            path,
+            "replace hash() with the deterministic sha256-based stable_hash()",
+            [(_record_span(record), f"stable_hash({arg_src})")],
+            ensure_import="from repro.exec.digest import stable_hash",
+        )
 
 
 @register_project_rule
@@ -760,9 +718,7 @@ class NonAtomicSharedWriteRule(ProjectRule):
 
     def check(self, model: ProjectModel, graph: CallGraph) -> Iterator[Violation]:
         analysis = analyze_parallel(model, graph)
-        for node, summary, fact, witness_path in _reachable_facts(
-            analysis, graph
-        ):
+        for node, summary, fact, witness_path in graph.facts(analysis.reachable):
             if fact.atomic_renames:
                 continue  # temp-then-rename idiom present in this function
             for line, col, detail in fact.file_writes:
@@ -808,9 +764,7 @@ class WorkerEnvMutationRule(ProjectRule):
 
     def check(self, model: ProjectModel, graph: CallGraph) -> Iterator[Violation]:
         analysis = analyze_parallel(model, graph)
-        for node, summary, fact, witness_path in _reachable_facts(
-            analysis, graph
-        ):
+        for node, summary, fact, witness_path in graph.facts(analysis.reachable):
             for line, col, detail in fact.env_writes:
                 yield self._violation(
                     summary.path,
@@ -869,32 +823,10 @@ def _hoist_fix(
         return None
     alias = str(rec["alias"])
     pad = " " * int(rec["loop_col"])
-    loop_line = int(rec["loop_line"])
-    edits: list[Dict[str, Any]] = [
-        {
-            "start_line": loop_line,
-            "start_col": 0,
-            "end_line": loop_line,
-            "end_col": 0,
-            "replacement": f"{pad}{alias} = {target}\n",
-        }
-    ]
-    for site in rec["sites"]:
-        edits.append(
-            {
-                "start_line": int(site[0]),
-                "start_col": int(site[1]),
-                "end_line": int(site[2]),
-                "end_col": int(site[3]),
-                "replacement": alias,
-            }
-        )
-    return {
-        "kind": "hoist-loop-load",
-        "path": path,
-        "description": description,
-        "edits": edits,
-    }
+    loop_line = rec["loop_line"]
+    insert = ([loop_line, 0, loop_line, 0], f"{pad}{alias} = {target}\n")
+    rewrites = [(site, alias) for site in rec["sites"]]
+    return _fix("hoist-loop-load", path, description, [insert, *rewrites])
 
 
 @register_project_rule
@@ -1018,25 +950,14 @@ class HotMissingSlotsRule(ProjectRule):
                     items = ", ".join(f'"{attr}"' for attr in attrs)
                     if len(attrs) == 1:
                         items += ","
-                    fix = {
-                        "kind": "insert-slots",
-                        "path": owner.path,
-                        "description": (
-                            f"declare `__slots__` on `{symbol}` from its "
-                            "`__init__` attributes"
-                        ),
-                        "edits": [
-                            {
-                                "start_line": int(info["insert_line"]),
-                                "start_col": 0,
-                                "end_line": int(info["insert_line"]),
-                                "end_col": 0,
-                                "replacement": (
-                                    f"{pad}__slots__ = ({items})\n\n"
-                                ),
-                            }
-                        ],
-                    }
+                    line = info["insert_line"]
+                    fix = _fix(
+                        "insert-slots",
+                        owner.path,
+                        f"declare `__slots__` on `{symbol}` from its "
+                        "`__init__` attributes",
+                        [([line, 0, line, 0], f"{pad}__slots__ = ({items})\n\n")],
+                    )
                 yield self._violation(
                     owner.path,
                     int(info["line"]),
@@ -1346,21 +1267,41 @@ def _span_fix(
     the finding still fires, the rewrite is left to a human)."""
     if span_fix is None:
         return None
-    span = span_fix["span"]
-    return {
-        "kind": kind,
-        "path": path,
-        "description": description,
-        "edits": [
-            {
-                "start_line": int(span[0]),
-                "start_col": int(span[1]),
-                "end_line": int(span[2]),
-                "end_col": int(span[3]),
-                "replacement": str(span_fix["replacement"]),
-            }
-        ],
-    }
+    edit = (span_fix["span"], str(span_fix["replacement"]))
+    return _fix(kind, path, description, [edit])
+
+
+def _capture_findings(
+    rule: ProjectRule,
+    model: ProjectModel,
+    records: Callable[[FunctionFact], List[Dict[str, Any]]],
+    fix_kind: str,
+    captured: str,
+    consequence: str,
+) -> Iterator[Violation]:
+    """SIM405/SIM506: one finding per scheduled callback the dataflow
+    capture analyzer recorded (loop variables or container locals read
+    by reference), with the default-argument rebinding fix."""
+    for summary in model.summaries():
+        for fact in summary.functions.values():
+            for rec in records(fact):
+                names = ", ".join(f"`{v}`" for v in rec["vars"])
+                fix = _span_fix(
+                    fix_kind,
+                    summary.path,
+                    f"bind {names} by default argument in the callback",
+                    rec.get("fix"),
+                )
+                callee = "lambda" if rec["kind"] == "lambda" else f"`{rec['callee']}`"
+                yield rule._violation(
+                    summary.path,
+                    int(rec["line"]),
+                    int(rec["col"]),
+                    f"{callee} passed to `.{rec['attr']}(...)` in "
+                    f"`{fact.qualname}` captures {captured} {names}; {consequence}",
+                    (summary.path,),
+                    fix=fix,
+                )
 
 
 @register_project_rule
@@ -1598,29 +1539,15 @@ class LateBindingCallbackRule(ProjectRule):
     )
 
     def check(self, model: ProjectModel, graph: CallGraph) -> Iterator[Violation]:
-        for summary, fact in iter_temporal_facts(model):
-            for rec in fact.loop_captures:
-                names = ", ".join(f"`{v}`" for v in rec["vars"])
-                fix = _span_fix(
-                    "bind-loop-var",
-                    summary.path,
-                    f"bind {names} by default argument in the callback",
-                    rec.get("fix"),
-                )
-                callee = (
-                    "lambda" if rec["kind"] == "lambda" else f"`{rec['callee']}`"
-                )
-                yield self._violation(
-                    summary.path,
-                    int(rec["line"]),
-                    int(rec["col"]),
-                    f"{callee} passed to `.{rec['attr']}(...)` in "
-                    f"`{fact.qualname}` captures loop variable(s) "
-                    f"{names}; every callback fires with the final "
-                    "iteration's value -- bind with a default argument",
-                    (summary.path,),
-                    fix=fix,
-                )
+        return _capture_findings(
+            self,
+            model,
+            lambda fact: fact.loop_captures,
+            "bind-loop-var",
+            "loop variable(s)",
+            "every callback fires with the final iteration's value -- bind "
+            "with a default argument",
+        )
 
 
 @register_project_rule
@@ -1875,39 +1802,18 @@ class LinearMembershipHotRule(ProjectRule):
             for _, op in cycle.members + cycle.shrinks
         ):
             return None
-        span = cycle.info["value_span"]
-        edits = [
-            {
-                "start_line": int(span[0]),
-                "start_col": int(span[1]),
-                "end_line": int(span[2]),
-                "end_col": int(span[3]),
-                "replacement": "set()",
-            }
-        ]
+        edits = [(cycle.info["value_span"], "set()")]
         for _, op in cycle.grows:
-            if op.get("method") == "add":
-                continue
-            func_span = op["func_span"]
-            recv = op.get("recv_src") or f"self.{cycle.attr}"
-            edits.append(
-                {
-                    "start_line": int(func_span[0]),
-                    "start_col": int(func_span[1]),
-                    "end_line": int(func_span[2]),
-                    "end_col": int(func_span[3]),
-                    "replacement": f"{recv}.add",
-                }
-            )
-        return {
-            "kind": "list-to-set",
-            "path": lifecycle.summary.path,
-            "description": (
-                f"rewrite `self.{cycle.attr}` to a set: `[]` -> `set()`"
-                " and `.append` -> `.add`"
-            ),
-            "edits": edits,
-        }
+            if op.get("method") != "add":
+                recv = op.get("recv_src") or f"self.{cycle.attr}"
+                edits.append((op["func_span"], f"{recv}.add"))
+        return _fix(
+            "list-to-set",
+            lifecycle.summary.path,
+            f"rewrite `self.{cycle.attr}` to a set: `[]` -> `set()`"
+            " and `.append` -> `.add`",
+            edits,
+        )
 
     def check(self, model: ProjectModel, graph: CallGraph) -> Iterator[Violation]:
         analysis: ScaleAnalysis = analyze_scale(model, graph)
@@ -2166,30 +2072,12 @@ class LoopClosureRetentionRule(ProjectRule):
     )
 
     def check(self, model: ProjectModel, graph: CallGraph) -> Iterator[Violation]:
-        for summary in model.summaries():
-            for fact in summary.functions.values():
-                for rec in fact.closure_retentions:
-                    names = ", ".join(f"`{v}`" for v in rec["vars"])
-                    fix = _span_fix(
-                        "bind-retained-container",
-                        summary.path,
-                        f"bind {names} by default argument in the callback",
-                        rec.get("fix"),
-                    )
-                    callee = (
-                        "lambda"
-                        if rec["kind"] == "lambda"
-                        else f"`{rec['callee']}`"
-                    )
-                    yield self._violation(
-                        summary.path,
-                        int(rec["line"]),
-                        int(rec["col"]),
-                        f"{callee} passed to `.{rec['attr']}(...)` in "
-                        f"`{fact.qualname}` captures container(s) "
-                        f"{names}; the pending event pins the whole "
-                        "container -- bind it as a default argument or "
-                        "pass the needed fields",
-                        (summary.path,),
-                        fix=fix,
-                    )
+        return _capture_findings(
+            self,
+            model,
+            lambda fact: fact.closure_retentions,
+            "bind-retained-container",
+            "container(s)",
+            "the pending event pins the whole container -- bind it as a "
+            "default argument or pass the needed fields",
+        )

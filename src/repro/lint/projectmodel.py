@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.lint.dataflow import FunctionAnalyzer, FunctionFact, dotted_name
+from repro.lint.dataflow import (
+    FactRecord,
+    FunctionAnalyzer,
+    FunctionFact,
+    arg_names,
+    dotted_name,
+)
 from repro.lint.pragmas import allowed_by_line, parse_pragmas
 
 __all__ = ["ModuleSummary", "ProjectModel", "extract_summary"]
@@ -55,7 +61,7 @@ def module_name_for(path: Path) -> str:
 
 
 @dataclass
-class ModuleSummary:
+class ModuleSummary(FactRecord):
     """Everything the project rules need to know about one file."""
 
     path: str  # posix-style, as handed to the walker (stable in output)
@@ -87,56 +93,6 @@ class ModuleSummary:
     pragmas: Dict[int, List[str]] = field(default_factory=dict)
     #: Cached per-file (SIM0xx) findings, already pragma-filtered.
     file_violations: List[Dict[str, Any]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_package": self.is_package,
-            "exports": [list(item) for item in self.exports],
-            "symbols": self.symbols,
-            "classes": self.classes,
-            "bindings": self.bindings,
-            "mutable_globals": {
-                name: list(item) for name, item in self.mutable_globals.items()
-            },
-            "star_imports": self.star_imports,
-            "uses": self.uses,
-            "functions": {
-                name: fact.to_dict() for name, fact in self.functions.items()
-            },
-            "pragmas": {str(line): names for line, names in self.pragmas.items()},
-            "file_violations": self.file_violations,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ModuleSummary":
-        return cls(
-            path=payload["path"],
-            module=payload["module"],
-            is_package=payload["is_package"],
-            exports=[(e[0], e[1], e[2]) for e in payload["exports"]],
-            symbols=dict(payload["symbols"]),
-            classes={
-                name: dict(info)
-                for name, info in payload.get("classes", {}).items()
-            },
-            bindings=dict(payload["bindings"]),
-            mutable_globals={
-                name: (item[0], item[1], item[2])
-                for name, item in payload.get("mutable_globals", {}).items()
-            },
-            star_imports=list(payload["star_imports"]),
-            uses=list(payload["uses"]),
-            functions={
-                name: FunctionFact.from_dict(fact)
-                for name, fact in payload["functions"].items()
-            },
-            pragmas={
-                int(line): list(names) for line, names in payload["pragmas"].items()
-            },
-            file_violations=list(payload["file_violations"]),
-        )
 
     def allowed_on_line(self, line: int) -> frozenset:
         return frozenset(self.pragmas.get(line, ()))
@@ -489,17 +445,6 @@ def _collect_uses(
     return sorted(uses)
 
 
-def _function_params(node: ast.FunctionDef) -> List[str]:
-    return [
-        arg.arg
-        for arg in [
-            *node.args.posonlyargs,
-            *node.args.args,
-            *node.args.kwonlyargs,
-        ]
-    ]
-
-
 def extract_summary(source: str, path: str, *, tree: Optional[ast.Module] = None) -> ModuleSummary:
     """One parse of ``source`` into a :class:`ModuleSummary`.
 
@@ -568,7 +513,7 @@ def extract_summary(source: str, path: str, *, tree: Optional[ast.Module] = None
                 stmt.name,
                 stmt.body,
                 line=stmt.lineno,
-                params=_function_params(stmt),
+                params=arg_names(stmt.args),
             )
         elif isinstance(stmt, ast.ClassDef):
             for item in stmt.body:
@@ -577,7 +522,7 @@ def extract_summary(source: str, path: str, *, tree: Optional[ast.Module] = None
                         f"{stmt.name}.{item.name}",
                         item.body,
                         line=item.lineno,
-                        params=_function_params(item),
+                        params=arg_names(item.args),
                         is_method=True,
                         class_name=stmt.name,
                     )

@@ -1,10 +1,12 @@
-"""The simlint rule registry and the built-in SIM rules.
+"""The simlint rule registries and the built-in per-file SIM rules.
 
 A rule is a small class with an ``id`` (``SIM001``), a ``name`` (the
 pragma spelling, ``global-random``) and a :meth:`Rule.check` that walks
 a parsed module and yields ``(node, message)`` pairs.  Register it with
 the :func:`register_rule` decorator and it is automatically picked up by
-the runner, the CLI and the fixture-driven test matrix.
+the runner, the CLI and the fixture-driven test matrix.  Project rules
+(:mod:`repro.lint.project_rules`) share :class:`BaseRule` and
+:func:`register`, so ids and pragma names are unique across both.
 
 Adding a rule therefore takes three steps:
 
@@ -19,17 +21,21 @@ Adding a rule therefore takes three steps:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, Tuple, Type
+from typing import TYPE_CHECKING, Collection, Dict, Iterable, Iterator, Tuple, Type, TypeVar
 
-__all__ = ["RULES", "Rule", "register_rule"]
+if TYPE_CHECKING:
+    from repro.lint.project_rules import ProjectRule
+
+__all__ = ["PROJECT_RULES", "RULES", "BaseRule", "Rule", "register", "register_rule"]
 
 Finding = Tuple[ast.AST, str]
 
 
-class Rule:
-    """Base class for simlint rules."""
+class BaseRule:
+    """What every simlint rule declares, per-file or project-wide."""
 
-    #: Stable identifier, ``SIM`` + three digits.
+    #: Stable identifier, ``SIM`` + three digits (SIM0xx per-file,
+    #: SIM1xx-SIM5xx project rules).
     id: str = ""
     #: Pragma name: a ``simlint: allow-<name>`` comment suppresses this rule.
     #: (The lowercase id, e.g. ``allow-sim004``, always works as an alias.)
@@ -42,6 +48,15 @@ class Rule:
     #: the fixture tree is not on disk (e.g. an installed package).
     example_bad: str = ""
     example_good: str = ""
+
+    def allowed_by(self, pragma_names: Collection[str]) -> bool:
+        """Whether a line's pragmas (``allow-<name>`` names) suppress
+        this rule: its name or its lowercase id."""
+        return self.name in pragma_names or self.id.lower() in pragma_names
+
+
+class Rule(BaseRule):
+    """Base class for per-file simlint rules."""
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         """Yield ``(node, message)`` for each violation in ``tree``.
@@ -56,21 +71,33 @@ class Rule:
         return True
 
 
-#: The global registry, keyed by rule id, populated at import time.
+#: The registries, keyed by rule id, populated at import time: per-file
+#: rules here, project rules (:mod:`repro.lint.project_rules`) apart.
+#: Ids and pragma names are unique across both.
 RULES: Dict[str, Rule] = {}
+PROJECT_RULES: Dict[str, "ProjectRule"] = {}
+
+_AnyRule = TypeVar("_AnyRule", bound=BaseRule)
 
 
-def register_rule(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator: instantiate and register a rule."""
+def register(registry: Dict[str, _AnyRule], cls: Type[_AnyRule]) -> Type[_AnyRule]:
+    """Instantiate ``cls`` and add it to ``registry``, refusing an id or
+    a pragma name either registry already holds."""
     rule = cls()
     if not rule.id or not rule.name:
         raise ValueError(f"rule {cls.__name__} must define id and name")
-    if rule.id in RULES:
+    registered: Dict[str, BaseRule] = {**RULES, **PROJECT_RULES}
+    if rule.id in registered:
         raise ValueError(f"duplicate rule id {rule.id}")
-    if any(existing.name == rule.name for existing in RULES.values()):
+    if any(existing.name == rule.name for existing in registered.values()):
         raise ValueError(f"duplicate rule name {rule.name!r}")
-    RULES[rule.id] = rule
+    registry[rule.id] = rule
     return cls
+
+
+def register_rule(cls: Type[Rule]) -> Type[Rule]:
+    """Class decorator: instantiate and register a per-file rule."""
+    return register(RULES, cls)
 
 
 def _dotted(node: ast.AST) -> str:

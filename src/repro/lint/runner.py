@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import hashlib
 from pathlib import Path
 from typing import (
     Any,
@@ -166,8 +165,7 @@ def lint_source(
             continue
         for node, message in rule.check(tree, posix_path):
             line = getattr(node, "lineno", 1)
-            allowed_here = allowed.get(line, ())
-            if rule.name in allowed_here or rule.id.lower() in allowed_here:
+            if rule.allowed_by(allowed.get(line, ())):
                 continue
             violations.append(
                 Violation(
@@ -262,45 +260,33 @@ def lint_project(
     ``misses`` (== files parsed this run).  With ``cache_dir`` set, a
     warm run over an unchanged tree re-parses zero files.
 
-    ``profile`` names a cProfile/pstats dump; when given, SIM3xx
-    findings are ranked by measured cumulative time (hot/warm/cold
-    buckets on :attr:`Violation.profile`) and ``stats`` gains a
+    ``profile`` names a cProfile/pstats dump; when given, SIM3xx and
+    SIM4xx findings are ranked by measured cumulative time (hot/warm/
+    cold buckets on :attr:`Violation.profile`) and ``stats`` gains a
     ``"profile"`` block.  ``memprofile`` names a ``repro-qos profile
     mem`` tracemalloc dump and ranks the SIM5xx family by measured
-    bytes the same way (a ``"memprofile"`` stats block); the families
-    are disjoint so both rankings may run together.  Raises
+    bytes the same way (a ``"memprofile"`` stats block); both go
+    through :func:`~repro.lint.hotpath.annotate_profile`.  Each dump is
+    read once, for its contents and its digest.  Raises
     :class:`FileNotFoundError` / :class:`ValueError` for a missing /
     unreadable dump.
     """
     from repro.lint.cache import SummaryCache, hash_source, rules_digest
     from repro.lint.callgraph import CallGraph
-    from repro.lint.hotpath import (
-        MemProfileIndex,
-        ProfileIndex,
-        annotate_memprofile,
-        annotate_profile,
-    )
+    from repro.lint.hotpath import MemProfileIndex, ProfileIndex, annotate_profile
     from repro.lint.project_rules import PROJECT_RULES
     from repro.lint.projectmodel import ModuleSummary, ProjectModel, extract_summary
 
     selected = resolve_rule_filter(select, ignore)
     # Load before the scan so a bad --profile/--memprofile fails fast.
-    index: Optional[ProfileIndex] = None
-    profile_digest = ""
-    if profile is not None:
-        index = ProfileIndex.load(profile)
-        profile_digest = hashlib.sha256(
-            Path(profile).read_bytes()
-        ).hexdigest()[:16]
-    mem_index: Optional[MemProfileIndex] = None
-    if memprofile is not None:
-        mem_index = MemProfileIndex.load(memprofile)
-        mem_digest = hashlib.sha256(
-            Path(memprofile).read_bytes()
-        ).hexdigest()[:16]
-        profile_digest = (
-            profile_digest + "\x00" + mem_digest if profile_digest else mem_digest
+    rankings = [
+        (key, index_type.load(dump))
+        for key, index_type, dump in (
+            ("profile", ProfileIndex, profile),
+            ("memprofile", MemProfileIndex, memprofile),
         )
+        if dump is not None
+    ]
     cache = SummaryCache(cache_dir)
     model = ProjectModel()
     live_keys = set()
@@ -311,9 +297,7 @@ def lint_project(
     # The profile content digest rides along for the same reason: the
     # hot/warm/cold ranking a future cached-findings layer might embed
     # depends on the dump's bytes, so a different dump must miss.
-    ruleset = rules_digest()
-    if profile_digest:
-        ruleset = ruleset + "\x00" + profile_digest
+    ruleset = "\x00".join([rules_digest(), *(index.digest for _, index in rankings)])
     for file_path in iter_python_files(paths):
         files += 1
         source = file_path.read_text(encoding="utf-8")
@@ -353,14 +337,10 @@ def lint_project(
         rule = PROJECT_RULES[rule_id]
         for violation in rule.check(model, graph):
             origin = model.by_path.get(violation.path)
-            if origin is not None:
-                allowed_here = origin.allowed_on_line(violation.line)
-                if (
-                    rule.name in allowed_here
-                    or rule.id.lower() in allowed_here
-                ):
-                    continue
-            violations.append(violation)
+            if origin is None or not rule.allowed_by(
+                origin.allowed_on_line(violation.line)
+            ):
+                violations.append(violation)
 
     stats: Dict[str, Any] = {
         "files": files,
@@ -368,10 +348,6 @@ def lint_project(
         "misses": cache.misses,
     }
     ordered = sorted(violations)
-    if index is not None:
-        ordered, stats["profile"] = annotate_profile(ordered, model, index)
-    if mem_index is not None:
-        ordered, stats["memprofile"] = annotate_memprofile(
-            ordered, model, mem_index
-        )
+    for key, index in rankings:
+        ordered, stats[key] = annotate_profile(ordered, model, index)
     return ordered, stats

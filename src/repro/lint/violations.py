@@ -33,11 +33,13 @@ class Violation:
     ordering/equality and is omitted from the JSON form when absent, so
     fix-less producers and consumers are byte-compatible with v2.
 
-    ``profile`` is the profile-guided ranking attached by
-    :func:`repro.lint.hotpath.annotate_profile` when ``--profile`` is
-    given: ``{"bucket": "hot"|"warm"|"cold", "cum_seconds", "fraction"}``.
-    Like ``fix`` it is presentation metadata -- excluded from
-    ordering/equality and absent from JSON unless set.
+    ``profile`` is the measured ranking attached by
+    :func:`repro.lint.hotpath.annotate_profile`: with ``--profile``,
+    ``{"bucket": "hot"|"warm"|"cold", "cum_seconds", "fraction"}`` on
+    SIM3xx/SIM4xx findings; with ``--memprofile``, ``{"bucket",
+    "alloc_bytes", "fraction"}`` on SIM5xx findings.  Like ``fix`` it is
+    presentation metadata -- excluded from ordering/equality and absent
+    from JSON unless set.
     """
 
     path: str

@@ -69,6 +69,25 @@ class TestDiskCache:
         assert cache.get(digest) is None
         assert cache.stats() == {"hits": 0, "misses": 1}
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [[], 5, None, "summary", {"classes": []}],
+        ids=["list", "int", "null", "string", "classes-list"],
+    )
+    def test_malformed_summary_degrades_to_miss(self, entry, tmp_path, corrupt):
+        digest, summary = entry
+        ResultCache(tmp_path).put(digest, summary)
+        path = tmp_path / f"{digest}.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if isinstance(corrupt, dict):
+            payload["summary"].update(corrupt)
+        else:
+            payload["summary"] = corrupt
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        cache = ResultCache(tmp_path)
+        assert cache.get(digest) is None
+        assert cache.stats() == {"hits": 0, "misses": 1}
+
     def test_renamed_entry_rejected(self, entry, tmp_path):
         # a file whose payload digest disagrees with its name is foreign:
         # never trust the name alone

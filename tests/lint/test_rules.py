@@ -53,6 +53,40 @@ class TestRegistry:
                 id = "SIM001"
                 name = "clone-of-sim001"
 
+    @pytest.mark.parametrize(
+        "rule_id,name,error",
+        [
+            ("SIM001", "clone-of-global-random", "duplicate rule id"),
+            ("SIM998", "global-random", "duplicate rule name"),
+        ],
+        ids=["id", "name"],
+    )
+    def test_project_registry_rejects_per_file_clashes(self, rule_id, name, error):
+        from repro.lint.project_rules import (
+            PROJECT_RULES,
+            ProjectRule,
+            register_project_rule,
+        )
+
+        clone = type("Clone", (ProjectRule,), {"id": rule_id, "name": name})
+        try:
+            with pytest.raises(ValueError, match=error):
+                register_project_rule(clone)
+        finally:
+            registered = PROJECT_RULES.pop(rule_id, None)
+        assert registered is None
+
+    def test_per_file_registry_rejects_project_clashes(self):
+        from repro.lint.rules import Rule, register_rule
+
+        clone = type("Clone", (Rule,), {"id": "SIM101", "name": "clone-of-sim101"})
+        try:
+            with pytest.raises(ValueError, match="duplicate rule id"):
+                register_rule(clone)
+        finally:
+            registered = RULES.pop("SIM101", None)
+        assert registered is None
+
 
 class TestFixtures:
     @pytest.mark.parametrize("rule_id", sorted(BAD_FIXTURES))

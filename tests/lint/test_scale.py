@@ -475,6 +475,22 @@ class TestCli:
         )
         assert "profile mem" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sites",
+        [[1], [{"file": "x.py", "line": None, "size_bytes": 1, "count": 1}]],
+        ids=["site-not-an-object", "null-line"],
+    )
+    def test_corrupt_memprofile_exits_two(self, capsys, tmp_path, sites):
+        dump = tmp_path / "mem.json"
+        payload = {"schema": "simlint-memprofile/v1", "sites": sites}
+        dump.write_text(json.dumps(payload), encoding="utf-8")
+        bad = PROJECT_FIXTURES / "bad" / "sim501_unbounded_hot_growth"
+        argv = ["lint", "--project", "--memprofile", str(dump), str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-qos lint: ") and err.count("\n") == 1
+        assert "profile mem" in err
+
     def test_cold_findings_do_not_gate_the_cli(self, tmp_path):
         dump = _memdump(tmp_path / "mem.json", [])
         bad = PROJECT_FIXTURES / "bad" / "sim501_unbounded_hot_growth"
