@@ -126,11 +126,10 @@ def config_digest(config: ExperimentConfig, **extras: Any) -> str:
     """Content hash identifying one run's results.
 
     ``extras`` fold execution options that change the *summary* content
-    (e.g. ``cdf_samples``, ``collect_obs``) into the key, so a cached
-    bare summary is never replayed for a request that wanted an
-    observability snapshot.  Stable across processes and
-    ``PYTHONHASHSEED`` values by construction (SHA-256 over canonical
-    JSON; no use of :func:`hash` anywhere).
+    (``collect_obs``) into the key, so a cached bare summary is never
+    replayed for a request that wanted an observability snapshot.  Stable
+    across processes and ``PYTHONHASHSEED`` values by construction
+    (SHA-256 over canonical JSON; no use of :func:`hash` anywhere).
     """
     payload: Dict[str, Any] = {
         "repro_version": __version__,

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exec.cache import ResultCache
 from repro.exec.digest import config_digest
-from repro.exec.summary import DEFAULT_CDF_SAMPLES, RunSummary, execute_config
+from repro.exec.summary import RunSummary, execute_config
 from repro.experiments.config import ExperimentConfig
 
 __all__ = ["SweepExecutor", "SweepTaskError"]
@@ -109,7 +109,6 @@ class SweepExecutor:
         *,
         timeout_s: Optional[float] = None,
         collect_obs: bool = False,
-        cdf_samples: int = DEFAULT_CDF_SAMPLES,
         worker: Optional[Worker] = None,
     ) -> None:
         if jobs < 1:
@@ -118,7 +117,6 @@ class SweepExecutor:
         self.cache = ResultCache(cache_dir)
         self.timeout_s = timeout_s
         self.collect_obs = collect_obs
-        self.cdf_samples = cdf_samples
         self.worker: Worker = worker if worker is not None else execute_config
         #: Campaign totals across every run() call on this executor.
         self.tasks = 0
@@ -128,9 +126,7 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     def digest_of(self, config: ExperimentConfig) -> str:
         """The cache key for one task under this executor's options."""
-        return config_digest(
-            config, cdf_samples=self.cdf_samples, collect_obs=self.collect_obs
-        )
+        return config_digest(config, collect_obs=self.collect_obs)
 
     def stats(self) -> Dict[str, int]:
         """Campaign totals: submitted points, cache replays, simulations."""
@@ -165,9 +161,6 @@ class SweepExecutor:
         return [done[digest] for digest in digests]
 
     # ------------------------------------------------------------------
-    def _worker_kwargs(self) -> Dict[str, object]:
-        return {"cdf_samples": self.cdf_samples, "collect_obs": self.collect_obs}
-
     def _finish(
         self, digest: str, summary: RunSummary, done: Dict[str, RunSummary], *, store: bool = True
     ) -> None:
@@ -182,11 +175,10 @@ class SweepExecutor:
         todo: Sequence[Unit],
         done: Dict[str, RunSummary],
     ) -> None:
-        kwargs = self._worker_kwargs()
         for unit in todo:
             digest, index = unit
             try:
-                summary = self.worker(configs[index], **kwargs)
+                summary = self.worker(configs[index], collect_obs=self.collect_obs)
             except Exception as exc:
                 raise _task_error(unit, configs, exc) from exc
             self._finish(digest, summary, done)
@@ -206,7 +198,7 @@ class SweepExecutor:
             as_completed,
         )
 
-        kwargs = self._worker_kwargs()
+        kwargs = {"collect_obs": self.collect_obs}
         pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(todo)))
         try:
             # `self.worker` looks like a bound-method submission but is a

@@ -139,9 +139,7 @@ class ClassSummary:
     message_samples: Tuple[float, ...] = ()
 
     @classmethod
-    def from_stats(
-        cls, stats: ClassStats, *, cdf_samples: int = DEFAULT_CDF_SAMPLES
-    ) -> "ClassSummary":
+    def from_stats(cls, stats: ClassStats) -> "ClassSummary":
         return cls(
             tclass=stats.tclass,
             packets=stats.packets,
@@ -151,10 +149,10 @@ class ClassSummary:
             message_latency=FrozenStats.from_running(stats.message_latency),
             jitter=FrozenStats.from_running(stats.jitter),
             packet_samples=downsample_sorted(
-                sorted(stats.packet_reservoir.items), cdf_samples
+                sorted(stats.packet_reservoir.items), DEFAULT_CDF_SAMPLES
             ),
             message_samples=downsample_sorted(
-                sorted(stats.message_reservoir.items), cdf_samples
+                sorted(stats.message_reservoir.items), DEFAULT_CDF_SAMPLES
             ),
         )
 
@@ -336,15 +334,10 @@ class RunSummary:
         )
 
 
-def summarize_run(
-    result: RunResult,
-    *,
-    cdf_samples: int = DEFAULT_CDF_SAMPLES,
-    obs: Optional[Dict[str, Any]] = None,
-) -> RunSummary:
+def summarize_run(result: RunResult, *, obs: Optional[Dict[str, Any]] = None) -> RunSummary:
     """Reduce a finished :class:`RunResult` to a :class:`RunSummary`."""
     classes = {
-        tclass: ClassSummary.from_stats(stats, cdf_samples=cdf_samples)
+        tclass: ClassSummary.from_stats(stats)
         for tclass, stats in sorted(result.collector.classes.items())
     }
     return RunSummary(
@@ -358,12 +351,7 @@ def summarize_run(
     )
 
 
-def execute_config(
-    config: ExperimentConfig,
-    *,
-    cdf_samples: int = DEFAULT_CDF_SAMPLES,
-    collect_obs: bool = False,
-) -> RunSummary:
+def execute_config(config: ExperimentConfig, *, collect_obs: bool = False) -> RunSummary:
     """Run one configuration and return its summary.
 
     The process-pool worker entry point (top-level, so it pickles by
@@ -381,4 +369,4 @@ def execute_config(
         from repro.obs.snapshot import run_snapshot
 
         obs_doc = run_snapshot(metrics, engine=result.fabric.engine)
-    return summarize_run(result, cdf_samples=cdf_samples, obs=obs_doc)
+    return summarize_run(result, obs=obs_doc)

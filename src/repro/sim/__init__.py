@@ -12,30 +12,26 @@ Public surface:
   pending timestamp, a min-heap of the timestamps); the only engine in
   ``src/``.  Its binary-heap test oracle is ``tests/sim/heap_engine.py``.
 - :class:`~repro.sim.engine.EventHandle` -- cancellable scheduled callback.
-- :class:`~repro.sim.process.Process` / :func:`~repro.sim.process.process`
-  -- optional coroutine-style processes layered on top of the engine.
 - :class:`~repro.sim.rng.RandomStreams` -- named, reproducible RNG streams.
 - :mod:`~repro.sim.units` -- time and bandwidth unit helpers.
 - :class:`~repro.sim.monitor.Trace` -- structured event tracing.
+
+Everything that runs on the engine is a plain callback, traffic sources
+included: each re-arms its own tick (:class:`repro.traffic.base.TrafficSource`).
 """
 
 from repro.sim.engine import Engine, EventHandle, SimulationError
 from repro.sim.monitor import Trace, TraceRecord
-from repro.sim.process import Delay, Process, Signal, process
 from repro.sim.rng import RandomStreams, derive_seed
 from repro.sim import units
 
 __all__ = [
-    "Delay",
     "Engine",
     "EventHandle",
-    "Process",
     "RandomStreams",
-    "Signal",
     "SimulationError",
     "Trace",
     "TraceRecord",
     "derive_seed",
-    "process",
     "units",
 ]

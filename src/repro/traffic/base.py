@@ -1,10 +1,10 @@
 """Common machinery for traffic sources.
 
 A :class:`TrafficSource` owns one or more flows on a fabric and injects
-application messages through them via self-rescheduling engine callbacks
-(cheaper than generator processes on the hot path).  Subclasses implement
-:meth:`_emit`, which submits message(s) for "now" and returns the delay
-until the next emission (or ``None`` to stop).
+application messages through them via one self-rescheduling engine
+callback, the source's tick -- every source, scripted ones included, runs
+on it.  Subclasses implement :meth:`_emit`, which submits message(s) for
+"now" and returns the delay until the next emission (or ``None`` to stop).
 
 Sources track offered load so experiments can verify the generator is
 actually producing the configured rate (the workload tests do).
@@ -43,29 +43,34 @@ class TrafficSource:
         self.messages_generated = 0
         self.bytes_generated = 0
         self._flows: Dict[int, FlowState] = {}
+        #: Which tick chain is live: every tick carries the value it was
+        #: started under and :meth:`stop` bumps it, so a tick still pending
+        #: from before a ``stop(); start()`` fires as a no-op.
+        self._chain = 0
 
     # ------------------------------------------------------------------
     def start(self, at: Optional[int] = None) -> None:
-        """Begin generating; by default at a small random phase offset so
-        the fleet of sources does not fire in lockstep."""
+        """Begin generating at ``at`` (default: now); a second start while
+        running raises :class:`RuntimeError`."""
         if self.running:
             raise RuntimeError(f"{self.name} already started")
         self.running = True
         when = self.engine.now if at is None else at
-        self.engine.at(when, self._tick)
+        self.engine.at(when, self._tick, self._chain)
 
     def stop(self) -> None:
         self.running = False
+        self._chain += 1
 
     # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        if not self.running:
+    def _tick(self, chain: int) -> None:
+        if chain != self._chain:
             return
         delay = self._emit()
         if delay is None:
             self.running = False
             return
-        self.engine.after(max(1, round(delay)), self._tick)
+        self.engine.after(max(1, round(delay)), self._tick, chain)
 
     def _emit(self) -> Optional[float]:
         """Submit message(s) now; return ns until the next emission."""

@@ -2,9 +2,10 @@
 
 For scenarios that are awkward to express as stochastic sources --
 synchronized bursts, request/response chains, staged phase changes --
-a :class:`ScriptedSource` runs a user generator as a simulation process
-(:mod:`repro.sim.process`): yield ``(delay_ns, dst, nbytes)`` steps and
-the source sleeps, then submits.
+a :class:`ScriptedSource` walks a user generator on the same tick as
+every other source: yield ``(delay_ns, dst, nbytes)`` steps and the
+source sleeps, then submits.  One tick submits the step that is due and
+every zero-delay step after it, and sleeps until the next.
 
 Example -- an all-to-one barrier followed by a staggered broadcast::
 
@@ -31,17 +32,27 @@ out of ``fabric.run``.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Generator, Iterator, Optional, Tuple
 
 from repro.core.flow import FlowKind
 from repro.network.fabric import Fabric
-from repro.sim.process import Delay, process
+from repro.sim.engine import SimulationError
 from repro.sim.rng import local_stream
 from repro.traffic.base import TrafficSource
 
 __all__ = ["ScriptedSource"]
 
 Step = Tuple[int, int, int]  # (delay_ns, dst, nbytes)
+
+
+def _sleep(delay: int) -> int:
+    """``delay`` checked as a step's wait: negative is a :class:`ValueError`,
+    anything but an ``int`` is the engine's :class:`SimulationError`."""
+    if delay < 0:
+        raise ValueError(f"delay must be >= 0, got {delay}")
+    if delay.__class__ is not int:
+        raise SimulationError(f"delay must be an int (nanoseconds), got {delay!r}")
+    return delay
 
 
 class ScriptedSource(TrafficSource):
@@ -52,6 +63,10 @@ class ScriptedSource(TrafficSource):
     link rate, so one host reaches ten destinations and the eleventh open
     raises :class:`~repro.core.admission.AdmissionError` -- override for
     control/frame/best-effort semantics, or a smaller reservation).
+
+    ``start(at)`` opens the script at ``at`` (now when ``None`` or past);
+    ``stop()`` ends it, dropping the step it was sleeping towards.  A bad
+    delay raises out of ``fabric.run`` in the tick that read it.
     """
 
     def __init__(
@@ -70,28 +85,35 @@ class ScriptedSource(TrafficSource):
             "kind": FlowKind.RATE,
             "bw_bytes_per_ns": 0.1 * fabric.params.bytes_per_ns,
         }
-        self._process = None
+        self._at: Optional[int] = None
+        #: The script's steps, opened by the first tick after a start.
+        self._steps: Optional[Iterator[Step]] = None
+        #: ``(dst, nbytes)`` of the step the pending tick submits.
+        self._due: Optional[Tuple[int, int]] = None
 
     def start(self, at: Optional[int] = None) -> None:
-        if self.running:
-            raise RuntimeError(f"{self.name} already started")
-        self.running = True
+        super().start()
+        self._at = at
+        self._steps = None
+        self._due = None
 
-        def runner():
-            if at is not None and at > self.engine.now:
-                yield Delay(at - self.engine.now)
-            for delay, dst, nbytes in self._script:
-                if delay:
-                    yield Delay(delay)
-                if not self.running:
-                    return
-                self.fabric.submit(self._flow_to(dst), nbytes)
-                self._account(nbytes)
-            self.running = False
-
-        self._process = process(self.engine, runner())
-
-    def stop(self) -> None:
-        self.running = False
-        if self._process is not None and self._process.alive:
-            self._process.kill()
+    def _emit(self) -> Optional[int]:
+        if self._steps is None:
+            self._steps = iter(self._script)
+            if self._at is not None and self._at > self.engine.now:
+                return _sleep(self._at - self.engine.now)
+        elif self._due is not None:
+            dst, nbytes = self._due
+            self._due = None
+            self.fabric.submit(self._flow_to(dst), nbytes)
+            self._account(nbytes)
+        for delay, dst, nbytes in self._steps:
+            if delay:
+                delay = _sleep(delay)
+                self._due = dst, nbytes
+                return delay
+            if not self.running:  # the script stopped its own source
+                return None
+            self.fabric.submit(self._flow_to(dst), nbytes)
+            self._account(nbytes)
+        return None

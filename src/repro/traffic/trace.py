@@ -108,15 +108,24 @@ class TraceRecorder:
 
 
 def load_trace(path: PathLike) -> List[Tuple[int, int, int, str, int]]:
-    """Read a trace file back into (t, src, dst, tclass, bytes) tuples."""
+    """Read a trace file back into (t, src, dst, tclass, bytes) tuples.
+
+    A file that is not a repro trace raises :class:`ValueError` naming the
+    file and the line."""
     records: List[Tuple[int, int, int, str, int]] = []
     with _open(path, "r") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != "repro-trace":
-            raise ValueError(f"{path}: not a repro trace file (header {header!r})")
-        for line in fh:
-            rec = json.loads(line)
-            records.append((rec["t"], rec["src"], rec["dst"], rec["tclass"], rec["bytes"]))
+        lineno = 1
+        try:
+            header = json.loads(fh.readline())
+            if not isinstance(header, dict) or header.get("format") != "repro-trace":
+                raise ValueError(f"not a repro trace file (header {header!r})")
+            for lineno, line in enumerate(fh, 2):
+                rec = json.loads(line)
+                records.append((rec["t"], rec["src"], rec["dst"], rec["tclass"], rec["bytes"]))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: record has no {exc} field") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     records.sort(key=lambda r: r[0])
     return records
 
@@ -172,8 +181,7 @@ class TraceReplaySource(TrafficSource):
             return
         if at is None:
             at = self._records[0][0]
-        self.running = True
-        self.engine.at(max(at, self.engine.now), self._tick)
+        super().start(max(at, self.engine.now))
 
     def _emit(self) -> Optional[float]:
         now = self.engine.now

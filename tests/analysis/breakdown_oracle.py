@@ -1,7 +1,16 @@
-"""Latency decomposition: where does each class's time actually go?
+"""Differential oracle: the delivery-subscriber latency decomposition.
 
-End-to-end latency in this system is the sum of three very different
-stages, and the paper's mechanisms each act on a different one:
+Where a class's latency goes -- held at the source NIC, or spent in the
+network -- is answered by the span tracer (``run --trace-spans ...
+--span-policy head --span-rate 1.0`` then ``trace blame --all``):
+``host.eligible_wait + host.queue_wait`` is the source hold, the other
+three stages are the network time, in exact integer ns.  The float
+collector that answered it before is kept here verbatim:
+``test_breakdown.py`` pins its semantics, and
+``test_blame_vs_breakdown.py`` requires the blame report to agree with it
+on every class of the figure configs.
+
+End-to-end latency is the sum of three stages:
 
 - **source holding** (birth -> injection): eligible-time smoothing *on
   purpose* parks multimedia here; for control it should be ~zero, and
@@ -11,11 +20,6 @@ stages, and the paper's mechanisms each act on a different one:
   order errors and arbitration quality live here;
 - for messages, **reassembly spread** (first packet's delivery -> last
   packet's delivery): how much a frame is smeared across the wire.
-
-A :class:`LatencyBreakdown` collector splits per-class latency along
-those seams.  This is the tool that diagnosed the credit-loop bottleneck
-during development (see docs/ARCHITECTURE.md section 4); it ships
-because downstream users will need the same X-ray.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from typing import Dict, Tuple
 
 from repro.network.packet import Packet
 from repro.stats.running import RunningStats
-
-__all__ = ["ClassBreakdown", "LatencyBreakdown"]
 
 
 class ClassBreakdown:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.breakdown import LatencyBreakdown
+from tests.analysis.breakdown_oracle import LatencyBreakdown
 from tests.helpers import mkpkt
 
 

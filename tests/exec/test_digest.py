@@ -83,12 +83,12 @@ class TestConfigDigest:
 
     def test_extras_fold_into_digest(self):
         config = quick_config()
-        assert config_digest(config) != config_digest(config, cdf_samples=64)
-        assert config_digest(config, cdf_samples=64) != config_digest(
-            config, cdf_samples=128
+        assert config_digest(config) != config_digest(config, collect_obs=False)
+        assert config_digest(config, collect_obs=False) != config_digest(
+            config, collect_obs=True
         )
-        assert config_digest(config, cdf_samples=64) == config_digest(
-            config, cdf_samples=64
+        assert config_digest(config, collect_obs=True) == config_digest(
+            config, collect_obs=True
         )
 
     def test_stable_across_processes_and_hash_seeds(self):

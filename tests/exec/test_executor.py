@@ -31,21 +31,21 @@ GRID = [
 
 
 # Failure-injection workers: top-level so the pool can pickle them.
-def _boom(config, *, cdf_samples, collect_obs):
+def _boom(config, *, collect_obs):
     if config.architecture == "simple-2vc":
         raise RuntimeError("injected failure")
-    return execute_config(config, cdf_samples=cdf_samples, collect_obs=collect_obs)
+    return execute_config(config, collect_obs=collect_obs)
 
 
-def _die(config, *, cdf_samples, collect_obs):
+def _die(config, *, collect_obs):
     if config.architecture == "simple-2vc":
         os._exit(13)  # kill the worker process without a traceback
-    return execute_config(config, cdf_samples=cdf_samples, collect_obs=collect_obs)
+    return execute_config(config, collect_obs=collect_obs)
 
 
-def _sleepy(config, *, cdf_samples, collect_obs):
+def _sleepy(config, *, collect_obs):
     time.sleep(60.0)
-    return execute_config(config, cdf_samples=cdf_samples, collect_obs=collect_obs)
+    return execute_config(config, collect_obs=collect_obs)
 
 
 def strip_wall(summary):
@@ -115,8 +115,8 @@ class TestCacheIntegration:
         assert resumed.stats()["executed"] == 2
 
     def test_option_changes_miss_the_cache(self, tmp_path):
-        SweepExecutor(jobs=1, cache_dir=tmp_path, cdf_samples=64).run(GRID[:1])
-        other = SweepExecutor(jobs=1, cache_dir=tmp_path, cdf_samples=128)
+        SweepExecutor(jobs=1, cache_dir=tmp_path).run(GRID[:1])
+        other = SweepExecutor(jobs=1, cache_dir=tmp_path, collect_obs=True)
         other.run(GRID[:1])
         assert other.stats()["executed"] == 1  # different digest, no alias
 

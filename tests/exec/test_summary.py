@@ -9,6 +9,7 @@ import pytest
 
 from repro.exec.summary import (
     DEFAULT_CDF_SAMPLES,
+    ClassSummary,
     FrozenStats,
     RunSummary,
     downsample_sorted,
@@ -19,6 +20,7 @@ from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.export import result_to_json
 from repro.experiments.runner import run_experiment
 from repro.sim import units
+from repro.stats.collectors import ClassStats
 from repro.stats.running import RunningStats
 
 
@@ -220,8 +222,12 @@ class TestExecuteConfig:
         assert observed.classes == bare.classes
 
     def test_cdf_samples_cap_applies(self):
-        config = quick_config(measure_ns=100 * units.US)
-        capped = execute_config(config, cdf_samples=8)
-        stats = capped.get("control")
-        assert 0 < len(stats.packet_samples) <= 8
-        assert capped.to_dict()  # still serializes
+        stats = ClassStats("control")
+        for latency in range(3 * DEFAULT_CDF_SAMPLES):
+            stats.packet_reservoir.add(latency)
+        capped = ClassSummary.from_stats(stats)
+        assert DEFAULT_CDF_SAMPLES == 4096
+        assert len(capped.packet_samples) == DEFAULT_CDF_SAMPLES
+        assert capped.packet_samples[0] == 0
+        assert capped.packet_samples[-1] == 3 * DEFAULT_CDF_SAMPLES - 1
+        assert capped.message_samples == ()  # nothing completed, nothing kept

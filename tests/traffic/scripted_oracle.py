@@ -1,37 +1,30 @@
-"""Coroutine-style processes on top of the event kernel.
+"""Differential oracle: the coroutine process layer and the
+:class:`ScriptedSource` that ran on it.
 
-The hot simulation paths (switches, links, arbiters) use plain callbacks
-for speed, but workload scripts and examples read much better as
-sequential processes.  A process is a generator that yields:
+``repro.traffic.scripted.ScriptedSource`` now runs on the self-rescheduling
+tick every other :class:`~repro.traffic.base.TrafficSource` uses, and the
+generator-process layer it was the only user of (``Delay`` / ``Signal`` /
+``Process``) left ``src/``.  Both are kept here verbatim:
+``tests/traffic/test_scripted.py`` replays random scripts through this
+source and the production one and requires the same submissions, state
+and failures, and ``tests/sim/test_process.py`` still pins the process
+layer's own semantics.
+
+A process is a generator that yields:
 
 - :class:`Delay` -- suspend for a number of nanoseconds;
 - :class:`Signal` -- suspend until another process triggers the signal.
-
-Example::
-
-    def producer(eng, sig):
-        for i in range(3):
-            yield Delay(1000)
-            sig.trigger(i)
-
-    def consumer(eng, sig):
-        while True:
-            value = yield sig
-            print(eng.now, value)
-
-    sig = Signal()
-    process(eng, producer(eng, sig))
-    process(eng, consumer(eng, sig))
-    eng.run_all()
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Tuple
 
+from repro.core.flow import FlowKind
+from repro.network.fabric import Fabric
 from repro.sim.engine import Engine, SimulationError
-
-__all__ = ["Delay", "Process", "Signal", "process"]
+from repro.sim.rng import local_stream
+from repro.traffic.base import TrafficSource
 
 
 class Delay:
@@ -126,3 +119,59 @@ def process(engine: Engine, gen: Generator[Any, Any, Any]) -> Process:
     proc = Process(engine, gen)
     proc._resume_soon(None)
     return proc
+
+
+Step = Tuple[int, int, int]  # (delay_ns, dst, nbytes)
+
+
+class ScriptedSource(TrafficSource):
+    """Replays a user generator of ``(delay_ns, dst, nbytes)`` steps.
+
+    Flows are opened lazily per destination with ``flow_kwargs``
+    (default: a rate flow on the regulated VC that *reserves* 10% of the
+    link rate, so one host reaches ten destinations and the eleventh open
+    raises :class:`~repro.core.admission.AdmissionError` -- override for
+    control/frame/best-effort semantics, or a smaller reservation).
+    """
+
+    def __init__(
+        self,
+        fabric: Fabric,
+        src: int,
+        script: Generator[Step, None, None],
+        *,
+        tclass: str = "scripted",
+        flow_kwargs: Optional[dict] = None,
+    ):
+        super().__init__(fabric, src, f"scripted@h{src}", local_stream(f"traffic.scripted.h{src}"))
+        self._script = script
+        self.tclass = tclass
+        self._flow_kwargs = flow_kwargs or {
+            "kind": FlowKind.RATE,
+            "bw_bytes_per_ns": 0.1 * fabric.params.bytes_per_ns,
+        }
+        self._process = None
+
+    def start(self, at: Optional[int] = None) -> None:
+        if self.running:
+            raise RuntimeError(f"{self.name} already started")
+        self.running = True
+
+        def runner():
+            if at is not None and at > self.engine.now:
+                yield Delay(at - self.engine.now)
+            for delay, dst, nbytes in self._script:
+                if delay:
+                    yield Delay(delay)
+                if not self.running:
+                    return
+                self.fabric.submit(self._flow_to(dst), nbytes)
+                self._account(nbytes)
+            self.running = False
+
+        self._process = process(self.engine, runner())
+
+    def stop(self) -> None:
+        self.running = False
+        if self._process is not None and self._process.alive:
+            self._process.kill()

@@ -46,6 +46,21 @@ class TestCbr:
         with pytest.raises(RuntimeError):
             source.start(at=0)
 
+    def test_restart_runs_one_tick_chain(self, fabric):
+        """A start() before the stopped chain's pending tick fires must not
+        leave that chain alive beside the new one."""
+        sent = []
+        original = fabric.submit
+        fabric.submit = lambda flow, nbytes: (sent.append(fabric.engine.now), original(flow, nbytes))
+        source = CbrSource(fabric, 0, 5, 0.1, message_bytes=1000)  # one per 10 us
+        source.start(at=0)
+        fabric.run(until=25_000)
+        source.stop()
+        source.start()
+        fabric.run(until=125_000)
+        assert sent == [0, 10_000, 20_000] + list(range(25_000, 125_001, 10_000))
+        assert source.messages_generated == 14
+
     def test_invalid_source_host(self, fabric):
         with pytest.raises(ValueError):
             CbrSource(fabric, 99, 5, 0.5)

@@ -74,6 +74,22 @@ class TestRecorder:
         with pytest.raises(ValueError):
             load_trace(path)
 
+    def test_load_rejects_a_header_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text('["repro-trace", 1]\n')
+        with pytest.raises(ValueError, match=r"list\.jsonl:1: not a repro trace file"):
+            load_trace(path)
+
+    def test_load_names_the_line_of_a_record_missing_a_key(self, tmp_path):
+        path = tmp_path / "short.jsonl"
+        path.write_text(
+            '{"format": "repro-trace", "version": 1}\n'
+            '{"t": 1, "src": 0, "dst": 2, "tclass": "control", "bytes": 64}\n'
+            '{"t": 2, "src": 0, "dst": 2, "tclass": "control"}\n'
+        )
+        with pytest.raises(ValueError, match=r"short\.jsonl:3: record has no 'bytes' field"):
+            load_trace(path)
+
 
 class TestReplay:
     def test_replay_reproduces_offered_traffic(self, recorded, make_fabric):
@@ -99,6 +115,16 @@ class TestReplay:
         source.start()
         fabric.run(until=100_000)
         assert sorted(set(b for b, _ in births)) == [1_000, 5_000, 9_000]
+
+    def test_second_start_raises_and_replays_once(self, make_fabric):
+        fabric = make_fabric()
+        records = [(1_000, 0, 5, "control", 256), (3_000, 0, 7, "control", 512)]
+        source = TraceReplaySource(fabric, 0, records)
+        source.start()
+        with pytest.raises(RuntimeError, match="already started"):
+            source.start()
+        fabric.run(until=50_000)
+        assert (source.messages_generated, source.bytes_generated) == (2, 768)
 
     def test_replay_filters_by_source_host(self, make_fabric):
         fabric = make_fabric()
