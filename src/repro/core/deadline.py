@@ -26,7 +26,10 @@ independent of frame size, with its packets evenly paced.
 
 All stampers guarantee strictly increasing deadlines within a flow (the
 appendix's hypothesis Eq. 1); when a computed increment rounds to zero
-nanoseconds it is bumped to one.
+nanoseconds it is bumped to one.  The host NIC stamps a whole message
+with one :meth:`DeadlineStamper.stamp_message` call: a frame-based
+stamper treats the message as one frame, the others stamp its packets
+one after another.
 """
 
 from __future__ import annotations
@@ -67,6 +70,12 @@ class DeadlineStamper:
     def stamp(self, now: int, size: int) -> int:
         raise NotImplementedError
 
+    def stamp_message(self, now: int, sizes: list[int]) -> list[int]:
+        """The deadlines of one message's packets, in order: what a
+        :meth:`stamp` per packet gives.  The host NIC stamps a message
+        with this one call; the stampers below compute it in one frame."""
+        return [self.stamp(now, size) for size in sizes]
+
 
 class RateBasedStamper(DeadlineStamper):
     """Virtual-Clock stamper for a flow with reserved average bandwidth.
@@ -87,6 +96,23 @@ class RateBasedStamper(DeadlineStamper):
         if size <= 0:
             raise ValueError(f"packet size must be positive, got {size}")
         return self._advance(now, math.ceil(size / self.bw_bytes_per_ns))
+
+    def stamp_message(self, now: int, sizes: list[int]) -> list[int]:
+        # _advance per packet, written out: after the first packet the
+        # virtual clock is already past ``now``, so each later deadline
+        # chains on the previous one.
+        bw = self.bw_bytes_per_ns
+        deadline = self.last_deadline if self.last_deadline > now else now
+        deadlines = []
+        for size in sizes:
+            if size <= 0:
+                raise ValueError(f"packet size must be positive, got {size}")
+            increment = math.ceil(size / bw)
+            deadline += increment if increment > 0 else 1
+            deadlines.append(deadline)
+        if deadlines:
+            self.last_deadline = deadline
+        return deadlines
 
 
 class ControlStamper(RateBasedStamper):
@@ -123,8 +149,17 @@ class FrameBasedStamper(DeadlineStamper):
     def stamp_frame(self, now: int, parts: int) -> list[int]:
         if parts <= 0:
             raise ValueError(f"frame must split into >= 1 packets, got {parts}")
+        # _advance per packet, written out (see RateBasedStamper.stamp_message).
         increment = self.target_latency_ns // parts
-        return [self._advance(now, increment) for _ in range(parts)]
+        step = increment if increment > 0 else 1
+        base = self.last_deadline if self.last_deadline > now else now
+        self.last_deadline = base + step * parts
+        return list(range(base + step, self.last_deadline + 1, step))
+
+    def stamp_message(self, now: int, sizes: list[int]) -> list[int]:
+        """A message is one application frame: :meth:`stamp_frame` over
+        its ``len(sizes)`` packets."""
+        return self.stamp_frame(now, len(sizes))
 
     def stamp(self, now: int, size: int) -> int:
         """Single-packet frame convenience (``parts == 1``)."""

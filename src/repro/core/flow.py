@@ -138,6 +138,8 @@ class FlowState:
         self.stamper = stamper
         #: Source route: output port to take at each switch (set at admission).
         self.path: Tuple[int, ...] = ()
+        #: The next packet sequence number and message id; the source NIC
+        #: takes a whole message's worth at once.
         self.next_seq = 0
         self.next_msg = 0
         #: Totals for statistics/validation.
@@ -149,16 +151,6 @@ class FlowState:
             f"FlowState({self.spec!r}, path={self.path}, next_seq={self.next_seq}, "
             f"next_msg={self.next_msg})"
         )
-
-    def take_seq(self) -> int:
-        seq = self.next_seq
-        self.next_seq += 1
-        return seq
-
-    def take_msg(self) -> int:
-        msg = self.next_msg
-        self.next_msg += 1
-        return msg
 
 
 class FlowRegistry:

@@ -163,7 +163,6 @@ class Fabric:
                 architecture,
                 eligible_policy=eligible_policy,
                 mtu=params.mtu,
-                on_delivery=self._dispatch_delivery,
                 clock_offset=(
                     self.clock_domain.offset(node_id) if self.clock_domain else 0
                 ),
@@ -288,7 +287,13 @@ class Fabric:
 
     # ------------------------------------------------------------------
     def subscribe_delivery(self, fn: DeliveryCallback) -> None:
-        self._delivery_subscribers.append(fn)
+        subscribers = self._delivery_subscribers
+        subscribers.append(fn)
+        # A lone subscriber is the hosts' delivery callback itself: no
+        # dispatch frame per delivered packet.
+        deliver = fn if len(subscribers) == 1 else self._dispatch_delivery
+        for host in self.hosts:
+            host.on_delivery = deliver
 
     def run(self, until: int) -> None:
         self.engine.run(until=until)

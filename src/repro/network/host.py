@@ -26,7 +26,7 @@ from typing import Callable, List, Optional
 
 from repro.core.architectures import Architecture
 from repro.core.eligible import EligiblePolicy
-from repro.core.flow import FlowKind, FlowState
+from repro.core.flow import FlowState
 from repro.core.queues import EDFHeapQueue, FifoQueue, PacketQueue
 from repro.network.link import Link
 from repro.network.packet import N_VCS, Packet, PacketFactory, VC_REGULATED
@@ -135,21 +135,12 @@ class Host:
     # ------------------------------------------------------------------
     # send side
     # ------------------------------------------------------------------
-    def segment_sizes(self, message_bytes: int) -> List[int]:
-        """Split an application message into MTU-bounded packet sizes."""
-        if message_bytes <= 0:
-            raise ValueError(f"message size must be positive, got {message_bytes}")
-        full, rest = divmod(message_bytes, self.mtu)
-        sizes = [self.mtu] * full
-        if rest:
-            sizes.append(rest)
-        return sizes
-
     def submit_message(self, flow: FlowState, message_bytes: int) -> List[Packet]:
         """Segment, stamp, and enqueue one application message on ``flow``.
 
-        Returns the packets created (mainly for tests; the caller normally
-        ignores them).
+        The message is cut into MTU-sized packets, and the flow's stamper
+        stamps all of them in one call.  Returns the packets created
+        (mainly for tests; the caller normally ignores them).
         """
         spec = flow.spec
         if spec.src != self.index:
@@ -157,18 +148,26 @@ class Host:
                 f"flow {spec.flow_id} originates at host {spec.src}, "
                 f"not at {self.node_id}"
             )
+        # Whole bytes, by identity (as the engine checks times): a float
+        # size would leak into packet sizes, credits and serialization.
+        if message_bytes.__class__ is not int or message_bytes <= 0:
+            raise ValueError(f"message size must be a positive int, got {message_bytes!r}")
         true_now = self.engine.now
         # All deadline arithmetic happens on this NIC's local clock; with
         # zero skew (the default) local time == simulation time.
         now = true_now + self.clock_offset
-        sizes = self.segment_sizes(message_bytes)
+        mtu = self.mtu
+        full, rest = divmod(message_bytes, mtu)
+        sizes = [mtu] * full
+        if rest:
+            sizes.append(rest)
         parts = len(sizes)
-        if spec.kind == FlowKind.FRAME:
-            deadlines = flow.stamper.stamp_frame(now, parts)  # type: ignore[attr-defined]
-        else:
-            deadlines = [flow.stamper.stamp(now, size) for size in sizes]
+        deadlines = flow.stamper.stamp_message(now, sizes)
 
-        msg_id = flow.take_msg()
+        msg_id = flow.next_msg
+        flow.next_msg = msg_id + 1
+        seq = flow.next_seq
+        flow.next_seq = seq + parts
         # EligiblePolicy.eligible_time with its offset read once per
         # message: None = no smoothing, eligible at once.
         offset = (
@@ -182,8 +181,10 @@ class Host:
         pending = self._pending
         mint = self._packets.mint
         obs = self.obs
+        flow_id, src, dst, tclass, path = spec.flow_id, spec.src, spec.dst, spec.tclass, flow.path
         packets: List[Packet] = []
-        for part, (size, deadline) in enumerate(zip(sizes, deadlines)):
+        for part in range(parts):
+            deadline = deadlines[part]
             if offset is None:
                 eligible = now
             else:
@@ -191,22 +192,12 @@ class Host:
                 if not eligible > now:
                     eligible = now
             # The allocation IS the workload here: submit_message exists to
-            # mint the packets being injected, one per message part.
+            # mint the packets being injected, one per message part.  In
+            # Packet's field order, positionally (no keyword matching per
+            # packet); birth is in simulation time, like every statistic.
             pkt = mint(  # simlint: allow-hot-loop-allocation
-                flow_id=spec.flow_id,
-                seq=flow.take_seq(),
-                src=spec.src,
-                dst=spec.dst,
-                size=size,
-                vc=vc,
-                tclass=spec.tclass,
-                deadline=deadline,
-                eligible=eligible,
-                path=flow.path,
-                msg_id=msg_id,
-                msg_seq=part,
-                msg_parts=parts,
-                birth=true_now,  # statistics are always in simulation time
+                flow_id, seq + part, src, dst, sizes[part], vc, tclass,
+                deadline, eligible, path, msg_id, part, parts, true_now,
             )
             packets.append(pkt)
             stalled = regulated and eligible > now
@@ -223,7 +214,7 @@ class Host:
         flow.bytes_sent += message_bytes
         if pending:
             self._arm_wake()
-        self._try_inject()
+        self._try_inject(self.out_link)
         return packets
 
     def _arm_wake(self) -> None:
@@ -254,14 +245,14 @@ class Host:
         self._wake = None
         self._arm_wake()
         if moved:
-            self._try_inject()
+            self._try_inject(self.out_link)
 
-    def pull(self, link: Link) -> None:
-        """Output link freed or credits returned: try to inject again."""
-        self._try_inject()
+    def _try_inject(self, link: Optional[Link]) -> None:
+        """Start the first sendable packet on ``link``, this NIC's output.
 
-    def _try_inject(self) -> None:
-        link = self.out_link
+        This is also :meth:`pull`: an output link that freed or got credits
+        back re-polls the NIC straight into its injector.
+        """
         if link is None or link.busy:
             return
         # Section 3.2: lower-index VCs have absolute priority -- a later VC
@@ -275,17 +266,18 @@ class Host:
         for ready in self._ready:
             head = ready.head()
             if head is not None and credits[head.vc] >= head.size:
-                self._inject(ready.pop(), link)
+                pkt = ready.pop()
+                pkt.inject = self.engine.now
+                self.packets_injected += 1
+                self.bytes_injected += pkt.size
+                if self.obs is not None:
+                    # Before transmit: an observer sees the wire still idle.
+                    self.obs.inject(pkt, pkt.inject, self.node_id)
+                link.transmit(pkt)
                 return
 
-    def _inject(self, pkt: Packet, link: Link) -> None:
-        pkt.inject = self.engine.now
-        self.packets_injected += 1
-        self.bytes_injected += pkt.size
-        if self.obs is not None:
-            # Before transmit: an observer sees the wire still idle.
-            self.obs.inject(pkt, pkt.inject, self.node_id)
-        link.transmit(pkt)
+    #: The link's re-poll (``sender.pull(link)``) is the injection itself.
+    pull = _try_inject
 
     # ------------------------------------------------------------------
     # receive side
@@ -309,9 +301,11 @@ class Host:
         if self.on_delivery is not None:
             self.on_delivery(pkt, now)
         # Last touch: every observer above has run, no queue holds the
-        # packet -- its storage may be recycled (no-op unless the fabric
-        # opted into pooling).
-        self._packets.recycle(pkt)
+        # packet -- its storage may be recycled if the fabric opted into
+        # pooling.
+        packets = self._packets
+        if packets.pooling:
+            packets.recycle(pkt)
 
     # ------------------------------------------------------------------
     # introspection

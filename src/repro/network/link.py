@@ -23,6 +23,7 @@ out so the host NIC and switch tests can exercise it alone.
 
 from __future__ import annotations
 
+from functools import partial
 from math import ceil
 from typing import Optional, Protocol
 
@@ -109,8 +110,7 @@ class Link:
         "receiver",
         "_after",
         "_tx_done_cb",
-        "_deliver_cb",
-        "_credit_cb",
+        "return_credit",
         "packets_carried",
         "bytes_carried",
         "busy_ns",
@@ -153,8 +153,11 @@ class Link:
         # monkeypatch their methods after attachment.
         self._after = engine.after
         self._tx_done_cb = self._tx_done
-        self._deliver_cb = self._deliver
-        self._credit_cb = self._credit_arrived
+        #: ``return_credit(vc, size)``: called by the receiver when a packet
+        #: leaves its input buffer.  The credit travels back over the wire,
+        #: so the sender sees it a propagation delay later.  A partial of
+        #: ``engine.after`` is called without a Python frame of its own.
+        self.return_credit = partial(engine.after, prop_delay_ns, self._credit_arrived)
         self.packets_carried = 0
         self.bytes_carried = 0
         #: Total simulated time spent clocking bytes out; utilization over
@@ -208,40 +211,34 @@ class Link:
         self.busy = False
         self.packets_carried += 1
         self.bytes_carried += pkt.size
+        receiver = self.receiver
+        if receiver is None:
+            raise InvariantViolation(f"link {self.link_id} has no receiver")
+        # The arrival is the receiver's ``accept`` itself, looked up now;
+        # only a TTD-mode link needs a frame of its own there (_rebase).
+        arrive = receiver.accept if self.clock_domain is None else self._rebase
         if self.prop_delay_ns:
-            self._after(self.prop_delay_ns, self._deliver_cb, pkt)
+            self._after(self.prop_delay_ns, arrive, pkt, self)
         else:
             # Zero-propagation fold: transmit + propagate collapse into
             # this single wakeup -- one engine event per packet hop.  (A
             # nonzero propagation delay needs the second event: freeing
             # the channel at tx-done is load-bearing for pipelining and
             # cannot wait until the packet lands.)
-            self._deliver(pkt)
+            arrive(pkt, self)
         sender = self.sender
         if sender is not None:
             sender.pull(self)
 
-    def _deliver(self, pkt: Packet) -> None:
-        receiver = self.receiver
-        if receiver is None:
-            raise InvariantViolation(f"link {self.link_id} has no receiver")
-        if self.clock_domain is not None:
-            # Section 3.3: the header carried TTD = deadline - local clock of
-            # the sender; the receiver reconstructs a deadline on *its* clock.
-            pkt.deadline = self.clock_domain.rebase(
-                pkt.deadline, self.src, self.dst, self.engine.now
-            )
-        receiver.accept(pkt, self)
+    def _rebase(self, pkt: Packet, link: "Link") -> None:
+        # Section 3.3: the header carried TTD = deadline - local clock of
+        # the sender; the receiver reconstructs a deadline on *its* clock.
+        pkt.deadline = self.clock_domain.rebase(
+            pkt.deadline, self.src, self.dst, self.engine.now
+        )
+        self.receiver.accept(pkt, link)
 
     # ------------------------------------------------------------------
-    def return_credit(self, vc: int, size: int) -> None:
-        """Called by the receiver when a packet leaves its input buffer.
-
-        The credit travels back over the wire, so the sender sees it a
-        propagation delay later.
-        """
-        self._after(self.prop_delay_ns, self._credit_cb, vc, size)
-
     def _credit_arrived(self, vc: int, size: int) -> None:
         # CreditChannel.replenish, written out (see transmit).
         channel = self.channel

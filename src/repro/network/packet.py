@@ -178,7 +178,6 @@ class PacketFactory:
 
     def mint(
         self,
-        *,
         flow_id: int,
         seq: int,
         src: int,
@@ -196,20 +195,41 @@ class PacketFactory:
     ) -> Packet:
         """A fresh logical packet: pooled storage, never a pooled uid.
 
-        Takes :class:`Packet`'s keywords (less ``uid``) with its defaults,
-        spelled out so that minting packs and unpacks no keyword dict."""
+        Takes :class:`Packet`'s fields (less ``uid``), in its order and
+        with its defaults, and may be called positionally: the host NIC
+        mints every packet here.  :meth:`Packet.__init__` is written out
+        -- the same checks, every slot set, so a recycled packet is
+        indistinguishable from a newly allocated one -- which makes a
+        packet's birth one frame with no keyword matching
+        (``tests/network/test_packet.py`` compares the two slot by slot).
+        """
+        if size <= 0:
+            raise ValueError(f"packet size must be positive, got {size}")
+        if vc < 0:
+            raise ValueError(f"vc must be a non-negative channel index, got {vc}")
         self._next_uid += 1
         pool = self._pool
         pkt = pool.pop() if pool else Packet.__new__(Packet)
-        # Running __init__ sets every slot (hop, inject, deliver,
-        # hop_arrival, traced, ...) -- a recycled packet is
-        # indistinguishable from a newly allocated one.
-        pkt.__init__(
-            flow_id=flow_id, seq=seq, src=src, dst=dst, size=size, vc=vc,
-            tclass=tclass, deadline=deadline, eligible=eligible, path=path,
-            msg_id=msg_id, msg_seq=msg_seq, msg_parts=msg_parts, birth=birth,
-            uid=self._next_uid,
-        )
+        pkt.uid = self._next_uid
+        pkt.flow_id = flow_id
+        pkt.seq = seq
+        pkt.src = src
+        pkt.dst = dst
+        pkt.size = size
+        pkt.vc = vc
+        pkt.tclass = tclass
+        pkt.deadline = deadline
+        pkt.eligible = eligible
+        pkt.path = path
+        pkt.hop = 0
+        pkt.msg_id = msg_id
+        pkt.msg_seq = msg_seq
+        pkt.msg_parts = msg_parts
+        pkt.birth = birth
+        pkt.inject = None
+        pkt.deliver = None
+        pkt.hop_arrival = None
+        pkt.traced = False
         return pkt
 
     def recycle(self, pkt: Packet) -> None:

@@ -155,12 +155,20 @@ class Switch:
     # wiring
     # ------------------------------------------------------------------
     def attach_in(self, port: int, link: Link) -> None:
+        if link.dst_port != port:
+            raise ValueError(
+                f"{self.node_id}: link into port {link.dst_port} attached at input port {port}"
+            )
         if self.in_links[port] is not None:
             raise ValueError(f"{self.node_id} input port {port} already wired")
         self.in_links[port] = link
         link.receiver = self
 
     def attach_out(self, port: int, link: Link) -> None:
+        if link.src_port != port:
+            raise ValueError(
+                f"{self.node_id}: link from port {link.src_port} attached at output port {port}"
+            )
         if self.out_links[port] is not None:
             raise ValueError(f"{self.node_id} output port {port} already wired")
         self.out_links[port] = link
@@ -189,26 +197,30 @@ class Switch:
         if queue is _UNUSED:
             queue = self.voq(in_port, out_port, pkt.vc)
         queue.push(pkt)
-        depth = len(queue)
-        if depth == 1:
-            self._backlogged[out_port][pkt.vc].append(in_port)
+        # The list names exactly the non-empty VOQs, so "not listed yet" is
+        # "this push filled an empty queue" (a C scan of a few ints, no
+        # ``len(queue)`` frame).
+        backlogged = self._backlogged[out_port][pkt.vc]
+        if in_port not in backlogged:
+            backlogged.append(in_port)
         if self.obs is not None:
-            self.obs.enqueue(pkt, self.engine.now, self.node_id, link, out_port, depth)
+            self.obs.enqueue(pkt, self.engine.now, self.node_id, link, out_port, len(queue))
         out_link = self.out_links[out_port]
         if out_link is not None and not out_link.busy:
-            self._try_output(out_port)
+            self._try_output(out_link)
 
     # ------------------------------------------------------------------
     # transmit path
     # ------------------------------------------------------------------
-    def pull(self, link: Link) -> None:
-        """Output link freed or received credits: re-arbitrate that port."""
-        self._try_output(link.src_port)
+    def _try_output(self, out_link: Link) -> None:
+        """Arbitrate ``out_link``'s output port and start the winner on it.
 
-    def _try_output(self, out_port: int) -> None:
-        out_link = self.out_links[out_port]
-        if out_link is None or out_link.busy:
+        This is also :meth:`pull`: an output link that freed or got credits
+        back re-polls the switch straight into its arbiter.
+        """
+        if out_link.busy:
             return
+        out_port = out_link.src_port
         masking = self.architecture.credit_masking
         credits = out_link.channel.credits
         backlogged_by_vc = self._backlogged[out_port]
@@ -256,6 +268,10 @@ class Switch:
                 raise InvariantViolation("packet came from an unwired input port")
             in_link.return_credit(pkt.vc, pkt.size)
             return
+
+    #: The link's re-poll (``sender.pull(link)``) is the arbitration itself:
+    #: one frame per wake-up, still counted under ``_try_output``.
+    pull = _try_output
 
     # ------------------------------------------------------------------
     # introspection (tests, metrics)

@@ -108,7 +108,7 @@ class Engine:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_buckets",
         "_times",
         "_running",
@@ -121,7 +121,10 @@ class Engine:
     def __init__(self, start_time: int = 0):
         if start_time < 0:
             raise SimulationError(f"start time must be >= 0, got {start_time}")
-        self._now: int = start_time
+        #: Current simulated time in nanoseconds.  A plain attribute, not a
+        #: property: every packet end reads it, and a read costs no frame.
+        #: Only the engine writes it.
+        self.now: int = start_time
         #: one list per pending timestamp, never empty; append order ==
         #: schedule order.
         self._buckets: Dict[int, list] = {}
@@ -137,11 +140,6 @@ class Engine:
     # ------------------------------------------------------------------
     # time & introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Number of callbacks fired so far (for microbenchmarks/tests).
@@ -219,9 +217,9 @@ class Engine:
         # would share its bucket, then leak a float into `now`.
         if time.__class__ is not int:
             raise SimulationError(f"time must be an int (nanoseconds), got {time!r}")
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time}, current time is {self._now}"
+                f"cannot schedule at t={time}, current time is {self.now}"
             )
         bucket = self._buckets.get(time)
         if bucket is None:
@@ -244,7 +242,7 @@ class Engine:
             raise SimulationError(f"delay must be an int (nanoseconds), got {delay!r}")
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        time = self._now + delay
+        time = self.now + delay
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [(fn, args)]
@@ -258,9 +256,9 @@ class Engine:
         """Schedule ``fn(*args)`` at ``time``; returns a cancellable handle."""
         if time.__class__ is not int:
             raise SimulationError(f"time must be an int (nanoseconds), got {time!r}")
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time}, current time is {self._now}"
+                f"cannot schedule at t={time}, current time is {self.now}"
             )
         return self._push_cancellable(time, fn, args)
 
@@ -272,7 +270,7 @@ class Engine:
             raise SimulationError(f"delay must be an int (nanoseconds), got {delay!r}")
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self._push_cancellable(self._now + delay, fn, args)
+        return self._push_cancellable(self.now + delay, fn, args)
 
     def _push_cancellable(
         self, time: int, fn: Callable[..., Any], args: tuple
@@ -311,8 +309,8 @@ class Engine:
         # float bound would become `now` on the way out.
         if until is not None and until.__class__ is not int:
             raise SimulationError(f"until must be an int (nanoseconds), got {until!r}")
-        if until is not None and until < self._now:
-            raise SimulationError(f"until={until} is in the past (now={self._now})")
+        if until is not None and until < self.now:
+            raise SimulationError(f"until={until} is in the past (now={self.now})")
 
         buckets = self._buckets
         times = self._times
@@ -359,7 +357,7 @@ class Engine:
                 if executed >= limit:
                     break
                 pop(times)
-                self._now = t
+                self.now = t
                 consumed = 0
                 # The key stays in `buckets` during the pass and CPython
                 # list iteration observes appends, so events scheduled *at
@@ -397,7 +395,7 @@ class Engine:
         if until is not None and not self._stopped and (
             max_events is None or executed < max_events
         ):
-            self._now = max(self._now, until)
+            self.now = max(self.now, until)
         return executed
 
     def run_all(self, max_events: int = 50_000_000) -> int:

@@ -26,7 +26,6 @@ target would otherwise clip ~target/window of the measured throughput).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.network.packet import Packet
@@ -38,7 +37,8 @@ __all__ = ["ClassStats", "MetricsCollector"]
 
 
 class ClassStats:
-    """Accumulated metrics for one traffic class."""
+    """Accumulated metrics for one traffic class (filled by
+    :meth:`MetricsCollector.on_delivery`)."""
 
     __slots__ = (
         "tclass",
@@ -68,38 +68,6 @@ class ClassStats:
         #: (flow_id, msg_id) -> [birth, parts_remaining]
         self._open_messages: Dict[Tuple[int, int], list] = {}
         self._last_message_latency: Dict[int, float] = {}
-
-    def record_throughput(self, pkt: Packet) -> None:
-        self.packets += 1
-        self.bytes += pkt.size
-
-    def record(self, pkt: Packet, now: int) -> None:
-        latency = now - pkt.birth
-        self.packet_latency.add(latency)
-        self.packet_reservoir.add(latency)
-
-        key = (pkt.flow_id, pkt.msg_id)
-        entry = self._open_messages.get(key)
-        if entry is None:
-            if pkt.msg_parts == 1:
-                self._complete_message(pkt.flow_id, pkt.birth, now)
-                return
-            entry = [pkt.birth, pkt.msg_parts]
-            self._open_messages[key] = entry
-        entry[1] -= 1
-        if entry[1] == 0:
-            del self._open_messages[key]
-            self._complete_message(pkt.flow_id, entry[0], now)
-
-    def _complete_message(self, flow_id: int, birth: int, now: int) -> None:
-        latency = now - birth
-        self.messages += 1
-        self.message_latency.add(latency)
-        self.message_reservoir.add(latency)
-        previous = self._last_message_latency.get(flow_id)
-        if previous is not None:
-            self.jitter.add(abs(latency - previous))
-        self._last_message_latency[flow_id] = latency
 
     def forget_flow(self, flow_id: int) -> None:
         """Drop the per-flow jitter anchor for a closed flow.
@@ -144,17 +112,87 @@ class MetricsCollector:
         self.dropped_warmup = 0
 
     def on_delivery(self, pkt: Packet, now: int) -> None:
+        """Record one delivered packet, in one frame.
+
+        This runs once per delivered packet, so the accumulator updates
+        are written out here: :meth:`RunningStats.add` (Welford, the same
+        operations in the same order) and the fill phase of
+        :meth:`Reservoir.add`.  A full reservoir still goes through
+        ``add``, whose sampling draw owns the reservoir's RNG.
+        """
         stats = self.classes.get(pkt.tclass)
         if stats is None:
             stats = self.classes[pkt.tclass] = ClassStats(
                 pkt.tclass, self.reservoir_capacity
             )
-        if now >= self.warmup_ns:
-            stats.record_throughput(pkt)
-        if pkt.birth < self.warmup_ns:
+        warmup = self.warmup_ns
+        if now >= warmup:
+            stats.packets += 1
+            stats.bytes += pkt.size
+        birth = pkt.birth
+        if birth < warmup:
             self.dropped_warmup += 1
             return
-        stats.record(pkt, now)
+
+        latency = now - birth
+        running = stats.packet_latency
+        running.count += 1
+        delta = latency - running.mean
+        running.mean += delta / running.count
+        running._m2 += delta * (latency - running.mean)
+        if latency < running.min:
+            running.min = latency
+        if latency > running.max:
+            running.max = latency
+        reservoir = stats.packet_reservoir
+        if len(reservoir.items) < reservoir.capacity:
+            reservoir.seen += 1
+            reservoir.items.append(latency)
+        else:
+            reservoir.add(latency)
+
+        # Message reassembly: the last part to arrive completes it.
+        if pkt.msg_parts != 1:
+            key = (pkt.flow_id, pkt.msg_id)
+            entry = stats._open_messages.get(key)
+            if entry is None:
+                entry = stats._open_messages[key] = [birth, pkt.msg_parts]
+            entry[1] -= 1
+            if entry[1]:
+                return
+            del stats._open_messages[key]
+            latency = now - entry[0]
+        stats.messages += 1
+        running = stats.message_latency
+        running.count += 1
+        delta = latency - running.mean
+        running.mean += delta / running.count
+        running._m2 += delta * (latency - running.mean)
+        if latency < running.min:
+            running.min = latency
+        if latency > running.max:
+            running.max = latency
+        reservoir = stats.message_reservoir
+        if len(reservoir.items) < reservoir.capacity:
+            reservoir.seen += 1
+            reservoir.items.append(latency)
+        else:
+            reservoir.add(latency)
+        last = stats._last_message_latency
+        flow_id = pkt.flow_id
+        previous = last.get(flow_id)
+        last[flow_id] = latency
+        if previous is not None:
+            gap = abs(latency - previous)
+            running = stats.jitter
+            running.count += 1
+            delta = gap - running.mean
+            running.mean += delta / running.count
+            running._m2 += delta * (gap - running.mean)
+            if gap < running.min:
+                running.min = gap
+            if gap > running.max:
+                running.max = gap
 
     def finalize(self, now: int) -> None:
         """Mark the end of the measurement window."""

@@ -32,8 +32,10 @@ class TrafficSource:
     stamper = None
 
     def __init__(self, fabric: Fabric, src: int, name: str, rng: RandomStream):
-        if not 0 <= src < fabric.topology.n_hosts:
+        n_hosts = fabric.topology.n_hosts
+        if not 0 <= src < n_hosts:
             raise ValueError(f"source host {src} out of range")
+        self._n_hosts = n_hosts
         self.fabric = fabric
         self.engine = fabric.engine
         self.src = src
@@ -88,8 +90,7 @@ class TrafficSource:
 
     def _pick_dst(self) -> int:
         """A destination uniform over the other hosts."""
-        n = self.fabric.topology.n_hosts
-        dst = self.rng.randrange(n - 1)
+        dst = self.rng.randrange(self._n_hosts - 1)
         return dst if dst < self.src else dst + 1
 
     def _account(self, nbytes: int) -> None:

@@ -1,8 +1,15 @@
 """Tests for the Section 3.1 deadline stampers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.deadline import ControlStamper, FrameBasedStamper, RateBasedStamper
+from repro.core.deadline import (
+    ControlStamper,
+    DeadlineStamper,
+    FrameBasedStamper,
+    RateBasedStamper,
+)
 
 
 class TestRateBased:
@@ -105,3 +112,63 @@ class TestFrameBased:
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             FrameBasedStamper(0)
+
+
+# A host stamps a message with one stamp_message call.  Each stamper's is
+# the per-packet rule written out; these replay random message sequences
+# through it and through the rule it replaces, on twin stampers.
+_messages = st.lists(
+    st.tuples(
+        st.integers(0, 3_000),  # clock advance before the message
+        st.lists(st.integers(1, 2048), min_size=1, max_size=6),  # packet sizes
+    ),
+    max_size=12,
+)
+
+
+class TestStampMessage:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        messages=_messages,
+        bw=st.sampled_from([0.001, 0.3, 1.0, 7.0, 1000.0]),
+        control=st.booleans(),
+        start=st.integers(-5_000, 5_000),
+    )
+    def test_rate_message_is_one_stamp_per_packet(self, messages, bw, control, start):
+        make = ControlStamper if control else RateBasedStamper
+        fast, oracle = make(bw), make(bw)
+        now = start
+        for advance, sizes in messages:
+            now += advance
+            assert fast.stamp_message(now, sizes) == [oracle.stamp(now, s) for s in sizes]
+            assert fast.last_deadline == oracle.last_deadline
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        messages=_messages,
+        target=st.integers(1, 50_000),
+        start=st.integers(-5_000, 5_000),
+    )
+    def test_frame_message_is_the_frame_rule(self, messages, target, start):
+        fast, oracle = FrameBasedStamper(target), FrameBasedStamper(target)
+        now = start
+        for advance, sizes in messages:
+            now += advance
+            # The replaced stamp_frame: one _advance per part.
+            expected = [oracle._advance(now, target // len(sizes)) for _ in sizes]
+            assert fast.stamp_message(now, sizes) == expected
+            assert fast.last_deadline == oracle.last_deadline
+
+    def test_base_class_stamps_packet_by_packet(self):
+        class Fixed(DeadlineStamper):
+            def stamp(self, now, size):
+                return self._advance(now, size)
+
+        assert Fixed().stamp_message(10, [5, 7]) == [15, 22]
+
+    def test_empty_or_bad_message(self):
+        stamper = RateBasedStamper(1.0)
+        assert stamper.stamp_message(100, []) == []
+        assert stamper.last_deadline == DeadlineStamper.UNSET
+        with pytest.raises(ValueError, match="size must be positive"):
+            stamper.stamp_message(0, [64, 0])

@@ -83,8 +83,12 @@ class TestFlowRegistry:
     def test_sequence_counters(self):
         reg = FlowRegistry()
         flow = reg.create(src=0, dst=1, tclass="x", bw_bytes_per_ns=1.0)
-        assert [flow.take_seq() for _ in range(3)] == [0, 1, 2]
-        assert [flow.take_msg() for _ in range(2)] == [0, 1]
+        # The source NIC takes a message's numbers in one step each
+        # (tests/network/test_host.py::TestStamping checks it does).
+        assert (flow.next_seq, flow.next_msg) == (0, 0)
+        other = reg.create(src=0, dst=2, tclass="x", bw_bytes_per_ns=1.0)
+        flow.next_seq, flow.next_msg = 3, 2
+        assert (other.next_seq, other.next_msg) == (0, 0)
 
     def test_default_vcs(self):
         reg = FlowRegistry()

@@ -58,22 +58,38 @@ def rig(engine):
     return Rig
 
 
+def _segment(rig, message_bytes):
+    r = rig()
+    return [p.size for p in r.host.submit_message(r.flow(), message_bytes)]
+
+
 class TestSegmentation:
     def test_exact_multiple(self, rig):
-        host = rig().host
-        assert host.segment_sizes(4096) == [2048, 2048]
+        assert _segment(rig, 4096) == [2048, 2048]
 
     def test_remainder(self, rig):
-        host = rig().host
-        assert host.segment_sizes(5000) == [2048, 2048, 904]
+        assert _segment(rig, 5000) == [2048, 2048, 904]
 
     def test_small_message_single_packet(self, rig):
-        host = rig().host
-        assert rig().host.segment_sizes(100) == [100]
+        assert _segment(rig, 100) == [100]
 
     def test_invalid_size(self, rig):
-        with pytest.raises(ValueError):
-            rig().host.segment_sizes(0)
+        r = rig()
+        flow = r.flow()
+        with pytest.raises(ValueError, match="message size must be a positive int"):
+            r.host.submit_message(flow, 0)
+        # Rejected before anything was taken from the flow.
+        assert (flow.next_msg, flow.next_seq, r.host.packets_submitted) == (0, 0, 0)
+
+    @pytest.mark.parametrize("size", [100.0, 4096.5, True], ids=["float", "fraction", "bool"])
+    def test_non_int_size_rejected(self, rig, size):
+        # A float used to fail inside list arithmetic with a TypeError, and
+        # True became a 1-byte packet; whole bytes are an int.
+        r = rig()
+        flow = r.flow()
+        with pytest.raises(ValueError, match="positive int"):
+            r.host.submit_message(flow, size)
+        assert (flow.next_msg, r.host.packets_submitted) == (0, 0)
 
 
 class TestStamping:

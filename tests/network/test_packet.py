@@ -89,6 +89,33 @@ class TestPacketFactory:
         assert factory.pooled == 8  # conserved, not grown
         assert factory.uids_minted == 16  # uids stay per-logical-packet
 
+    @pytest.mark.parametrize("pooling", [False, True], ids=["fresh", "recycled"])
+    def test_mint_sets_every_slot_as_init_does(self, pooling):
+        # mint writes Packet.__init__ out; compare every slot, positional
+        # and keyword calls alike, on fresh and on recycled storage.
+        factory = PacketFactory(pooling=pooling)
+        used = _mint(factory, size=2048, deadline=7, vc=1)
+        used.hop, used.inject, used.deliver, used.hop_arrival, used.traced = 3, 5, 9, 4, True
+        factory.recycle(used)
+        fields = (7, 3, 2, 5, 900, 1, "video", 1234, 1000, (2, 0), 4, 1, 3, 88)
+        names = ("flow_id", "seq", "src", "dst", "size", "vc", "tclass", "deadline",
+                 "eligible", "path", "msg_id", "msg_seq", "msg_parts", "birth")
+        minted = factory.mint(*fields)
+        by_keyword = _mint(PacketFactory(), **dict(zip(names, fields)))
+        built = Packet(uid=2, **dict(zip(names, fields)))
+        assert (minted is used) == pooling
+        for slot in Packet.__slots__:
+            assert getattr(minted, slot) == getattr(built, slot), slot
+            assert getattr(by_keyword, slot) == getattr(built, slot) or slot == "uid"
+
+    def test_mint_rejects_what_init_rejects(self):
+        factory = PacketFactory()
+        with pytest.raises(ValueError, match="size must be positive"):
+            _mint(factory, size=0)
+        with pytest.raises(ValueError, match="non-negative channel"):
+            _mint(factory, vc=-1)
+        assert factory.uids_minted == 0
+
     def test_explicit_uid_bypasses_global_counter(self):
         pkt = mkpkt(1)
         explicit = Packet(

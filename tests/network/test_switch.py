@@ -340,8 +340,28 @@ class TestFlowState:
 
     def test_double_attach_rejected(self, engine):
         rig = SwitchRig(engine, ADVANCED_2VC)
-        with pytest.raises(ValueError):
-            rig.switch.attach_in(0, rig.in_links[1])
+        second = Link(
+            engine, src="other", src_port=0, dst="sw", dst_port=0,
+            bytes_per_ns=1.0, prop_delay_ns=0, buffer_bytes_per_vc=(8192, 8192),
+        )
+        with pytest.raises(ValueError, match="already wired"):
+            rig.switch.attach_in(0, second)
+
+    @pytest.mark.parametrize("side", ["in", "out"])
+    def test_link_attached_at_a_port_it_does_not_name_rejected(self, engine, side):
+        # A link re-polls the arbitration of the port it names, and its
+        # arrivals land on the input it names: wired anywhere else, the
+        # switch would arbitrate or queue on the wrong port.
+        switch = Switch(engine, "sw", 4, ADVANCED_2VC)
+        link = Link(
+            engine, src="sw" if side == "out" else "up", src_port=2,
+            dst="down" if side == "out" else "sw", dst_port=2,
+            bytes_per_ns=1.0, prop_delay_ns=0, buffer_bytes_per_vc=(8192, 8192),
+        )
+        attach = switch.attach_out if side == "out" else switch.attach_in
+        with pytest.raises(ValueError, match="port 2 attached at"):
+            attach(1, link)
+        attach(2, link)
 
     def test_queued_introspection(self, engine):
         rig = SwitchRig(engine, ADVANCED_2VC)
