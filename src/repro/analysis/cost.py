@@ -129,11 +129,11 @@ class _CountingPicker(Picker):
         self.inner = inner
         self.counters = counters
 
-    def pick(self, queues, backlogged, sendable=None):
+    def pick(self, queues, backlogged, budget=None):
         self.counters.arbiter_picks += 1
         if isinstance(self.inner, EDFPicker):
             self.counters.arbiter_comparisons += max(0, len(backlogged) - 1)
-        return self.inner.pick(queues, backlogged, sendable)
+        return self.inner.pick(queues, backlogged, budget)
 
     def granted(self, index: int) -> None:
         self.inner.granted(index)

@@ -14,14 +14,18 @@ cost of a decision follows the number of contenders, not the radix:
 - :class:`RoundRobinPicker` -- deadline-blind rotating priority, as a
   conventional switch (*Traditional 2 VCs*) would use.
 
-``pick`` also accepts an optional ``sendable`` predicate used for credit
-masking (skipping candidates that would not fit downstream).  The
-traditional architecture masks, as real request-grant arbiters do.  The
-EDF architectures must *not* mask: the appendix's no-reordering proof
-requires that only the minimum-deadline candidate be checked for
-credits, so their switch calls ``pick`` without a predicate and then
-checks the single winner itself.  (``tests/core/test_takeover_credit_rule.py``
-shows what masking would break: packets of one flow leave out of order.)
+A head is read as the queue's ``front`` field (a register in hardware;
+see :mod:`repro.core.queues.base`), not through a ``head()`` call.
+
+``pick`` also accepts an optional integer ``budget`` used for credit
+masking: the VC's downstream credits, so any candidate whose head is
+larger than the budget is skipped.  The traditional architecture masks,
+as real request-grant arbiters do.  The EDF architectures must *not*
+mask: the appendix's no-reordering proof requires that only the
+minimum-deadline candidate be checked for credits, so their switch calls
+``pick`` without a budget and then checks the single winner itself.
+(``tests/core/test_takeover_credit_rule.py`` shows what masking would
+break: packets of one flow leave out of order.)
 
 ``pick`` is side-effect free; the switch calls :meth:`Picker.granted`
 once the chosen head actually wins the credit check and is sent, so a
@@ -30,13 +34,11 @@ blocked candidate does not perturb stateful pickers.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.core.queues.base import DeadlineTagged, PacketQueue
+from repro.core.queues.base import PacketQueue
 
 __all__ = ["EDFPicker", "MeteredPicker", "Picker", "RoundRobinPicker"]
-
-SendablePredicate = Callable[[DeadlineTagged], bool]
 
 
 class Picker:
@@ -44,6 +46,8 @@ class Picker:
 
     ``backlogged`` holds exactly the indices of the non-empty queues, each
     once, in arbitrary order; the result must not depend on that order.
+    With a ``budget`` (bytes of credit), a candidate whose head is larger
+    than the budget is not eligible.
     """
 
     __slots__ = ()
@@ -52,7 +56,7 @@ class Picker:
         self,
         queues: Sequence[PacketQueue],
         backlogged: Sequence[int],
-        sendable: Optional[SendablePredicate] = None,
+        budget: Optional[int] = None,
     ) -> Optional[int]:
         raise NotImplementedError
 
@@ -75,15 +79,15 @@ class EDFPicker(Picker):
         self,
         queues: Sequence[PacketQueue],
         backlogged: Sequence[int],
-        sendable: Optional[SendablePredicate] = None,
+        budget: Optional[int] = None,
     ) -> Optional[int]:
         # The order of ``(deadline, uid)`` tuples, compared field by field
         # as integers: this loop runs once per contender per decision.
         best_index: Optional[int] = None
         best_deadline = best_uid = 0
         for index in backlogged:
-            head = queues[index].head()
-            if sendable is not None and not sendable(head):
+            head = queues[index].front
+            if budget is not None and head.size > budget:
                 continue
             deadline = head.deadline
             if (
@@ -114,7 +118,7 @@ class RoundRobinPicker(Picker):
         self,
         queues: Sequence[PacketQueue],
         backlogged: Sequence[int],
-        sendable: Optional[SendablePredicate] = None,
+        budget: Optional[int] = None,
     ) -> Optional[int]:
         if not backlogged:
             return None
@@ -128,7 +132,7 @@ class RoundRobinPicker(Picker):
             offset = (index - start) % n
             if offset >= best_offset:
                 continue
-            if sendable is not None and not sendable(queues[index].head()):
+            if budget is not None and queues[index].front.size > budget:
                 continue
             best_index = index
             best_offset = offset
@@ -159,10 +163,10 @@ class MeteredPicker(Picker):
         self,
         queues: Sequence[PacketQueue],
         backlogged: Sequence[int],
-        sendable: Optional[SendablePredicate] = None,
+        budget: Optional[int] = None,
     ) -> Optional[int]:
         self.picks.value += 1
-        return self.inner.pick(queues, backlogged, sendable)
+        return self.inner.pick(queues, backlogged, budget)
 
     def granted(self, index: int) -> None:
         self.grants.value += 1

@@ -6,6 +6,13 @@ discipline would hand to the arbiter next.  Switch arbiters only ever
 look at heads; that restriction is the point of the paper (full buffer
 scans are not implementable at link rate).
 
+In hardware a head is a register, so the arbiter reads it as a field:
+``front``.  The FIFO, heap and take-over queues keep that slot current
+in their own ``push``/``pop``; any other queue inherits ``front`` as a
+property over :meth:`PacketQueue.head`, which is what a queue whose head
+depends on the clock or on outside state needs.  ``head()`` stays the
+public method tests and observers call; ``q.front is q.head()`` always.
+
 Queues track their occupancy in bytes because the credit-based flow
 control of :mod:`repro.network.link` accounts buffer space in bytes
 (8 KB per VC in the paper's configuration).  Capacity enforcement is a
@@ -67,6 +74,21 @@ class PacketQueue:
 
     def __len__(self) -> int:
         raise NotImplementedError
+
+    @property
+    def front(self) -> Optional[DeadlineTagged]:
+        """The head, as the arbiter reads it (None when empty).
+
+        A queue that keeps its head in a ``front`` slot shadows this
+        property.  Writes are discarded, so a subclass of such a queue
+        whose head depends on outside state can set ``front =
+        PacketQueue.front`` and hand every read back to its ``head()``.
+        """
+        return self.head()
+
+    @front.setter
+    def front(self, _value: Optional[DeadlineTagged]) -> None:
+        pass
 
     def __iter__(self) -> Iterable[DeadlineTagged]:
         """All stored packets, in no particular order (for tests/metrics)."""

@@ -22,11 +22,12 @@ __all__ = ["FifoQueue"]
 class FifoQueue(PacketQueue):
     """First-in first-out packet buffer."""
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "front")
 
     def __init__(self, capacity_bytes: Optional[int] = None):
         super().__init__(capacity_bytes)
         self._items: deque[DeadlineTagged] = deque()
+        self.front: Optional[DeadlineTagged] = None
 
     def push(self, pkt: DeadlineTagged) -> None:
         if self.capacity_bytes is None:
@@ -34,9 +35,13 @@ class FifoQueue(PacketQueue):
         else:
             self._charge(pkt)
         self._items.append(pkt)
+        if self.front is None:
+            self.front = pkt
 
     def pop(self) -> DeadlineTagged:
-        pkt = self._items.popleft()
+        items = self._items
+        pkt = items.popleft()
+        self.front = items[0] if items else None
         self.used_bytes -= pkt.size
         if self.used_bytes < 0:
             raise InvariantViolation("queue byte accounting went negative")

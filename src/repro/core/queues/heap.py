@@ -22,21 +22,26 @@ __all__ = ["EDFHeapQueue"]
 class EDFHeapQueue(PacketQueue):
     """Priority queue ordered by ``(deadline, uid)``."""
 
-    __slots__ = ("_heap",)
+    __slots__ = ("_heap", "front")
 
     def __init__(self, capacity_bytes: Optional[int] = None):
         super().__init__(capacity_bytes)
         self._heap: list[tuple[int, int, DeadlineTagged]] = []
+        self.front: Optional[DeadlineTagged] = None
 
     def push(self, pkt: DeadlineTagged) -> None:
         if self.capacity_bytes is None:
             self.used_bytes += pkt.size
         else:
             self._charge(pkt)
-        heapq.heappush(self._heap, (pkt.deadline, pkt.uid, pkt))
+        heap = self._heap
+        heapq.heappush(heap, (pkt.deadline, pkt.uid, pkt))
+        self.front = heap[0][2]
 
     def pop(self) -> DeadlineTagged:
-        _, _, pkt = heapq.heappop(self._heap)
+        heap = self._heap
+        _, _, pkt = heapq.heappop(heap)
+        self.front = heap[0][2] if heap else None
         self.used_bytes -= pkt.size
         if self.used_bytes < 0:
             raise InvariantViolation("queue byte accounting went negative")

@@ -13,8 +13,9 @@ Dequeue (appendix Definition 2) offers the smaller-deadline of the two
 FIFO heads.  Crucially, the flow-control rule from the appendix applies:
 **only that one candidate is checked for credits** -- if it does not fit
 downstream, the other head must not sneak past it, or the no-reordering
-proof breaks.  The switch honours this by only ever calling
-:meth:`head` and transmitting exactly that packet.
+proof breaks.  The switch honours this by only ever reading the head
+(the ``front`` slot, kept current by ``push``/``pop``) and transmitting
+exactly that packet.
 
 The appendix proves (Theorems 1-3, Lemma 1) that this structure never
 delivers packets of one flow out of order, given the sender-side
@@ -42,7 +43,7 @@ class TakeOverQueue(PacketQueue):
     VC" (Section 3.4's appendix note), so capacity is tracked jointly.
     """
 
-    __slots__ = ("_lower", "_upper", "takeover_hits")
+    __slots__ = ("_lower", "_upper", "takeover_hits", "front")
 
     def __init__(self, capacity_bytes: Optional[int] = None):
         super().__init__(capacity_bytes)
@@ -52,6 +53,7 @@ class TakeOverQueue(PacketQueue):
         #: paper's measure of how often take-over actually pays off.  A
         #: bare int bump, cheap enough to keep even with metrics off.
         self.takeover_hits = 0
+        self.front: Optional[DeadlineTagged] = None
 
     # -- enqueuing (appendix Definition 1) ---------------------------------
     def push(self, pkt: DeadlineTagged) -> None:
@@ -62,15 +64,26 @@ class TakeOverQueue(PacketQueue):
         lower = self._lower
         if not lower and not self._upper:
             lower.append(pkt)
+            self.front = pkt
         elif lower and pkt.deadline >= lower[-1].deadline:
-            lower.append(pkt)
+            lower.append(pkt)  # behind L's head: the front cannot change
         else:
             # Lemma 1 guarantees L is never empty while U holds packets, so
             # reaching here with an empty L would mean the invariant broke.
             if not lower:
                 raise InvariantViolation("take-over queue occupied while ordered queue empty")
-            self._upper.append(pkt)
+            upper = self._upper
+            upper.append(pkt)
             self.takeover_hits += 1
+            if upper[0] is pkt:
+                # A new U head: it overtakes L's head (the front until now)
+                # when it wins the (deadline, uid) order.
+                front = self.front
+                deadline = pkt.deadline
+                if deadline < front.deadline or (
+                    deadline == front.deadline and pkt.uid < front.uid
+                ):
+                    self.front = pkt
 
     # -- dequeuing (appendix Definition 2) ----------------------------------
     def head(self) -> Optional[DeadlineTagged]:
@@ -93,15 +106,32 @@ class TakeOverQueue(PacketQueue):
         return l_head
 
     def pop(self) -> DeadlineTagged:
-        # Through head(), never around it: a subclass's head() decides.
-        pkt = self.head()
+        # Through ``front``, never around it: a subclass that hands
+        # ``front`` back to its own head() decides what leaves.
+        pkt = self.front
         if pkt is None:
             raise IndexError("pop from empty TakeOverQueue")
+        lower = self._lower
         upper = self._upper
         if upper and pkt is upper[0]:
             upper.popleft()
         else:
-            self._lower.popleft()
+            lower.popleft()
+        # The refresh: head()'s rule on the two new FIFO heads, Lemma 1's
+        # check included.
+        if not upper:
+            self.front = lower[0] if lower else None
+        elif not lower:
+            raise InvariantViolation("Lemma 1 violated: packets only in take-over queue")
+        else:
+            l_head = lower[0]
+            u_head = upper[0]
+            u_deadline = u_head.deadline
+            l_deadline = l_head.deadline
+            if u_deadline < l_deadline or (u_deadline == l_deadline and u_head.uid < l_head.uid):
+                self.front = u_head
+            else:
+                self.front = l_head
         self.used_bytes -= pkt.size
         if self.used_bytes < 0:
             raise InvariantViolation("queue byte accounting went negative")

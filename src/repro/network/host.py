@@ -27,6 +27,7 @@ from typing import Callable, List, Optional
 from repro.core.architectures import Architecture
 from repro.core.eligible import EligiblePolicy
 from repro.core.flow import FlowState
+from repro.core.invariants import invariant
 from repro.core.queues import EDFHeapQueue, FifoQueue, PacketQueue
 from repro.network.link import Link
 from repro.network.packet import N_VCS, Packet, PacketFactory, VC_REGULATED
@@ -125,6 +126,7 @@ class Host:
             raise ValueError(f"{self.node_id} already has an output link")
         self.out_link = link
         link.sender = self
+        link.backlog = sum(len(ready) for ready in self._ready)
 
     def attach_in(self, link: Link) -> None:
         if self.in_link is not None:
@@ -183,6 +185,7 @@ class Host:
         obs = self.obs
         flow_id, src, dst, tclass, path = spec.flow_id, spec.src, spec.dst, spec.tclass, flow.path
         packets: List[Packet] = []
+        released = 0
         for part in range(parts):
             deadline = deadlines[part]
             if offset is None:
@@ -207,6 +210,7 @@ class Host:
                 heapq.heappush(pending, (eligible, pkt.uid, pkt))
             else:
                 ready.push(pkt)
+                released += 1
         # Counted per message: the parts add up to ``message_bytes``.
         self.packets_submitted += parts
         self.bytes_submitted += message_bytes
@@ -214,7 +218,11 @@ class Host:
         flow.bytes_sent += message_bytes
         if pending:
             self._arm_wake()
-        self._try_inject(self.out_link)
+        link = self.out_link
+        if link is not None:
+            link.backlog += released
+            if not link.busy:
+                self._try_inject(link)
         return packets
 
     def _arm_wake(self) -> None:
@@ -235,23 +243,27 @@ class Host:
     def _release_eligible(self) -> None:
         now = self.engine.now + self.clock_offset  # local clock
         pending = self._pending
-        moved = False
+        moved = 0
         while pending and pending[0][0] <= now:
             _, _, pkt = heapq.heappop(pending)
             if self.obs is not None:
                 self.obs.release(pkt, self.engine.now)
             self._ready[pkt.vc].push(pkt)
-            moved = True
+            moved += 1
         self._wake = None
         self._arm_wake()
-        if moved:
-            self._try_inject(self.out_link)
+        link = self.out_link
+        if moved and link is not None:
+            link.backlog += moved
+            if not link.busy:
+                self._try_inject(link)
 
     def _try_inject(self, link: Optional[Link]) -> None:
         """Start the first sendable packet on ``link``, this NIC's output.
 
         This is also :meth:`pull`: an output link that freed or got credits
-        back re-polls the NIC straight into its injector.
+        back re-polls the NIC straight into its injector -- only while
+        ``link.backlog`` says a ready queue holds a packet.
         """
         if link is None or link.busy:
             return
@@ -264,9 +276,10 @@ class Host:
         # the credit rule the appendix's proof requires.
         credits = link.channel.credits
         for ready in self._ready:
-            head = ready.head()
+            head = ready.front
             if head is not None and credits[head.vc] >= head.size:
                 pkt = ready.pop()
+                link.backlog -= 1
                 pkt.inject = self.engine.now
                 self.packets_injected += 1
                 self.bytes_injected += pkt.size
@@ -318,3 +331,16 @@ class Host:
 
     def pending_packets(self) -> int:
         return len(self._pending)
+
+    def check_backlog(self) -> None:
+        """Raise :class:`InvariantViolation` unless the output link's
+        ``backlog`` is the number of packets in the ready queues."""
+        link = self.out_link
+        if link is None:
+            return
+        ready = sum(len(queue) for queue in self._ready)
+        invariant(
+            link.backlog == ready,
+            "%s: output link counts a backlog of %d but the ready queues hold %d",
+            self.node_id, link.backlog, ready,
+        )

@@ -12,9 +12,11 @@ Timing model (store-and-forward at packet granularity):
 - transmission occupies the channel for ``size / bandwidth`` ns;
 - the receiver sees the complete packet ``propagation`` ns after the
   last byte left;
-- while busy, the sender-side component is re-polled (:meth:`pull`)
-  when the channel frees or when credits come back, so the link never
-  idles while a sendable packet exists.
+- the sender-side component is re-polled (:meth:`pull`) when the
+  channel frees or when credits come back, so the link never idles while
+  a sendable packet exists -- and only then: the sender counts the
+  packets it holds for this link in ``Link.backlog``, and a link whose
+  backlog is zero wakes nobody (there is nothing to decide).
 
 A :class:`Link` is one *simplex* channel; the fabric creates two per
 cable.  :class:`CreditChannel` is the sender-side credit ledger, split
@@ -45,7 +47,12 @@ class Receiver(Protocol):
 
 
 class Sender(Protocol):
-    """Upstream side of a link, re-polled when it may transmit again."""
+    """Upstream side of a link, re-polled when it may transmit again.
+
+    A sender adds every packet it queues for the link to ``link.backlog``
+    and subtracts every packet it starts on it; the link re-polls it only
+    while that count is non-zero.
+    """
 
     def pull(self, link: "Link") -> None: ...
 
@@ -106,6 +113,7 @@ class Link:
         "prop_delay_ns",
         "channel",
         "busy",
+        "backlog",
         "sender",
         "receiver",
         "_after",
@@ -142,6 +150,9 @@ class Link:
         self.prop_delay_ns = prop_delay_ns
         self.channel = CreditChannel(buffer_bytes_per_vc)
         self.busy = False
+        #: Packets the sender holds for this link (its VOQs for this
+        #: output, or a host's ready queues); kept by the sender.
+        self.backlog = 0
         self.sender: Optional[Sender] = None
         self.receiver: Optional[Receiver] = None
         # Pre-bound scheduling and callback handles (the SIM303 pattern
@@ -226,9 +237,8 @@ class Link:
             # the channel at tx-done is load-bearing for pipelining and
             # cannot wait until the packet lands.)
             arrive(pkt, self)
-        sender = self.sender
-        if sender is not None:
-            sender.pull(self)
+        if self.backlog:
+            self.sender.pull(self)
 
     def _rebase(self, pkt: Packet, link: "Link") -> None:
         # Section 3.3: the header carried TTD = deadline - local clock of
@@ -249,9 +259,8 @@ class Link:
                 f"vc{vc} credits ({credits[vc]}) exceed buffer size "
                 f"({channel.initial[vc]}): double credit return"
             )
-        sender = self.sender
-        if sender is not None and not self.busy:
-            sender.pull(self)
+        if self.backlog and not self.busy:
+            self.sender.pull(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.src}:{self.src_port}->{self.dst}:{self.dst_port}>"

@@ -57,6 +57,8 @@ class _UnusedVOQ(PacketQueue):
 
     __slots__ = ()
 
+    front = None
+
     def push(self, pkt) -> None:
         raise TypeError("the unused-VOQ placeholder holds no packets; go through Switch.voq")
 
@@ -173,6 +175,7 @@ class Switch:
             raise ValueError(f"{self.node_id} output port {port} already wired")
         self.out_links[port] = link
         link.sender = self
+        link.backlog = self._queued_for(port)
 
     # ------------------------------------------------------------------
     # receive path
@@ -206,8 +209,10 @@ class Switch:
         if self.obs is not None:
             self.obs.enqueue(pkt, self.engine.now, self.node_id, link, out_port, len(queue))
         out_link = self.out_links[out_port]
-        if out_link is not None and not out_link.busy:
-            self._try_output(out_link)
+        if out_link is not None:
+            out_link.backlog += 1
+            if not out_link.busy:
+                self._try_output(out_link)
 
     # ------------------------------------------------------------------
     # transmit path
@@ -216,7 +221,8 @@ class Switch:
         """Arbitrate ``out_link``'s output port and start the winner on it.
 
         This is also :meth:`pull`: an output link that freed or got credits
-        back re-polls the switch straight into its arbiter.
+        back re-polls the switch straight into its arbiter -- only while
+        ``out_link.backlog`` says a VOQ holds a packet for it.
         """
         if out_link.busy:
             return
@@ -233,14 +239,11 @@ class Switch:
             queues = queues_by_vc[vc]
             picker = pickers_by_vc[vc]
             if masking:
-                # The closure must capture this iteration's (credits, vc):
-                # hoisting it would freeze the VC and caching predicates
-                # per port would couple the arbiter to link rewiring.
-                # Masking architectures only; the common path never pays.
-                index = picker.pick(queues, backlogged, lambda head: credits[vc] >= head.size)  # simlint: allow-hot-loop-allocation
+                # The VC's credits are the budget: any head larger is masked.
+                index = picker.pick(queues, backlogged, credits[vc])
             else:
                 index = picker.pick(queues, backlogged)
-                if index is not None and queues[index].head().size > credits[vc]:
+                if index is not None and queues[index].front.size > credits[vc]:
                     # The appendix's rule: the chosen candidate (and only
                     # it) is checked for credits; nothing else on this VC
                     # may overtake it.
@@ -249,9 +252,10 @@ class Switch:
                 continue
             queue = queues[index]
             pkt = queue.pop()
-            if len(queue) == 0:
+            if queue.front is None:
                 backlogged.remove(index)
             picker.granted(index)
+            out_link.backlog -= 1
             out_link.transmit(pkt)
             self.packets_forwarded += 1
             self.bytes_forwarded += pkt.size
@@ -284,6 +288,15 @@ class Switch:
             for queue in queues
         )
 
+    def _queued_for(self, out_port: int) -> int:
+        """Packets in the VOQs feeding ``out_port``, over all VCs (read
+        through the backlogged lists: a cold port costs nothing)."""
+        return sum(
+            len(queues[index])
+            for queues, backlogged in zip(self._candidates[out_port], self._backlogged[out_port])
+            for index in backlogged
+        )
+
     def queued_bytes(self, in_port: int, vc: int) -> int:
         """Occupancy of one input port's VC buffer (across all VOQs)."""
         return sum(per_out[vc][in_port].used_bytes for per_out in self._candidates)
@@ -301,7 +314,8 @@ class Switch:
     def check_backlogged(self) -> None:
         """Raise :class:`InvariantViolation` unless every (output, VC)
         backlogged list holds exactly the inputs whose VOQ is non-empty,
-        each once."""
+        each once, and every output link's ``backlog`` is the number of
+        packets queued for it."""
         listed = [sorted(inputs) for per_out in self._backlogged for inputs in per_out]
         nonempty = [
             [i for i, queue in enumerate(queues) if len(queue) > 0]
@@ -312,6 +326,17 @@ class Switch:
             listed == nonempty,
             "%s: backlogged lists %r but non-empty inputs %r (output-major, then VC)",
             self.node_id, listed, nonempty,
+        )
+        # The lists are right from here on, so they may count the packets.
+        counted = [None if link is None else link.backlog for link in self.out_links]
+        queued = [
+            None if link is None else self._queued_for(port)
+            for port, link in enumerate(self.out_links)
+        ]
+        invariant(
+            counted == queued,
+            "%s: output links count backlogs %r but hold %r queued packets",
+            self.node_id, counted, queued,
         )
 
     def takeover_hits(self) -> int:

@@ -1,8 +1,10 @@
 """Test oracle: the scanning pickers, kept verbatim from before the switch
 tracked its backlogged inputs.
 
-They poll every candidate queue's ``head()`` and skip the empty ones, so
-they accept the ``backlogged`` argument and ignore it.  Production
+They poll every candidate queue's ``head()`` (never the ``front`` field
+production reads) and skip the empty ones, so they accept the
+``backlogged`` argument and ignore it.  A ``budget`` masks any head
+larger than it, as in production.  Production
 arbitration (``repro.core.arbiter``) must agree with them on every pick;
 ``tests/network/test_arbiter_differential.py`` and the fabric fuzzer
 swap them in via ``dataclasses.replace(arch, picker_factory=...)``.
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.core.arbiter import EDFPicker, Picker, RoundRobinPicker, SendablePredicate
+from repro.core.arbiter import EDFPicker, Picker, RoundRobinPicker
 from repro.core.architectures import Architecture
 from repro.core.queues.base import PacketQueue
 
@@ -27,7 +29,7 @@ class ScanningEDFPicker(Picker):
         self,
         queues: Sequence[PacketQueue],
         backlogged: Sequence[int],
-        sendable: Optional[SendablePredicate] = None,
+        budget: Optional[int] = None,
     ) -> Optional[int]:
         best_index: Optional[int] = None
         best_key: Optional[tuple[int, int]] = None
@@ -35,7 +37,7 @@ class ScanningEDFPicker(Picker):
             head = queue.head()
             if head is None:
                 continue
-            if sendable is not None and not sendable(head):
+            if budget is not None and head.size > budget:
                 continue
             key = (head.deadline, head.uid)
             if best_key is None or key < best_key:
@@ -54,7 +56,7 @@ class ScanningRoundRobinPicker(Picker):
         self,
         queues: Sequence[PacketQueue],
         backlogged: Sequence[int],
-        sendable: Optional[SendablePredicate] = None,
+        budget: Optional[int] = None,
     ) -> Optional[int]:
         n = len(queues)
         if n == 0:
@@ -65,7 +67,7 @@ class ScanningRoundRobinPicker(Picker):
             head = queues[index].head()
             if head is None:
                 continue
-            if sendable is not None and not sendable(head):
+            if budget is not None and head.size > budget:
                 continue
             return index
         return None

@@ -11,12 +11,13 @@ from tests.core.scanning_pickers import ScanningEDFPicker, ScanningRoundRobinPic
 from tests.helpers import mkpkt
 
 
-def queues_with(*deadline_lists):
+def queues_with(*deadline_lists, sizes=None):
+    """One FIFO per list of deadlines; ``sizes[i]`` sizes queue i's packets."""
     qs = []
-    for deadlines in deadline_lists:
+    for i, deadlines in enumerate(deadline_lists):
         q = FifoQueue()
         for d in deadlines:
-            q.push(mkpkt(d))
+            q.push(mkpkt(d) if sizes is None else mkpkt(d, size=sizes[i]))
         qs.append(q)
     return qs
 
@@ -26,8 +27,8 @@ def backlogged(queues):
     return [index for index, queue in enumerate(queues) if len(queue) > 0]
 
 
-def pick(picker, queues, sendable=None):
-    return picker.pick(queues, backlogged(queues), sendable)
+def pick(picker, queues, budget=None):
+    return picker.pick(queues, backlogged(queues), budget)
 
 
 class TestEDFPicker:
@@ -58,10 +59,12 @@ class TestEDFPicker:
         assert pick(EDFPicker(), [q_early, q_late]) == 1  # older packet wins
 
     def test_sendable_predicate_filters(self):
-        qs = queues_with([10], [20])
+        # The credit budget masks every head larger than it.
+        qs = queues_with([10], [20], sizes=[600, 200])
         picker = EDFPicker()
-        assert pick(picker, qs, sendable=lambda h: h.deadline != 10) == 1
-        assert pick(picker, qs, sendable=lambda h: False) is None
+        assert pick(picker, qs, budget=600) == 0
+        assert pick(picker, qs, budget=599) == 1
+        assert pick(picker, qs, budget=199) is None
 
     def test_granted_is_noop(self):
         EDFPicker().granted(3)  # stateless; must not raise
@@ -103,9 +106,10 @@ class TestRoundRobinPicker:
         assert RoundRobinPicker().pick([], []) is None
 
     def test_sendable_predicate(self):
-        qs = queues_with([10], [20])
+        qs = queues_with([10], [20], sizes=[600, 200])
         picker = RoundRobinPicker()
-        assert pick(picker, qs, sendable=lambda h: h.deadline == 20) == 1
+        assert pick(picker, qs, budget=599) == 1
+        assert pick(picker, qs, budget=199) is None
 
     def test_long_run_fairness(self):
         """Backlogged queues get equal grants over a full rotation cycle."""
@@ -125,37 +129,35 @@ class TestAgreesWithScanningOracle:
     poll of every queue would, whatever order the list is in."""
 
     @given(
-        fills=st.lists(st.lists(st.integers(0, 5), max_size=3), min_size=1, max_size=8),
-        blocked_deadline=st.one_of(st.none(), st.integers(0, 5)),
+        fills=st.lists(
+            st.tuples(st.lists(st.integers(0, 5), max_size=3), st.integers(1, 4)),
+            min_size=1,
+            max_size=8,
+        ),
+        budget=st.one_of(st.none(), st.integers(0, 4)),
         pointer=st.integers(0, 8),
         shuffle_seed=st.integers(0, 1 << 16),
     )
-    def test_same_pick_for_any_list_order(self, fills, blocked_deadline, pointer, shuffle_seed):
-        qs = queues_with(*fills)
+    def test_same_pick_for_any_list_order(self, fills, budget, pointer, shuffle_seed):
+        qs = queues_with(*(deadlines for deadlines, _ in fills), sizes=[s for _, s in fills])
         listed = backlogged(qs)
         random.Random(shuffle_seed).shuffle(listed)
-        sendable = None
-        if blocked_deadline is not None:
-            sendable = lambda head: head.deadline != blocked_deadline  # noqa: E731
-        assert EDFPicker().pick(qs, listed, sendable) == ScanningEDFPicker().pick(
-            qs, listed, sendable
+        assert EDFPicker().pick(qs, listed, budget) == ScanningEDFPicker().pick(
+            qs, listed, budget
         )
         rr, rr_oracle = RoundRobinPicker(), ScanningRoundRobinPicker()
         rr.granted(pointer - 1)
         rr_oracle.granted(pointer - 1)
-        assert rr.pick(qs, listed, sendable) == rr_oracle.pick(qs, listed, sendable)
+        assert rr.pick(qs, listed, budget) == rr_oracle.pick(qs, listed, budget)
 
 
 class _HeadOnly:
-    """A queue reduced to what a picker reads of it."""
+    """A queue reduced to what a picker reads of it: its ``front``."""
 
-    __slots__ = ("_pkt",)
+    __slots__ = ("front",)
 
     def __init__(self, pkt):
-        self._pkt = pkt
-
-    def head(self):
-        return self._pkt
+        self.front = pkt
 
 
 class TestIntegerComparisonMatchesTuples:
@@ -177,9 +179,8 @@ class TestIntegerComparisonMatchesTuples:
         qs = [_HeadOnly(mkpkt(d, uid=uid, size=size)) for d, uid, size in heads]
         listed = list(range(len(qs)))
         random.Random(shuffle_seed).shuffle(listed)
-        sendable = None if budget is None else (lambda head: head.size <= budget)
-        eligible = [i for i in listed if sendable is None or sendable(qs[i].head())]
+        eligible = [i for i in listed if budget is None or qs[i].front.size <= budget]
         expected = min(
-            eligible, key=lambda i: (qs[i].head().deadline, qs[i].head().uid), default=None
+            eligible, key=lambda i: (qs[i].front.deadline, qs[i].front.uid), default=None
         )
-        assert EDFPicker().pick(qs, listed, sendable) == expected
+        assert EDFPicker().pick(qs, listed, budget) == expected

@@ -16,14 +16,19 @@ losing Theorem 1 already means the design can no longer be *proved*
 safe, which is the point.)
 """
 
-from repro.core.queues import TakeOverQueue
+from repro.core.queues import PacketQueue, TakeOverQueue
 from tests.helpers import mkpkt
 
 
 class BoundedUTakeOverQueue(TakeOverQueue):
     """Hypothetical hardware with a fixed-size take-over FIFO: overflow
     spills into the ordered queue (it must go somewhere -- the upstream's
-    credits were already granted)."""
+    credits were already granted).
+
+    Its ``push`` does not keep the shipped ``front`` slot, so ``front`` is
+    the base class's property over :meth:`head` again."""
+
+    front = PacketQueue.front
 
     def __init__(self, max_takeover: int):
         super().__init__(None)

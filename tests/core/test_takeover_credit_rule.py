@@ -5,10 +5,10 @@ does not fit the downstream credits, the *other* FIFO's head must not be
 offered instead -- that "would corrupt the dequeuing discipline".  A
 conventional request-grant arbiter masks credit-less candidates, so the
 rule is a real constraint on the EDF architectures (``core/arbiter.py``:
-their switch calls ``pick`` without a ``sendable`` predicate).  This test
+their switch calls ``pick`` without a credit ``budget``).  This test
 builds the forbidden discipline and shows the corruption is out-of-order
 delivery within a flow; the shipped queue, driven the way ``Switch``
-drives it (``head()``, one credit check, ``pop()``), never reorders
+drives it (its head, one credit check, ``pop()``), never reorders
 (Theorem 3).
 """
 
@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.core.queues import TakeOverQueue
+from repro.core.queues import PacketQueue, TakeOverQueue
 from tests.helpers import mkpkt
 
 WINDOW = 2048  # byte credits downstream; the largest packet below is 2000
@@ -28,7 +28,14 @@ class Credits:
 
 class UnsafeTakeOverQueue(TakeOverQueue):
     """Masks like a conventional arbiter: if the minimum-deadline head
-    does not fit the credits, expose the other FIFO's head."""
+    does not fit the credits, expose the other FIFO's head.
+
+    Its head depends on outside state (the credits), so ``front`` is the
+    base class's property over :meth:`head` again, and ``pop`` takes that
+    head out without the shipped refresh (whose Lemma 1 check this
+    discipline is built to break)."""
+
+    front = PacketQueue.front
 
     def __init__(self, credits: Credits):
         super().__init__(None)
@@ -43,6 +50,15 @@ class UnsafeTakeOverQueue(TakeOverQueue):
         )
         fitting = [pkt for pkt in heads if pkt.size <= self.credits.available]
         return (fitting or heads or [None])[0]
+
+    def pop(self):
+        pkt = self.head()
+        if pkt is None:
+            raise IndexError("pop from empty UnsafeTakeOverQueue")
+        upper = self._upper
+        (upper if upper and pkt is upper[0] else self._lower).popleft()
+        self.used_bytes -= pkt.size
+        return pkt
 
 
 def departures(make_queue, arrivals, refill):

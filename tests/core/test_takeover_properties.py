@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.invariants import invariant
-from repro.core.queues import EDFHeapQueue, TakeOverQueue
+from repro.core.queues import EDFHeapQueue, PacketQueue, TakeOverQueue
 from tests.helpers import mkpkt
 
 # ----------------------------------------------------------------------
@@ -200,7 +200,9 @@ def test_heap_queue_pops_in_exact_deadline_order(entries):
 class TupleTakeOverQueue(TakeOverQueue):
     """``head()`` as it was written before it compared integers: two
     ``(deadline, uid)`` tuples.  ``pop`` is inherited and goes through
-    this ``head()``."""
+    ``front``, here the base class's property over this ``head()``."""
+
+    front = PacketQueue.front
 
     def head(self):
         lower, upper = self._lower, self._upper

@@ -8,14 +8,19 @@ must hold for *any* configuration:
 - every submitted packet is delivered exactly once (lossless, no dupes);
 - per-flow FIFO delivery;
 - all credit counters return to their initial values;
-- every switch's backlogged lists name exactly its non-empty VOQs;
+- every switch's backlogged lists name exactly its non-empty VOQs, and
+  every link's ``backlog`` (switch output or host NIC) is the number of
+  packets its sender holds for it;
 - deterministic replay: the same drawn scenario produces the same
   deliveries;
 - arbiter differential: the scanning oracle pickers
   (``tests/core/scanning_pickers.py``) produce the same deliveries --
   polling the placeholder in every VOQ slot no packet has needed;
 - VOQ differential: with every VOQ built before the first packet
-  (``tests/network/dense_voqs.py``) the deliveries are the same.
+  (``tests/network/dense_voqs.py``) the deliveries are the same;
+- wake-up differential: with every link waking its sender on every
+  tx-done and credit (``tests/network/eager_wakeups.py``) the deliveries
+  and the number of events executed are the same.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from repro.network.fabric import Fabric, FabricParams
 from repro.network.topology import FatTreeSpec, build_fat_tree, build_folded_shuffle_min
 from tests.core.scanning_pickers import with_scanning_pickers
 from tests.network.dense_voqs import materialise_every_voq
+from tests.network.eager_wakeups import install_eager_wakeups
 
 
 @st.composite
@@ -73,10 +79,12 @@ def scenarios(draw):
 def test_random_fabrics_preserve_invariants(scenario):
     topo, arch, flows = scenario
 
-    def run(architecture=ARCHITECTURES[arch], dense=False):
+    def run(architecture=ARCHITECTURES[arch], dense=False, eager=False):
         fabric = Fabric(topo, architecture, FabricParams())
         if dense:
             materialise_every_voq(fabric)
+        if eager:
+            install_eager_wakeups(fabric)
         deliveries: list[tuple[int, int, int]] = []
         fabric.subscribe_delivery(
             lambda p, t: deliveries.append((p.flow_id, p.seq, t))
@@ -95,6 +103,8 @@ def test_random_fabrics_preserve_invariants(scenario):
         fabric.engine.run(max_events=5_000_000)
         for switch in fabric.switches.values():
             switch.check_backlogged()
+        for host in fabric.hosts:
+            host.check_backlog()
         return fabric, deliveries
 
     fabric, deliveries = run()
@@ -125,3 +135,9 @@ def test_random_fabrics_preserve_invariants(scenario):
     # VOQ differential: when a queue came to exist changes nothing.
     _, dense = run(dense=True)
     assert dense == deliveries
+
+    # Wake-up differential: polling a sender with nothing queued for the
+    # link decides nothing, and a poll is never an event.
+    eager_fabric, eager = run(eager=True)
+    assert eager == deliveries
+    assert eager_fabric.engine.events_executed == fabric.engine.events_executed

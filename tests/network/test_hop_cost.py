@@ -20,11 +20,17 @@ section 10, "Hot-path call shape"): 61.6 and 63.4.  With a packet's two
 ends and every wake-up in fewer frames (a link's re-poll is the
 arbitration, one stamp per message, one frame per mint and per delivery
 record, the arrival scheduled as the receiver's ``accept``): 49.9 and
-52.1.  The ceilings are those figures + 10 %.
+52.1.  With a queue's head kept as a ``front`` field, a link that wakes
+its sender only while the sender holds a packet for it (``Link.backlog``)
+and credit masking by an integer budget: 42.5 and 45.8.  The ceilings are
+those figures + 10 %.
 
-:func:`test_packet_ends_call_shape` pins that shape by name, so a
-per-packet stamp, a second frame per delivery record or a wrapper around
-the arbitration comes back as a named failure.
+:func:`test_packet_ends_call_shape` and :func:`test_arbitration_call_shape`
+pin that shape by name, so a per-packet stamp, a second frame per
+delivery record, a wrapper around the arbitration, a ``head()`` call from
+the switch or a masking closure comes back as a named failure;
+:func:`test_arbitration_needs_a_backlog` fails if a wake-up reaches an
+output with nothing queued for it.
 """
 
 import cProfile
@@ -34,47 +40,60 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.runner import run_experiment
+from repro.network.switch import Switch
 from repro.sim import units
 
 
-@lru_cache(maxsize=2)
-def _profiled_run(architecture: str):
-    """``(transmits, packets, delivered, calls by (file below repro/,
-    qualname), total calls)``; cached, so each architecture runs once."""
-    config = ExperimentConfig(
+def _config(architecture: str, measure_us: int = 250) -> ExperimentConfig:
+    return ExperimentConfig(
         architecture=architecture,
         load=0.9,
         seed=1,
         topology="small",
         warmup_ns=50 * units.US,
-        measure_ns=250 * units.US,
+        measure_ns=measure_us * units.US,
         mix=scaled_video_mix(0.9, 0.02),
     )
+
+
+def _key(code):
+    """``(file below repro/, qualname)`` of a profiled code object, or None
+    for C functions and code outside the package."""
+    if isinstance(code, str) or "/repro/" not in code.co_filename:
+        return None
+    return (code.co_filename.rsplit("/repro/", 1)[1], getattr(code, "co_qualname", code.co_name))
+
+
+@lru_cache(maxsize=2)
+def _profiled_run(architecture: str):
+    """``(transmits, packets, delivered, calls by (file below repro/,
+    qualname), total calls, callees by caller)``; cached, so each
+    architecture runs once."""
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run_experiment(config)
+    result = run_experiment(_config(architecture))
     profiler.disable()
     calls = {}
+    callees = {}
     total = 0
     for entry in profiler.getstats():
         total += entry.callcount
-        code = entry.code
-        if isinstance(code, str) or "/repro/" not in code.co_filename:
+        key = _key(entry.code)
+        if key is None:
             continue
-        key = (
-            code.co_filename.rsplit("/repro/", 1)[1],
-            getattr(code, "co_qualname", code.co_name),
-        )
         calls[key] = calls.get(key, 0) + entry.callcount
+        callees.setdefault(key, set()).update(
+            callee for callee in (_key(sub.code) for sub in entry.calls or ()) if callee
+        )
     fabric = result.fabric
     transmits = sum(link.packets_carried for link in fabric.links.values())
     packets = sum(host.packets_submitted for host in fabric.hosts)
     delivered = sum(host.packets_received for host in fabric.hosts)
-    return transmits, packets, delivered, calls, total
+    return transmits, packets, delivered, calls, total, callees
 
 
 def _calls_per_transmit(architecture: str) -> float:
-    transmits, _packets, _delivered, _calls, total = _profiled_run(architecture)
+    transmits, _packets, _delivered, _calls, total, _callees = _profiled_run(architecture)
     assert transmits > 30_000  # enough hops that set-up is a small share of the calls
     return total / transmits
 
@@ -82,8 +101,8 @@ def _calls_per_transmit(architecture: str) -> float:
 @pytest.mark.parametrize(
     "architecture,ceiling",
     [
-        pytest.param("advanced-2vc", 54.9, id="advanced-2vc"),
-        pytest.param("traditional-2vc", 57.3, id="traditional-2vc"),
+        pytest.param("advanced-2vc", 46.8, id="advanced-2vc"),
+        pytest.param("traditional-2vc", 50.4, id="traditional-2vc"),
     ],
 )
 def test_profiler_visible_calls_per_transmit(architecture, ceiling):
@@ -96,7 +115,7 @@ def test_profiler_visible_calls_per_transmit(architecture, ceiling):
 
 @pytest.mark.parametrize("architecture", ["advanced-2vc", "traditional-2vc"])
 def test_packet_ends_call_shape(architecture):
-    _transmits, packets, delivered, calls, _total = _profiled_run(architecture)
+    _transmits, packets, delivered, calls, _total, _callees = _profiled_run(architecture)
     messages = calls[("network/host.py", "Host.submit_message")]
 
     def called(path, *names):
@@ -126,3 +145,49 @@ def test_packet_ends_call_shape(architecture):
     assert called("network/host.py", "Host.pull", "Host._inject") == 0
     assert called("network/link.py", "Link._deliver", "Link.return_credit") == 0
     assert called("network/fabric.py", "Fabric._dispatch_delivery") == 0
+
+
+@pytest.mark.parametrize("architecture", ["advanced-2vc", "traditional-2vc"])
+def test_arbitration_call_shape(architecture):
+    """A head is a field: the switch and the pickers call no queue's
+    ``head()``, and credit masking passes a budget, so no ``lambda`` frame
+    runs anywhere under the arbitration."""
+    *_, callees = _profiled_run(architecture)
+    for caller in callees:
+        if caller[0] in ("network/switch.py", "core/arbiter.py"):
+            heads = {
+                callee for callee in callees[caller]
+                if callee[0].startswith("core/queues/") and callee[1].endswith(".head")
+            }
+            assert not heads, f"{caller[1]} calls {sorted(heads)}"
+    under = set()
+    todo = [("network/switch.py", "Switch._try_output")]
+    while todo:
+        caller = todo.pop()
+        for callee in callees.get(caller, ()):
+            if callee not in under:
+                under.add(callee)
+                todo.append(callee)
+    assert ("core/arbiter.py", "EDFPicker.pick" if architecture != "traditional-2vc"
+            else "RoundRobinPicker.pick") in under
+    assert not [name for _path, name in under if name.endswith("<lambda>")]
+
+
+@pytest.mark.parametrize("architecture", ["advanced-2vc", "traditional-2vc"])
+def test_arbitration_needs_a_backlog(monkeypatch, architecture):
+    """``Switch._try_output`` is never entered for an output link whose
+    ``backlog`` is 0: a freed link or a returned credit wakes the switch
+    only when a VOQ holds a packet for that link."""
+    entered = []
+    try_output = Switch._try_output
+
+    def spy(self, out_link):
+        entered.append(out_link.backlog)
+        return try_output(self, out_link)
+
+    # ``accept`` calls ``_try_output``; a link's re-poll calls ``pull``.
+    monkeypatch.setattr(Switch, "_try_output", spy)
+    monkeypatch.setattr(Switch, "pull", spy)
+    run_experiment(_config(architecture, measure_us=50))
+    assert len(entered) > 5_000
+    assert min(entered) > 0

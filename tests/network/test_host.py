@@ -6,6 +6,7 @@ from repro.constants import VC_BEST_EFFORT, VC_REGULATED
 from repro.core.architectures import ADVANCED_2VC, TRADITIONAL_2VC
 from repro.core.eligible import EligiblePolicy
 from repro.core.flow import FlowKind, FlowRegistry
+from repro.core.invariants import InvariantViolation
 from repro.network.host import Host
 from repro.network.link import Link
 
@@ -218,6 +219,30 @@ class TestInjectionOrder:
         vcs = [p.vc for p, _ in r.sink.received]
         assert vcs == [1]  # VC1 used the wire; VC0 still waiting
         assert r.host.ready_packets(VC_REGULATED) == 1
+
+
+class TestLinkBacklog:
+    def test_backlog_counts_the_ready_packets(self, rig, engine):
+        r = rig()
+        regulated = r.flow(vc=VC_REGULATED, bw_bytes_per_ns=1.0)
+        r.link.channel.consume(0, 8192)  # VC0 credit-blocked downstream
+        r.host.submit_message(regulated, 3 * 2048)
+        engine.run_all()
+        assert r.link.backlog == r.host.ready_packets(VC_REGULATED) == 3
+        r.host.check_backlog()
+        r.link.backlog -= 1
+        with pytest.raises(InvariantViolation, match="backlog"):
+            r.host.check_backlog()
+
+    def test_smoothed_packets_count_once_released(self, rig, engine):
+        r = rig()
+        smoothed = r.flow(bw_bytes_per_ns=0.01, smoothing=True)
+        r.host.submit_message(smoothed, 2048 * 3)
+        assert r.host.pending_packets() > 0  # held back, not counted yet
+        r.host.check_backlog()
+        engine.run_all()
+        assert r.link.backlog == 0 and len(r.sink.received) == 3
+        r.host.check_backlog()
 
 
 class TestReceiveSide:

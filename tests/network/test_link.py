@@ -20,8 +20,12 @@ class Sink:
 
 
 class Puller:
-    def __init__(self):
+    """A sender holding one packet for the link (``link.backlog``), so
+    the link re-polls it; it never sends, it counts the polls."""
+
+    def __init__(self, link):
         self.pulls = 0
+        link.backlog = 1
 
     def pull(self, link):
         self.pulls += 1
@@ -117,11 +121,21 @@ class TestTransmission:
     def test_sender_pulled_when_link_frees(self, engine):
         link = make_link(engine)
         link.receiver = Sink()
-        puller = Puller()
+        puller = Puller(link)
         link.sender = puller
         link.transmit(mkpkt(1, size=100))
         engine.run_all()
         assert puller.pulls == 1
+
+    def test_sender_with_no_backlog_is_not_pulled(self, engine):
+        link = make_link(engine)
+        link.receiver = Sink(auto_credit=True)
+        puller = Puller(link)
+        link.backlog = 0
+        link.sender = puller
+        link.transmit(mkpkt(1, size=100))
+        engine.run_all()
+        assert puller.pulls == 0
 
     def test_counters(self, engine):
         link = make_link(engine)
@@ -158,9 +172,9 @@ class TestCreditReturn:
     def test_sender_pulled_on_credit_arrival(self, engine):
         link = make_link(engine, prop=10)
         link.receiver = Sink()
-        puller = Puller()
         link.transmit(mkpkt(1, size=64))
         engine.run_all()
+        puller = Puller(link)
         link.sender = puller
         link.return_credit(0, 64)
         engine.run_all()
@@ -178,10 +192,12 @@ class TestCreditReturn:
         class Driver:
             def pull(self, l):
                 if to_send and l.can_send(to_send[0]):
+                    l.backlog -= 1
                     l.transmit(to_send.pop(0))
 
         driver = Driver()
         link.sender = driver
+        link.backlog = len(to_send)
         driver.pull(link)
         engine.run_all()
         assert len(sink.received) == 8

@@ -96,6 +96,7 @@ class TestLinkSerialization:
         class Driver:
             def pull(self, link):
                 if to_send and link.can_send(to_send[0]):
+                    link.backlog -= 1
                     link.transmit(to_send.pop(0))
 
         link = Link(
@@ -111,6 +112,7 @@ class TestLinkSerialization:
         link.receiver = Sink()
         driver = Driver()
         link.sender = driver
+        link.backlog = len(to_send)
         driver.pull(link)
         engine.run_all()
 

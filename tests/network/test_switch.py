@@ -242,6 +242,41 @@ class TestBackloggedLists:
         with pytest.raises(InvariantViolation, match="backlogged lists"):
             rig.switch.check_backlogged()
 
+    def test_check_catches_a_miscounted_link_backlog(self, engine):
+        rig = SwitchRig(engine, ADVANCED_2VC)
+        rig.sinks[0].auto_credit = False
+        rig.feed(0, 10, size=8192)
+        rig.feed(1, 20, size=64)  # credit-blocked behind the first
+        engine.run_all()
+        assert rig.out_links[0].backlog == 1
+        rig.out_links[0].backlog += 1
+        with pytest.raises(InvariantViolation, match="backlogs"):
+            rig.switch.check_backlogged()
+
+    def test_a_link_attached_after_arrivals_counts_them(self, engine):
+        switch = Switch(engine, "sw", 2, ADVANCED_2VC)
+        in_link = Link(
+            engine, src="s", src_port=0, dst="sw", dst_port=0,
+            bytes_per_ns=1.0, prop_delay_ns=0, buffer_bytes_per_vc=(8192, 8192),
+        )
+        in_link.sender = NullSender()
+        switch.attach_in(0, in_link)
+        for deadline in (1, 2):
+            in_link.channel.consume(0, 256)  # as the upstream sender would
+            switch.accept(mkpkt(deadline, size=256, path=(1,)), in_link)
+        out_link = Link(
+            engine, src="sw", src_port=1, dst="d", dst_port=0,
+            bytes_per_ns=1.0, prop_delay_ns=0, buffer_bytes_per_vc=(8192, 8192),
+        )
+        out_link.receiver = Sink()
+        switch.attach_out(1, out_link)
+        assert out_link.backlog == 2
+        switch.check_backlogged()
+        switch.pull(out_link)
+        engine.run_all()
+        assert out_link.backlog == 0 and len(out_link.receiver.received) == 2
+        switch.check_backlogged()
+
     @pytest.mark.parametrize("arch", [IDEAL, SIMPLE_2VC, ADVANCED_2VC, TRADITIONAL_2VC])
     def test_lists_track_every_enqueue_and_grant(self, engine, arch):
         rig = SwitchRig(engine, arch)
