@@ -44,10 +44,12 @@ class DoubleTakeOverQueue(PacketQueue):
     deadline among the three heads.  (Three FIFOs per VC instead of two:
     a plausible "what if we spent a bit more silicon" design point.)
 
-    The one contract a custom queue owes the switch: ``head()`` is not
-    None exactly while ``len(queue) > 0``.  The switch keeps, per output,
-    the list of inputs whose queue is non-empty and the picker reads the
-    heads of only those -- it never polls an empty queue.
+    The one contract a custom queue owes the switch: ``front`` (its
+    head) is not None exactly while ``len(queue) > 0``.  It may be a slot
+    the queue keeps current in ``push``/``pop`` or, as here, a property.
+    The switch keeps, per output, the list of inputs whose queue is
+    non-empty and the picker reads the fronts of only those -- it never
+    polls an empty queue.
     """
 
     __slots__ = ("_lower", "_u1", "_u2")
@@ -74,14 +76,15 @@ class DoubleTakeOverQueue(PacketQueue):
     def _heads(self):
         return [q[0] for q in (self._lower, self._u1, self._u2) if q]
 
-    def head(self):
+    @property
+    def front(self):
         heads = self._heads()
         if not heads:
             return None
         return min(heads, key=lambda p: (p.deadline, p.uid))
 
     def pop(self):
-        pkt = self.head()
+        pkt = self.front
         if pkt is None:
             raise IndexError("pop from empty DoubleTakeOverQueue")
         for q in (self._lower, self._u1, self._u2):

@@ -104,8 +104,9 @@ class _CountingQueue(PacketQueue):
         self.counters.queue_comparisons += _queue_comparisons(self.inner, "pop")
         return self.inner.pop()
 
-    def head(self):
-        return self.inner.head()
+    @property
+    def front(self):
+        return self.inner.front
 
     def __len__(self) -> int:
         return len(self.inner)

@@ -15,7 +15,7 @@ cost of a decision follows the number of contenders, not the radix:
   conventional switch (*Traditional 2 VCs*) would use.
 
 A head is read as the queue's ``front`` field (a register in hardware;
-see :mod:`repro.core.queues.base`), not through a ``head()`` call.
+see :mod:`repro.core.queues.base`).
 
 ``pick`` also accepts an optional integer ``budget`` used for credit
 masking: the VC's downstream credits, so any candidate whose head is

@@ -60,21 +60,10 @@ class DeadlineStamper:
     def __init__(self) -> None:
         self.last_deadline: int = self.UNSET
 
-    def _advance(self, now: int, increment: int) -> int:
-        # Eq. 1 of the appendix requires strictly increasing deadlines.
-        base = self.last_deadline if self.last_deadline > now else now
-        deadline = base + (increment if increment > 0 else 1)
-        self.last_deadline = deadline
-        return deadline
-
-    def stamp(self, now: int, size: int) -> int:
-        raise NotImplementedError
-
     def stamp_message(self, now: int, sizes: list[int]) -> list[int]:
-        """The deadlines of one message's packets, in order: what a
-        :meth:`stamp` per packet gives.  The host NIC stamps a message
-        with this one call; the stampers below compute it in one frame."""
-        return [self.stamp(now, size) for size in sizes]
+        """The deadlines of one message's packets (``sizes`` in bytes), in
+        order, stamped at ``now``; advances the virtual clock."""
+        raise NotImplementedError
 
 
 class RateBasedStamper(DeadlineStamper):
@@ -88,19 +77,14 @@ class RateBasedStamper(DeadlineStamper):
 
     def __init__(self, bw_bytes_per_ns: float):
         super().__init__()
-        if bw_bytes_per_ns <= 0:
+        if not bw_bytes_per_ns > 0:
             raise ValueError(f"reserved bandwidth must be positive, got {bw_bytes_per_ns}")
         self.bw_bytes_per_ns = bw_bytes_per_ns
 
-    def stamp(self, now: int, size: int) -> int:
-        if size <= 0:
-            raise ValueError(f"packet size must be positive, got {size}")
-        return self._advance(now, math.ceil(size / self.bw_bytes_per_ns))
-
     def stamp_message(self, now: int, sizes: list[int]) -> list[int]:
-        # _advance per packet, written out: after the first packet the
-        # virtual clock is already past ``now``, so each later deadline
-        # chains on the previous one.
+        # D = max(D_prev, now) + ceil(L / BW) per packet (at least 1 ns):
+        # after the first packet the virtual clock is already past
+        # ``now``, so each later deadline chains on the previous one.
         bw = self.bw_bytes_per_ns
         deadline = self.last_deadline if self.last_deadline > now else now
         deadlines = []
@@ -132,35 +116,31 @@ class ControlStamper(RateBasedStamper):
 class FrameBasedStamper(DeadlineStamper):
     """Frame-latency stamper for multimedia (Section 3.1's MPEG example).
 
-    Call :meth:`stamp_frame` once per application frame; it returns the
-    deadlines for all ``parts`` packets of the frame.  The per-packet
-    increment ``target/parts`` spreads the frame smoothly over the target
-    window, so frame latency is ~``target_latency_ns`` regardless of size.
+    A message is one application frame: :meth:`stamp_message` returns the
+    deadlines for all its ``parts`` packets.  The per-packet increment
+    ``target/parts`` spreads the frame smoothly over the target window, so
+    frame latency is ~``target_latency_ns`` regardless of size.
     """
 
     __slots__ = ("target_latency_ns",)
 
     def __init__(self, target_latency_ns: int):
         super().__init__()
-        if target_latency_ns <= 0:
-            raise ValueError(f"target latency must be positive, got {target_latency_ns}")
+        # Whole nanoseconds, by identity: a float target would reach the
+        # integer deadline arithmetic, and True would be a 1 ns target.
+        if target_latency_ns.__class__ is not int or target_latency_ns <= 0:
+            raise ValueError(
+                f"target latency must be a positive int (nanoseconds), got {target_latency_ns!r}"
+            )
         self.target_latency_ns = target_latency_ns
 
-    def stamp_frame(self, now: int, parts: int) -> list[int]:
+    def stamp_message(self, now: int, sizes: list[int]) -> list[int]:
+        parts = len(sizes)
         if parts <= 0:
             raise ValueError(f"frame must split into >= 1 packets, got {parts}")
-        # _advance per packet, written out (see RateBasedStamper.stamp_message).
+        # D = max(D_prev, now) + target // parts per packet (at least 1 ns).
         increment = self.target_latency_ns // parts
         step = increment if increment > 0 else 1
         base = self.last_deadline if self.last_deadline > now else now
         self.last_deadline = base + step * parts
         return list(range(base + step, self.last_deadline + 1, step))
-
-    def stamp_message(self, now: int, sizes: list[int]) -> list[int]:
-        """A message is one application frame: :meth:`stamp_frame` over
-        its ``len(sizes)`` packets."""
-        return self.stamp_frame(now, len(sizes))
-
-    def stamp(self, now: int, size: int) -> int:
-        """Single-packet frame convenience (``parts == 1``)."""
-        return self._advance(now, self.target_latency_ns)

@@ -21,34 +21,26 @@ DEFAULT_OFFSET_NS = units.us(20)
 
 
 class EligiblePolicy:
-    """Computes eligible times; ``offset_ns=None`` disables smoothing.
+    """The eligible-time offset; ``offset_ns=None`` disables smoothing.
 
-    >>> pol = EligiblePolicy(20_000)
-    >>> pol.eligible_time(deadline=100_000, now=50_000)
-    80000
-    >>> pol.eligible_time(deadline=60_000, now=50_000)  # never in the past
-    50000
-    >>> EligiblePolicy(None).eligible_time(deadline=100_000, now=50_000)
-    50000
+    A packet stamped with ``deadline`` at ``now`` becomes eligible at
+    ``max(deadline - offset_ns, now)``; ``Host.submit_message`` applies
+    that rule, reading ``offset_ns`` once per message.
+
+    >>> EligiblePolicy(20_000).offset_ns
+    20000
+    >>> EligiblePolicy(20_000.5)
+    Traceback (most recent call last):
+    ...
+    ValueError: eligible-time offset must be an int >= 0 (nanoseconds), got 20000.5
     """
 
     __slots__ = ("offset_ns",)
 
     def __init__(self, offset_ns: int | None = DEFAULT_OFFSET_NS):
-        if offset_ns is not None and offset_ns < 0:
-            raise ValueError(f"eligible-time offset must be >= 0, got {offset_ns}")
+        # Whole nanoseconds, by identity: the offset becomes an engine time.
+        if offset_ns is not None and (offset_ns.__class__ is not int or offset_ns < 0):
+            raise ValueError(
+                f"eligible-time offset must be an int >= 0 (nanoseconds), got {offset_ns!r}"
+            )
         self.offset_ns = offset_ns
-
-    @property
-    def enabled(self) -> bool:
-        return self.offset_ns is not None
-
-    def eligible_time(self, *, deadline: int, now: int) -> int:
-        """Earliest injection time for a packet stamped with ``deadline``.
-
-        ``Host.submit_message`` applies this rule inline, reading
-        ``offset_ns`` once per message."""
-        if self.offset_ns is None:
-            return now
-        eligible = deadline - self.offset_ns
-        return eligible if eligible > now else now

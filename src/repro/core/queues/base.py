@@ -6,12 +6,10 @@ discipline would hand to the arbiter next.  Switch arbiters only ever
 look at heads; that restriction is the point of the paper (full buffer
 scans are not implementable at link rate).
 
-In hardware a head is a register, so the arbiter reads it as a field:
+In hardware a head is a register, so everyone reads it as a field:
 ``front``.  The FIFO, heap and take-over queues keep that slot current
-in their own ``push``/``pop``; any other queue inherits ``front`` as a
-property over :meth:`PacketQueue.head`, which is what a queue whose head
-depends on the clock or on outside state needs.  ``head()`` stays the
-public method tests and observers call; ``q.front is q.head()`` always.
+in their own ``push``/``pop``; a queue whose head depends on the clock
+or on an inner queue defines ``front`` as a property instead.
 
 Queues track their occupancy in bytes because the credit-based flow
 control of :mod:`repro.network.link` accounts buffer space in bytes
@@ -48,10 +46,15 @@ class QueueFullError(RuntimeError):
 class PacketQueue:
     """Abstract buffer with a single dequeue head.
 
-    Subclasses implement ``push``/``pop``/``head``/``__iter__``.
+    Subclasses implement ``push``/``pop``/``__len__``/``__iter__`` and
+    provide ``front``.
     """
 
     __slots__ = ("capacity_bytes", "used_bytes")
+
+    #: The packet the dequeue discipline offers next, or None when empty:
+    #: a slot the subclass keeps current, or a property.
+    front: Optional[DeadlineTagged]
 
     def __init__(self, capacity_bytes: Optional[int] = None):
         if capacity_bytes is not None and capacity_bytes <= 0:
@@ -68,27 +71,8 @@ class PacketQueue:
         """Remove and return the head packet (raises IndexError when empty)."""
         raise NotImplementedError
 
-    def head(self) -> Optional[DeadlineTagged]:
-        """The packet the dequeue discipline offers next, or None when empty."""
-        raise NotImplementedError
-
     def __len__(self) -> int:
         raise NotImplementedError
-
-    @property
-    def front(self) -> Optional[DeadlineTagged]:
-        """The head, as the arbiter reads it (None when empty).
-
-        A queue that keeps its head in a ``front`` slot shadows this
-        property.  Writes are discarded, so a subclass of such a queue
-        whose head depends on outside state can set ``front =
-        PacketQueue.front`` and hand every read back to its ``head()``.
-        """
-        return self.head()
-
-    @front.setter
-    def front(self, _value: Optional[DeadlineTagged]) -> None:
-        pass
 
     def __iter__(self) -> Iterable[DeadlineTagged]:
         """All stored packets, in no particular order (for tests/metrics)."""

@@ -47,9 +47,6 @@ class FifoQueue(PacketQueue):
             raise InvariantViolation("queue byte accounting went negative")
         return pkt
 
-    def head(self) -> Optional[DeadlineTagged]:
-        return self._items[0] if self._items else None
-
     def __len__(self) -> int:
         return len(self._items)
 

@@ -47,9 +47,6 @@ class EDFHeapQueue(PacketQueue):
             raise InvariantViolation("queue byte accounting went negative")
         return pkt
 
-    def head(self) -> Optional[DeadlineTagged]:
-        return self._heap[0][2] if self._heap else None
-
     def __len__(self) -> int:
         return len(self._heap)
 

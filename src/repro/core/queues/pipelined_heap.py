@@ -13,7 +13,7 @@ question the paper raises (is it affordable?):
 
 - logical behaviour is exact EDF (delegated to a binary heap -- the
   pipelined hardware computes the same order);
-- **timing**: the head produced by :meth:`head` only reflects operations
+- **timing**: the head ``front`` reads only reflects operations
   that have *settled*, i.e. were issued at least ``depth`` cycles ago.
   An arbitration decision made while an earlier-deadline insert is still
   rippling through the pipeline will miss it -- a real, measurable
@@ -43,7 +43,8 @@ class PipelinedHeapQueue(PacketQueue):
     ``now_fn`` supplies the current cycle (wire it to ``engine.now`` --
     the fabric does this via the architecture factory).  ``depth`` is the
     number of heap levels; inserts issued fewer than ``settle_cycles``
-    ( = ``depth`` by default) ago are *not yet visible* to :meth:`head`.
+    ( = ``depth`` by default) ago are *not yet visible* to ``front``, a
+    property because the head depends on the clock.
 
     Pops always remove the visible minimum (extraction hardware replays
     from the root, which is always valid).
@@ -88,7 +89,8 @@ class PipelinedHeapQueue(PacketQueue):
         else:
             heapq.heappush(self._heap, (pkt.deadline, pkt.uid, pkt))
 
-    def head(self) -> Optional[DeadlineTagged]:
+    @property
+    def front(self) -> Optional[DeadlineTagged]:
         self._absorb_settled()
         if self._heap:
             return self._heap[0][2]

@@ -86,28 +86,9 @@ class TakeOverQueue(PacketQueue):
                     self.front = pkt
 
     # -- dequeuing (appendix Definition 2) ----------------------------------
-    def head(self) -> Optional[DeadlineTagged]:
-        lower = self._lower
-        if not lower:
-            if self._upper:
-                raise InvariantViolation("Lemma 1 violated: packets only in take-over queue")
-            return None
-        upper = self._upper
-        if not upper:
-            return lower[0]
-        l_head = lower[0]
-        u_head = upper[0]
-        # (deadline, uid) order, field by field: the uid tie-break (arrival
-        # order) keeps equal deadlines FIFO.
-        u_deadline = u_head.deadline
-        l_deadline = l_head.deadline
-        if u_deadline < l_deadline or (u_deadline == l_deadline and u_head.uid < l_head.uid):
-            return u_head
-        return l_head
-
     def pop(self) -> DeadlineTagged:
-        # Through ``front``, never around it: a subclass that hands
-        # ``front`` back to its own head() decides what leaves.
+        # Through ``front``, never around it: a subclass that makes
+        # ``front`` a property of its own decides what leaves.
         pkt = self.front
         if pkt is None:
             raise IndexError("pop from empty TakeOverQueue")
@@ -117,8 +98,9 @@ class TakeOverQueue(PacketQueue):
             upper.popleft()
         else:
             lower.popleft()
-        # The refresh: head()'s rule on the two new FIFO heads, Lemma 1's
-        # check included.
+        # The refresh: the smaller of the two new FIFO heads in (deadline,
+        # uid) order -- the uid tie-break (arrival order) keeps equal
+        # deadlines FIFO -- with Lemma 1's check.
         if not upper:
             self.front = lower[0] if lower else None
         elif not lower:

@@ -75,6 +75,7 @@ class FabricParams:
     n_vcs: int = 2
 
     def __post_init__(self) -> None:
+        EligiblePolicy(self.eligible_offset_ns)  # the offset's check
         if self.mtu <= 0:
             raise ValueError(f"MTU must be positive, got {self.mtu}")
         if self.n_vcs < 1:

@@ -170,8 +170,8 @@ class Host:
         flow.next_msg = msg_id + 1
         seq = flow.next_seq
         flow.next_seq = seq + parts
-        # EligiblePolicy.eligible_time with its offset read once per
-        # message: None = no smoothing, eligible at once.
+        # The eligible time is max(deadline - offset, now), the offset read
+        # once per message: None = no smoothing, eligible at once.
         offset = (
             self.eligible_policy.offset_ns
             if spec.smoothing and self.architecture.host_edf

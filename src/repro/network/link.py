@@ -19,8 +19,8 @@ Timing model (store-and-forward at packet granularity):
   backlog is zero wakes nobody (there is nothing to decide).
 
 A :class:`Link` is one *simplex* channel; the fabric creates two per
-cable.  :class:`CreditChannel` is the sender-side credit ledger, split
-out so the host NIC and switch tests can exercise it alone.
+cable.  :class:`CreditChannel` is the sender-side credit ledger; the
+link spends and regains its credits.
 """
 
 from __future__ import annotations
@@ -60,14 +60,12 @@ class Sender(Protocol):
 class CreditChannel:
     """Per-VC credit counters for one simplex channel.
 
-    Initialized to the downstream buffer capacity; ``consume`` on
-    transmit, ``replenish`` when the downstream frees space.  The sum of
-    credits held here and bytes occupied (or in flight) downstream is
-    invariant -- the credit-conservation property test pins that down.
-
-    :class:`Link` applies the same two rules to ``credits`` in place, on
-    the per-hop path, with the same :class:`CreditError` texts
-    (``tests/network/test_link_properties.py`` drives both side by side).
+    Initialized to the downstream buffer capacity (``initial``).
+    :meth:`Link.transmit` spends ``credits`` and
+    :meth:`Link._credit_arrived` regains them when the downstream frees
+    space; the sum of credits held here and bytes occupied (or in flight)
+    downstream is invariant -- the credit-conservation property test pins
+    that down.
     """
 
     __slots__ = ("initial", "credits")
@@ -80,24 +78,6 @@ class CreditChannel:
                 raise ValueError(f"VC capacity must be positive, got {cap}")
         self.initial = tuple(capacity_bytes_per_vc)
         self.credits = list(capacity_bytes_per_vc)
-
-    def can_send(self, vc: int, size: int) -> bool:
-        return self.credits[vc] >= size
-
-    def consume(self, vc: int, size: int) -> None:
-        if self.credits[vc] < size:
-            raise CreditError(
-                f"sending {size} B on vc{vc} with only {self.credits[vc]} credits"
-            )
-        self.credits[vc] -= size
-
-    def replenish(self, vc: int, size: int) -> None:
-        self.credits[vc] += size
-        if self.credits[vc] > self.initial[vc]:
-            raise CreditError(
-                f"vc{vc} credits ({self.credits[vc]}) exceed buffer size "
-                f"({self.initial[vc]}): double credit return"
-            )
 
 
 class Link:
@@ -198,15 +178,13 @@ class Link:
         return ceil(size_bytes / self.bytes_per_ns)
 
     # ------------------------------------------------------------------
-    def can_send(self, pkt: Packet) -> bool:
-        return not self.busy and self.channel.can_send(pkt.vc, pkt.size)
-
     def transmit(self, pkt: Packet) -> None:
-        """Start clocking ``pkt`` out.  Caller must have checked :meth:`can_send`."""
+        """Start clocking ``pkt`` out, spending its size in credits on its
+        VC.  The caller checks first that the link is idle and the credits
+        suffice; a send without them is a :class:`CreditError`."""
         if self.busy:
             raise CreditError(f"link {self.src}:{self.src_port} is busy")
-        # CreditChannel.consume and occupancy_ns, written out: this runs
-        # once per packet hop.
+        # occupancy_ns, written out: this runs once per packet hop.
         vc = pkt.vc
         size = pkt.size
         credits = self.channel.credits
@@ -250,7 +228,7 @@ class Link:
 
     # ------------------------------------------------------------------
     def _credit_arrived(self, vc: int, size: int) -> None:
-        # CreditChannel.replenish, written out (see transmit).
+        # Regain the credits; more than the buffer holds is a double return.
         channel = self.channel
         credits = channel.credits
         credits[vc] += size

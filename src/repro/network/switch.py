@@ -62,9 +62,6 @@ class _UnusedVOQ(PacketQueue):
     def push(self, pkt) -> None:
         raise TypeError("the unused-VOQ placeholder holds no packets; go through Switch.voq")
 
-    def head(self) -> None:
-        return None
-
     def __len__(self) -> int:
         return 0
 

@@ -144,7 +144,7 @@ class FabricObserver:
             # Head-of-line order error: the departing packet leaves behind
             # a *smaller*-deadline packet in the same VOQ -- exactly the
             # inversion the take-over structure exists to prevent.
-            head = queue.head()
+            head = queue.front
             if head is not None and head.deadline < pkt.deadline:
                 self._order_errors[pkt.vc].value += 1
         if self._spans is not None and pkt.traced:

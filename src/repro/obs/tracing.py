@@ -301,19 +301,16 @@ def decompose_events(
 class PacketTracer:
     """Span-based packet-lifecycle tracer with deterministic sampling.
 
-    A packet's lifecycle reaches the tracer through four hooks (for
-    packets whose ``traced`` bit is set, once :meth:`begin` has decided
-    it):
+    A packet's lifecycle reaches the tracer from the fabric's observer
+    (for packets whose ``traced`` bit is set, once :meth:`begin` has
+    decided it):
 
     - :meth:`begin`   at submit (makes the head-sampling decision),
-    - :meth:`event`   for ``eligible`` / ``inject`` / ``forward``,
-    - :meth:`arrive`  at switch VOQ entry (captures link occupancy),
+    - ``live[pkt.uid]``, the open chain, gets one ``(kind, node, t_ns,
+      ser_ns)`` tuple per ``eligible`` / ``inject`` / ``arrive`` /
+      ``forward``, appended by the observer itself (``ser_ns`` is the
+      incoming link's occupancy on ``arrive``, else 0),
     - :meth:`finish`  at delivery (checks the chain, applies retention).
-
-    The fabric's observer calls :meth:`begin` and :meth:`finish`; between
-    them it appends to ``live[pkt.uid]`` itself, which is all
-    :meth:`event` and :meth:`arrive` do for a caller driving a tracer by
-    hand.
 
     ``policy="tail"`` retains only deadline misses; ``policy="head"``
     retains every packet that won the per-flow Bernoulli draw at
@@ -385,19 +382,6 @@ class PacketTracer:
         pkt.traced = True
         self.sampled += 1
         self.live[pkt.uid] = [("submit", node, t_ns, 0)]
-
-    def event(self, pkt: Any, kind: str, t_ns: int, node: str = "") -> None:
-        """Record a serialization-free lifecycle event (``eligible``,
-        ``inject``, ``forward``)."""
-        events = self.live.get(pkt.uid)
-        if events is not None:
-            events.append((kind, node, t_ns, 0))
-
-    def arrive(self, pkt: Any, t_ns: int, node: str, link: Any) -> None:
-        """Packet fully arrived at a switch VOQ over ``link``."""
-        events = self.live.get(pkt.uid)
-        if events is not None:
-            events.append(("arrive", node, t_ns, link.occupancy_ns(pkt.size)))
 
     def finish(self, pkt: Any, t_ns: int, *, node: str, link: Any, slack_ns: int) -> None:
         """Packet delivered: close the chain, check it, apply retention."""

@@ -57,9 +57,8 @@ def _noop(*_args: Any) -> None:
 class EventHandle:
     """A cancellable scheduled callback.
 
-    Returned by :meth:`Engine.at_cancellable` /
-    :meth:`Engine.after_cancellable`.  The plain :meth:`Engine.at` /
-    :meth:`Engine.after` return ``None``: a handle allocation per event
+    Returned by :meth:`Engine.at_cancellable`.  The plain
+    :meth:`Engine.at` / :meth:`Engine.after` return ``None``: a handle allocation per event
     was the single largest cost on the schedule path, and almost no
     caller cancels.
     """
@@ -236,7 +235,7 @@ class Engine:
         guarantees the not-in-the-past invariant, so the extra call
         frame and re-check would be pure overhead (profiling puts this
         method second only to the run loop itself).  Returns ``None``;
-        use :meth:`after_cancellable` if the event may need revoking.
+        use :meth:`at_cancellable` if the event may need revoking.
         """
         if delay.__class__ is not int:
             raise SimulationError(f"delay must be an int (nanoseconds), got {delay!r}")
@@ -260,21 +259,6 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self.now}"
             )
-        return self._push_cancellable(time, fn, args)
-
-    def after_cancellable(
-        self, delay: int, fn: Callable[..., Any], *args: Any
-    ) -> EventHandle:
-        """Schedule ``fn(*args)`` after ``delay`` ns; returns a cancellable handle."""
-        if delay.__class__ is not int:
-            raise SimulationError(f"delay must be an int (nanoseconds), got {delay!r}")
-        if delay < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self._push_cancellable(self.now + delay, fn, args)
-
-    def _push_cancellable(
-        self, time: int, fn: Callable[..., Any], args: tuple
-    ) -> EventHandle:
         entry = [fn, args]
         bucket = self._buckets.get(time)
         if bucket is None:

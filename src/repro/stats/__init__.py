@@ -21,7 +21,6 @@ cumulative distribution function of latency at saturation.
 
 from repro.stats.cdf import EmpiricalCDF
 from repro.stats.collectors import ClassStats, MetricsCollector
-from repro.stats.flows import FlowStats, PerFlowCollector
 from repro.stats.report import format_row, format_table
 from repro.stats.reservoir import Reservoir
 from repro.stats.running import RunningStats
@@ -31,10 +30,8 @@ __all__ = [
     "ClassStats",
     "DeliveryTimeSeries",
     "EmpiricalCDF",
-    "FlowStats",
     "GaugeTimeSeries",
     "MetricsCollector",
-    "PerFlowCollector",
     "Reservoir",
     "RunningStats",
     "format_row",

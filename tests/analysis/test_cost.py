@@ -49,7 +49,7 @@ class TestCountingShims:
         queue = arch.make_queue(None)
         queue.push(mkpkt(100))
         queue.push(mkpkt(50))  # take-over
-        assert queue.head().deadline == 50
+        assert queue.front.deadline == 50
         assert queue.pop().deadline == 50
         assert len(queue) == 1
         assert queue.used_bytes == 256

@@ -1,10 +1,10 @@
-"""Test oracle: the scanning pickers, kept verbatim from before the switch
+"""Test oracle: the scanning pickers, kept from before the switch
 tracked its backlogged inputs.
 
-They poll every candidate queue's ``head()`` (never the ``front`` field
-production reads) and skip the empty ones, so they accept the
-``backlogged`` argument and ignore it.  A ``budget`` masks any head
-larger than it, as in production.  Production
+They poll every candidate queue's head as :func:`reference_head`
+recomputes it (never the ``front`` field production reads) and skip the
+empty ones, so they accept the ``backlogged`` argument and ignore it.  A
+``budget`` masks any head larger than it, as in production.  Production
 arbitration (``repro.core.arbiter``) must agree with them on every pick;
 ``tests/network/test_arbiter_differential.py`` and the fabric fuzzer
 swap them in via ``dataclasses.replace(arch, picker_factory=...)``.
@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from repro.core.arbiter import EDFPicker, Picker, RoundRobinPicker
 from repro.core.architectures import Architecture
 from repro.core.queues.base import PacketQueue
+from tests.core.reference_head import reference_head
 
 __all__ = ["ScanningEDFPicker", "ScanningRoundRobinPicker", "with_scanning_pickers"]
 
@@ -34,7 +35,7 @@ class ScanningEDFPicker(Picker):
         best_index: Optional[int] = None
         best_key: Optional[tuple[int, int]] = None
         for index, queue in enumerate(queues):
-            head = queue.head()
+            head = reference_head(queue)
             if head is None:
                 continue
             if budget is not None and head.size > budget:
@@ -64,7 +65,7 @@ class ScanningRoundRobinPicker(Picker):
         start = self._next % n
         for offset in range(n):
             index = (start + offset) % n
-            head = queues[index].head()
+            head = reference_head(queues[index])
             if head is None:
                 continue
             if budget is not None and head.size > budget:

@@ -76,7 +76,7 @@ class TestLemma1UnderOptimization:
             "q = TakeOverQueue()\n"
             "q._upper.append(mkpkt(5))  # force 'packets only in U'\n"
             "try:\n"
-            "    q.head()\n"
+            "    q.push(mkpkt(7))  # push checks Lemma 1\n"
             "except InvariantViolation:\n"
             "    sys.exit(0)\n"
             "sys.exit(4)  # invariant did not fire\n"

@@ -51,13 +51,13 @@ class TestPipelineTiming:
         queue = PipelinedHeapQueue(now_fn=clock, depth=8)
         queue.push(mkpkt(500))
         clock.now = 10  # settled (>= 8 cycles)
-        queue.head()
+        assert queue.front.deadline == 500
         # A better packet arrives but has not settled: the old head wins.
         better = mkpkt(10)
         queue.push(better)
-        assert queue.head().deadline == 500
+        assert queue.front.deadline == 500
         clock.now = 18  # insert from t=10 settles at t=18
-        assert queue.head() is better
+        assert queue.front is better
 
     def test_unsettled_counter(self):
         clock = FakeClock()
@@ -75,7 +75,7 @@ class TestPipelineTiming:
         queue = PipelinedHeapQueue(now_fn=clock, depth=8)
         pkt = mkpkt(42)
         queue.push(pkt)
-        assert queue.head() is pkt  # despite not being settled
+        assert queue.front is pkt  # despite not being settled
         assert queue.pop() is pkt
 
     def test_len_includes_staging(self):

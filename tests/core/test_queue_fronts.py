@@ -1,13 +1,15 @@
 """A queue's ``front`` is its head, whatever keeps it.
 
-The arbiter and the host NIC read a head as the ``front`` field.  The
-FIFO, heap and take-over queues keep that slot current in ``push`` and
-``pop``; every other queue inherits ``front`` as a property over
-``head()``, and so do the test subclasses whose head depends on outside
+The arbiter, the host NIC and the observer read a head as the ``front``
+field.  The FIFO, heap and take-over queues keep that slot current in
+``push`` and ``pop``; the pipelined heap and the cost shim define it as a
+property, and so do the test subclasses whose head depends on outside
 state or whose ``push`` does not keep the slot.  For every queue class,
 after any sequence of pushes, pops, clock ticks and credit changes,
-``q.front is q.head()`` and ``q.front`` is None exactly when the queue is
-empty.
+``q.front`` is the head :func:`~tests.core.reference_head.reference_head`
+recomputes from the queue's contents (the masking subclass: the smallest
+FIFO head that fits the credits), and ``q.front`` is None exactly when
+the queue is empty.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.analysis.cost import CostCounters, _CountingQueue
 from repro.core.invariants import InvariantViolation
 from repro.core.queues import EDFHeapQueue, FifoQueue, PipelinedHeapQueue, TakeOverQueue
 from repro.network.switch import _UNUSED
+from tests.core.reference_head import reference_head
 from tests.core.test_pipelined_heap import FakeClock
 from tests.core.test_takeover_bounded_hazard import BoundedUTakeOverQueue
 from tests.core.test_takeover_credit_rule import Credits, UnsafeTakeOverQueue
@@ -61,8 +64,17 @@ operations = st.lists(
 )
 
 
+def masked_head(queue):
+    """The masking subclass's head: the smallest ``(deadline, uid)`` of
+    the FIFO heads that fit the credits, else of all of them."""
+    heads = [fifo[0] for fifo in (queue._lower, queue._upper) if fifo]
+    fitting = [pkt for pkt in heads if pkt.size <= queue.credits.available]
+    return min(fitting or heads, key=lambda pkt: (pkt.deadline, pkt.uid), default=None)
+
+
 def assert_front_is_head(queue):
-    assert queue.front is queue.head()
+    reference = masked_head if isinstance(queue, UnsafeTakeOverQueue) else reference_head
+    assert queue.front is reference(queue)
     assert (queue.front is None) == (len(queue) == 0)
 
 

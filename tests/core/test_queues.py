@@ -15,7 +15,7 @@ class TestCommonBehaviour:
         q = queue_cls()
         assert len(q) == 0
         assert not q
-        assert q.head() is None
+        assert q.front is None
         assert q.used_bytes == 0
 
     def test_push_pop_single(self, queue_cls):
@@ -23,7 +23,7 @@ class TestCommonBehaviour:
         pkt = mkpkt(100)
         q.push(pkt)
         assert len(q) == 1
-        assert q.head() is pkt
+        assert q.front is pkt
         assert q.pop() is pkt
         assert len(q) == 0
 
@@ -82,7 +82,7 @@ class TestFifoOrder:
         early = mkpkt(1)
         q.push(late)
         q.push(early)
-        assert q.head() is late  # the order-error scenario of Section 3.4
+        assert q.front is late  # the order-error scenario of Section 3.4
 
 
 class TestHeapOrder:
@@ -104,9 +104,9 @@ class TestHeapOrder:
     def test_head_tracks_minimum_across_pushes(self):
         q = EDFHeapQueue()
         q.push(mkpkt(100))
-        assert q.head().deadline == 100
+        assert q.front.deadline == 100
         q.push(mkpkt(10))
-        assert q.head().deadline == 10
+        assert q.front.deadline == 10
 
 
 class TestTakeOverStructure:
@@ -145,7 +145,7 @@ class TestTakeOverStructure:
         q.push(mkpkt(100))
         q.push(mkpkt(200))
         q.push(mkpkt(50))  # -> U
-        assert q.head().deadline == 50
+        assert q.front.deadline == 50
 
     def test_tie_between_heads_prefers_older_packet(self):
         q = TakeOverQueue()
@@ -154,7 +154,7 @@ class TestTakeOverStructure:
         q.push(mkpkt(300))
         u_head = mkpkt(100)  # equal deadline, arrived later -> U
         q.push(u_head)
-        assert q.head() is l_head
+        assert q.front is l_head
 
     def test_fifo_within_takeover_queue(self):
         q = TakeOverQueue()

@@ -16,7 +16,8 @@ losing Theorem 1 already means the design can no longer be *proved*
 safe, which is the point.)
 """
 
-from repro.core.queues import PacketQueue, TakeOverQueue
+from repro.core.queues import TakeOverQueue
+from tests.core.reference_head import reference_head
 from tests.helpers import mkpkt
 
 
@@ -26,9 +27,16 @@ class BoundedUTakeOverQueue(TakeOverQueue):
     credits were already granted).
 
     Its ``push`` does not keep the shipped ``front`` slot, so ``front`` is
-    the base class's property over :meth:`head` again."""
+    a property: the shipped head rule, recomputed on every read (the
+    inherited ``pop`` writes to it, and those writes are dropped)."""
 
-    front = PacketQueue.front
+    @property
+    def front(self):
+        return reference_head(self)
+
+    @front.setter
+    def front(self, _value):
+        pass
 
     def __init__(self, max_takeover: int):
         super().__init__(None)

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.core.queues import PacketQueue, TakeOverQueue
+from repro.core.queues import TakeOverQueue
 from tests.helpers import mkpkt
 
 WINDOW = 2048  # byte credits downstream; the largest packet below is 2000
@@ -30,20 +30,19 @@ class UnsafeTakeOverQueue(TakeOverQueue):
     """Masks like a conventional arbiter: if the minimum-deadline head
     does not fit the credits, expose the other FIFO's head.
 
-    Its head depends on outside state (the credits), so ``front`` is the
-    base class's property over :meth:`head` again, and ``pop`` takes that
-    head out without the shipped refresh (whose Lemma 1 check this
-    discipline is built to break)."""
-
-    front = PacketQueue.front
+    Its head depends on outside state (the credits), so ``front`` is a
+    property (the inherited ``push`` writes to it, and those writes are
+    dropped), and ``pop`` takes that head out without the shipped refresh
+    (whose Lemma 1 check this discipline is built to break)."""
 
     def __init__(self, credits: Credits):
         super().__init__(None)
         self.credits = credits
 
-    def head(self):
-        # both FIFO heads in deadline order (not via super(): once L has
-        # been drained past U, the shipped head() trips Lemma 1's invariant)
+    @property
+    def front(self):
+        # both FIFO heads in deadline order (not the shipped rule: once L
+        # has been drained past U, that trips Lemma 1's invariant)
         heads = sorted(
             (fifo[0] for fifo in (self._lower, self._upper) if fifo),
             key=lambda pkt: (pkt.deadline, pkt.uid),
@@ -51,8 +50,12 @@ class UnsafeTakeOverQueue(TakeOverQueue):
         fitting = [pkt for pkt in heads if pkt.size <= self.credits.available]
         return (fitting or heads or [None])[0]
 
+    @front.setter
+    def front(self, _value):
+        pass
+
     def pop(self):
-        pkt = self.head()
+        pkt = self.front
         if pkt is None:
             raise IndexError("pop from empty UnsafeTakeOverQueue")
         upper = self._upper
@@ -71,7 +74,7 @@ def departures(make_queue, arrivals, refill):
         queue.push(mkpkt(deadline, size=size, tclass=flow, seq=seq))
     left = {}
     while queue:
-        head = queue.head()
+        head = queue.front
         if head.size <= credits.available:
             assert queue.pop() is head
             credits.available -= head.size

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.invariants import invariant
-from repro.core.queues import EDFHeapQueue, PacketQueue, TakeOverQueue
+from repro.core.queues import EDFHeapQueue, TakeOverQueue
 from tests.helpers import mkpkt
 
 # ----------------------------------------------------------------------
@@ -195,16 +195,16 @@ def test_heap_queue_pops_in_exact_deadline_order(entries):
 
 
 # ----------------------------------------------------------------------
-# head() compares integers; the rule is the (deadline, uid) tuple order
+# The head compares integers; the rule is the (deadline, uid) tuple order
 # ----------------------------------------------------------------------
 class TupleTakeOverQueue(TakeOverQueue):
-    """``head()`` as it was written before it compared integers: two
+    """The head as it was written before it compared integers: two
     ``(deadline, uid)`` tuples.  ``pop`` is inherited and goes through
-    ``front``, here the base class's property over this ``head()``."""
+    ``front``, here a property computing that head (the inherited
+    ``push``/``pop`` write to it, and those writes are dropped)."""
 
-    front = PacketQueue.front
-
-    def head(self):
+    @property
+    def front(self):
         lower, upper = self._lower, self._upper
         if not lower:
             invariant(not upper, "Lemma 1 violated: packets only in take-over queue")
@@ -215,6 +215,10 @@ class TupleTakeOverQueue(TakeOverQueue):
         if (u_head.deadline, u_head.uid) < (l_head.deadline, l_head.uid):
             return u_head
         return l_head
+
+    @front.setter
+    def front(self, _value):
+        pass
 
 
 #: push (deadline, uid, size) -- few values, so deadlines and uids tie -- or pop
@@ -240,7 +244,7 @@ def test_head_and_pop_match_the_tuple_comparing_reference(ops):
             pkt = mkpkt(deadline, uid=uid, size=size)
             queue.push(pkt)
             reference.push(pkt)
-        assert queue.head() is reference.head()
+        assert queue.front is reference.front
         assert queue.ordered_snapshot == reference.ordered_snapshot
         assert queue.takeover_snapshot == reference.takeover_snapshot
         assert queue.used_bytes == sum(pkt.size for pkt in queue)

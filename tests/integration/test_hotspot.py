@@ -19,8 +19,8 @@ from repro.core.architectures import ARCHITECTURES
 from repro.core.flow import FlowKind
 from repro.network.fabric import Fabric
 from repro.sim import units
-from repro.stats.flows import PerFlowCollector
 from repro.traffic.cbr import CbrSource
+from tests.stats.per_flow import PerFlowCollector
 
 
 VICTIM = 0

@@ -18,8 +18,8 @@ from repro.constants import VC_BEST_EFFORT
 from repro.core.architectures import ARCHITECTURES
 from repro.network.fabric import Fabric
 from repro.sim import units
-from repro.stats.flows import PerFlowCollector
 from repro.traffic.cbr import CbrSource
+from tests.stats.per_flow import PerFlowCollector
 
 VICTIM = 0
 WEIGHTS = {1: 0.5, 2: 0.3, 3: 0.2}  # deadline bandwidth per sender (B/ns)

@@ -169,3 +169,23 @@ class TestCustomParams:
         fabric.submit(flow, 1000)
         fabric.run(until=100_000)
         assert got == [2000]
+
+
+class TestNumbersCheckedAtConstruction:
+    """A number the run would crash on later is refused where it is given,
+    with a ``ValueError`` that names it (on one 4-host switch)."""
+
+    @pytest.mark.parametrize("offset", [20_000.5, True])
+    def test_non_int_eligible_offset(self, offset):
+        with pytest.raises(ValueError, match=repr(offset)):
+            FabricParams(eligible_offset_ns=offset)
+
+    @pytest.mark.parametrize("target", [1000.0, True])
+    def test_non_int_frame_target(self, target):
+        fabric = Fabric(build_folded_shuffle_min(1, 4, 1))
+        with pytest.raises(ValueError, match=repr(target)):
+            fabric.open_flow(
+                0, 1, "video", kind=FlowKind.FRAME, bw_bytes_per_ns=0.01,
+                target_latency_ns=target,
+            )
+        assert len(fabric.flows) == 0

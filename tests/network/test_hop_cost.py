@@ -27,21 +27,31 @@ those figures + 10 %.
 
 :func:`test_packet_ends_call_shape` and :func:`test_arbitration_call_shape`
 pin that shape by name, so a per-packet stamp, a second frame per
-delivery record, a wrapper around the arbitration, a ``head()`` call from
-the switch or a masking closure comes back as a named failure;
+delivery record, a wrapper around the arbitration, a queue call from the
+switch or a masking closure comes back as a named failure;
 :func:`test_arbitration_needs_a_backlog` fails if a wake-up reaches an
-output with nothing queued for it.
+output with nothing queued for it.  :func:`test_observed_forward_reads_the_front`
+holds the observed path to the same rule (a head is a field, read by
+everyone), and :func:`test_no_queue_defines_a_head_method` keeps a second
+definition of the head from coming back beside ``front``.
 """
 
 import cProfile
+import importlib
+import inspect
+import pkgutil
 from functools import lru_cache
 
 import pytest
 
+import repro.core.queues
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.runner import run_experiment
 from repro.network.switch import Switch
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import PacketTracer
 from repro.sim import units
+from repro.sim.monitor import Trace
 
 
 def _config(architecture: str, measure_us: int = 250) -> ExperimentConfig:
@@ -64,14 +74,30 @@ def _key(code):
     return (code.co_filename.rsplit("/repro/", 1)[1], getattr(code, "co_qualname", code.co_name))
 
 
-@lru_cache(maxsize=2)
-def _profiled_run(architecture: str):
+def _every_observer() -> dict:
+    """Every observer on, as the ``small_obs`` benchmark workload attaches
+    them: registry, head-sampled tracer at rate 1.0, event ring, heartbeat."""
+    registry = MetricsRegistry()
+    return {
+        "metrics": registry,
+        "tracer": PacketTracer(policy="head", rate=1.0, capacity=4096, seed=1, metrics=registry),
+        "trace": Trace(capacity=65536, ring=True),
+        "heartbeat_ns": 50 * units.US,
+    }
+
+
+@lru_cache(maxsize=4)
+def _profiled_run(architecture: str, observed: bool = False):
     """``(transmits, packets, delivered, calls by (file below repro/,
     qualname), total calls, callees by caller)``; cached, so each
-    architecture runs once."""
+    architecture runs once (observed: every observer on, a 50 us window)."""
     profiler = cProfile.Profile()
+    if observed:
+        config, observers = _config(architecture, measure_us=50), _every_observer()
+    else:
+        config, observers = _config(architecture), {}
     profiler.enable()
-    result = run_experiment(_config(architecture))
+    result = run_experiment(config, **observers)
     profiler.disable()
     calls = {}
     callees = {}
@@ -191,3 +217,35 @@ def test_arbitration_needs_a_backlog(monkeypatch, architecture):
     run_experiment(_config(architecture, measure_us=50))
     assert len(entered) > 5_000
     assert min(entered) > 0
+
+
+@pytest.mark.parametrize("architecture", ["advanced-2vc", "traditional-2vc"])
+def test_observed_forward_reads_the_front(architecture):
+    """With every observer on, ``FabricObserver.forward`` (the order-error
+    check per forwarded packet) reads the VOQ's ``front`` and calls
+    nothing in ``core/queues/``."""
+    *_, callees = _profiled_run(architecture, observed=True)
+    forward = ("obs/observer.py", "FabricObserver.forward")
+    assert forward in callees, "the observed run forwarded nothing"
+    queue_calls = sorted(callee for callee in callees[forward] if callee[0].startswith("core/queues/"))
+    assert not queue_calls, f"FabricObserver.forward calls {queue_calls}"
+
+
+def _modules_holding_queues():
+    package = repro.core.queues
+    names = [f"{package.__name__}.{info.name}" for info in pkgutil.iter_modules(package.__path__)]
+    return [importlib.import_module(name) for name in names + ["repro.network.switch", "repro.analysis.cost"]]
+
+
+def test_no_queue_defines_a_head_method():
+    """A queue's head has one definition, its ``front``: no class in
+    ``core/queues/``, ``network/switch.py`` or ``analysis/cost.py``
+    defines ``head`` beside it."""
+    classes = [
+        cls
+        for module in _modules_holding_queues()
+        for _name, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__
+    ]
+    assert len(classes) >= 8
+    assert not [cls.__qualname__ for cls in classes if "head" in vars(cls)]

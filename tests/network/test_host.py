@@ -212,7 +212,7 @@ class TestInjectionOrder:
         best_effort = r.flow(vc=VC_BEST_EFFORT, bw_bytes_per_ns=1.0)
         # Exhaust VC0 credits: sink in this rig returns credits, so consume
         # them manually to simulate a congested downstream VC0 buffer.
-        r.link.channel.consume(0, 8192)
+        r.link.channel.credits[0] -= 8192
         r.host.submit_message(regulated, 2048)
         r.host.submit_message(best_effort, 2048)
         engine.run_all()
@@ -225,7 +225,7 @@ class TestLinkBacklog:
     def test_backlog_counts_the_ready_packets(self, rig, engine):
         r = rig()
         regulated = r.flow(vc=VC_REGULATED, bw_bytes_per_ns=1.0)
-        r.link.channel.consume(0, 8192)  # VC0 credit-blocked downstream
+        r.link.channel.credits[0] -= 8192  # VC0 credit-blocked downstream
         r.host.submit_message(regulated, 3 * 2048)
         engine.run_all()
         assert r.link.backlog == r.host.ready_packets(VC_REGULATED) == 3
@@ -265,7 +265,7 @@ class TestReceiveSide:
         dst_host.attach_in(back_link)
         flow = r.flow(dst=1)
         pkt = r.host.submit_message(flow, 100)[0]
-        back_link.channel.consume(0, 100)
+        back_link.channel.credits[0] -= 100
         back_link.transmit(pkt)
         engine.run_all()
         assert deliveries

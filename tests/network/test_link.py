@@ -45,32 +45,48 @@ def make_link(engine, *, bw=1.0, prop=20, buf=(8192, 8192)):
 
 
 class TestCreditChannel:
+    """The channel is the ledger; the link spends (``transmit``) and
+    regains (``return_credit``, a propagation delay later) its credits."""
+
+    @staticmethod
+    def send(engine, link, vc, size):
+        link.transmit(mkpkt(1, vc=vc, size=size))
+        engine.run_all()  # the wire frees and the packet lands
+
     def test_initial_credits_equal_buffer(self):
         ch = CreditChannel((8192, 4096))
         assert ch.credits == [8192, 4096]
 
-    def test_consume_and_replenish(self):
-        ch = CreditChannel((1000, 1000))
-        ch.consume(0, 600)
-        assert ch.can_send(0, 400)
-        assert not ch.can_send(0, 401)
-        ch.replenish(0, 600)
-        assert ch.credits[0] == 1000
-
-    def test_consume_without_credit_raises(self):
-        ch = CreditChannel((100, 100))
+    def test_consume_and_replenish(self, engine):
+        link = make_link(engine, buf=(1000, 1000))
+        link.receiver = Sink()
+        self.send(engine, link, 0, 600)
+        assert link.channel.credits[0] == 400
         with pytest.raises(CreditError):
-            ch.consume(0, 101)
+            self.send(engine, link, 0, 401)
+        self.send(engine, link, 0, 400)
+        link.return_credit(0, 1000)
+        engine.run_all()
+        assert link.channel.credits[0] == 1000
 
-    def test_over_replenish_raises(self):
-        ch = CreditChannel((100, 100))
-        with pytest.raises(CreditError):
-            ch.replenish(0, 1)
+    def test_consume_without_credit_raises(self, engine):
+        link = make_link(engine, buf=(100, 100))
+        with pytest.raises(CreditError, match="with only 100 credits"):
+            link.transmit(mkpkt(1, size=101))
+        assert link.channel.credits == [100, 100] and not link.busy
 
-    def test_vcs_are_independent(self):
-        ch = CreditChannel((100, 100))
-        ch.consume(0, 100)
-        assert ch.can_send(1, 100)
+    def test_over_replenish_raises(self, engine):
+        link = make_link(engine, buf=(100, 100))
+        link.return_credit(0, 1)
+        with pytest.raises(CreditError, match="double credit return"):
+            engine.run_all()
+
+    def test_vcs_are_independent(self, engine):
+        link = make_link(engine, buf=(100, 100))
+        link.receiver = Sink()
+        self.send(engine, link, 0, 100)
+        self.send(engine, link, 1, 100)
+        assert link.channel.credits == [0, 0]
 
     def test_bad_construction(self):
         with pytest.raises(ValueError):
@@ -78,11 +94,14 @@ class TestCreditChannel:
         with pytest.raises(ValueError):
             CreditChannel((100, 0))
 
-    def test_multi_vc_channels(self):
-        ch = CreditChannel((100, 200, 300, 400))
-        ch.consume(3, 400)
-        assert ch.can_send(2, 300)
-        assert not ch.can_send(3, 1)
+    def test_multi_vc_channels(self, engine):
+        link = make_link(engine, buf=(100, 200, 300, 400))
+        link.receiver = Sink()
+        self.send(engine, link, 3, 400)
+        self.send(engine, link, 2, 300)
+        with pytest.raises(CreditError):
+            self.send(engine, link, 3, 1)
+        assert link.channel.credits == [100, 200, 0, 0]
 
 
 class TestTransmission:
@@ -191,7 +210,7 @@ class TestCreditReturn:
 
         class Driver:
             def pull(self, l):
-                if to_send and l.can_send(to_send[0]):
+                if to_send and not l.busy and l.channel.credits[0] >= to_send[0].size:
                     l.backlog -= 1
                     l.transmit(to_send.pop(0))
 

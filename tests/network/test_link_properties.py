@@ -12,7 +12,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.link import CreditChannel, CreditError, Link
+from repro.network.link import CreditError, Link
 from repro.sim.engine import Engine
 from repro.sim.units import serialization_ns
 from tests.helpers import mkpkt
@@ -39,16 +39,49 @@ def credit_ops(draw):
     return ops
 
 
+def wired_link(capacity=(BUFFER, BUFFER), bytes_per_ns=1.0):
+    """``(engine, link, send, give_back)``: a link into a sink that keeps
+    nothing, and the two credit operations run to quiescence."""
+    engine = Engine()
+    link = Link(
+        engine,
+        src="a",
+        src_port=0,
+        dst="b",
+        dst_port=0,
+        bytes_per_ns=bytes_per_ns,
+        prop_delay_ns=3,
+        buffer_bytes_per_vc=capacity,
+    )
+
+    class Sink:
+        def accept(self, pkt, link):
+            pass
+
+    link.receiver = Sink()
+
+    def send(vc, size):
+        link.transmit(mkpkt(0, vc=vc, size=size))
+        engine.run_all()  # the wire frees and the packet lands
+
+    def give_back(vc, size):
+        link.return_credit(vc, size)
+        engine.run_all()
+
+    return engine, link, send, give_back
+
+
 class TestCreditChannelProperties:
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     @given(credit_ops())
     def test_conservation_and_no_overcommit(self, ops):
-        channel = CreditChannel((BUFFER, BUFFER))
+        _, link, send, give_back = wired_link()
+        credits = link.channel.credits
         granted = 0  # bytes sent whose credit has not come back
         for op, size in ops:
             if op == "send":
-                if channel.can_send(0, size):
-                    channel.consume(0, size)
+                if credits[0] >= size:
+                    send(0, size)
                     granted += size
                 else:
                     # The sender must be blocked exactly when the buffer
@@ -57,20 +90,20 @@ class TestCreditChannelProperties:
                     continue
             else:
                 if granted >= size:
-                    channel.replenish(0, size)
+                    give_back(0, size)
                     granted -= size
             # Conservation: credits + granted == buffer, always.
-            assert channel.credits[0] + granted == BUFFER
-            assert 0 <= channel.credits[0] <= BUFFER
+            assert credits[0] + granted == BUFFER
+            assert 0 <= credits[0] <= BUFFER
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, BUFFER), min_size=1, max_size=20))
     def test_over_return_always_detected(self, sizes):
-        channel = CreditChannel((BUFFER, BUFFER))
+        _, _link, _send, give_back = wired_link()
         returned_without_send = False
         try:
             for size in sizes:
-                channel.replenish(0, size)
+                give_back(0, size)
                 returned_without_send = True
         except CreditError:
             return  # detected, as required
@@ -95,7 +128,7 @@ class TestLinkSerialization:
 
         class Driver:
             def pull(self, link):
-                if to_send and link.can_send(to_send[0]):
+                if to_send and not link.busy and link.channel.credits[0] >= to_send[0].size:
                     link.backlog -= 1
                     link.transmit(to_send.pop(0))
 
@@ -130,11 +163,32 @@ def _raised(fn, *args):
     return None
 
 
+class Ledger:
+    """Oracle: the credit rules as a bare ledger, spent on a send and
+    regained on a return, with the texts of the errors they raise."""
+
+    def __init__(self, capacity):
+        self.initial = tuple(capacity)
+        self.credits = list(capacity)
+
+    def consume(self, vc, size):
+        if self.credits[vc] < size:
+            raise CreditError(f"sending {size} B on vc{vc} with only {self.credits[vc]} credits")
+        self.credits[vc] -= size
+
+    def replenish(self, vc, size):
+        self.credits[vc] += size
+        if self.credits[vc] > self.initial[vc]:
+            raise CreditError(
+                f"vc{vc} credits ({self.credits[vc]}) exceed buffer size "
+                f"({self.initial[vc]}): double credit return"
+            )
+
+
 class TestLinkAppliesTheChannelRules:
-    """``Link.transmit`` and ``Link._credit_arrived`` apply
-    ``CreditChannel.consume`` / ``replenish`` to ``channel.credits`` in
-    place; driven side by side with a bare channel through any sequence of
-    sends and returns -- over-sends and double returns included -- both
+    """``Link.transmit`` and ``Link._credit_arrived`` are the credit rules.
+    Driven side by side with a bare :class:`Ledger` through any sequence
+    of sends and returns -- over-sends and double returns included -- both
     hold the same credits after every step and the first ``CreditError``
     comes at the same step with the same text.  Every transmit books
     ``serialization_ns`` of its packet."""
@@ -149,45 +203,20 @@ class TestLinkAppliesTheChannelRules:
     )
     def test_same_credits_and_same_errors_as_a_bare_channel(self, ops, bytes_per_ns):
         capacity = (BUFFER, BUFFER // 2)
-        engine = Engine()
-        link = Link(
-            engine,
-            src="a",
-            src_port=0,
-            dst="b",
-            dst_port=0,
-            bytes_per_ns=bytes_per_ns,
-            prop_delay_ns=3,
-            buffer_bytes_per_vc=capacity,
-        )
-
-        class Sink:
-            def accept(self, pkt, link):
-                pass
-
-        link.receiver = Sink()
-        channel = CreditChannel(capacity)
+        _, link, send, give_back = wired_link(capacity, bytes_per_ns)
+        ledger = Ledger(capacity)
         busy_ns = 0
-
-        def send(vc, size):
-            link.transmit(mkpkt(0, vc=vc, size=size))
-            engine.run_all()  # the wire frees and the packet lands
-
-        def give_back(vc, size):
-            link.return_credit(vc, size)
-            engine.run_all()
-
         for op, vc, size in ops:
             if op == "send":
-                expected = _raised(channel.consume, vc, size)
+                expected = _raised(ledger.consume, vc, size)
                 got = _raised(send, vc, size)
                 if got is None:
                     busy_ns += serialization_ns(size, bytes_per_ns)
             else:
-                expected = _raised(channel.replenish, vc, size)
+                expected = _raised(ledger.replenish, vc, size)
                 got = _raised(give_back, vc, size)
             assert got == expected
-            assert link.channel.credits == channel.credits
+            assert link.channel.credits == ledger.credits
             assert link.busy_ns == busy_ns
             assert link.occupancy_ns(size) == serialization_ns(size, bytes_per_ns)
             if expected is not None:

@@ -89,7 +89,7 @@ class SwitchRig:
         checks the switch's backlogged lists against its VOQs.
         """
         pkt = mkpkt(deadline, size=size, vc=vc, path=(out_port,), **kw)
-        self.in_links[in_port].channel.consume(vc, size)
+        self.in_links[in_port].channel.credits[vc] -= size
         self.switch.accept(pkt, self.in_links[in_port])
         self.switch.check_backlogged()
         return pkt
@@ -262,7 +262,7 @@ class TestBackloggedLists:
         in_link.sender = NullSender()
         switch.attach_in(0, in_link)
         for deadline in (1, 2):
-            in_link.channel.consume(0, 256)  # as the upstream sender would
+            in_link.channel.credits[0] -= 256  # as the upstream sender would
             switch.accept(mkpkt(deadline, size=256, path=(1,)), in_link)
         out_link = Link(
             engine, src="sw", src_port=1, dst="d", dst_port=0,

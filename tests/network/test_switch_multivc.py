@@ -48,7 +48,7 @@ def make_rig(engine, architecture, n_vcs, n_ports=3, buf=8192):
 
 def feed(switch, in_links, port, deadline, *, vc, out=0, size=256):
     pkt = mkpkt(deadline, vc=vc, size=size, path=(out,))
-    in_links[port].channel.consume(vc, size)
+    in_links[port].channel.credits[vc] -= size
     switch.accept(pkt, in_links[port])
     switch.check_backlogged()
     return pkt

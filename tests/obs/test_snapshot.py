@@ -144,7 +144,7 @@ def _traced_registry(misses=2):
     for _ in range(misses):
         pkt = mkpkt(5, size=10, tclass="video")
         tracer.begin(pkt, 0, "h0")
-        tracer.event(pkt, "inject", 1)
+        tracer.live[pkt.uid].append(("inject", "", 1, 0))
         tracer.finish(pkt, 100, node="h1", link=_Link(), slack_ns=-95)
     return reg, tracer
 

@@ -190,9 +190,12 @@ class TestNullTracer:
         assert not hasattr(tracer, "enabled") and tracer.metrics is None
         pkt = mkpkt(5, size=10)
         tracer.begin(pkt, 0, "h0")
-        tracer.event(pkt, "inject", 5)
-        tracer.arrive(pkt, 40, "sw0", LINK)
-        tracer.event(pkt, "forward", 50, "sw0")
+        # Between begin and finish the observer appends to the open chain.
+        tracer.live[pkt.uid] += [
+            ("inject", "", 5, 0),
+            ("arrive", "sw0", 40, LINK.occupancy_ns(pkt.size)),
+            ("forward", "sw0", 50, 0),
+        ]
         tracer.finish(pkt, 100, node="h1", link=LINK, slack_ns=-95)
         assert pkt.traced is True
         assert [t.uid for t in tracer.records] == [pkt.uid]
@@ -217,7 +220,7 @@ def _drive(tracer, pkt, *, submit, deliver, slack):
     """Run one packet through the minimal hook sequence."""
     tracer.begin(pkt, submit, "h0")
     if pkt.traced:
-        tracer.event(pkt, "inject", submit + 1)
+        tracer.live[pkt.uid].append(("inject", "", submit + 1, 0))
     pkt.birth = submit
     tracer.finish(pkt, deliver, node="h1", link=LINK, slack_ns=slack)
 

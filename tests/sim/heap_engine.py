@@ -196,10 +196,6 @@ class HeapEngine:
         """Alias: every heap-engine event is cancellable."""
         return self.at(time, fn, *args)
 
-    def after_cancellable(self, delay, fn, *args) -> HeapEventHandle:
-        """Alias: every heap-engine event is cancellable."""
-        return self.after(delay, fn, *args)
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------

@@ -67,8 +67,8 @@ class _Driver:
             respawn_delay = delay % 7 if respawn else None
             if cancellable:
                 self.handles.append(
-                    self.engine.after_cancellable(
-                        delay, self._fire, self._tag, respawn_delay
+                    self.engine.at_cancellable(
+                        self.engine.now + delay, self._fire, self._tag, respawn_delay
                     )
                 )
             else:

@@ -1,4 +1,4 @@
-"""Per-flow statistics.
+"""Per-flow statistics (a test helper: no run path reads them).
 
 The paper's per-flow QoS claim ("we can guarantee minimum bandwidth if
 we are careful assigning weights") is about *individual* flows, not class
@@ -71,7 +71,7 @@ class PerFlowCollector:
         if stats is None:
             # Per-flow stats ARE the report: every flow's row must
             # survive to the end of the run, so retention is the point.
-            stats = self.flows[pkt.flow_id] = FlowStats(  # simlint: allow-unbounded-keyed-growth
+            stats = self.flows[pkt.flow_id] = FlowStats(
                 pkt.flow_id, pkt.tclass, pkt.src, pkt.dst
             )
         stats.observe(pkt, now)

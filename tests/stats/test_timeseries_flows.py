@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.stats.flows import PerFlowCollector
 from repro.stats.timeseries import DeliveryTimeSeries
 from tests.helpers import mkpkt
+from tests.stats.per_flow import PerFlowCollector
 
 
 def delivered(tclass="control", *, birth=0, size=100, flow_id=1, src=0, dst=1):
