@@ -49,7 +49,8 @@ class DoubleTakeOverQueue(PacketQueue):
     the queue keeps current in ``push``/``pop`` or, as here, a property.
     The switch keeps, per output, the list of inputs whose queue is
     non-empty and the picker reads the fronts of only those -- it never
-    polls an empty queue.
+    polls an empty queue.  A queue holds packets, not bytes: the link's
+    credits already bound the VC buffer it models.
     """
 
     __slots__ = ("_lower", "_u1", "_u2")
@@ -58,14 +59,12 @@ class DoubleTakeOverQueue(PacketQueue):
     #: up to 2 tail checks on push, a 3-way head minimum on pop.
     COMPARISONS_PER_OP = 2
 
-    def __init__(self, capacity_bytes=None):
-        super().__init__(capacity_bytes)
+    def __init__(self):
         self._lower: deque = deque()
         self._u1: deque = deque()
         self._u2: deque = deque()
 
     def push(self, pkt) -> None:
-        self._charge(pkt)
         if not self._lower or pkt.deadline >= self._lower[-1].deadline:
             self._lower.append(pkt)
         elif not self._u1 or pkt.deadline >= self._u1[-1].deadline:
@@ -91,7 +90,6 @@ class DoubleTakeOverQueue(PacketQueue):
             if q and q[0] is pkt:
                 q.popleft()
                 break
-        self._discharge(pkt)
         return pkt
 
     def __len__(self):

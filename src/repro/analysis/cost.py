@@ -90,7 +90,6 @@ class _CountingQueue(PacketQueue):
     __slots__ = ("inner", "counters")
 
     def __init__(self, inner: PacketQueue, counters: CostCounters):
-        super().__init__(None)
         self.inner = inner
         self.counters = counters
 
@@ -113,14 +112,6 @@ class _CountingQueue(PacketQueue):
 
     def __iter__(self):
         return iter(self.inner)
-
-    @property
-    def used_bytes(self):  # type: ignore[override]
-        return self.inner.used_bytes
-
-    @used_bytes.setter
-    def used_bytes(self, value):  # the base __init__ writes this once
-        pass
 
 
 class _CountingPicker(Picker):
@@ -146,7 +137,7 @@ def instrument_architecture(base: Architecture) -> tuple[Architecture, CostCount
     instrumented = replace(
         base,
         name=f"{base.name}+counting",
-        queue_factory=lambda cap: _CountingQueue(base.queue_factory(cap), counters),
+        queue_factory=lambda: _CountingQueue(base.queue_factory(), counters),
         picker_factory=lambda: _CountingPicker(base.picker_factory(), counters),
     )
     return instrumented, counters
@@ -165,7 +156,7 @@ class HardwareInventory:
 
 def static_inventory(architecture: Architecture, radix: int) -> HardwareInventory:
     """What one output port's scheduling logic needs at the given radix."""
-    queue = architecture.queue_factory(None)
+    queue = architecture.queue_factory()
     if isinstance(queue, TakeOverQueue):
         fifos, sorting = 2 * 2, False  # two FIFOs per VC
     elif isinstance(queue, (EDFHeapQueue, PipelinedHeapQueue)):

@@ -26,7 +26,7 @@ here, because it is common to all four.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.core.arbiter import EDFPicker, Picker, RoundRobinPicker
 from repro.core.queues import (
@@ -56,7 +56,7 @@ class Architecture:
     name: str
     #: Label used in the paper's figures.
     label: str
-    queue_factory: Callable[[Optional[int]], PacketQueue]
+    queue_factory: Callable[[], PacketQueue]
     picker_factory: Callable[[], Picker]
     #: Whether end hosts sort their injection queues by deadline.
     host_edf: bool
@@ -66,8 +66,8 @@ class Architecture:
     #: *only* the minimum-deadline candidate be checked for credits.
     credit_masking: bool = False
 
-    def make_queue(self, capacity_bytes: Optional[int]) -> PacketQueue:
-        return self.queue_factory(capacity_bytes)
+    def make_queue(self) -> PacketQueue:
+        return self.queue_factory()
 
     def make_picker(self) -> Picker:
         return self.picker_factory()
@@ -112,7 +112,7 @@ IDEAL_PIPELINED = Architecture(
     # Depth 8 covers 8 KB of minimum-size packets; the fabric binds the
     # queue's clock to the engine so the pipeline's settle window is real
     # simulated time (one level per nanosecond-class cycle).
-    queue_factory=lambda cap: PipelinedHeapQueue(cap, depth=8),
+    queue_factory=lambda: PipelinedHeapQueue(depth=8),
     picker_factory=EDFPicker,
     host_edf=True,
 )

@@ -13,7 +13,7 @@ All three expose the same interface (:class:`~repro.core.queues.base.PacketQueue
   appendix proves never reorders packets of the same flow.
 """
 
-from repro.core.queues.base import PacketQueue, QueueFullError
+from repro.core.queues.base import PacketQueue
 from repro.core.queues.fifo import FifoQueue
 from repro.core.queues.heap import EDFHeapQueue
 from repro.core.queues.pipelined_heap import PipelinedHeapQueue
@@ -24,6 +24,5 @@ __all__ = [
     "FifoQueue",
     "PacketQueue",
     "PipelinedHeapQueue",
-    "QueueFullError",
     "TakeOverQueue",
 ]

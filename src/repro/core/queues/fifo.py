@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, Optional
 
-from repro.core.invariants import InvariantViolation
 from repro.core.queues.base import DeadlineTagged, PacketQueue
 
 __all__ = ["FifoQueue"]
@@ -24,16 +23,11 @@ class FifoQueue(PacketQueue):
 
     __slots__ = ("_items", "front")
 
-    def __init__(self, capacity_bytes: Optional[int] = None):
-        super().__init__(capacity_bytes)
+    def __init__(self):
         self._items: deque[DeadlineTagged] = deque()
         self.front: Optional[DeadlineTagged] = None
 
     def push(self, pkt: DeadlineTagged) -> None:
-        if self.capacity_bytes is None:
-            self.used_bytes += pkt.size
-        else:
-            self._charge(pkt)
         self._items.append(pkt)
         if self.front is None:
             self.front = pkt
@@ -42,9 +36,6 @@ class FifoQueue(PacketQueue):
         items = self._items
         pkt = items.popleft()
         self.front = items[0] if items else None
-        self.used_bytes -= pkt.size
-        if self.used_bytes < 0:
-            raise InvariantViolation("queue byte accounting went negative")
         return pkt
 
     def __len__(self) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, Optional
 
-from repro.core.invariants import InvariantViolation
 from repro.core.queues.base import DeadlineTagged, PacketQueue
 
 __all__ = ["EDFHeapQueue"]
@@ -24,16 +23,11 @@ class EDFHeapQueue(PacketQueue):
 
     __slots__ = ("_heap", "front")
 
-    def __init__(self, capacity_bytes: Optional[int] = None):
-        super().__init__(capacity_bytes)
+    def __init__(self):
         self._heap: list[tuple[int, int, DeadlineTagged]] = []
         self.front: Optional[DeadlineTagged] = None
 
     def push(self, pkt: DeadlineTagged) -> None:
-        if self.capacity_bytes is None:
-            self.used_bytes += pkt.size
-        else:
-            self._charge(pkt)
         heap = self._heap
         heapq.heappush(heap, (pkt.deadline, pkt.uid, pkt))
         self.front = heap[0][2]
@@ -42,9 +36,6 @@ class EDFHeapQueue(PacketQueue):
         heap = self._heap
         _, _, pkt = heapq.heappop(heap)
         self.front = heap[0][2] if heap else None
-        self.used_bytes -= pkt.size
-        if self.used_bytes < 0:
-            raise InvariantViolation("queue byte accounting went negative")
         return pkt
 
     def __len__(self) -> int:

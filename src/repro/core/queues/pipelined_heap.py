@@ -19,7 +19,8 @@ question the paper raises (is it affordable?):
   rippling through the pipeline will miss it -- a real, measurable
   source of scheduling error that the ideal abstraction hides;
 - **cost accounting**: levels (= comparators/memories) required for the
-  configured capacity, and per-operation cycle occupancy.
+  buffer's capacity in packets (``levels_for``), and per-operation
+  cycle occupancy.
 
 With ``settle_cycles=0`` the structure degenerates to the abstract
 ideal heap, which is how the unit tests pin the logical behaviour.
@@ -54,13 +55,11 @@ class PipelinedHeapQueue(PacketQueue):
 
     def __init__(
         self,
-        capacity_bytes: Optional[int] = None,
         *,
         now_fn: Optional[Callable[[], int]] = None,
         depth: int = 16,
         settle_cycles: Optional[int] = None,
     ):
-        super().__init__(capacity_bytes)
         if depth < 1:
             raise ValueError(f"heap depth must be >= 1, got {depth}")
         self._heap: list[tuple[int, int, DeadlineTagged]] = []
@@ -83,7 +82,6 @@ class PipelinedHeapQueue(PacketQueue):
 
     # ------------------------------------------------------------------
     def push(self, pkt: DeadlineTagged) -> None:
-        self._charge(pkt)
         if self.settle_cycles:
             self._staging.append((self._now() + self.settle_cycles, pkt))
         else:
@@ -109,7 +107,6 @@ class PipelinedHeapQueue(PacketQueue):
             _, pkt = self._staging.popleft()
         else:
             raise IndexError("pop from empty PipelinedHeapQueue")
-        self._discharge(pkt)
         return pkt
 
     # ------------------------------------------------------------------

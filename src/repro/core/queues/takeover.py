@@ -40,13 +40,13 @@ class TakeOverQueue(PacketQueue):
     """Ordered FIFO *L* plus take-over FIFO *U* behind one dequeue head.
 
     The two queues "can dynamically take all the memory allowed for the
-    VC" (Section 3.4's appendix note), so capacity is tracked jointly.
+    VC" (Section 3.4's appendix note): their space is the one per-VC
+    credit budget of the upstream link, not split between L and U.
     """
 
     __slots__ = ("_lower", "_upper", "takeover_hits", "front")
 
-    def __init__(self, capacity_bytes: Optional[int] = None):
-        super().__init__(capacity_bytes)
+    def __init__(self):
         self._lower: deque[DeadlineTagged] = deque()  # L, the ordered queue
         self._upper: deque[DeadlineTagged] = deque()  # U, the take-over queue
         #: How many arrivals went to U (deadline below L's tail) -- the
@@ -57,10 +57,6 @@ class TakeOverQueue(PacketQueue):
 
     # -- enqueuing (appendix Definition 1) ---------------------------------
     def push(self, pkt: DeadlineTagged) -> None:
-        if self.capacity_bytes is None:
-            self.used_bytes += pkt.size
-        else:
-            self._charge(pkt)
         lower = self._lower
         if not lower and not self._upper:
             lower.append(pkt)
@@ -114,9 +110,6 @@ class TakeOverQueue(PacketQueue):
                 self.front = u_head
             else:
                 self.front = l_head
-        self.used_bytes -= pkt.size
-        if self.used_bytes < 0:
-            raise InvariantViolation("queue byte accounting went negative")
         return pkt
 
     # -- introspection -------------------------------------------------------

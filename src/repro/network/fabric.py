@@ -20,6 +20,7 @@ switches, 8 KB of buffer per VC, 2 KB MTU.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Dict, List, Optional
 
 from repro.core.admission import AdmissionController, AdmissionError
@@ -76,6 +77,25 @@ class FabricParams:
 
     def __post_init__(self) -> None:
         EligiblePolicy(self.eligible_offset_ns)  # the offset's check
+        # Integers by identity, as Engine.at checks a time: a float or a
+        # bool would fail mid-run, at a credit, a segment or a clock draw.
+        for name in (
+            "mtu",
+            "buffer_bytes_per_vc",
+            "host_buffer_bytes_per_vc",
+            "link_delay_ns",
+            "clock_skew_ns",
+            "clock_skew_seed",
+            "n_vcs",
+        ):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("link_delay_ns", "clock_skew_ns"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not (isfinite(self.link_gbps) and self.link_gbps > 0):
+            raise ValueError(f"link_gbps must be finite and positive, got {self.link_gbps!r}")
         if self.mtu <= 0:
             raise ValueError(f"MTU must be positive, got {self.mtu}")
         if self.n_vcs < 1:

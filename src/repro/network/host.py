@@ -103,7 +103,7 @@ class Host:
         self._pending: List[tuple[int, int, Packet]] = []
         queue_cls = EDFHeapQueue if architecture.host_edf else FifoQueue
         #: per-VC injection queues, deadline-sorted for the EDF architectures
-        self._ready: List[PacketQueue] = [queue_cls(None) for _ in range(n_vcs)]
+        self._ready: List[PacketQueue] = [queue_cls() for _ in range(n_vcs)]
         self._wake: Optional[EventHandle] = None
         # Pre-bound wake callback (SIM303 pattern by hand): binding once
         # here keeps the re-arm path free of per-call method binds.

@@ -70,14 +70,14 @@ class CreditChannel:
 
     __slots__ = ("initial", "credits")
 
-    def __init__(self, capacity_bytes_per_vc: tuple[int, ...]):
-        if len(capacity_bytes_per_vc) < 1:
-            raise ValueError(f"need >= 1 VC capacity, got {capacity_bytes_per_vc!r}")
-        for cap in capacity_bytes_per_vc:
-            if cap <= 0:
-                raise ValueError(f"VC capacity must be positive, got {cap}")
-        self.initial = tuple(capacity_bytes_per_vc)
-        self.credits = list(capacity_bytes_per_vc)
+    def __init__(self, buffer_bytes_per_vc: tuple[int, ...]):
+        if len(buffer_bytes_per_vc) < 1:
+            raise ValueError(f"need >= 1 VC capacity, got {buffer_bytes_per_vc!r}")
+        for cap in buffer_bytes_per_vc:
+            if type(cap) is not int or cap <= 0:
+                raise ValueError(f"VC capacity must be a positive int, got {cap!r}")
+        self.initial = tuple(buffer_bytes_per_vc)
+        self.credits = list(buffer_bytes_per_vc)
 
 
 class Link:

@@ -62,8 +62,14 @@ class _UnusedVOQ(PacketQueue):
     def push(self, pkt) -> None:
         raise TypeError("the unused-VOQ placeholder holds no packets; go through Switch.voq")
 
+    def pop(self):
+        raise IndexError("pop from an unused VOQ")
+
     def __len__(self) -> int:
         return 0
+
+    def __iter__(self):
+        return iter(())
 
 
 _UNUSED = _UnusedVOQ()
@@ -143,7 +149,7 @@ class Switch:
         row = self._candidates[out_port][vc]
         queue = row[in_port]
         if queue is _UNUSED:
-            queue = row[in_port] = self.architecture.make_queue(None)
+            queue = row[in_port] = self.architecture.make_queue()
             # Clock-aware buffer structures (the pipelined heap) need the
             # switch's local cycle counter to model their settle window.
             if hasattr(queue, "now_fn"):
@@ -296,7 +302,7 @@ class Switch:
 
     def queued_bytes(self, in_port: int, vc: int) -> int:
         """Occupancy of one input port's VC buffer (across all VOQs)."""
-        return sum(per_out[vc][in_port].used_bytes for per_out in self._candidates)
+        return sum(pkt.size for per_out in self._candidates for pkt in per_out[vc][in_port])
 
     def voq_count(self) -> int:
         """How many VOQs exist: the (in, out, VC) slots :meth:`voq` has

@@ -20,7 +20,7 @@ from tests.helpers import mkpkt
 class TestCountingShims:
     def test_queue_ops_counted(self):
         arch, counters = instrument_architecture(ADVANCED_2VC)
-        queue = arch.make_queue(None)
+        queue = arch.make_queue()
         queue.push(mkpkt(10))
         queue.push(mkpkt(5))
         queue.pop()
@@ -30,7 +30,7 @@ class TestCountingShims:
 
     def test_fifo_costs_nothing(self):
         arch, counters = instrument_architecture(TRADITIONAL_2VC)
-        queue = arch.make_queue(None)
+        queue = arch.make_queue()
         for d in (3, 1, 2):
             queue.push(mkpkt(d))
         queue.pop()
@@ -38,7 +38,7 @@ class TestCountingShims:
 
     def test_heap_cost_grows_logarithmically(self):
         arch, counters = instrument_architecture(IDEAL)
-        queue = arch.make_queue(None)
+        queue = arch.make_queue()
         for d in range(64):
             queue.push(mkpkt(d))
         per_push = counters.queue_comparisons / counters.queue_pushes
@@ -46,17 +46,17 @@ class TestCountingShims:
 
     def test_counting_queue_preserves_behaviour(self):
         arch, _ = instrument_architecture(ADVANCED_2VC)
-        queue = arch.make_queue(None)
+        queue = arch.make_queue()
         queue.push(mkpkt(100))
         queue.push(mkpkt(50))  # take-over
         assert queue.front.deadline == 50
         assert queue.pop().deadline == 50
         assert len(queue) == 1
-        assert queue.used_bytes == 256
+        assert sum(pkt.size for pkt in queue) == 256
 
     def test_edf_picker_comparisons(self):
         arch, counters = instrument_architecture(SIMPLE_2VC)
-        queues = [arch.make_queue(None) for _ in range(4)]
+        queues = [arch.make_queue() for _ in range(4)]
         for i, q in enumerate(queues[:3]):  # one queue left empty
             q.push(mkpkt(10 + i))
         picker = arch.make_picker()
@@ -67,7 +67,7 @@ class TestCountingShims:
 
     def test_rr_picker_comparisons_zero(self):
         arch, counters = instrument_architecture(TRADITIONAL_2VC)
-        queues = [arch.make_queue(None) for _ in range(4)]
+        queues = [arch.make_queue() for _ in range(4)]
         queues[2].push(mkpkt(1))
         picker = arch.make_picker()
         assert picker.pick(queues, [2]) == 2
@@ -75,7 +75,7 @@ class TestCountingShims:
 
     def test_granted_passthrough(self):
         arch, _ = instrument_architecture(TRADITIONAL_2VC)
-        queues = [arch.make_queue(None) for _ in range(2)]
+        queues = [arch.make_queue() for _ in range(2)]
         queues[0].push(mkpkt(1))
         queues[1].push(mkpkt(1))
         picker = arch.make_picker()

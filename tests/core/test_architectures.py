@@ -11,7 +11,7 @@ from repro.core.architectures import (
     get_architecture,
 )
 from repro.core.arbiter import EDFPicker, RoundRobinPicker
-from repro.core.queues import EDFHeapQueue, FifoQueue, TakeOverQueue
+from repro.core.queues import EDFHeapQueue, FifoQueue, PacketQueue, TakeOverQueue
 
 
 class TestPresetTable:
@@ -35,7 +35,7 @@ class TestPresetTable:
         ],
     )
     def test_preset_components(self, arch, queue_cls, picker_cls, host_edf):
-        assert type(arch.make_queue(None)) is queue_cls
+        assert type(arch.make_queue()) is queue_cls
         assert type(arch.make_picker()) is picker_cls
         assert arch.host_edf is host_edf
 
@@ -48,8 +48,15 @@ class TestPresetTable:
         assert ADVANCED_2VC.credit_masking is False
 
     def test_queue_factory_respects_capacity(self):
-        q = ADVANCED_2VC.make_queue(4096)
-        assert q.capacity_bytes == 4096
+        # Buffer capacity is the link's credits, not a queue option: the
+        # factory takes no argument and returns a fresh, empty queue.
+        for arch in ARCHITECTURES.values():
+            with pytest.raises(TypeError):
+                arch.queue_factory(4096)
+            q = arch.make_queue()
+            assert isinstance(q, PacketQueue) and q is not arch.make_queue()
+            assert len(q) == 0 and q.front is None
+        assert type(ADVANCED_2VC.make_queue()) is TakeOverQueue
 
     def test_pickers_are_fresh_instances(self):
         # Round-robin pointers are per output port; sharing one picker

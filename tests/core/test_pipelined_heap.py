@@ -40,9 +40,9 @@ class TestLogicalBehaviour:
     def test_byte_accounting(self):
         queue = PipelinedHeapQueue(settle_cycles=0)
         queue.push(mkpkt(1, size=300))
-        assert queue.used_bytes == 300
+        assert sum(p.size for p in queue) == 300
         queue.pop()
-        assert queue.used_bytes == 0
+        assert sum(p.size for p in queue) == 0
 
 
 class TestPipelineTiming:
@@ -111,8 +111,9 @@ class TestArchitecturePreset:
         from repro.core.architectures import ARCHITECTURES, IDEAL_PIPELINED
 
         assert ARCHITECTURES["ideal-pipelined"] is IDEAL_PIPELINED
-        queue = IDEAL_PIPELINED.make_queue(None)
+        queue = IDEAL_PIPELINED.make_queue()
         assert isinstance(queue, PipelinedHeapQueue)
+        assert queue.depth == 8
 
     def test_switch_binds_clock(self, engine):
         from repro.core.architectures import IDEAL_PIPELINED

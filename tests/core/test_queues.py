@@ -2,11 +2,49 @@
 
 import pytest
 
-from repro.core.queues import EDFHeapQueue, FifoQueue, QueueFullError, TakeOverQueue
+from repro.core.queues import EDFHeapQueue, FifoQueue, TakeOverQueue
+from repro.network.link import CreditError, Link
 from tests.helpers import mkpkt
 
 
 ALL_QUEUES = [FifoQueue, EDFHeapQueue, TakeOverQueue]
+
+
+class BehindLink:
+    """A queue as the VC buffer at the far end of a :class:`Link`.
+
+    The link's credits are the buffer's one ledger: ``send`` spends them
+    (an over-budget send is the link's :class:`CreditError`) and ``pop``
+    returns them, as ``Switch._try_output`` does for every packet it pops.
+    """
+
+    def __init__(self, engine, queue, buffer_bytes):
+        self.engine = engine
+        self.queue = queue
+        self.link = Link(
+            engine,
+            src="up",
+            src_port=0,
+            dst="buffer",
+            dst_port=0,
+            bytes_per_ns=1.0,
+            prop_delay_ns=0,
+            buffer_bytes_per_vc=(buffer_bytes,),
+        )
+        self.link.receiver = self
+
+    def accept(self, pkt, link):
+        self.queue.push(pkt)
+
+    def send(self, pkt):
+        self.link.transmit(pkt)
+        self.engine.run_all()
+
+    def pop(self):
+        pkt = self.queue.pop()
+        self.link.return_credit(pkt.vc, pkt.size)
+        self.engine.run_all()
+        return pkt
 
 
 @pytest.mark.parametrize("queue_cls", ALL_QUEUES)
@@ -16,7 +54,7 @@ class TestCommonBehaviour:
         assert len(q) == 0
         assert not q
         assert q.front is None
-        assert q.used_bytes == 0
+        assert sum(p.size for p in q) == 0
 
     def test_push_pop_single(self, queue_cls):
         q = queue_cls()
@@ -31,22 +69,25 @@ class TestCommonBehaviour:
         q = queue_cls()
         q.push(mkpkt(1, size=100))
         q.push(mkpkt(2, size=250))
-        assert q.used_bytes == 350
+        assert sum(p.size for p in q) == 350
         q.pop()
+        assert sum(p.size for p in q) in (100, 250)
         q.pop()
-        assert q.used_bytes == 0
+        assert sum(p.size for p in q) == 0
 
-    def test_capacity_enforced(self, queue_cls):
-        q = queue_cls(capacity_bytes=512)
-        q.push(mkpkt(1, size=400))
-        with pytest.raises(QueueFullError):
-            q.push(mkpkt(2, size=200))
+    def test_capacity_enforced(self, queue_cls, engine):
+        buffer = BehindLink(engine, queue_cls(), 512)
+        buffer.send(mkpkt(1, size=400))
+        with pytest.raises(CreditError, match="with only 112 credits"):
+            buffer.send(mkpkt(2, size=200))
+        assert len(buffer.queue) == 1
 
-    def test_capacity_frees_on_pop(self, queue_cls):
-        q = queue_cls(capacity_bytes=512)
-        q.push(mkpkt(1, size=400))
-        q.pop()
-        q.push(mkpkt(2, size=400))  # fits again
+    def test_capacity_frees_on_pop(self, queue_cls, engine):
+        buffer = BehindLink(engine, queue_cls(), 512)
+        buffer.send(mkpkt(1, size=400))
+        buffer.pop()
+        buffer.send(mkpkt(2, size=400))  # fits again
+        assert [p.deadline for p in buffer.queue] == [2]
 
     def test_pop_empty_raises(self, queue_cls):
         with pytest.raises(IndexError):
@@ -177,9 +218,13 @@ class TestTakeOverStructure:
         assert departures[0] == 10
         assert departures[-1] == 50
 
-    def test_shared_capacity_across_both_queues(self):
-        q = TakeOverQueue(capacity_bytes=600)
-        q.push(mkpkt(100, size=300))
-        q.push(mkpkt(50, size=300))  # goes to U; memory is shared
-        with pytest.raises(QueueFullError):
-            q.push(mkpkt(60, size=10))
+    def test_shared_capacity_across_both_queues(self, engine):
+        # The budget is per VC, shared by L and U: one packet in each
+        # leaves no room for a third anywhere.
+        buffer = BehindLink(engine, TakeOverQueue(), 600)
+        buffer.send(mkpkt(100, size=300))
+        buffer.send(mkpkt(50, size=300))  # goes to U; memory is shared
+        assert len(buffer.queue.ordered_snapshot) == 1
+        assert len(buffer.queue.takeover_snapshot) == 1
+        with pytest.raises(CreditError, match="with only 0 credits"):
+            buffer.send(mkpkt(60, size=10))

@@ -39,11 +39,10 @@ class BoundedUTakeOverQueue(TakeOverQueue):
         pass
 
     def __init__(self, max_takeover: int):
-        super().__init__(None)
+        super().__init__()
         self.max_takeover = max_takeover
 
     def push(self, pkt) -> None:
-        self._charge(pkt)
         lower = self._lower
         if lower and pkt.deadline < lower[-1].deadline and len(self._upper) < self.max_takeover:
             self._upper.append(pkt)

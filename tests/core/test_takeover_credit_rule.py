@@ -36,7 +36,7 @@ class UnsafeTakeOverQueue(TakeOverQueue):
     (whose Lemma 1 check this discipline is built to break)."""
 
     def __init__(self, credits: Credits):
-        super().__init__(None)
+        super().__init__()
         self.credits = credits
 
     @property
@@ -60,7 +60,6 @@ class UnsafeTakeOverQueue(TakeOverQueue):
             raise IndexError("pop from empty UnsafeTakeOverQueue")
         upper = self._upper
         (upper if upper and pkt is upper[0] else self._lower).popleft()
-        self.used_bytes -= pkt.size
         return pkt
 
 

@@ -180,6 +180,27 @@ class TestNumbersCheckedAtConstruction:
         with pytest.raises(ValueError, match=repr(offset)):
             FabricParams(eligible_offset_ns=offset)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("link_delay_ns", 20.5),
+            ("link_delay_ns", True),
+            ("link_delay_ns", -1),
+            ("mtu", 1024.5),
+            ("clock_skew_ns", -5),
+            ("clock_skew_ns", 2.5),
+            ("clock_skew_seed", 1.5),
+            ("n_vcs", 2.0),
+            ("link_gbps", float("nan")),
+            ("link_gbps", float("inf")),
+            ("buffer_bytes_per_vc", 8192.5),
+            ("host_buffer_bytes_per_vc", 8192.5),
+        ],
+    )
+    def test_bad_hardware_number(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FabricParams(**{field: value})
+
     @pytest.mark.parametrize("target", [1000.0, True])
     def test_non_int_frame_target(self, target):
         fabric = Fabric(build_folded_shuffle_min(1, 4, 1))

@@ -32,10 +32,13 @@ switch or a masking closure comes back as a named failure;
 :func:`test_arbitration_needs_a_backlog` fails if a wake-up reaches an
 output with nothing queued for it.  :func:`test_observed_forward_reads_the_front`
 holds the observed path to the same rule (a head is a field, read by
-everyone), and :func:`test_no_queue_defines_a_head_method` keeps a second
-definition of the head from coming back beside ``front``.
+everyone), :func:`test_no_queue_defines_a_head_method` keeps a second
+definition of the head from coming back beside ``front``, and
+:func:`test_no_queue_keeps_a_byte_ledger` keeps a second ledger of buffer
+space from coming back beside the link's credits.
 """
 
+import ast
 import cProfile
 import importlib
 import inspect
@@ -45,6 +48,7 @@ from functools import lru_cache
 import pytest
 
 import repro.core.queues
+from repro.core.architectures import Architecture
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.runner import run_experiment
 from repro.network.switch import Switch
@@ -249,3 +253,28 @@ def test_no_queue_defines_a_head_method():
     ]
     assert len(classes) >= 8
     assert not [cls.__qualname__ for cls in classes if "head" in vars(cls)]
+
+
+def test_no_queue_keeps_a_byte_ledger():
+    """Buffer space has one ledger, the credits of the link that feeds the
+    buffer: no class in ``core/queues/``, ``network/switch.py`` or
+    ``analysis/cost.py`` defines or assigns ``used_bytes`` or
+    ``capacity_bytes``, and ``Architecture.make_queue`` takes no capacity."""
+    ledger = {"used_bytes", "capacity_bytes"}
+    modules = _modules_holding_queues()
+    classes = [
+        cls
+        for module in modules
+        for _name, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__
+    ]
+    assert len(classes) >= 8
+    assert not [cls.__qualname__ for cls in classes if ledger & set(vars(cls))]
+    assigned = [
+        f"{module.__name__}:{node.lineno}"
+        for module in modules
+        for node in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(node, ast.Attribute) and node.attr in ledger and isinstance(node.ctx, ast.Store)
+    ]
+    assert not assigned
+    assert list(inspect.signature(Architecture.make_queue).parameters) == ["self"]

@@ -94,6 +94,12 @@ class TestCreditChannel:
         with pytest.raises(ValueError):
             CreditChannel((100, 0))
 
+    @pytest.mark.parametrize("capacity", [8192.5, True])
+    def test_non_int_capacity_rejected(self, capacity):
+        # Credits are the only buffer ledger: a float would make them float.
+        with pytest.raises(ValueError, match=repr(capacity)):
+            CreditChannel((8192, capacity))
+
     def test_multi_vc_channels(self, engine):
         link = make_link(engine, buf=(100, 200, 300, 400))
         link.receiver = Sink()

@@ -300,6 +300,14 @@ class TestVOQsAppearOnFirstArrival:
         with pytest.raises(TypeError):
             rig.switch._candidates[0][0][0].push(mkpkt(5))
 
+    def test_unused_slot_reads_as_an_empty_queue(self, engine):
+        # A whole-row reader sees what an empty queue of any class shows.
+        rig = SwitchRig(engine, ADVANCED_2VC)
+        unused = rig.switch._candidates[0][0][0]
+        assert list(unused) == [] and len(unused) == 0 and unused.front is None
+        with pytest.raises(IndexError):
+            unused.pop()
+
     def test_accept_creates_exactly_the_voq_it_names(self, engine):
         rig = SwitchRig(engine, ADVANCED_2VC)
         rig.feed(2, 10, out_port=1, vc=1)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.stats.timeseries import DeliveryTimeSeries
 from tests.helpers import mkpkt
+from tests.stats.delivery_series import DeliveryTimeSeries
 from tests.stats.per_flow import PerFlowCollector
 
 

@@ -72,16 +72,30 @@ class TestReportEdgeCases:
 
 class TestQueueBaseDefaults:
     def test_unbounded_free_bytes_sentinel(self):
+        # A queue holds packets, not bytes: it takes what the link's
+        # credits let through, and its truth is its length.
         from repro.core.queues import FifoQueue
+        from tests.helpers import mkpkt
 
-        queue = FifoQueue(None)
-        assert queue.free_bytes > 10**15
+        queue = FifoQueue()
+        for deadline in range(64):  # 128 KiB, far past one VC buffer
+            queue.push(mkpkt(deadline, size=2048))
+        assert queue and len(queue) == 64
+        while queue:
+            queue.pop()
+        assert not queue and queue.front is None
 
     def test_invalid_capacity(self):
-        from repro.core.queues import FifoQueue
+        # No capacity option; the base class is the bare contract.
+        from repro.core.queues import FifoQueue, PacketQueue
+        from tests.helpers import mkpkt
 
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             FifoQueue(0)
+        base = PacketQueue()
+        for call in (lambda: base.push(mkpkt(1)), base.pop, lambda: len(base), lambda: iter(base)):
+            with pytest.raises(NotImplementedError):
+                call()
 
 
 @pytest.mark.parametrize(
