@@ -10,7 +10,9 @@ Run:  python examples/takeover_queue_anatomy.py
 """
 
 from repro.core.queues import EDFHeapQueue, FifoQueue, TakeOverQueue
-from repro.network.packet import Packet
+from repro.network.packet import PacketFactory
+
+PACKETS = PacketFactory()
 
 # The adversarial pattern of Section 3.2: the source ran out of
 # low-deadline packets, injected one with a far deadline (a video packet
@@ -29,7 +31,7 @@ ARRIVALS = [
 def drive(queue):
     packets = []
     for flow, deadline in ARRIVALS:
-        pkt = Packet(
+        pkt = PACKETS.mint(
             flow_id=hash(flow) & 0xFFFF, seq=0, src=0, dst=1, size=256,
             vc=0, tclass=flow, deadline=deadline,
         )
@@ -66,7 +68,7 @@ print(
 queue = TakeOverQueue()
 for flow, deadline in ARRIVALS:
     queue.push(
-        Packet(flow_id=1, seq=0, src=0, dst=1, size=64, vc=0, tclass=flow, deadline=deadline)
+        PACKETS.mint(flow_id=1, seq=0, src=0, dst=1, size=64, vc=0, tclass=flow, deadline=deadline)
     )
 ordered = [p.deadline for p in queue.ordered_snapshot]
 takeover = [p.deadline for p in queue.takeover_snapshot]

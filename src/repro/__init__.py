@@ -33,10 +33,8 @@ from repro.core import (
     AdmissionController,
     AdmissionError,
     Architecture,
-    ControlStamper,
     EDFHeapQueue,
     EDFPicker,
-    EligiblePolicy,
     FifoQueue,
     FlowRegistry,
     FlowSpec,
@@ -71,10 +69,8 @@ __all__ = [
     "AdmissionController",
     "AdmissionError",
     "Architecture",
-    "ControlStamper",
     "EDFHeapQueue",
     "EDFPicker",
-    "EligiblePolicy",
     "Engine",
     "Fabric",
     "FifoQueue",

@@ -4,7 +4,7 @@ Layout:
 
 - :mod:`~repro.core.flow` -- flow descriptors and per-flow sender state.
 - :mod:`~repro.core.deadline` -- the Virtual-Clock deadline stampers of
-  Section 3.1 (rate-based, frame-based for video, control).
+  Section 3.1 (rate-based, which control uses at the link rate; frame-based).
 - :mod:`~repro.core.eligible` -- eligible-time smoothing.
 - :mod:`~repro.core.queues` -- the buffer structures under study: plain
   FIFO, exact-EDF heap, and the ordered/take-over FIFO pair of
@@ -20,13 +20,7 @@ Layout:
 """
 
 from repro.core.flow import FlowRegistry, FlowSpec, FlowState
-from repro.core.deadline import (
-    ControlStamper,
-    DeadlineStamper,
-    FrameBasedStamper,
-    RateBasedStamper,
-)
-from repro.core.eligible import EligiblePolicy
+from repro.core.deadline import DeadlineStamper, FrameBasedStamper, RateBasedStamper
 from repro.core.queues import EDFHeapQueue, FifoQueue, PacketQueue, TakeOverQueue
 from repro.core.arbiter import EDFPicker, Picker, RoundRobinPicker
 from repro.core.ttd import ClockDomain, deadline_from_ttd, ttd_from_deadline
@@ -50,11 +44,9 @@ __all__ = [
     "AdmissionError",
     "Architecture",
     "ClockDomain",
-    "ControlStamper",
     "DeadlineStamper",
     "EDFHeapQueue",
     "EDFPicker",
-    "EligiblePolicy",
     "FifoQueue",
     "FlowRegistry",
     "FlowSpec",

@@ -66,12 +66,6 @@ class Architecture:
     #: *only* the minimum-deadline candidate be checked for credits.
     credit_masking: bool = False
 
-    def make_queue(self) -> PacketQueue:
-        return self.queue_factory()
-
-    def make_picker(self) -> Picker:
-        return self.picker_factory()
-
 
 TRADITIONAL_2VC = Architecture(
     name="traditional-2vc",

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "ControlStamper",
     "DeadlineStamper",
     "FrameBasedStamper",
     "RateBasedStamper",
@@ -97,20 +96,6 @@ class RateBasedStamper(DeadlineStamper):
         if deadlines:
             self.last_deadline = deadline
         return deadlines
-
-
-class ControlStamper(RateBasedStamper):
-    """Rate-based stamper at full link bandwidth (Section 3.1).
-
-    Control traffic gets no admission control; using the link rate makes
-    its deadline ``now + serialization`` -- the earliest any packet of that
-    size could possibly be delivered, hence maximum priority under EDF.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, link_bw_bytes_per_ns: float):
-        super().__init__(link_bw_bytes_per_ns)
 
 
 class FrameBasedStamper(DeadlineStamper):

@@ -7,40 +7,22 @@ only to traffic classes that tolerate smoothing (multimedia); control
 traffic must not be held back.
 
 The tag lives only in the source interface -- it is never transmitted, and
-switches never see it.
+switches never see it.  The offset is one number,
+``FabricParams.eligible_offset_ns`` (checked there; ``None`` disables
+smoothing), and ``Host.submit_message`` applies the rule once per
+message: a packet stamped with ``deadline`` at ``now`` becomes eligible
+at ``max(deadline - offset, now)``.  A packet due at 150 us, stamped at
+100 us, waits until 130 us:
+
+>>> max(150_000 - DEFAULT_OFFSET_NS, 100_000)
+130000
 """
 
 from __future__ import annotations
 
 from repro.sim import units
 
-__all__ = ["EligiblePolicy"]
+__all__ = ["DEFAULT_OFFSET_NS"]
 
 #: The offset the paper reports to work well (Section 3.1).
 DEFAULT_OFFSET_NS = units.us(20)
-
-
-class EligiblePolicy:
-    """The eligible-time offset; ``offset_ns=None`` disables smoothing.
-
-    A packet stamped with ``deadline`` at ``now`` becomes eligible at
-    ``max(deadline - offset_ns, now)``; ``Host.submit_message`` applies
-    that rule, reading ``offset_ns`` once per message.
-
-    >>> EligiblePolicy(20_000).offset_ns
-    20000
-    >>> EligiblePolicy(20_000.5)
-    Traceback (most recent call last):
-    ...
-    ValueError: eligible-time offset must be an int >= 0 (nanoseconds), got 20000.5
-    """
-
-    __slots__ = ("offset_ns",)
-
-    def __init__(self, offset_ns: int | None = DEFAULT_OFFSET_NS):
-        # Whole nanoseconds, by identity: the offset becomes an engine time.
-        if offset_ns is not None and (offset_ns.__class__ is not int or offset_ns < 0):
-            raise ValueError(
-                f"eligible-time offset must be an int >= 0 (nanoseconds), got {offset_ns!r}"
-            )
-        self.offset_ns = offset_ns

@@ -17,12 +17,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.invariants import invariant
-from repro.core.deadline import (
-    ControlStamper,
-    DeadlineStamper,
-    FrameBasedStamper,
-    RateBasedStamper,
-)
+from repro.core.deadline import DeadlineStamper, FrameBasedStamper, RateBasedStamper
 from repro.constants import VC_BEST_EFFORT, VC_REGULATED
 
 __all__ = ["FlowKind", "FlowRegistry", "FlowSpec", "FlowState"]
@@ -115,8 +110,6 @@ class FlowSpec:
             "%s flow %s has no bandwidth for deadline computation",
             self.kind, self.flow_id,
         )
-        if self.kind == FlowKind.CONTROL:
-            return ControlStamper(self.bw_bytes_per_ns)
         return RateBasedStamper(self.bw_bytes_per_ns)
 
 

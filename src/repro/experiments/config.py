@@ -64,6 +64,13 @@ class ExperimentConfig:
             raise ValueError(f"measurement window must be positive, got {self.measure_ns}")
         if self.warmup_ns < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup_ns}")
+        n_vcs = self.params.n_vcs
+        for tclass, vc in (self.mix_config.vc_map or {}).items():
+            if vc >= n_vcs:
+                raise ValueError(
+                    f"vc_map puts class {tclass!r} on VC {vc}, "
+                    f"but the fabric has {n_vcs} VCs (params.n_vcs)"
+                )
 
     @property
     def mix_config(self) -> TrafficMixConfig:

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional
 from repro.core.admission import AdmissionController, AdmissionError
 from repro.core.architectures import ADVANCED_2VC, Architecture
 from repro.core.deadline import DeadlineStamper
-from repro.core.eligible import DEFAULT_OFFSET_NS, EligiblePolicy
+from repro.core.eligible import DEFAULT_OFFSET_NS
 from repro.core.flow import FlowKind, FlowRegistry, FlowState
 from repro.core.invariants import invariant
 from repro.core.ttd import ClockDomain
@@ -76,7 +76,12 @@ class FabricParams:
     n_vcs: int = 2
 
     def __post_init__(self) -> None:
-        EligiblePolicy(self.eligible_offset_ns)  # the offset's check
+        # Whole nanoseconds, by identity: the offset becomes an engine time.
+        offset = self.eligible_offset_ns
+        if offset is not None and (offset.__class__ is not int or offset < 0):
+            raise ValueError(
+                f"eligible-time offset must be an int >= 0 (nanoseconds), got {offset!r}"
+            )
         # Integers by identity, as Engine.at checks a time: a float or a
         # bool would fail mid-run, at a credit, a segment or a clock draw.
         for name in (
@@ -175,14 +180,13 @@ class Fabric:
             from repro.obs.observer import FabricObserver
 
             obs = FabricObserver(trace, metrics, tracer, params.n_vcs)
-        eligible_policy = EligiblePolicy(params.eligible_offset_ns)
         self.hosts: List[Host] = [
             Host(
                 self.engine,
                 node_id,
                 index,
                 architecture,
-                eligible_policy=eligible_policy,
+                eligible_offset_ns=params.eligible_offset_ns,
                 mtu=params.mtu,
                 clock_offset=(
                     self.clock_domain.offset(node_id) if self.clock_domain else 0

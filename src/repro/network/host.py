@@ -25,7 +25,7 @@ import heapq
 from typing import Callable, List, Optional
 
 from repro.core.architectures import Architecture
-from repro.core.eligible import EligiblePolicy
+from repro.core.eligible import DEFAULT_OFFSET_NS
 from repro.core.flow import FlowState
 from repro.core.invariants import invariant
 from repro.core.queues import EDFHeapQueue, FifoQueue, PacketQueue
@@ -46,7 +46,7 @@ class Host:
         "node_id",
         "index",
         "architecture",
-        "eligible_policy",
+        "eligible_offset_ns",
         "mtu",
         "obs",
         "out_link",
@@ -73,7 +73,7 @@ class Host:
         index: int,
         architecture: Architecture,
         *,
-        eligible_policy: Optional[EligiblePolicy] = None,
+        eligible_offset_ns: Optional[int] = DEFAULT_OFFSET_NS,
         mtu: int = 2048,
         on_delivery: Optional[DeliveryCallback] = None,
         clock_offset: int = 0,
@@ -87,7 +87,7 @@ class Host:
         self.node_id = node_id
         self.index = index
         self.architecture = architecture
-        self.eligible_policy = eligible_policy or EligiblePolicy()
+        self.eligible_offset_ns = eligible_offset_ns
         self.mtu = mtu
         #: The fabric's :class:`~repro.obs.observer.FabricObserver`, or
         #: None when nobody is watching.
@@ -173,7 +173,7 @@ class Host:
         # The eligible time is max(deadline - offset, now), the offset read
         # once per message: None = no smoothing, eligible at once.
         offset = (
-            self.eligible_policy.offset_ns
+            self.eligible_offset_ns
             if spec.smoothing and self.architecture.host_edf
             else None
         )

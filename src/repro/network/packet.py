@@ -17,24 +17,11 @@ values directly.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.constants import N_VCS, VC_BEST_EFFORT, VC_REGULATED
 
 __all__ = ["Packet", "PacketFactory", "VC_REGULATED", "VC_BEST_EFFORT", "N_VCS"]
-
-# Fallback uid counter for *bare* ``Packet(...)`` construction (unit
-# tests, ad-hoc scripts).  Production paths mint through a per-fabric
-# :class:`PacketFactory`, so run N and run N+1 in the same process see
-# identical uid streams -- this module global is deliberately NOT part
-# of any simulation result.
-_next_uid = 0
-
-
-def _take_uid() -> int:
-    global _next_uid
-    _next_uid += 1
-    return _next_uid
 
 
 class Packet:
@@ -56,6 +43,15 @@ class Packet:
     - ``birth``: when the application handed the message to the NIC;
       ``inject``: when the first byte entered the network;
       ``deliver``: when the last byte reached the destination NIC.
+    - ``hop_arrival``: when the packet entered the *current* switch's
+      VOQ -- metrics bookkeeping only (arbitration-wait histograms).
+    - ``traced``: set by :class:`repro.obs.tracing.PacketTracer` when the
+      packet won the sampling draw at birth; instrumentation sites check
+      this one bool before calling the tracer.
+
+    Switches arbitrate on neither of the last two, so they are not part
+    of the header discipline.  :meth:`PacketFactory.mint` is the only
+    constructor: it sets every slot.
     """
 
     __slots__ = (
@@ -81,58 +77,6 @@ class Packet:
         "traced",
     )
 
-    def __init__(
-        self,
-        *,
-        flow_id: int,
-        seq: int,
-        src: int,
-        dst: int,
-        size: int,
-        vc: int,
-        tclass: str,
-        deadline: int,
-        eligible: int = 0,
-        path: Tuple[int, ...] = (),
-        msg_id: int = 0,
-        msg_seq: int = 0,
-        msg_parts: int = 1,
-        birth: int = 0,
-        uid: Optional[int] = None,
-    ):
-        if size <= 0:
-            raise ValueError(f"packet size must be positive, got {size}")
-        if vc < 0:
-            raise ValueError(f"vc must be a non-negative channel index, got {vc}")
-        self.uid = _take_uid() if uid is None else uid
-        self.flow_id = flow_id
-        self.seq = seq
-        self.src = src
-        self.dst = dst
-        self.size = size
-        self.vc = vc
-        self.tclass = tclass
-        self.deadline = deadline
-        self.eligible = eligible
-        self.path = path
-        self.hop = 0
-        self.msg_id = msg_id
-        self.msg_seq = msg_seq
-        self.msg_parts = msg_parts
-        self.birth = birth
-        self.inject: Optional[int] = None
-        self.deliver: Optional[int] = None
-        #: When the packet entered the *current* switch's VOQ -- metrics
-        #: bookkeeping only (arbitration-wait histograms); switches never
-        #: arbitrate on it, so it is not part of the header discipline.
-        self.hop_arrival: Optional[int] = None
-        #: Set by :class:`repro.obs.tracing.PacketTracer` when the packet
-        #: won the sampling draw at birth.  Instrumentation sites check
-        #: this single bool before calling the tracer, so untraced
-        #: packets pay one attribute load per site; arbiters never read
-        #: it (not part of the header discipline).
-        self.traced = False
-
     def next_output_port(self) -> int:
         """Source routing: the output port to take at the current switch."""
         return self.path[self.hop]
@@ -148,10 +92,9 @@ class PacketFactory:
     """Per-fabric packet minting: deterministic uids plus optional pooling.
 
     One factory is shared by every host of a fabric, so uids are unique
-    fabric-wide and -- unlike the module-global fallback counter -- reset
-    with the fabric: two back-to-back runs in one process produce
-    identical uid streams (the uid-determinism regression test pins
-    this).
+    fabric-wide and reset with the fabric: two back-to-back runs in one
+    process produce identical uid streams (the uid-determinism regression
+    test pins this).
 
     With ``pooling`` enabled, :meth:`recycle` keeps delivered packets on
     a free list and :meth:`mint` re-initializes one instead of
@@ -195,13 +138,9 @@ class PacketFactory:
     ) -> Packet:
         """A fresh logical packet: pooled storage, never a pooled uid.
 
-        Takes :class:`Packet`'s fields (less ``uid``), in its order and
-        with its defaults, and may be called positionally: the host NIC
-        mints every packet here.  :meth:`Packet.__init__` is written out
-        -- the same checks, every slot set, so a recycled packet is
-        indistinguishable from a newly allocated one -- which makes a
-        packet's birth one frame with no keyword matching
-        (``tests/network/test_packet.py`` compares the two slot by slot).
+        May be called positionally: the host NIC mints every packet here,
+        in one frame with no keyword matching.  Every slot is set, so a
+        recycled packet is indistinguishable from a newly allocated one.
         """
         if size <= 0:
             raise ValueError(f"packet size must be positive, got {size}")

@@ -132,7 +132,7 @@ class Switch:
             [[] for _vc in range(n_vcs)] for _out in range(n_ports)
         ]
         pickers = [
-            [architecture.make_picker() for _vc in range(n_vcs)]
+            [architecture.picker_factory() for _vc in range(n_vcs)]
             for _out in range(n_ports)
         ]
         self._pickers = pickers if obs is None else obs.meter_pickers(pickers)
@@ -149,7 +149,7 @@ class Switch:
         row = self._candidates[out_port][vc]
         queue = row[in_port]
         if queue is _UNUSED:
-            queue = row[in_port] = self.architecture.make_queue()
+            queue = row[in_port] = self.architecture.queue_factory()
             # Clock-aware buffer structures (the pipelined heap) need the
             # switch's local cycle counter to model their settle window.
             if hasattr(queue, "now_fn"):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.deadline import ControlStamper
+from repro.core.deadline import RateBasedStamper
 from repro.core.flow import FlowKind
 from repro.network.fabric import Fabric
 from repro.sim.rng import RandomStream
@@ -56,7 +56,7 @@ class ControlSource(TrafficSource):
         self.mean_gap_ns = self.mean_size / rate_bytes_per_ns  # simlint: allow-float-time-flow
         #: one shared per-host control record (Section 3.1): all control
         #: flows from this host share one virtual clock
-        self.stamper = ControlStamper(fabric.params.bytes_per_ns)
+        self.stamper = RateBasedStamper(fabric.params.bytes_per_ns)
 
     def _emit(self) -> Optional[float]:
         size = self.rng.randint(*self.size_range)

@@ -94,6 +94,17 @@ class TrafficMixConfig:
                 f"video_target_latency_ns must be >= 1, got {self.video_target_latency_ns} "
                 "(a time_scale below 5e-8 rounds the 10 ms frame target to 0 ns)"
             )
+        # The fabric's VC count bounds the VCs from above
+        # (ExperimentConfig); here only the classes and the indices.
+        for tclass, vc in (self.vc_map or {}).items():
+            if tclass not in CLASS_NAMES:
+                raise ValueError(
+                    f"vc_map: unknown class {tclass!r} (VC {vc!r}); known: {', '.join(CLASS_NAMES)}"
+                )
+            if vc.__class__ is not int or vc < 0:
+                raise ValueError(
+                    f"vc_map: class {tclass!r} needs a non-negative int VC, got {vc!r}"
+                )
 
     def class_rate(self, tclass: str, link_bytes_per_ns: float) -> float:
         """Offered rate of one class at one host, in bytes/ns."""

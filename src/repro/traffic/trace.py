@@ -15,10 +15,13 @@ Two jobs:
    :class:`~repro.traffic.multimedia.VideoStream`-style flows with them
    verbatim; :func:`video_stream_from_trace` wires one up.
 
-Trace files are JSON-lines: one record per submitted message,
-``{"t": ns, "src": int, "dst": int, "tclass": str, "bytes": int}`` plus a
-flow-parameter header line.  Plain text keeps them diff-able and
-tool-friendly; gzip transparently supported by extension.
+Trace files are JSON-lines: a ``{"format", "version"}`` header line, then
+one record per submitted message,
+``{"t": ns, "src": int, "dst": int, "tclass": str, "bytes": int}``.  Plain
+text keeps them diff-able and tool-friendly; gzip transparently supported
+by extension.  No flow parameter is recorded, so replay reproduces the
+offered messages exactly but not their deadlines (see
+:class:`TraceReplaySource`).
 """
 
 from __future__ import annotations
@@ -136,9 +139,14 @@ def load_trace(path: PathLike) -> List[Tuple[int, int, int, str, int]]:
 class TraceReplaySource(TrafficSource):
     """Replays recorded messages from *one* source host, timestamp-exact.
 
-    Flow parameters (VC, deadline rule) are re-derived per traffic class
-    with the same conventions the live generators use; pass
-    ``flow_params`` to override per class.
+    The trace holds no flow parameters, so each (destination, class)
+    gets a flow with fixed per-class defaults, not the live generators'
+    parameters: multimedia a 10 ms frame target (a ``scaled_video_mix``
+    at time scale 0.02 uses 200 us), best-effort and background the same
+    0.25 B/ns on VC1 (the mix splits their deadline bandwidth 2:1), and
+    each control flow a clock of its own (``ControlSource`` shares one
+    per host).  Replay thus reproduces the offered messages, not their
+    deadlines.  Pass ``flow_params`` to override per class.
     """
 
     def __init__(

@@ -35,8 +35,8 @@ class TestPresetTable:
         ],
     )
     def test_preset_components(self, arch, queue_cls, picker_cls, host_edf):
-        assert type(arch.make_queue()) is queue_cls
-        assert type(arch.make_picker()) is picker_cls
+        assert type(arch.queue_factory()) is queue_cls
+        assert type(arch.picker_factory()) is picker_cls
         assert arch.host_edf is host_edf
 
     def test_only_traditional_masks_credits(self):
@@ -53,16 +53,16 @@ class TestPresetTable:
         for arch in ARCHITECTURES.values():
             with pytest.raises(TypeError):
                 arch.queue_factory(4096)
-            q = arch.make_queue()
-            assert isinstance(q, PacketQueue) and q is not arch.make_queue()
+            q = arch.queue_factory()
+            assert isinstance(q, PacketQueue) and q is not arch.queue_factory()
             assert len(q) == 0 and q.front is None
-        assert type(ADVANCED_2VC.make_queue()) is TakeOverQueue
+        assert type(ADVANCED_2VC.queue_factory()) is TakeOverQueue
 
     def test_pickers_are_fresh_instances(self):
         # Round-robin pointers are per output port; sharing one picker
         # across ports would corrupt rotation state.
-        a = TRADITIONAL_2VC.make_picker()
-        b = TRADITIONAL_2VC.make_picker()
+        a = TRADITIONAL_2VC.picker_factory()
+        b = TRADITIONAL_2VC.picker_factory()
         assert a is not b
 
     def test_labels_match_paper_figures(self):

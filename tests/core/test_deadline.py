@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.deadline import (
-    ControlStamper,
-    DeadlineStamper,
-    FrameBasedStamper,
-    RateBasedStamper,
-)
+from repro.core.deadline import DeadlineStamper, FrameBasedStamper, RateBasedStamper
+from repro.network.fabric import FabricParams
 
 MTU = 2048
 
@@ -86,13 +82,17 @@ class TestRateBased:
 
 
 class TestControl:
+    # Control is the rate-based rule with BW_avg = the link rate (8 Gb/s
+    # is 1 byte/ns): no stamper of its own.
+    LINK_RATE = FabricParams().bytes_per_ns
+
     def test_control_is_rate_based_at_link_speed(self):
-        stamper = ControlStamper(1.0)
+        stamper = RateBasedStamper(self.LINK_RATE)
         # deadline == now + bare serialization: the earliest possible.
         assert stamp_one(stamper, 500, 256) == 756
 
     def test_control_has_earlier_deadline_than_any_reserved_flow(self):
-        control = ControlStamper(1.0)
+        control = RateBasedStamper(self.LINK_RATE)
         video = RateBasedStamper(0.01)
         assert stamp_one(control, 0, 1024) < stamp_one(video, 0, 1024)
 
@@ -165,11 +165,11 @@ class TestStampMessage:
     @given(
         messages=_messages,
         bw=st.sampled_from([0.001, 0.3, 1.0, 7.0, 1000.0]),
-        control=st.booleans(),
         start=st.integers(-5_000, 5_000),
     )
-    def test_rate_message_is_one_stamp_per_packet(self, messages, bw, control, start):
-        stamper = (ControlStamper if control else RateBasedStamper)(bw)
+    def test_rate_message_is_one_stamp_per_packet(self, messages, bw, start):
+        # bw = 1.0 is the link rate, i.e. the control rule.
+        stamper = RateBasedStamper(bw)
         last = DeadlineStamper.UNSET
         now = start
         for advance, sizes in messages:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.constants import VC_BEST_EFFORT, VC_REGULATED
-from repro.core.deadline import ControlStamper, FrameBasedStamper, RateBasedStamper
+from repro.core.deadline import FrameBasedStamper, RateBasedStamper
 from repro.core.flow import FlowKind, FlowRegistry, FlowSpec
 
 
@@ -35,7 +35,11 @@ class TestFlowSpec:
         "kind,kwargs,stamper_cls",
         [
             (FlowKind.RATE, {"bw_bytes_per_ns": 0.5}, RateBasedStamper),
-            (FlowKind.CONTROL, {"bw_bytes_per_ns": 1.0}, ControlStamper),
+            # Control is rate-based at the link rate: the same stamper.
+            pytest.param(
+                FlowKind.CONTROL, {"bw_bytes_per_ns": 1.0}, RateBasedStamper,
+                id="control-kwargs1-ControlStamper",
+            ),
             (FlowKind.FRAME, {"target_latency_ns": 1000}, FrameBasedStamper),
         ],
     )

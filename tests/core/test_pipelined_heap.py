@@ -111,7 +111,7 @@ class TestArchitecturePreset:
         from repro.core.architectures import ARCHITECTURES, IDEAL_PIPELINED
 
         assert ARCHITECTURES["ideal-pipelined"] is IDEAL_PIPELINED
-        queue = IDEAL_PIPELINED.make_queue()
+        queue = IDEAL_PIPELINED.queue_factory()
         assert isinstance(queue, PipelinedHeapQueue)
         assert queue.depth == 8
 

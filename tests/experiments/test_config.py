@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.presets import TOPOLOGY_PRESETS, make_topology
+from repro.network.fabric import FabricParams
 from repro.sim import units
 
 
@@ -34,6 +35,16 @@ class TestExperimentConfig:
             ExperimentConfig(measure_ns=0)
         with pytest.raises(ValueError):
             ExperimentConfig(warmup_ns=-1)
+
+    def test_vc_map_must_fit_the_fabric(self):
+        # A 4-VC map on the default 2-VC fabric used to build and then
+        # fail mid-run, at the first best-effort flow opened on VC 2.
+        vc_map = {"control": 0, "multimedia": 1, "best-effort": 2, "background": 3}
+        mix = scaled_video_mix(0.5, 0.02, vc_map=vc_map)
+        with pytest.raises(ValueError, match="'best-effort' on VC 2, but the fabric has 2 VCs"):
+            ExperimentConfig(topology="tiny", mix=mix)
+        four = ExperimentConfig(topology="tiny", params=FabricParams(n_vcs=4), mix=mix)
+        assert four.mix_config.vc_map == vc_map
 
 
 class TestScaledVideoMix:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.network.packet import Packet
+from repro.network.packet import Packet, PacketFactory
+
+#: Mints every test packet, so uids count up in creation order.
+_PACKETS = PacketFactory()
 
 
 class WholePaths:
@@ -37,11 +40,13 @@ def mkpkt(
     dst: int = 1,
     vc: int = 0,
     tclass: str = "test",
+    uid: int | None = None,
     **kwargs,
 ) -> Packet:
-    """A packet with the given deadline; uid auto-increments globally, so
-    creation order == arrival order for tie-breaking purposes."""
-    return Packet(
+    """A packet with the given deadline; uids count up across all tests,
+    so creation order == arrival order for tie-breaking purposes.  An
+    explicit ``uid`` replaces the minted one."""
+    pkt = _PACKETS.mint(
         flow_id=flow_id,
         seq=seq,
         src=src,
@@ -52,3 +57,6 @@ def mkpkt(
         deadline=deadline,
         **kwargs,
     )
+    if uid is not None:
+        pkt.uid = uid
+    return pkt

@@ -30,7 +30,7 @@ def test_byte_identical_to_scanning_oracle(monkeypatch, arch_name, figure):
     minted = []
 
     def mint_oracle_picker():
-        minted.append(oracle.make_picker())
+        minted.append(oracle.picker_factory())
         return minted[-1]
 
     monkeypatch.setitem(

@@ -33,9 +33,12 @@ switch or a masking closure comes back as a named failure;
 output with nothing queued for it.  :func:`test_observed_forward_reads_the_front`
 holds the observed path to the same rule (a head is a field, read by
 everyone), :func:`test_no_queue_defines_a_head_method` keeps a second
-definition of the head from coming back beside ``front``, and
+definition of the head from coming back beside ``front``, ,
 :func:`test_no_queue_keeps_a_byte_ledger` keeps a second ledger of buffer
-space from coming back beside the link's credits.
+space from coming back beside the link's credits, and
+:func:`test_no_rule_is_restated_beside_its_home` keeps a second packet
+constructor, forwarding factory methods or wrapper classes from coming
+back beside the rule they restate.
 """
 
 import ast
@@ -47,10 +50,13 @@ from functools import lru_cache
 
 import pytest
 
+import repro.core
 import repro.core.queues
-from repro.core.architectures import Architecture
+import repro.network.packet
+from repro.core.architectures import ARCHITECTURES, Architecture
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.runner import run_experiment
+from repro.network.packet import Packet
 from repro.network.switch import Switch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import PacketTracer
@@ -259,7 +265,8 @@ def test_no_queue_keeps_a_byte_ledger():
     """Buffer space has one ledger, the credits of the link that feeds the
     buffer: no class in ``core/queues/``, ``network/switch.py`` or
     ``analysis/cost.py`` defines or assigns ``used_bytes`` or
-    ``capacity_bytes``, and ``Architecture.make_queue`` takes no capacity."""
+    ``capacity_bytes``, and every preset's ``queue_factory`` takes no
+    argument (no capacity)."""
     ledger = {"used_bytes", "capacity_bytes"}
     modules = _modules_holding_queues()
     classes = [
@@ -277,4 +284,21 @@ def test_no_queue_keeps_a_byte_ledger():
         if isinstance(node, ast.Attribute) and node.attr in ledger and isinstance(node.ctx, ast.Store)
     ]
     assert not assigned
-    assert list(inspect.signature(Architecture.make_queue).parameters) == ["self"]
+    assert len(ARCHITECTURES) >= 5
+    takes_arguments = [
+        name for name, arch in ARCHITECTURES.items() if inspect.signature(arch.queue_factory).parameters
+    ]
+    assert not takes_arguments
+
+
+def test_no_rule_is_restated_beside_its_home():
+    """Each model rule has one definition: ``PacketFactory.mint`` is the
+    only packet constructor (no ``Packet.__init__``, no module-level uid
+    counter), an architecture's queues and pickers come from its two
+    factory fields (no forwarding methods), control stamps with
+    ``RateBasedStamper`` at the link rate and the eligible-time offset is
+    a plain ``FabricParams`` value (no wrapper classes in ``repro.core``)."""
+    assert "__init__" not in Packet.__dict__
+    assert not [name for name in vars(repro.network.packet) if "uid" in name.lower()]
+    assert not {"make_queue", "make_picker"} & set(vars(Architecture))
+    assert not {"EligiblePolicy", "ControlStamper"} & {*vars(repro.core), *repro.core.__all__}

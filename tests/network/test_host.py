@@ -4,7 +4,6 @@ import pytest
 
 from repro.constants import VC_BEST_EFFORT, VC_REGULATED
 from repro.core.architectures import ADVANCED_2VC, TRADITIONAL_2VC
-from repro.core.eligible import EligiblePolicy
 from repro.core.flow import FlowKind, FlowRegistry
 from repro.core.invariants import InvariantViolation
 from repro.network.host import Host
@@ -31,7 +30,7 @@ def rig(engine):
                 "h0",
                 0,
                 architecture,
-                eligible_policy=EligiblePolicy(eligible_offset),
+                eligible_offset_ns=eligible_offset,
                 mtu=2048,
             )
             self.sink = Sink()

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.architectures import ADVANCED_2VC, TRADITIONAL_2VC
-from repro.core.eligible import EligiblePolicy
 from repro.core.flow import FlowKind, FlowRegistry
 from repro.network.host import Host
 from repro.network.link import Link
@@ -58,7 +57,7 @@ def schedules(draw):
 def run_host(architecture, flows, messages):
     engine = Engine()
     host = Host(
-        engine, "h0", 0, architecture, eligible_policy=EligiblePolicy(None), mtu=2048
+        engine, "h0", 0, architecture, eligible_offset_ns=None, mtu=2048
     )
     sink = Sink()
     link = Link(

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.network.packet as packet_module
 from repro.network.packet import Packet, PacketFactory, VC_BEST_EFFORT, VC_REGULATED
 from tests.helpers import mkpkt
 
@@ -91,8 +92,9 @@ class TestPacketFactory:
 
     @pytest.mark.parametrize("pooling", [False, True], ids=["fresh", "recycled"])
     def test_mint_sets_every_slot_as_init_does(self, pooling):
-        # mint writes Packet.__init__ out; compare every slot, positional
-        # and keyword calls alike, on fresh and on recycled storage.
+        # mint is the only constructor: a positional mint on fresh or on
+        # recycled storage sets every slot as a keyword mint on a new
+        # factory does (an unset slot would raise on getattr).
         factory = PacketFactory(pooling=pooling)
         used = _mint(factory, size=2048, deadline=7, vc=1)
         used.hop, used.inject, used.deliver, used.hop_arrival, used.traced = 3, 5, 9, 4, True
@@ -101,12 +103,11 @@ class TestPacketFactory:
         names = ("flow_id", "seq", "src", "dst", "size", "vc", "tclass", "deadline",
                  "eligible", "path", "msg_id", "msg_seq", "msg_parts", "birth")
         minted = factory.mint(*fields)
-        by_keyword = _mint(PacketFactory(), **dict(zip(names, fields)))
-        built = Packet(uid=2, **dict(zip(names, fields)))
+        by_keyword = PacketFactory().mint(**dict(zip(names, fields)))
         assert (minted is used) == pooling
+        assert (minted.uid, by_keyword.uid) == (2, 1)
         for slot in Packet.__slots__:
-            assert getattr(minted, slot) == getattr(built, slot), slot
-            assert getattr(by_keyword, slot) == getattr(built, slot) or slot == "uid"
+            assert getattr(minted, slot) == getattr(by_keyword, slot) or slot == "uid", slot
 
     def test_mint_rejects_what_init_rejects(self):
         factory = PacketFactory()
@@ -117,14 +118,13 @@ class TestPacketFactory:
         assert factory.uids_minted == 0
 
     def test_explicit_uid_bypasses_global_counter(self):
-        pkt = mkpkt(1)
-        explicit = Packet(
-            uid=99, flow_id=1, seq=0, tclass="control", vc=0, src=0, dst=1,
-            size=64, deadline=100, path=(0,),
-        )
-        assert explicit.uid == 99
-        # The module-global fallback stream is untouched by explicit uids.
-        assert mkpkt(1).uid == pkt.uid + 1
+        # The module holds no uid state: every uid comes from a factory,
+        # and one factory's stream does not move another's.
+        assert not [name for name in vars(packet_module) if "uid" in name.lower()]
+        a, b = PacketFactory(), PacketFactory()
+        assert [_mint(a).uid, _mint(a).uid] == [1, 2]
+        assert [_mint(b).uid, _mint(a).uid, _mint(b).uid] == [1, 3, 2]
+        assert mkpkt(1, uid=99).uid == 99
 
 
 class TestSourceRouting:

@@ -1,8 +1,10 @@
 """Run the doctest examples embedded in module docstrings.
 
 Several modules carry small usage examples in their docstrings
-(``units``, ``eligible``, ``report``, ``rng``); keeping them executable
-keeps the documentation honest.
+(``units``, ``eligible``, ``invariants``, ``telemetry``, ``report``,
+``rng``, ``monitor``); keeping them executable keeps the documentation
+honest.  ``eligible`` is a note on the Section 3.1 rule with one worked
+example: the eligible time of one deadline at the default offset.
 """
 
 import doctest

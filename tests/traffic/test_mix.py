@@ -31,6 +31,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrafficMixConfig(load=2.5)
 
+    def test_vc_map_names_known_classes(self):
+        # A misspelt class used to be ignored: its traffic ran on the
+        # default VC.
+        with pytest.raises(ValueError, match=r"unknown class 'contrl' \(VC 0\)"):
+            TrafficMixConfig(vc_map={"contrl": 0})
+
+    @pytest.mark.parametrize("vc", [-1, 1.0, True, "1"])
+    def test_vc_map_vcs_are_channel_indices(self, vc):
+        with pytest.raises(ValueError, match=f"class 'background' .* got {vc!r}"):
+            TrafficMixConfig(vc_map={"control": 0, "background": vc})
+        TrafficMixConfig(vc_map=dict.fromkeys(CLASS_NAMES, 3))
+
 
 class TestBuildMix:
     def test_every_host_gets_all_four_classes(self, make_fabric, streams):
