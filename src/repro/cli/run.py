@@ -107,7 +107,7 @@ def command(args: argparse.Namespace):
         metrics = MetricsRegistry()
         heartbeat_ns = RunTelemetry.check_interval(units.us(args.heartbeat_us))
     if args.trace_out:
-        trace = Trace(capacity=args.trace_capacity, ring=True)
+        trace = Trace(capacity=args.trace_capacity)
     if args.trace_spans or args.trace_chrome:
         tracer = PacketTracer(
             policy=args.span_policy,

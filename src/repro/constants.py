@@ -19,4 +19,11 @@ VC_BEST_EFFORT = 1
 #: Default number of virtual channels per port (the paper's proposal).
 N_VCS = 2
 
-__all__ = ["N_VCS", "VC_BEST_EFFORT", "VC_REGULATED"]
+
+def default_vc(tclass: str) -> int:
+    """The paper's two-VC layout: the best-effort classes on VC1, every
+    other class on VC0."""
+    return VC_BEST_EFFORT if tclass in ("best-effort", "background") else VC_REGULATED
+
+
+__all__ = ["N_VCS", "VC_BEST_EFFORT", "VC_REGULATED", "default_vc"]

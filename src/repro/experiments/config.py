@@ -8,7 +8,7 @@ from typing import Optional
 from repro.core.architectures import ARCHITECTURES
 from repro.network.fabric import FabricParams
 from repro.sim import units
-from repro.traffic.mix import TrafficMixConfig
+from repro.traffic.mix import CLASS_NAMES, TrafficMixConfig
 
 __all__ = ["ExperimentConfig", "scaled_video_mix"]
 
@@ -64,11 +64,13 @@ class ExperimentConfig:
             raise ValueError(f"measurement window must be positive, got {self.measure_ns}")
         if self.warmup_ns < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup_ns}")
-        n_vcs = self.params.n_vcs
-        for tclass, vc in (self.mix_config.vc_map or {}).items():
-            if vc >= n_vcs:
+        mix, n_vcs = self.mix_config, self.params.n_vcs
+        for tclass in CLASS_NAMES:
+            vc = mix.vc(tclass)
+            if vc >= n_vcs and mix.class_rate(tclass, 1.0) > 0:
+                layout = "vc_map" if tclass in (mix.vc_map or {}) else "the default layout"
                 raise ValueError(
-                    f"vc_map puts class {tclass!r} on VC {vc}, "
+                    f"{layout} puts class {tclass!r} on VC {vc}, "
                     f"but the fabric has {n_vcs} VCs (params.n_vcs)"
                 )
 

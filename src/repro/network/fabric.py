@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Callable, Dict, List, Optional
 
+from repro.constants import default_vc
 from repro.core.admission import AdmissionController, AdmissionError
 from repro.core.architectures import ADVANCED_2VC, Architecture
 from repro.core.deadline import DeadlineStamper
@@ -32,7 +33,7 @@ from repro.core.invariants import invariant
 from repro.core.ttd import ClockDomain
 from repro.network.host import Host
 from repro.network.link import Link
-from repro.network.packet import Packet, PacketFactory, VC_BEST_EFFORT, VC_REGULATED
+from repro.network.packet import Packet, PacketFactory, VC_REGULATED
 from repro.network.routing import RoutingTable
 from repro.network.switch import Switch
 from repro.network.topology import Topology, paper_topology
@@ -277,7 +278,7 @@ class Fabric:
         with others (a per-host record) instead of one of its own.
         """
         if vc is None:
-            vc = VC_BEST_EFFORT if tclass in ("best-effort", "background") else VC_REGULATED
+            vc = default_vc(tclass)
         if not 0 <= vc < self.params.n_vcs:
             raise ValueError(
                 f"vc {vc} out of range for a {self.params.n_vcs}-VC fabric"

@@ -96,7 +96,7 @@ class RunTelemetry:
     3
     """
 
-    #: Default heartbeat-row bound: keep-newest, so a runaway horizon (or
+    #: Heartbeat-row bound: keep-newest, so a runaway horizon (or
     #: a scale run with a tiny heartbeat) cannot grow the log without
     #: limit.  65536 rows cover any paper-scale run without eviction.
     TIMESERIES_CAPACITY = 65536
@@ -109,14 +109,13 @@ class RunTelemetry:
         metrics=None,
         live: bool = False,
         stream=None,
-        timeseries_capacity: Optional[int] = TIMESERIES_CAPACITY,
     ):
         self.engine = engine
         self.heartbeat_ns = self.check_interval(heartbeat_ns)
         self.metrics = metrics
         self.live = live
         self.stream = stream if stream is not None else sys.stderr
-        self.timeseries = GaugeTimeSeries(capacity=timeseries_capacity)
+        self.timeseries = GaugeTimeSeries(capacity=self.TIMESERIES_CAPACITY)
         self.ticks = 0
         self._samplers: List[Sampler] = []
         self._after_tick: List[Callable[[], None]] = []

@@ -39,7 +39,7 @@ policies, both seeded through :mod:`repro.sim.rng` streams:
   tracking live packets (bounded by the number in flight).
 
 Retained traces live in a bounded ring (``capacity`` newest kept, like
-``Trace(ring=True)``); evictions are counted and reported by
+:class:`repro.sim.monitor.Trace`); evictions are counted and reported by
 :meth:`PacketTracer.snapshot`, mirroring the drop-policy discipline of
 :meth:`repro.sim.monitor.Trace.snapshot`.
 
@@ -342,7 +342,7 @@ class PacketTracer:
         self.capacity = capacity
         self.seed = seed
         self.metrics = metrics
-        #: Retained traces, newest kept (ring semantics like Trace(ring=True)).
+        #: Retained traces, newest kept (like the event ring, Trace).
         #: :meth:`finish` appends a flat tuple: ``_HEADER_FIELDS`` copied
         #: off the packet (which its factory recycles right after
         #: delivery), then the checked event chain; :attr:`records` turns

@@ -14,7 +14,8 @@ Public surface:
 - :class:`~repro.sim.engine.EventHandle` -- cancellable scheduled callback.
 - :class:`~repro.sim.rng.RandomStreams` -- named, reproducible RNG streams.
 - :mod:`~repro.sim.units` -- time and bandwidth unit helpers.
-- :class:`~repro.sim.monitor.Trace` -- structured event tracing.
+- :class:`~repro.sim.monitor.Trace` -- the event ring: the newest
+  ``(time, topic, payload)`` records, and a count of the evicted ones.
 
 Everything that runs on the engine is a plain callback, traffic sources
 included: each re-arms its own tick (:class:`repro.traffic.base.TrafficSource`).

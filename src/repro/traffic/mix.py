@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
+from repro.constants import default_vc
 from repro.network.fabric import Fabric
 from repro.sim import units
 from repro.sim.rng import RandomStreams
@@ -72,8 +73,9 @@ class TrafficMixConfig:
     burst_size_alpha: float = 1.3
     burst_size_range: tuple[int, int] = (128, 102_400)
     burst_gap_alpha: float = 1.9
-    #: Optional class -> VC assignment.  None = the paper's two-VC layout
-    #: (control+multimedia on VC0, best-effort classes on VC1).  The
+    #: Optional class -> VC assignment.  An unmapped class keeps the
+    #: paper's two-VC layout (control+multimedia on VC0, best-effort
+    #: classes on VC1; see :meth:`vc`).  The
     #: Section 6 counterfactual maps each class to its own priority VC on
     #: a fabric built with ``FabricParams(n_vcs=4)``.
     vc_map: Optional[Mapping[str, int]] = None
@@ -105,6 +107,11 @@ class TrafficMixConfig:
                 raise ValueError(
                     f"vc_map: class {tclass!r} needs a non-negative int VC, got {vc!r}"
                 )
+
+    def vc(self, tclass: str) -> int:
+        """The VC ``tclass`` travels on: its ``vc_map`` entry, else the
+        paper's two-VC layout."""
+        return (self.vc_map or {}).get(tclass, default_vc(tclass))
 
     def class_rate(self, tclass: str, link_bytes_per_ns: float) -> float:
         """Offered rate of one class at one host, in bytes/ns."""
@@ -171,8 +178,6 @@ def build_mix(
         "background": config.weight_background / weight_total * be_aggregate,
     }
 
-    vc_of = (config.vc_map or {}).get
-
     for host in range(n_hosts):
         control_rate = config.class_rate("control", link_bw)
         if control_rate > 0:
@@ -183,7 +188,7 @@ def build_mix(
                     control_rate,
                     streams.stream(f"control.h{host}"),
                     size_range=config.control_size_range,
-                    vc=vc_of("control"),
+                    vc=config.vc("control"),
                 )
             )
 
@@ -206,7 +211,7 @@ def build_mix(
                         target_latency_ns=config.video_target_latency_ns,
                         smoothing=config.video_smoothing,
                         gop_pattern=config.video_gop_pattern,
-                        vc=vc_of("multimedia"),
+                        vc=config.vc("multimedia"),
                     )
                 )
 
@@ -224,7 +229,7 @@ def build_mix(
                         size_alpha=config.burst_size_alpha,
                         size_range=config.burst_size_range,
                         gap_alpha=config.burst_gap_alpha,
-                        vc=vc_of(tclass, 1),
+                        vc=config.vc(tclass),
                     )
                 )
     return mix

@@ -4,8 +4,10 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.presets import TOPOLOGY_PRESETS, make_topology
+from repro.experiments.runner import run_experiment
 from repro.network.fabric import FabricParams
 from repro.sim import units
+from repro.traffic.mix import TrafficMixConfig
 
 
 class TestExperimentConfig:
@@ -45,6 +47,21 @@ class TestExperimentConfig:
             ExperimentConfig(topology="tiny", mix=mix)
         four = ExperimentConfig(topology="tiny", params=FabricParams(n_vcs=4), mix=mix)
         assert four.mix_config.vc_map == vc_map
+
+    def test_default_layout_must_fit_the_fabric(self):
+        # The default layout's VC1 on a 1-VC fabric used to build and then
+        # fail mid-run, at the first best-effort flow opened.
+        one_vc = FabricParams(n_vcs=1)
+        with pytest.raises(ValueError, match="'best-effort' on VC 1, but the fabric has 1 VCs"):
+            ExperimentConfig(
+                topology="tiny", params=one_vc, load=0.5, warmup_ns=1000, measure_ns=20000
+            )
+        # With no best-effort traffic the VC0 classes alone fit and run.
+        mix = TrafficMixConfig(load=0.5, share_best_effort=0.0, share_background=0.0)
+        config = ExperimentConfig(
+            topology="tiny", params=one_vc, mix=mix, warmup_ns=1000, measure_ns=20000
+        )
+        assert run_experiment(config).events_executed == 619
 
 
 class TestScaledVideoMix:

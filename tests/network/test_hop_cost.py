@@ -91,7 +91,7 @@ def _every_observer() -> dict:
     return {
         "metrics": registry,
         "tracer": PacketTracer(policy="head", rate=1.0, capacity=4096, seed=1, metrics=registry),
-        "trace": Trace(capacity=65536, ring=True),
+        "trace": Trace(capacity=65536),
         "heartbeat_ns": 50 * units.US,
     }
 

@@ -7,6 +7,13 @@ from repro.core.flow import FlowKind
 from repro.network.fabric import Fabric
 from repro.sim.monitor import Trace
 
+TOPICS = {"host.inject", "switch.enqueue", "switch.forward", "host.deliver"}
+
+
+def _on(trace, topic):
+    """The retained records on one topic, oldest first."""
+    return [rec for rec in trace.records if rec.topic == topic]
+
 
 @pytest.fixture
 def traced_run(tiny_topology):
@@ -23,8 +30,8 @@ def traced_run(tiny_topology):
 class TestFabricTracing:
     def test_injection_and_delivery_recorded(self, traced_run):
         trace, _, pkts = traced_run
-        injects = trace.by_topic("host.inject")
-        delivers = trace.by_topic("host.deliver")
+        injects = _on(trace, "host.inject")
+        delivers = _on(trace, "host.deliver")
         assert len(injects) == 2
         assert len(delivers) == 2
         # payloads carry (node, uid, vc)
@@ -34,9 +41,7 @@ class TestFabricTracing:
     def test_switch_hops_recorded_in_order(self, traced_run):
         trace, fabric, pkts = traced_run
         uid = pkts[0].uid
-        forwards = [
-            rec for rec in trace.by_topic("switch.forward") if rec.payload[3] == uid
-        ]
+        forwards = [rec for rec in _on(trace, "switch.forward") if rec.payload[3] == uid]
         # h0 -> leaf -> spine -> leaf -> h9: three switch traversals.
         assert len(forwards) == 3
         times = [rec.time for rec in forwards]
@@ -50,26 +55,28 @@ class TestFabricTracing:
     def test_enqueue_precedes_forward_per_switch(self, traced_run):
         trace, _, pkts = traced_run
         uid = pkts[0].uid
-        for node in {r.payload[0] for r in trace.by_topic("switch.forward")}:
+        for node in {r.payload[0] for r in _on(trace, "switch.forward")}:
             enq = [
                 r.time
-                for r in trace.by_topic("switch.enqueue")
+                for r in _on(trace, "switch.enqueue")
                 if r.payload[0] == node and r.payload[3] == uid
             ]
             fwd = [
                 r.time
-                for r in trace.by_topic("switch.forward")
+                for r in _on(trace, "switch.forward")
                 if r.payload[0] == node and r.payload[3] == uid
             ]
             assert enq and fwd and enq[0] <= fwd[0]
 
     def test_topic_filtered_trace_is_cheap(self, tiny_topology):
-        trace = Trace(topics={"host.deliver"})
+        # one packet: one delivery among the records of all four topics
+        trace = Trace()
         fabric = Fabric(tiny_topology, ARCHITECTURES["advanced-2vc"], trace=trace)
         flow = fabric.open_flow(0, 9, "control", kind=FlowKind.CONTROL)
         fabric.submit(flow, 2000)
         fabric.run(until=100_000)
-        assert {r.topic for r in trace.records} == {"host.deliver"}
+        assert len(_on(trace, "host.deliver")) == 1
+        assert {r.topic for r in trace.records} == TOPICS
 
     def test_null_trace_default_records_nothing(self, make_fabric):
         fabric = make_fabric()

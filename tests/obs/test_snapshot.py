@@ -58,7 +58,7 @@ class TestRunSnapshot:
         }
 
     def test_trace_block_only_when_enabled(self):
-        trace = Trace(capacity=4, ring=True)
+        trace = Trace(capacity=4)
         trace.record(1, "a")
         doc = run_snapshot(_registry(), trace=trace, run_info={"seed": 3})
         assert doc["trace"]["retained"] == 1
@@ -244,7 +244,7 @@ class TestSchemaValidator:
         eng = Engine()
         eng.at(0, lambda: None)
         eng.run_all()
-        trace = Trace(capacity=2, ring=True)
+        trace = Trace(capacity=2)
         trace.record(0, "a")
         doc = run_snapshot(_registry(), engine=eng, trace=trace, run_info={"seed": 1})
         doc = json.loads(json.dumps(doc))  # what CI actually validates

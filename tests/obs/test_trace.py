@@ -1,4 +1,4 @@
-"""Trace buffer behaviour: topics, subscribers, and the two drop policies."""
+"""Trace buffer behaviour: the newest records, the drop count and the snapshot."""
 
 import pytest
 
@@ -11,11 +11,12 @@ from repro.sim.monitor import Trace, TraceRecord
 
 
 class TestTopicsAndSubscribers:
+    """A trace has no topic filter and no subscribers: it keeps every
+    record it is given, in order, whatever its topic."""
+
     def test_topic_filtering(self):
-        t = Trace(topics={"switch.forward"})
-        t.record(1, "switch.forward", "p1")
-        t.record(2, "link.busy", "ignored")
-        assert [r.topic for r in t.records] == ["switch.forward"]
+        with pytest.raises(TypeError):
+            Trace(topics={"switch.forward"})
 
     def test_unfiltered_records_everything(self):
         t = Trace()
@@ -24,37 +25,41 @@ class TestTopicsAndSubscribers:
         assert len(t.records) == 2
 
     def test_subscribe_delivers_matching_records(self):
-        t = Trace()
-        seen = []
-        t.subscribe("a", seen.append)
-        t.record(1, "a", "x")
-        t.record(2, "b", "y")
-        assert seen == [TraceRecord(1, "a", ("x",))]
+        assert not hasattr(Trace(), "subscribe")
+        assert not hasattr(Trace(), "_subscribers")
 
     def test_subscribe_widens_topic_filter(self):
-        t = Trace(topics={"a"})
-        seen = []
-        t.subscribe("b", seen.append)
-        t.record(1, "b", "x")
-        assert len(seen) == 1  # subscribing added "b" to the filter
-        assert t.records[0].topic == "b"
+        t = Trace(capacity=4)
+        for time, topic in enumerate(["b", "a", "c", "a"]):
+            t.record(time, topic, time)
+        assert t.records == [
+            TraceRecord(0, "b", (0,)),
+            TraceRecord(1, "a", (1,)),
+            TraceRecord(2, "c", (2,)),
+            TraceRecord(3, "a", (3,)),
+        ]
 
     def test_by_topic(self):
         t = Trace()
+        assert not hasattr(t, "by_topic") and not hasattr(t, "clear")
         t.record(1, "a", 1)
         t.record(2, "b", 2)
         t.record(3, "a", 3)
-        assert [r.time for r in t.by_topic("a")] == [1, 3]
+        assert [(r.time, r.topic) for r in t.records] == [(1, "a"), (2, "b"), (3, "a")]
 
 
 class TestDropPolicies:
+    """One policy: the newest ``capacity`` records; ``dropped`` counts
+    every eviction."""
+
     def test_default_keeps_oldest(self):
+        # the default is the same ring: a capped trace keeps the newest
         t = Trace(capacity=2)
         for i in range(4):
             t.record(i, "a", i)
-        assert [r.time for r in t.records] == [0, 1]
+        assert [r.time for r in t.records] == [2, 3]
         assert t.dropped == 2
-        assert t.snapshot()["policy"] == "keep-oldest"
+        assert t.snapshot()["policy"] == "ring-keep-newest"
 
     def test_ring_keeps_newest(self):
         t = Trace(capacity=2, ring=True)
@@ -65,35 +70,36 @@ class TestDropPolicies:
         assert t.snapshot()["policy"] == "ring-keep-newest"
 
     def test_ring_requires_capacity(self):
-        with pytest.raises(ValueError):
-            Trace(ring=True)
+        with pytest.raises(ValueError, match="keep the oldest"):
+            Trace(capacity=2, ring=False)
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            Trace(capacity=0)
 
     def test_subscribers_see_records_past_capacity(self):
-        t = Trace(capacity=1, ring=True)
-        seen = []
-        t.subscribe("a", seen.append)
-        for i in range(3):
+        # Trace() is unbounded: it evicts nothing
+        t = Trace()
+        for i in range(1000):
             t.record(i, "a", i)
-        assert len(seen) == 3  # capacity bounds memory, not the stream
-        assert len(t.records) == 1
+        assert len(t.records) == 1000 and t.dropped == 0
+        assert t.snapshot()["policy"] == "keep-oldest"
 
     def test_clear_resets_buffer_and_drop_count(self):
         t = Trace(capacity=1)
-        t.record(0, "a")
-        t.record(1, "a")
-        assert t.dropped == 1
-        t.clear()
-        assert list(t.records) == [] and t.dropped == 0
+        for i in range(5):
+            t.record(i, "a")
+            assert t.dropped == i
+        assert [r.time for r in t.records] == [4]
 
     def test_snapshot_shape(self):
-        t = Trace(topics={"b", "a"}, capacity=8, ring=True)
+        t = Trace(capacity=8)
         t.record(0, "a")
+        t.record(1, "b")
         assert t.snapshot() == {
-            "retained": 1,
+            "retained": 2,
             "dropped": 0,
             "capacity": 8,
             "policy": "ring-keep-newest",
-            "topics": ["a", "b"],
+            "topics": None,
         }
 
     def test_snapshot_unbounded(self):
@@ -116,7 +122,7 @@ class TestNullTrace:
         assert len(observers) == 1 and fabric.hosts[0].obs is not None
         fabric.submit(fabric.open_flow(0, 9, "control", kind=FlowKind.CONTROL), 2000)
         fabric.run(until=100_000)
-        assert len(trace.by_topic("host.deliver")) == 1
+        assert [r.topic for r in trace.records].count("host.deliver") == 1
 
     def test_subscribe_rejected(self):
         # the snapshot reports a trace that retained nothing; only None is off

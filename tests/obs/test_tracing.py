@@ -262,7 +262,7 @@ class TestTailPolicy:
             _drive(tracer, pkt, submit=0, deliver=100, slack=-95)
         assert len(tracer.records) == 2
         assert tracer.dropped == 3
-        # newest kept, like Trace(ring=True)
+        # newest kept, like the event ring (Trace)
         assert [t.uid for t in tracer.records] == [pkts[-2].uid, pkts[-1].uid]
 
     def test_mints_per_class_retained_counter(self):
