@@ -143,21 +143,22 @@ class RoundRobinPicker(Picker):
 
 
 class MeteredPicker(Picker):
-    """Transparent wrapper counting arbitration attempts and grants.
+    """Transparent wrapper counting arbitration attempts.
 
-    The counters are injected (any object with an integer ``value``,
-    bumped in place: no call per pick) so this module
-    stays free of an ``repro.obs`` import; the switch only wraps its
-    pickers when metrics are enabled, so the disabled path never pays the
-    extra indirection.
+    The counter is injected (any object with an integer ``value``,
+    bumped in place: no call per pick) so this module stays free of an
+    ``repro.obs`` import; the switch only wraps its pickers when metrics
+    are enabled, so the disabled path never pays the extra indirection.
+    Grants are not counted here: every grant is a ``packets_forwarded``
+    the switch already counts, so ``granted`` is the inner picker's own.
     """
 
-    __slots__ = ("inner", "picks", "grants")
+    __slots__ = ("inner", "picks", "granted")
 
-    def __init__(self, inner: Picker, picks, grants):
+    def __init__(self, inner: Picker, picks):
         self.inner = inner
         self.picks = picks
-        self.grants = grants
+        self.granted = inner.granted
 
     def pick(
         self,
@@ -167,7 +168,3 @@ class MeteredPicker(Picker):
     ) -> Optional[int]:
         self.picks.value += 1
         return self.inner.pick(queues, backlogged, budget)
-
-    def granted(self, index: int) -> None:
-        self.grants.value += 1
-        self.inner.granted(index)

@@ -45,9 +45,9 @@ class Packet:
       ``deliver``: when the last byte reached the destination NIC.
     - ``hop_arrival``: when the packet entered the *current* switch's
       VOQ -- metrics bookkeeping only (arbitration-wait histograms).
-    - ``traced``: set by :class:`repro.obs.tracing.PacketTracer` when the
-      packet won the sampling draw at birth; instrumentation sites check
-      this one bool before calling the tracer.
+    - ``traced``: the open span chain, a flat list ``kind, node, t_ns,
+      ser_ns, ...`` :class:`repro.obs.tracing.PacketTracer` starts when
+      the packet wins the sampling draw at birth; falsy otherwise.
 
     Switches arbitrate on neither of the last two, so they are not part
     of the header discipline.  :meth:`PacketFactory.mint` is the only

@@ -27,6 +27,7 @@ enqueue_packets_total``); the unit suffix obeys the same ``_ns`` /
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -130,9 +131,11 @@ class Histogram:
     counts observations ``bounds[i-1] < v <= bounds[i]`` and one
     overflow bucket counts everything above the last edge, so
     ``len(counts) == len(bounds) + 1`` and no observation is ever lost.
+    ``count``, ``min`` and ``max`` are read, not kept per call: ``count``
+    is ``sum(counts)``, and ``min``/``max`` are ``None`` while it is 0.
     """
 
-    __slots__ = ("name", "unit", "bounds", "counts", "count", "total", "min", "max")
+    __slots__ = ("name", "unit", "bounds", "counts", "total", "_min", "_max")
 
     kind = "histogram"
 
@@ -148,23 +151,35 @@ class Histogram:
         self.unit = unit
         self.bounds: Tuple[int, ...] = edges
         self.counts: List[int] = [0] * (len(edges) + 1)
-        self.count = 0
         self.total: Number = 0
-        self.min: Optional[Number] = None
-        self.max: Optional[Number] = None
+        # Sentinels every observation passes: no ``is None`` test per call.
+        self._min: Number = math.inf
+        self._max: Number = -math.inf
 
     def observe(self, value: Number) -> None:
         self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
         self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+
+    @property
+    def count(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def min(self) -> Optional[Number]:
+        return self._min if self.count else None
+
+    @property
+    def max(self) -> Optional[Number]:
+        return self._max if self.count else None
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        count = self.count
+        return self.total / count if count else 0.0
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram (same bucket edges) into this one."""
@@ -175,12 +190,11 @@ class Histogram:
             )
         for index, n in enumerate(other.counts):
             self.counts[index] += n
-        self.count += other.count
         self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
+        if other._min < self._min:
+            self._min = other._min
+        if other._max > self._max:
+            self._max = other._max
 
     def to_dict(self) -> dict:
         return {

@@ -16,8 +16,9 @@ hold with and without a heartbeat.
 
 :func:`fabric_samplers` supplies the standard probe set for a
 :class:`~repro.network.fabric.Fabric`; :func:`sync_component_totals`
-folds the always-on component tallies (take-over hits, link busy time,
-engine tombstones) into registry counters so they appear in snapshots.
+folds the always-on component tallies (grants, take-over hits, link
+busy time, engine tombstones) into registry counters so they appear in
+snapshots.
 """
 
 from __future__ import annotations
@@ -59,11 +60,17 @@ def sync_component_totals(engine, fabric, metrics) -> None:
 
     Hot components keep some totals as bare ints (cheap enough to leave
     on without a registry); this lifts them into ``metrics`` so
-    ``snapshot()`` sees them, and does nothing when it is ``None``.  Safe to
-    call repeatedly -- counters are advanced by the delta since the last sync.
+    ``snapshot()`` sees them, and does nothing when it is ``None``.  Every
+    arbitration grant is a forwarded packet, so ``grants_total`` is read
+    off the switches here, not counted per grant.  Safe to call
+    repeatedly -- counters are advanced by the delta since the last sync.
     """
     if metrics is None:
         return
+    _sync(
+        metrics.counter("core.arbiter.grants_total", unit="grants"),
+        sum(switch.packets_forwarded for switch in fabric.switches.values()),
+    )
     _sync(metrics.counter("core.takeover.hits_total", unit="packets"), fabric.takeover_hits())
     _sync(
         metrics.counter("network.link.busy_ns_total", unit="ns"),

@@ -48,13 +48,13 @@ none, and a fabric given no sink builds no observer.  Only
 :class:`repro.obs.observer.FabricObserver` feeds a tracer, after testing
 ``pkt.traced``; ``metrics=None`` likewise means no per-class counters.
 On, the rule is append on the hot path, check at ``finish``, build on
-read.  A per-hop event is one tuple appended to the packet's open chain.
-:meth:`PacketTracer.finish` checks the whole chain inside the delivering
-event and stores it raw, so a malformed chain fails the event that
-produced it and a chain the ring later evicts -- nine in ten at rate 1.0
--- was checked like any other (checking on read would be cheaper still,
-and would never look at those).  :class:`Span` and :class:`SpanTrace`
-objects exist only for chains still retained when
+read.  A traced packet's open chain is ``pkt.traced``, a flat list
+``kind, node, t_ns, ser_ns, ...`` a hop extends by four scalars.
+:meth:`PacketTracer.finish` checks the chain in the delivering event and
+stores it, header added, as one list, so a malformed chain fails
+the event that produced it and a chain the ring later evicts -- nine in
+ten at rate 1.0 -- was checked like any other.  :class:`Span` and
+:class:`SpanTrace` objects exist only for chains still retained when
 :attr:`PacketTracer.records` is read: the first read builds at most
 ``capacity`` of them, later reads only what was appended since.
 """
@@ -234,38 +234,65 @@ class SpanTrace:
         )
 
 
-#: What :meth:`PacketTracer.finish` copies off the packet, in ring-entry order.
+#: What :meth:`PacketTracer.finish` copies off the packet onto the end of
+#: a retained chain, in order.
 _HEADER_FIELDS = SpanTrace.__slots__[:-1]
+_N_HEADER = len(_HEADER_FIELDS)
+
+_WIRE_KINDS = ("arrive", "deliver")
+_OFF_WIRE_KINDS = ("forward", "inject", "eligible")
+_KINDS = frozenset(_WIRE_KINDS + _OFF_WIRE_KINDS)
 
 
-def _check_chain(events: List[Tuple[str, str, int, int]]) -> None:
-    """Raise :class:`ValueError` unless ``events`` is a chain
-    :func:`_build_spans` can decompose exactly (starts with ``submit``,
-    known kinds, non-decreasing times, serialization inside its wire
-    segment).  Allocates nothing: this is what runs per delivered packet."""
-    if not events or events[0][0] != "submit":
-        raise ValueError(f"event chain must start with 'submit', got {events[:1]}")
-    t = events[0][2]
-    for kind, node, te, ser in events[1:]:
-        if te < t:
-            raise ValueError(f"event {kind!r} at t={te} precedes t={t}")
-        if kind == "arrive" or kind == "deliver":
-            if not 0 <= ser <= te - t:
-                raise ValueError(
-                    f"serialization {ser}ns does not fit the {te - t}ns "
-                    f"wire segment into {node!r}"
-                )
-        elif kind not in ("forward", "inject", "eligible"):
-            raise ValueError(f"unknown lifecycle event kind {kind!r}")
+def _check_chain(chain: List[Any]) -> None:
+    """Raise :class:`ValueError` unless the flat ``chain`` (``kind, node,
+    t_ns, ser_ns`` per event) is one :func:`_build_spans` can decompose
+    exactly (starts with ``submit``, whole events, known kinds,
+    non-decreasing times, serialization inside its wire segment).
+    Allocates nothing: this is what runs per delivered packet.  The loop
+    tests one sufficient condition per event -- a known kind and
+    ``0 <= ser_ns <= t_ns - previous t_ns`` -- and leaves the exact rule,
+    and its message, to :func:`_refuse_event`."""
+    if not chain or chain[0] != "submit":
+        raise ValueError(f"event chain must start with 'submit', got {chain[:4]}")
+    end = len(chain)
+    if end % 4:
+        raise ValueError(f"event chain of {end} scalars is not whole 4-scalar events")
+    t = chain[2]
+    i = 6  # the second event's t_ns
+    while i < end:
+        te = chain[i]
+        if not 0 <= chain[i + 1] <= te - t or chain[i - 2] not in _KINDS:
+            _refuse_event(chain, i - 2, t)
         t = te
+        i += 4
 
 
-def _build_spans(events: List[Tuple[str, str, int, int]]) -> Tuple[Span, ...]:
-    """The span chain of an event list that passed :func:`_check_chain`."""
-    _, source, t, _ = events[0]
+def _refuse_event(chain: List[Any], i: int, t: int) -> None:
+    """Raise for the event at ``chain[i]`` (the previous event at ``t``)
+    if it breaks a rule of :func:`_check_chain`; a ``ser_ns`` on an event
+    that crosses no wire is not checked."""
+    kind, node, te, ser = chain[i : i + 4]
+    if te < t:
+        raise ValueError(f"event {kind!r} at t={te} precedes t={t}")
+    if kind in _WIRE_KINDS:
+        raise ValueError(
+            f"serialization {ser}ns does not fit the {te - t}ns "
+            f"wire segment into {node!r}"
+        )
+    if kind not in _OFF_WIRE_KINDS:
+        raise ValueError(f"unknown lifecycle event kind {kind!r}")
+
+
+def _build_spans(chain: List[Any]) -> Tuple[Span, ...]:
+    """The span chain of a flat chain that passed :func:`_check_chain`."""
+    source, t = chain[1], chain[2]
     sender = source
     spans: List[Span] = []
-    for kind, node, te, ser in events[1:]:
+    scalars = iter(chain)
+    events = zip(scalars, scalars, scalars, scalars)
+    next(events)
+    for kind, node, te, ser in events:
         if kind == "eligible":
             spans.append(Span("host.eligible_wait", source, t, te - t))
         elif kind == "inject":
@@ -294,22 +321,23 @@ def decompose_events(
     between two consecutive timestamps, so the chain telescopes from
     submit to delivery with no remainder.
     """
-    _check_chain(events)
-    return _build_spans(events)
+    chain = [scalar for event in events for scalar in event]
+    _check_chain(chain)
+    return _build_spans(chain)
 
 
 class PacketTracer:
     """Span-based packet-lifecycle tracer with deterministic sampling.
 
     A packet's lifecycle reaches the tracer from the fabric's observer
-    (for packets whose ``traced`` bit is set, once :meth:`begin` has
-    decided it):
+    (for packets whose ``traced`` chain is non-empty, once :meth:`begin`
+    has decided it):
 
     - :meth:`begin`   at submit (makes the head-sampling decision),
-    - ``live[pkt.uid]``, the open chain, gets one ``(kind, node, t_ns,
-      ser_ns)`` tuple per ``eligible`` / ``inject`` / ``arrive`` /
-      ``forward``, appended by the observer itself (``ser_ns`` is the
-      incoming link's occupancy on ``arrive``, else 0),
+    - ``pkt.traced``, the open chain, gets ``kind, node, t_ns, ser_ns``
+      per ``eligible`` / ``inject`` / ``arrive`` / ``forward``, added by
+      the observer itself (``ser_ns`` is the incoming link's occupancy
+      on ``arrive``, else 0),
     - :meth:`finish`  at delivery (checks the chain, applies retention).
 
     ``policy="tail"`` retains only deadline misses; ``policy="head"``
@@ -343,20 +371,17 @@ class PacketTracer:
         self.seed = seed
         self.metrics = metrics
         #: Retained traces, newest kept (like the event ring, Trace).
-        #: :meth:`finish` appends a flat tuple: ``_HEADER_FIELDS`` copied
-        #: off the packet (which its factory recycles right after
-        #: delivery), then the checked event chain; :attr:`records` turns
-        #: the entries still in that form into :class:`SpanTrace`s, in place.
+        #: :meth:`finish` appends the checked flat chain with
+        #: ``_HEADER_FIELDS`` copied off the packet (which its factory
+        #: recycles right after delivery) onto its end; :attr:`records`
+        #: turns the entries still in that form into :class:`SpanTrace`s,
+        #: in place.
         self._ring: Deque[Any] = deque(maxlen=capacity)
         self.sampled = 0
         self.unsampled = 0
         self.completed = 0
         self.misses = 0
         self.dropped = 0
-        #: In-flight event chains: pkt.uid -> [(kind, node, t_ns, ser_ns)].
-        #: Whoever appends (the observer, per hop) appends unchecked;
-        #: :meth:`finish` checks the chain as a whole.
-        self.live: Dict[int, List[Tuple[str, str, int, int]]] = {}
         #: Per-flow head-sampling streams, derived from (seed, flow_id) so
         #: adding flows never perturbs the draws of existing ones.
         self._streams: Dict[int, RandomStream] = {}
@@ -379,14 +404,13 @@ class PacketTracer:
             if stream.random() >= self.rate:
                 self.unsampled += 1
                 return
-        pkt.traced = True
         self.sampled += 1
-        self.live[pkt.uid] = [("submit", node, t_ns, 0)]
+        pkt.traced = ["submit", node, t_ns, 0]
 
     def finish(self, pkt: Any, t_ns: int, *, node: str, link: Any, slack_ns: int) -> None:
         """Packet delivered: close the chain, check it, apply retention."""
-        events = self.live.pop(pkt.uid, None)
-        if events is None:
+        chain = pkt.traced
+        if not chain:
             return
         self.completed += 1
         missed = slack_ns < 0
@@ -394,28 +418,26 @@ class PacketTracer:
             self.misses += 1
         if self.policy == "tail" and not missed:
             return
-        events.append(("deliver", node, t_ns, link.occupancy_ns(pkt.size)))
-        _check_chain(events)  # a malformed chain fails the event that delivered it
+        chain += ("deliver", node, t_ns, link.occupancy_ns(pkt.size))
+        _check_chain(chain)  # a malformed chain fails the event that delivered it
+        chain += (
+            pkt.uid,
+            pkt.flow_id,
+            pkt.tclass,
+            pkt.vc,
+            pkt.src,
+            pkt.dst,
+            pkt.size,
+            pkt.deadline,
+            pkt.birth,
+            t_ns,
+            slack_ns,
+            missed,
+        )
         ring = self._ring
         if len(ring) == self.capacity:
             self.dropped += 1  # deque(maxlen=...) evicts the oldest
-        ring.append(
-            (
-                pkt.uid,
-                pkt.flow_id,
-                pkt.tclass,
-                pkt.vc,
-                pkt.src,
-                pkt.dst,
-                pkt.size,
-                pkt.deadline,
-                pkt.birth,
-                t_ns,
-                slack_ns,
-                missed,
-                events,
-            )
-        )
+        ring.append(chain)
         if self.metrics is not None:
             class_counter(
                 self.metrics,
@@ -435,18 +457,18 @@ class PacketTracer:
         ring = self._ring
         # Built entries are a prefix: finish() only ever appends raw ones.
         index = len(ring) - 1
-        while index >= 0 and type(ring[index]) is tuple:
-            *header, events = ring[index]
-            ring[index] = SpanTrace(
-                **dict(zip(_HEADER_FIELDS, header)), spans=_build_spans(events)
-            )
+        while index >= 0 and type(ring[index]) is list:
+            chain = ring[index]
+            header = dict(zip(_HEADER_FIELDS, chain[-_N_HEADER:]))
+            del chain[-_N_HEADER:]
+            ring[index] = SpanTrace(**header, spans=_build_spans(chain))
             index -= 1
         return ring
 
     @property
     def inflight(self) -> int:
         """Open chains: sampled packets submitted but not yet delivered."""
-        return len(self.live)
+        return self.sampled - self.completed
 
     def snapshot(self) -> dict:
         """Sampling + retention ledger, JSON-ready (the run snapshot's
@@ -462,7 +484,7 @@ class PacketTracer:
             "misses": self.misses,
             "retained": len(self._ring),
             "dropped": self.dropped,
-            "inflight": len(self.live),
+            "inflight": self.inflight,
         }
 
 

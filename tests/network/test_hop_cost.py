@@ -232,10 +232,11 @@ def test_arbitration_needs_a_backlog(monkeypatch, architecture):
 @pytest.mark.parametrize("architecture", ["advanced-2vc", "traditional-2vc"])
 def test_observed_forward_reads_the_front(architecture):
     """With every observer on, ``FabricObserver.forward`` (the order-error
-    check per forwarded packet) reads the VOQ's ``front`` and calls
-    nothing in ``core/queues/``."""
+    check per forwarded packet, a function the observer binds in its
+    ``__init__``) reads the VOQ's ``front`` and calls nothing in
+    ``core/queues/``."""
     *_, callees = _profiled_run(architecture, observed=True)
-    forward = ("obs/observer.py", "FabricObserver.forward")
+    forward = ("obs/observer.py", "FabricObserver.__init__.<locals>.forward")
     assert forward in callees, "the observed run forwarded nothing"
     queue_calls = sorted(callee for callee in callees[forward] if callee[0].startswith("core/queues/"))
     assert not queue_calls, f"FabricObserver.forward calls {queue_calls}"

@@ -2,13 +2,14 @@
 building what the ring evicts unread.
 
 :class:`EagerTracer` overrides only :meth:`PacketTracer.finish`, with the
-body that method had then: decompose the chain and construct the
-:class:`SpanTrace` inside the delivering event, reading the header off the
-live packet, and put the finished object in the ring.  Everything else
-(sampling, the open chains the observer appends to, the ledger, the
-exports) is the shipped class, so ``tests/obs/test_tracer_differential.py``
-can require byte-identical span JSONL and equal ``snapshot()`` from the
-two on the same run.
+body that method had then: decompose the chain -- regrouped into the
+``(kind, node, t_ns, ser_ns)`` tuples :func:`decompose_events` takes --
+and construct the :class:`SpanTrace` inside the delivering event, reading
+the header off the live packet, and put the finished object in the ring.
+Everything else (sampling, the open chain on ``pkt.traced`` the observer
+extends, the ledger, the exports) is the shipped class, so
+``tests/obs/test_tracer_differential.py`` can require byte-identical span
+JSONL and equal ``snapshot()`` from the two on the same run.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ __all__ = ["EagerTracer"]
 
 class EagerTracer(PacketTracer):
     def finish(self, pkt: Any, t_ns: int, *, node: str, link: Any, slack_ns: int) -> None:
-        events = self.live.pop(pkt.uid, None)
-        if events is None:
+        chain = pkt.traced
+        if not chain:
             return
         self.completed += 1
         missed = slack_ns < 0
@@ -32,7 +33,8 @@ class EagerTracer(PacketTracer):
             self.misses += 1
         if self.policy == "tail" and not missed:
             return
-        events.append(("deliver", node, t_ns, link.occupancy_ns(pkt.size)))
+        scalars = iter(chain + ["deliver", node, t_ns, link.occupancy_ns(pkt.size)])
+        events = list(zip(scalars, scalars, scalars, scalars))
         record = SpanTrace(
             uid=pkt.uid,
             flow_id=pkt.flow_id,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.arbiter import MeteredPicker
+from repro.core.arbiter import EDFPicker, MeteredPicker, RoundRobinPicker
+from repro.core.queues.fifo import FifoQueue
 from repro.obs.metrics import (
     DEPTH_BUCKETS,
     Counter,
@@ -203,8 +204,13 @@ class TestNullMetrics:
         # unwrapped, and still reports every lifecycle point to its ring
         ring = Trace()
         obs = FabricObserver(ring, None, None, 2)
-        assert not any(isinstance(v, (Counter, Histogram, list)) for v in vars(obs).values())
-        pickers = [[object(), object()]]
+        held = list(vars(obs).values()) + [
+            cell.cell_contents
+            for point in (obs.submit, obs.deliver, obs.enqueue, obs.forward)
+            for cell in point.__closure__
+        ]
+        assert not any(isinstance(v, (Counter, Histogram, list)) for v in held)
+        pickers = [[EDFPicker(), RoundRobinPicker()]]
         assert obs.meter_pickers(pickers) is pickers
         pkt = mkpkt(1000)
         obs.submit(pkt, 0, "h0", True)
@@ -217,10 +223,35 @@ class TestNullMetrics:
         assert reg.snapshot() == {}
         obs = FabricObserver(None, reg, None, 2)
         assert "network.host.vc1.deadline_miss_total" in reg
-        ((wrapped,),) = obs.meter_pickers([[object()]])
+        inner = RoundRobinPicker()
+        ((wrapped,),) = obs.meter_pickers([[inner]])
         assert isinstance(wrapped, MeteredPicker) and "core.arbiter.picks_total" in reg
+        # grants are the switches' forwards, synced, not counted per grant
+        assert wrapped.granted == inner.granted and "core.arbiter.grants_total" not in reg
         obs.deliver(mkpkt(1000), 20, "h1", None, -5)
         assert reg.get("network.host.vc0.deadline_miss_total").value == 1
+
+
+class TestObserverBinding:
+    """Each lifecycle point is bound once, at construction, to the sinks
+    that are on."""
+
+    def test_ring_points_record_without_trace_record(self, monkeypatch):
+        monkeypatch.setattr(Trace, "record", None)  # a call would raise
+        ring = Trace(capacity=2)
+        obs = FabricObserver(ring, None, None, 2)
+        for now in (1, 2, 3):
+            obs.inject(mkpkt(1000), now, "h0")
+        assert [r.time for r in ring.records] == [2, 3] and ring.dropped == 1
+
+    def test_metrics_only_enqueue_touches_no_other_sink(self):
+        obs = FabricObserver(None, MetricsRegistry(), None, 2)
+        pkt = mkpkt(1000)
+        pkt.traced = chain = ["submit", "h0", 0, 0]
+        # no link: the ring would read its port, the tracer its occupancy
+        obs.enqueue(pkt, 5, "sw0", None, 0, 1)
+        obs.forward(pkt, 9, "sw0", 0, 1, FifoQueue())
+        assert chain == ["submit", "h0", 0, 0] and pkt.hop_arrival is None
 
 
 class TestBucketConstants:

@@ -159,6 +159,17 @@ class TestSyncComponentTotals:
         assert result.metrics is None and result.fabric.metrics is None
         assert sync_component_totals(result.fabric.engine, result.fabric, None) is None
 
+    @pytest.mark.parametrize("heartbeat_ns", [None, 25 * units.US], ids=["metrics-only", "heartbeat"])
+    def test_grants_are_the_switches_forwards(self, heartbeat_ns):
+        result = run_experiment(
+            ExperimentConfig(**FAST), metrics=MetricsRegistry(), heartbeat_ns=heartbeat_ns
+        )
+        assert (result.telemetry is not None) == (heartbeat_ns is not None)
+        forwarded = sum(switch.packets_forwarded for switch in result.fabric.switches.values())
+        grants = result.metrics.counter("core.arbiter.grants_total").value
+        assert grants == forwarded > 0
+        assert result.metrics.counter("core.arbiter.picks_total").value >= grants
+
     def test_takeover_hits_counted_under_load(self):
         result = run_experiment(ExperimentConfig(**FAST), metrics=MetricsRegistry())
         assert result.metrics.counter("core.takeover.hits_total").value > 0

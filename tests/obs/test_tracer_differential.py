@@ -94,7 +94,7 @@ def test_malformed_chain_raises_from_finish(case, tracer_class):
     tracer = tracer_class(policy="head", rate=1.0, capacity=8)
     pkt = mkpkt(5, size=10)
     tracer.begin(pkt, 0, "h0")
-    tracer.live[pkt.uid].append(bad_event)
+    pkt.traced += bad_event
     with pytest.raises(ValueError, match=message):
         tracer.finish(pkt, 100, node="h1", link=LINK, slack_ns=-95)
     assert not tracer.records and tracer.inflight == 0

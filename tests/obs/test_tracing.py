@@ -11,6 +11,7 @@ clock-skew (TTD) run where deadlines ride on skewed local clocks.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 
@@ -18,10 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.architectures import ARCHITECTURES
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
+from repro.experiments.presets import make_topology
 from repro.experiments.runner import run_experiment
-from repro.network.fabric import FabricParams
+from repro.network.fabric import Fabric, FabricParams
+from repro.network.packet import Packet
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import attach_run_telemetry
 from repro.obs.tracing import (
     PacketTracer,
     Span,
@@ -32,6 +37,9 @@ from repro.obs.tracing import (
     write_spans_jsonl,
 )
 from repro.sim import units
+from repro.sim.monitor import Trace
+from repro.sim.rng import RandomStreams
+from repro.traffic.mix import build_mix
 from tests.helpers import mkpkt
 
 
@@ -135,6 +143,17 @@ class TestDecomposeEvents:
         with pytest.raises(ValueError, match="unknown lifecycle event"):
             decompose_events([("submit", "h0", 0, 0), ("teleport", "h1", 5, 0)])
 
+    def test_rejects_partial_event(self):
+        with pytest.raises(ValueError, match="not whole 4-scalar events"):
+            decompose_events([("submit", "h0", 0, 0), ("inject", "", 5)])
+
+    def test_host_event_serialization_is_not_checked(self):
+        # only arrive/deliver cross a wire; a ser_ns elsewhere is ignored
+        spans = decompose_events(
+            [("submit", "h0", 0, 0), ("inject", "", 5, 99), ("deliver", "h1", 10, 5)]
+        )
+        assert [s.dur_ns for s in spans] == [5, 5, 0]
+
 
 @st.composite
 def event_chains(draw):
@@ -190,14 +209,12 @@ class TestNullTracer:
         assert not hasattr(tracer, "enabled") and tracer.metrics is None
         pkt = mkpkt(5, size=10)
         tracer.begin(pkt, 0, "h0")
-        # Between begin and finish the observer appends to the open chain.
-        tracer.live[pkt.uid] += [
-            ("inject", "", 5, 0),
-            ("arrive", "sw0", 40, LINK.occupancy_ns(pkt.size)),
-            ("forward", "sw0", 50, 0),
-        ]
+        # Between begin and finish the observer extends the open chain.
+        assert pkt.traced == ["submit", "h0", 0, 0]
+        pkt.traced += ("inject", "", 5, 0)
+        pkt.traced += ("arrive", "sw0", 40, LINK.occupancy_ns(pkt.size))
+        pkt.traced += ("forward", "sw0", 50, 0)
         tracer.finish(pkt, 100, node="h1", link=LINK, slack_ns=-95)
-        assert pkt.traced is True
         assert [t.uid for t in tracer.records] == [pkt.uid]
         tracer.records[0].verify()
 
@@ -220,7 +237,7 @@ def _drive(tracer, pkt, *, submit, deliver, slack):
     """Run one packet through the minimal hook sequence."""
     tracer.begin(pkt, submit, "h0")
     if pkt.traced:
-        tracer.live[pkt.uid].append(("inject", "", submit + 1, 0))
+        pkt.traced += ("inject", "", submit + 1, 0)
     pkt.birth = submit
     tracer.finish(pkt, deliver, node="h1", link=LINK, slack_ns=slack)
 
@@ -282,7 +299,7 @@ class TestHeadPolicy:
             for i in range(200):
                 pkt = mkpkt(10**9, size=10, flow_id=i % 4)
                 tracer.begin(pkt, i, "h0")
-                out.append(pkt.traced)
+                out.append(bool(pkt.traced))
             return out
 
         a, b = decisions(42), decisions(42)
@@ -423,6 +440,36 @@ class TestRunIntegration:
         assert len(tracer.records) > 0
         for trace in tracer.records:
             trace.verify()
+
+    def test_chains_hold_nothing_the_collector_tracks(self):
+        """GC tripwire: an open chain is a list of scalars (ints and
+        strings, which the collector never tracks), and a retained chain
+        is one list, so every traced packet costs the collector one
+        container, not one per hop."""
+        config = _config()
+        reg = MetricsRegistry()
+        tracer = PacketTracer(policy="head", rate=1.0, capacity=64, seed=1, metrics=reg)
+        fabric = Fabric(
+            make_topology(config.topology),
+            ARCHITECTURES[config.architecture],
+            config.params,
+            metrics=reg,
+            trace=Trace(capacity=1024),
+            tracer=tracer,
+        )
+        mix = build_mix(fabric, RandomStreams(config.seed), config.mix_config)
+        attach_run_telemetry(fabric.engine, fabric, heartbeat_ns=25 * units.US, metrics=reg)
+        mix.start()
+        fabric.run(until=config.end_ns // 2)
+        chains = [o.traced for o in gc.get_objects() if type(o) is Packet and o.traced]
+        assert len(chains) > 10 and any(len(chain) > 8 for chain in chains)
+        assert not any(gc.is_tracked(x) for chain in chains for x in chain)
+        fabric.run(until=config.end_ns)
+        mix.stop()
+        ring = tracer._ring  # read before ``records`` builds SpanTraces
+        assert len(ring) == tracer.snapshot()["retained"] == 64
+        assert all(type(entry) is list for entry in ring)
+        assert not any(gc.is_tracked(x) for entry in ring for x in entry)
 
     def test_no_tracer_leaves_packets_untraced(self):
         result = run_experiment(_config())
