@@ -352,7 +352,7 @@ def render(args, points: Dict[Key, ExperimentConfig], results: Dict[Key, RunSumm
     w("## Scale soundness (SIM5xx dogfood)")
     w("")
     w("The SIM5xx lint pass flagged the telemetry heartbeat log")
-    w("(`GaugeTimeSeries`) as unbounded hot growth: one row per heartbeat,")
+    w("(`RunTelemetry`) as unbounded hot growth: one row per heartbeat,")
     w("forever.  The fix makes it a keep-newest ring (evictions counted in")
     w("`dropped`).  Measured here with tracemalloc over a 200,000-heartbeat")
     w("horizon (three gauges per row):")
@@ -411,27 +411,30 @@ def render(args, points: Dict[Key, ExperimentConfig], results: Dict[Key, RunSumm
 def timeseries_retention() -> List[List[object]]:
     """Live memory of the heartbeat log, unbounded vs. the shipped ring."""
     import tracemalloc
+    from collections import deque
 
     from repro.obs.telemetry import RunTelemetry
-    from repro.stats.timeseries import GaugeTimeSeries
 
     gauge_row = {
         "sim.engine.events_per_sec": 1.0,
         "sim.engine.heap_depth_events": 2.0,
         "sim.fabric.voq_occupancy_packets": 3.0,
     }
+    ticks = 200_000
     rows = []
     for capacity in (None, RunTelemetry.TIMESERIES_CAPACITY):
         tracemalloc.start()
-        series = GaugeTimeSeries(capacity=capacity)
-        for tick in range(200_000):
-            series.append(tick * 1000, gauge_row)
+        # the heartbeat's row log: one (t_ns, fresh dict) row per tick
+        samples = deque(maxlen=capacity)
+        for tick in range(ticks):
+            samples.append((tick * 1000, dict(gauge_row)))
         live_bytes, _ = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         label = "unbounded (before)" if capacity is None else f"{capacity:,} ring (after)"
         # whole MiB: the byte count moves by a few KB with the interpreter's free
         # lists, i.e. with whether this process simulated or replayed the cache
-        rows.append([label, f"{len(series):,}", f"{series.dropped:,}", round(live_bytes / 2**20)])
+        rows.append([label, f"{len(samples):,}", f"{ticks - len(samples):,}",
+                     round(live_bytes / 2**20)])
     return rows
 
 

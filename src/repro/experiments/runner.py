@@ -91,9 +91,9 @@ def run_experiment(
 
     telemetry = None
     if heartbeat_ns is not None:
-        from repro.obs.telemetry import attach_run_telemetry
+        from repro.obs.telemetry import RunTelemetry
 
-        telemetry = attach_run_telemetry(
+        telemetry = RunTelemetry(
             fabric.engine,
             fabric,
             heartbeat_ns=heartbeat_ns,

@@ -200,7 +200,7 @@ class Host:
             # packet); birth is in simulation time, like every statistic.
             pkt = mint(  # simlint: allow-hot-loop-allocation
                 flow_id, seq + part, src, dst, sizes[part], vc, tclass,
-                deadline, eligible, path, msg_id, part, parts, true_now,
+                deadline, path, msg_id, part, parts, true_now,
             )
             packets.append(pkt)
             stalled = regulated and eligible > now

@@ -3,10 +3,10 @@
 Section 3 of the paper is explicit about what travels in a packet header:
 the **deadline tag** and the **routing information** -- nothing else.  The
 eligible-time tag exists only while the packet sits in the source
-interface and "is not transmitted in the header".  We keep it on the
-object for convenience but no switch-side code may read it;
-``tests/integration/test_invariants.py::TestHeaderDiscipline`` enforces
-that discipline statically.
+interface and "is not transmitted in the header": it lives in the host's
+pending heap, not on the packet, and
+``tests/integration/test_invariants.py::TestHeaderDiscipline`` keeps
+switch-side code from reading it.
 
 Deadlines are absolute simulated times.  Section 3.3's clock-trick
 (carrying the deadline as a *time-to-destination* and re-basing it on
@@ -34,7 +34,6 @@ class Packet:
       never look at them, exactly as in the paper).
     - ``deadline``: absolute cycle by which the packet should reach its
       destination; the only field switch arbiters may inspect.
-    - ``eligible``: earliest injection time; meaningful only at the source.
     - ``path``: source route -- output-port index to take at each switch.
     - ``hop``: how many switches have been traversed so far.
     - ``msg_id``/``msg_seq``/``msg_parts``: application message (video
@@ -64,7 +63,6 @@ class Packet:
         "vc",
         "tclass",
         "deadline",
-        "eligible",
         "path",
         "hop",
         "msg_id",
@@ -129,7 +127,6 @@ class PacketFactory:
         vc: int,
         tclass: str,
         deadline: int,
-        eligible: int = 0,
         path: Tuple[int, ...] = (),
         msg_id: int = 0,
         msg_seq: int = 0,
@@ -158,7 +155,6 @@ class PacketFactory:
         pkt.vc = vc
         pkt.tclass = tclass
         pkt.deadline = deadline
-        pkt.eligible = eligible
         pkt.path = path
         pkt.hop = 0
         pkt.msg_id = msg_id

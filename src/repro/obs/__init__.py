@@ -11,9 +11,9 @@ packet-lifecycle point and imports none of this package:
   on), which fans out to the sinks below.
 - :mod:`repro.obs.metrics` -- ``Counter`` / ``Gauge`` / ``Histogram``
   primitives and the :class:`~repro.obs.metrics.MetricsRegistry`.
-- :mod:`repro.obs.telemetry` -- :class:`~repro.obs.telemetry.RunTelemetry`
-  heartbeat sampling into :class:`repro.stats.timeseries.GaugeTimeSeries`
-  plus optional live stderr progress.
+- :mod:`repro.obs.telemetry` -- :class:`~repro.obs.telemetry.RunTelemetry`,
+  the heartbeat: it samples the fabric it is given into its own
+  keep-newest row log, plus optional live stderr progress.
 - :mod:`repro.obs.snapshot` / :mod:`repro.obs.schema` -- the stable JSON
   snapshot document, pretty-printer, differ, JSONL trace dump, and a
   dependency-free schema validator used by CI.
@@ -50,12 +50,7 @@ from repro.obs.snapshot import (
     run_snapshot,
     write_trace_jsonl,
 )
-from repro.obs.telemetry import (
-    RunTelemetry,
-    attach_run_telemetry,
-    fabric_samplers,
-    sync_component_totals,
-)
+from repro.obs.telemetry import RunTelemetry, sync_component_totals
 from repro.obs.tracing import (
     PacketTracer,
     Span,
@@ -81,11 +76,9 @@ __all__ = [
     "SpanTrace",
     "WAIT_BUCKETS_NS",
     "analyze_blame",
-    "attach_run_telemetry",
     "class_counter",
     "diff_snapshots",
     "dump_snapshot",
-    "fabric_samplers",
     "format_diff",
     "format_snapshot",
     "load_snapshot",

@@ -65,7 +65,7 @@ def run_snapshot(
             "tombstone_ratio": engine.tombstone_ratio,
         }
     if telemetry is not None:
-        doc["timeseries"] = telemetry.timeseries.to_dict()
+        doc["timeseries"] = telemetry.snapshot()
         doc["run"].setdefault("heartbeat_ns", telemetry.heartbeat_ns)
         doc["run"].setdefault("telemetry_ticks", telemetry.ticks)
     if trace is not None:

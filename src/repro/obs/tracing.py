@@ -112,7 +112,7 @@ class SpanTrace:
     starts where the previous one ended, and the last ends at
     ``deliver_ns`` -- so ``sum(s.dur_ns) == deliver_ns - birth_ns``
     exactly.  :meth:`verify` re-checks that invariant (used by the
-    property tests and the ``trace blame`` loader).
+    property tests and :func:`read_spans_jsonl`, on every trace it loads).
     """
 
     __slots__ = (
@@ -363,8 +363,8 @@ class PacketTracer:
             )
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"sampling rate must be in [0, 1], got {rate}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if type(capacity) is not int or capacity < 1:
+            raise ValueError(f"capacity must be >= 1 and an int, got {capacity!r}")
         self.policy = policy
         self.rate = rate
         self.capacity = capacity
@@ -507,7 +507,8 @@ def write_spans_jsonl(tracer: PacketTracer, fp: IO[str]) -> int:
 
 def read_spans_jsonl(path: str) -> Tuple[dict, List[SpanTrace]]:
     """Load a span-trace JSONL dump.  Returns ``(header, traces)``;
-    raises :class:`ValueError` when the file is not a span dump."""
+    raises :class:`ValueError` when the file is not a span dump or a
+    trace in it does not :meth:`~SpanTrace.verify` (a dump is input)."""
     with open(path, "r", encoding="utf-8") as fp:
         first = fp.readline()
         if not first:
@@ -520,6 +521,11 @@ def read_spans_jsonl(path: str) -> Tuple[dict, List[SpanTrace]]:
                 "`run --trace-spans`?)"
             )
         traces = [SpanTrace.from_dict(json.loads(line)) for line in fp if line.strip()]
+    try:
+        for trace in traces:
+            trace.verify()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return header, traces
 
 

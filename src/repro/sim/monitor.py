@@ -44,8 +44,8 @@ class Trace:
     def __init__(self, capacity: Optional[int] = None, *, ring: bool = True):
         if not ring:
             raise ValueError("ring=False (keep the oldest) was removed: a Trace keeps the newest")
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"trace capacity must be >= 1, got {capacity}")
+        if capacity is not None and (type(capacity) is not int or capacity < 1):
+            raise ValueError(f"trace capacity must be >= 1 and an int, got {capacity!r}")
         self.capacity = capacity
         self._kept: "deque[tuple]" = deque(maxlen=capacity)
         self.dropped = 0

@@ -24,12 +24,10 @@ from repro.stats.collectors import ClassStats, MetricsCollector
 from repro.stats.report import format_row, format_table
 from repro.stats.reservoir import Reservoir
 from repro.stats.running import RunningStats
-from repro.stats.timeseries import GaugeTimeSeries
 
 __all__ = [
     "ClassStats",
     "EmpiricalCDF",
-    "GaugeTimeSeries",
     "MetricsCollector",
     "Reservoir",
     "RunningStats",

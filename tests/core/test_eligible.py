@@ -27,7 +27,13 @@ def eligible_at(offset, *, deadline, now):
     )
     (pkt,) = host.submit_message(flow, 100)
     assert pkt.deadline == deadline
-    return pkt.eligible
+    # the tag is not part of the packet: a held packet waits in the host's
+    # pending heap under it, a packet eligible at once goes straight on
+    if not host._pending:
+        return now
+    ((eligible, _, held),) = host._pending
+    assert held is pkt and eligible > now
+    return eligible
 
 
 class TestEligiblePolicy:

@@ -99,9 +99,9 @@ class TestPacketFactory:
         used = _mint(factory, size=2048, deadline=7, vc=1)
         used.hop, used.inject, used.deliver, used.hop_arrival, used.traced = 3, 5, 9, 4, True
         factory.recycle(used)
-        fields = (7, 3, 2, 5, 900, 1, "video", 1234, 1000, (2, 0), 4, 1, 3, 88)
+        fields = (7, 3, 2, 5, 900, 1, "video", 1234, (2, 0), 4, 1, 3, 88)
         names = ("flow_id", "seq", "src", "dst", "size", "vc", "tclass", "deadline",
-                 "eligible", "path", "msg_id", "msg_seq", "msg_parts", "birth")
+                 "path", "msg_id", "msg_seq", "msg_parts", "birth")
         minted = factory.mint(*fields)
         by_keyword = PacketFactory().mint(**dict(zip(names, fields)))
         assert (minted is used) == pooling

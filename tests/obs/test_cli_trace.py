@@ -12,6 +12,22 @@ from repro.obs.tracing import read_spans_jsonl
 FAST = ["--topology", "tiny", "--warmup-us", "50", "--measure-us", "120"]
 
 
+def _gapped(path, missed):
+    """``path`` with one span of the first trace whose ``missed`` is
+    ``missed`` started 40 ns late, so the chain no longer telescopes."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines[1:], 1):
+        doc = json.loads(line)
+        if doc["missed"] == missed:
+            doc["spans"][1][2] += 40
+            lines[i] = json.dumps(doc)
+            break
+    else:
+        raise AssertionError(f"no trace with missed={missed}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def _run_with_spans(tmp_path, name="spans.jsonl", extra=()):
     out = tmp_path / name
     rc = main(
@@ -152,6 +168,16 @@ class TestTraceBlame:
         assert main(["trace", "blame", str(path)]) == 2
         assert "not a span-trace dump" in capsys.readouterr().err
 
+    def test_blame_gapped_hit_is_exit_2(self, tmp_path, capsys):
+        # blame without --all attributes only misses; a broken hit in the
+        # same dump is still refused, at load
+        path = _run_with_spans(tmp_path, extra=["--span-policy", "head", "--span-rate", "0.05"])
+        capsys.readouterr()
+        assert main(["trace", "blame", str(_gapped(path, missed=False))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(gap or overlap)" in captured.err
+
     def test_blame_bad_top_is_exit_2(self, tmp_path, capsys):
         path = _run_with_spans(tmp_path)
         capsys.readouterr()
@@ -170,3 +196,13 @@ class TestTraceExport:
         span_events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(span_events) == sum(len(t.spans) for t in traces)
         assert doc["otherData"] == {"source": str(spans)}
+
+    def test_export_gapped_dump_is_exit_2(self, tmp_path, capsys):
+        spans = _gapped(_run_with_spans(tmp_path), missed=True)
+        out = tmp_path / "chrome.json"
+        capsys.readouterr()
+        assert main(["trace", "export", str(spans), "-o", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"repro-qos trace: {spans}: packet ")
+        assert "(gap or overlap)" in err[0]
+        assert not out.exists()

@@ -26,7 +26,7 @@ from repro.experiments.runner import run_experiment
 from repro.network.fabric import Fabric, FabricParams
 from repro.network.packet import Packet
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import attach_run_telemetry
+from repro.obs.telemetry import RunTelemetry
 from repro.obs.tracing import (
     PacketTracer,
     Span,
@@ -231,6 +231,12 @@ class TestPacketTracerValidation:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):
             PacketTracer(capacity=0)
+
+    @pytest.mark.parametrize("capacity", [True, 2.5, 4096.0], ids=repr)
+    def test_capacity_must_be_an_int(self, capacity):
+        # True used to keep one trace, 2.5 to fail inside deque
+        with pytest.raises(ValueError, match=f"an int, got {capacity!r}"):
+            PacketTracer(capacity=capacity)
 
 
 def _drive(tracer, pkt, *, submit, deliver, slack):
@@ -458,7 +464,7 @@ class TestRunIntegration:
             tracer=tracer,
         )
         mix = build_mix(fabric, RandomStreams(config.seed), config.mix_config)
-        attach_run_telemetry(fabric.engine, fabric, heartbeat_ns=25 * units.US, metrics=reg)
+        RunTelemetry(fabric.engine, fabric, heartbeat_ns=25 * units.US, metrics=reg)
         mix.start()
         fabric.run(until=config.end_ns // 2)
         chains = [o.traced for o in gc.get_objects() if type(o) is Packet and o.traced]

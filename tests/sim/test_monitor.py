@@ -27,6 +27,12 @@ class TestTrace:
         assert [r.time for r in trace.records] == [3, 4]
         assert trace.dropped == 3
 
+    @pytest.mark.parametrize("capacity", [True, 2.5, 2.0], ids=repr)
+    def test_capacity_must_be_an_int(self, capacity):
+        # True used to keep one record, 2.5 to fail inside deque
+        with pytest.raises(ValueError, match=f"an int, got {capacity!r}"):
+            Trace(capacity=capacity)
+
     def test_by_topic(self):
         trace = Trace()
         assert not hasattr(trace, "by_topic")
