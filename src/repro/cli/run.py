@@ -103,8 +103,9 @@ def command(args: argparse.Namespace):
 
     (config,) = common.sim_configs(args).values()
     metrics = trace = tracer = heartbeat_ns = None
-    if args.metrics_out or args.live:
+    if args.metrics_out:
         metrics = MetricsRegistry()
+    if args.metrics_out or args.live:
         heartbeat_ns = RunTelemetry.check_interval(units.us(args.heartbeat_us))
     if args.trace_out:
         trace = Trace(capacity=args.trace_capacity)

@@ -24,13 +24,18 @@ question the paper raises (is it affordable?):
 
 With ``settle_cycles=0`` the structure degenerates to the abstract
 ideal heap, which is how the unit tests pin the logical behaviour.
+
+The staging pipeline is a plain list, not a deque.  Removing a list's
+head moves the pointers behind it, but staging holds at most the VOQ's
+packets, which the upstream link's per-VC credit budget bounds (8 KB, a
+handful of packets, in the paper's configuration); an empty deque costs
+760 bytes up front in every materialised VOQ.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from typing import Callable, Iterator, Optional
 
 from repro.core.queues.base import DeadlineTagged, PacketQueue
@@ -64,7 +69,7 @@ class PipelinedHeapQueue(PacketQueue):
             raise ValueError(f"heap depth must be >= 1, got {depth}")
         self._heap: list[tuple[int, int, DeadlineTagged]] = []
         #: inserts still rippling down the pipeline: (visible_at, pkt)
-        self._staging: deque[tuple[int, DeadlineTagged]] = deque()
+        self._staging: list[tuple[int, DeadlineTagged]] = []
         self.now_fn = now_fn or (lambda: 0)
         self.depth = depth
         self.settle_cycles = depth if settle_cycles is None else settle_cycles
@@ -77,7 +82,7 @@ class PipelinedHeapQueue(PacketQueue):
         now = self._now()
         staging = self._staging
         while staging and staging[0][0] <= now:
-            _, pkt = staging.popleft()
+            _, pkt = staging.pop(0)
             heapq.heappush(self._heap, (pkt.deadline, pkt.uid, pkt))
 
     # ------------------------------------------------------------------
@@ -104,7 +109,7 @@ class PipelinedHeapQueue(PacketQueue):
         if self._heap:
             _, _, pkt = heapq.heappop(self._heap)
         elif self._staging:
-            _, pkt = self._staging.popleft()
+            _, pkt = self._staging.pop(0)
         else:
             raise IndexError("pop from empty PipelinedHeapQueue")
         return pkt

@@ -22,11 +22,17 @@ delivers packets of one flow out of order, given the sender-side
 guarantees of Eq. 1-2 (per-flow deadlines strictly increase and packets
 arrive in order).  Those theorems are verified as executable invariants
 by ``tests/core/test_takeover_properties.py``.
+
+L and U are plain lists, not deques.  Removing a list's head moves the
+pointers behind it, but the two FIFOs together hold at most the per-VC
+credit budget of the upstream link (8 KB, a handful of packets, in the
+paper's configuration), so that is a few pointers; an empty deque costs
+760 bytes up front, and a switch materialises one pair per
+``(input, output, VC)`` it uses.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain
 from typing import Iterator, Optional
 
@@ -47,8 +53,8 @@ class TakeOverQueue(PacketQueue):
     __slots__ = ("_lower", "_upper", "takeover_hits", "front")
 
     def __init__(self):
-        self._lower: deque[DeadlineTagged] = deque()  # L, the ordered queue
-        self._upper: deque[DeadlineTagged] = deque()  # U, the take-over queue
+        self._lower: list[DeadlineTagged] = []  # L, the ordered queue
+        self._upper: list[DeadlineTagged] = []  # U, the take-over queue
         #: How many arrivals went to U (deadline below L's tail) -- the
         #: paper's measure of how often take-over actually pays off.  A
         #: bare int bump, cheap enough to keep even with metrics off.
@@ -91,9 +97,9 @@ class TakeOverQueue(PacketQueue):
         lower = self._lower
         upper = self._upper
         if upper and pkt is upper[0]:
-            upper.popleft()
+            del upper[0]
         else:
-            lower.popleft()
+            del lower[0]
         # The refresh: the smaller of the two new FIFO heads in (deadline,
         # uid) order -- the uid tie-break (arrival order) keeps equal
         # deadlines FIFO -- with Lemma 1's check.

@@ -59,7 +59,7 @@ class UnsafeTakeOverQueue(TakeOverQueue):
         if pkt is None:
             raise IndexError("pop from empty UnsafeTakeOverQueue")
         upper = self._upper
-        (upper if upper and pkt is upper[0] else self._lower).popleft()
+        del (upper if upper and pkt is upper[0] else self._lower)[0]
         return pkt
 
 

@@ -344,6 +344,25 @@ class TestRunCommand:
         assert doc["architecture"] == "advanced-2vc"
         assert doc["classes"]["control"]["packets"] > 0
 
+    def test_live_alone_builds_no_registry(self, monkeypatch):
+        """``--live`` is the heartbeat and its progress line; a registry
+        nothing writes would only put the metrics observer on every hop."""
+        seen = {}
+
+        class Captured(Exception):
+            pass
+
+        def capture(config, **kwargs):
+            seen.update(kwargs)
+            raise Captured
+
+        monkeypatch.setattr("repro.cli.run.run_experiment", capture)
+        with pytest.raises(Captured):
+            main(["run", "--live", *FAST])
+        assert seen["metrics"] is None
+        assert seen["heartbeat_ns"] == units.us(200.0)
+        assert seen["live_progress"] is True
+
 
 class TestFigureCommand:
     def test_fig2_text(self, capsys):

@@ -1,11 +1,13 @@
 """Tests for fabric assembly and the flow-level API."""
 
 import gc
+import tracemalloc
 
 import pytest
 
 from repro.constants import VC_BEST_EFFORT, VC_REGULATED
 from repro.core.admission import AdmissionError
+from repro.core.architectures import ARCHITECTURES
 from repro.core.flow import FlowKind
 from repro.experiments.presets import make_topology
 from repro.network.fabric import Fabric, FabricParams
@@ -37,6 +39,34 @@ class TestConstruction:
         built = len(gc.get_objects()) - before
         assert sum(switch.voq_count() for switch in fabric.switches.values()) == 0
         assert built < 60_000
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_a_voq_costs_what_it_holds(self, arch):
+        """An empty VOQ stays small: its FIFOs are lists (56 bytes empty),
+        not deques (760 bytes each, so 1.6 KB per take-over pair), because
+        a run materialises one queue per ``(in, out, VC)`` it uses --
+        27 652 at ``scale512``.  Every slot of one ``tiny`` switch is built
+        through ``Switch.voq`` and the traced growth is divided among them
+        (about 100 bytes FIFO and heap, 180 take-over, 250 pipelined heap)."""
+        fabric = Fabric(make_topology("tiny"), ARCHITECTURES[arch])
+        switch = next(iter(fabric.switches.values()))
+        slots = [
+            (in_port, out_port, vc)
+            for in_port in range(switch.n_ports)
+            for out_port in range(switch.n_ports)
+            for vc in range(switch.n_vcs)
+        ]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for slot in slots:
+                switch.voq(*slot)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert switch.voq_count() == len(slots)
+        assert grown / len(slots) <= 400
 
     def test_paper_defaults(self):
         params = FabricParams()
