@@ -7,19 +7,22 @@ packet, so *order errors* (a high-deadline packet in front of later
 low-deadline arrivals) are possible and cost ~25% extra latency for the
 most demanding flows (Section 3.4).
 
-The buffer is a plain list, not a deque.  Removing the head of a list
-moves the pointers behind it, but a VOQ holds at most what the upstream
-link's per-VC credit budget lets in (8 KB, a handful of packets, in the
-paper's configuration), so that is a few pointers; an empty deque costs
-760 bytes up front and a switch materialises one queue per
-``(input, output, VC)`` it uses.  A FIFO host's injection queue has no
-credit bound: it grows while offered load exceeds the link (16 896
-packets after 20 ms at load 1.0 on ``small``), and each pop then moves
-that many pointers.
+The buffer is a plain list, not a deque: an empty deque costs 760 bytes
+up front, and a switch materialises one queue per ``(input, output, VC)``
+it uses.  A VOQ holds at most what the upstream link's per-VC credit
+budget lets in (8 KB, a handful of packets, in the paper's
+configuration), but a FIFO host's injection queue has no credit bound:
+it grows while offered load exceeds the link (16 896 packets after 20 ms
+at load 1.0 on ``small``), and removing a list's first item moves every
+pointer behind it.  So ``pop`` advances a head index instead, and
+compacts the list only when the queue drains or the dead prefix reaches
+half of it: each packet is moved at most once on average, whatever the
+queue's length.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Optional
 
 from repro.core.queues.base import DeadlineTagged, PacketQueue
@@ -30,10 +33,12 @@ __all__ = ["FifoQueue"]
 class FifoQueue(PacketQueue):
     """First-in first-out packet buffer."""
 
-    __slots__ = ("_items", "front")
+    __slots__ = ("_items", "_head", "front")
 
     def __init__(self):
         self._items: list[DeadlineTagged] = []
+        #: Index of the head in ``_items``; the packets before it are popped.
+        self._head = 0
         self.front: Optional[DeadlineTagged] = None
 
     def push(self, pkt: DeadlineTagged) -> None:
@@ -43,12 +48,20 @@ class FifoQueue(PacketQueue):
 
     def pop(self) -> DeadlineTagged:
         items = self._items
-        pkt = items.pop(0)
-        self.front = items[0] if items else None
+        head = self._head
+        pkt = items[head]
+        head += 1
+        if head + head < len(items):
+            self._head = head
+            self.front = items[head]
+        else:  # drained, or the dead prefix is half the list: compact
+            del items[:head]
+            self._head = 0
+            self.front = items[0] if items else None
         return pkt
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._items) - self._head
 
     def __iter__(self) -> Iterator[DeadlineTagged]:
-        return iter(self._items)
+        return islice(self._items, self._head, None)

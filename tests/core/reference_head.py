@@ -41,7 +41,8 @@ def reference_head(queue: PacketQueue) -> Optional[DeadlineTagged]:
             return u_head
         return l_head
     if isinstance(queue, FifoQueue):
-        return queue._items[0] if queue._items else None
+        items, head = queue._items, queue._head
+        return items[head] if head < len(items) else None
     if isinstance(queue, EDFHeapQueue):
         return queue._heap[0][2] if queue._heap else None
     if isinstance(queue, PipelinedHeapQueue):

@@ -1,5 +1,7 @@
 """Tests for the experiment runner (short windows, tiny topology)."""
 
+import dataclasses
+import gc
 import os
 import subprocess
 import sys
@@ -8,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.exec.summary import summarize_run
+from repro.core.architectures import ARCHITECTURES
+from repro.exec.summary import execute_config, summarize_run
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.runner import run_experiment
+from repro.network.fabric import Fabric
 from repro.sim import units
+from repro.sim.engine import Engine
 
 
 def quick_config(**overrides):
@@ -137,3 +142,139 @@ class TestDeterminism:
             a.collector.get("control").packet_latency.mean
             != b.collector.get("control").packet_latency.mean
         )
+
+
+def set_collector(on):
+    if on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the cycle collector's state, whatever a test leaves it in."""
+    was_on = gc.isenabled()
+    yield
+    set_collector(was_on)
+
+
+def observed(tracer_policy):
+    """Every sink at once: registry, event ring, span tracer, heartbeat."""
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.tracing import PacketTracer
+    from repro.sim.monitor import Trace
+
+    registry = MetricsRegistry()
+    return dict(
+        metrics=registry,
+        trace=Trace(capacity=256),
+        tracer=PacketTracer(policy=tracer_policy, rate=1.0, capacity=64, seed=1, metrics=registry),
+        heartbeat_ns=25 * units.US,
+    )
+
+
+class TestCycleCollector:
+    """``run_experiment`` collects once on entry and suspends automatic
+    collection for the run; that is sound only while a run makes no cyclic
+    garbage, which nothing else would free inside it."""
+
+    @pytest.mark.parametrize("skew_ns", [0, 500])
+    @pytest.mark.parametrize("sinks", ["bare", "tail", "head"])
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_a_run_makes_no_cyclic_garbage(self, arch, sinks, skew_ns, collector_state):
+        """Acyclicity tripwire: a per-event reference cycle added anywhere
+        on the run's path (kernel, network, traffic, stats, any sink, TTD
+        carriage) leaves unreachable objects here.  The heap is frozen
+        first, in place of a first collection: each collection then walks
+        only what the run made, however large the test process is."""
+        config = quick_config(
+            architecture=arch,
+            warmup_ns=20 * units.US,
+            measure_ns=60 * units.US,
+            params=dataclasses.replace(quick_config().params, clock_skew_ns=skew_ns),
+        )
+        sinks = {} if sinks == "bare" else observed(sinks)
+        gc.freeze()
+        try:
+            gc.disable()
+            result = run_experiment(config, **sinks)
+            assert result.events_executed > 0
+            assert gc.collect() == 0
+        finally:
+            gc.unfreeze()
+
+    @staticmethod
+    def probe_engine(seen):
+        class ProbeEngine(Engine):
+            def run(self, until=None, max_events=None):
+                seen.append(gc.isenabled())
+                return super().run(until=until, max_events=max_events)
+
+        return ProbeEngine
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_collector_is_off_inside_and_restored_after(self, on, collector_state):
+        seen = []
+        set_collector(on)
+        result = run_experiment(
+            quick_config(measure_ns=60 * units.US), engine_factory=self.probe_engine(seen)
+        )
+        assert seen == [False]
+        assert result.events_executed > 0
+        assert gc.isenabled() is on
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_collector_state_survives_a_run_that_raises(self, on, collector_state):
+        class FailingEngine(Engine):
+            def run(self, until=None, max_events=None):
+                raise RuntimeError("engine failed")
+
+        set_collector(on)
+        with pytest.raises(RuntimeError, match="engine failed"):
+            run_experiment(quick_config(), engine_factory=FailingEngine)
+        assert gc.isenabled() is on
+
+    def test_what_the_run_built_is_not_young_garbage_to_walk(self, collector_state):
+        """The run's objects are tenured on the way out, so the caller's
+        next allocation does not set off a young collection that walks the
+        whole fabric."""
+        gc.enable()
+        result = run_experiment(quick_config(measure_ns=60 * units.US))
+        assert result.events_executed > 0
+        assert gc.get_count()[0] < gc.get_threshold()[0]
+
+    def test_the_callers_frozen_objects_stay_frozen(self, collector_state):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            run_experiment(quick_config(measure_ns=60 * units.US))
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_back_to_back_runs_free_the_finished_fabrics(self, on, monkeypatch, collector_state):
+        """A finished fabric is a reference cycle, so only the collector
+        frees it; the entry collection does, before the next run builds.
+        With automatic collection on, a large heap (pytest's) rarely
+        reaches a full collection between runs; off, it never does."""
+        preexisting = None
+        left_behind = []
+
+        def engine_factory():
+            nonlocal preexisting
+            fabrics = [o for o in gc.get_objects() if isinstance(o, Fabric)]
+            if preexisting is None:
+                preexisting = fabrics
+            left_behind.append(sum(not any(f is old for old in preexisting) for f in fabrics))
+            return Engine()
+
+        def run_with_probe(config, **kwargs):
+            return run_experiment(config, engine_factory=engine_factory, **kwargs)
+
+        monkeypatch.setattr("repro.exec.summary.run_experiment", run_with_probe)
+        set_collector(on)
+        for _ in range(3):
+            execute_config(quick_config(measure_ns=60 * units.US))
+        assert left_behind == [0, 0, 0]
