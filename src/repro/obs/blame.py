@@ -170,9 +170,12 @@ def analyze_blame(
 
     ``missed_only`` (the default) attributes only deadline misses -- the
     ``trace blame`` contract; pass False to profile every retained trace
-    (useful with head sampling, where hits are retained too).  Every
-    attributed trace is :meth:`~repro.obs.tracing.SpanTrace.verify`-ed
-    first: attribution over a non-exact decomposition would be noise.
+    (useful with head sampling, where hits are retained too).
+
+    Precondition: every trace is exact.  Traces come from
+    :func:`~repro.obs.tracing.read_spans_jsonl` or
+    :attr:`~repro.obs.tracing.PacketTracer.records`, and both have
+    checked each one they hand out; this function checks nothing again.
     """
     if top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
@@ -181,7 +184,6 @@ def analyze_blame(
         report.misses += trace.missed
         if missed_only and not trace.missed:
             continue
-        trace.verify()
         report.packets += 1
         blame = report.classes.get(trace.tclass)
         if blame is None:

@@ -33,6 +33,10 @@ policies, both seeded through :mod:`repro.sim.rng` streams:
   once at packet birth, from a per-flow random stream derived from
   ``(seed, flow_id)`` -- adding flows never perturbs the sampling of
   existing ones, and the same seed always samples the same packets.
+  The n-th packet of a flow is kept iff the stream's n-th ``random()``
+  is below ``rate``.  A flow does not keep its stream: it keeps those
+  decisions, drawn ahead in blocks as bits of an int, and a stream
+  exists only while a block is drawn (see :meth:`PacketTracer.begin`).
 - ``tail`` (tail-based sampling): every packet is tracked in flight, but
   the full span chain is *retained* only when the packet misses its
   deadline -- the interesting traces by definition, at the cost of
@@ -47,16 +51,18 @@ Retained traces live in a bounded ring (``capacity`` newest kept, like
 none, and a fabric given no sink builds no observer.  Only
 :class:`repro.obs.observer.FabricObserver` feeds a tracer, after testing
 ``pkt.traced``; ``metrics=None`` likewise means no per-class counters.
-On, the rule is append on the hot path, check at ``finish``, build on
-read.  A traced packet's open chain is ``pkt.traced``, a flat list
-``kind, node, t_ns, ser_ns, ...`` a hop extends by four scalars.
-:meth:`PacketTracer.finish` checks the chain in the delivering event and
-stores it, header added, as one list, so a malformed chain fails
-the event that produced it and a chain the ring later evicts -- nine in
-ten at rate 1.0 -- was checked like any other.  :class:`Span` and
-:class:`SpanTrace` objects exist only for chains still retained when
-:attr:`PacketTracer.records` is read: the first read builds at most
-``capacity`` of them, later reads only what was appended since.
+On, the rule is append on the hot path, check and build on read.  A
+traced packet's open chain is ``pkt.traced``, a flat list ``kind, node,
+t_ns, ser_ns, ...`` a hop extends by four scalars.
+:meth:`PacketTracer.finish` stores it, header added, as one list, and
+checks nothing.  :class:`Span` and :class:`SpanTrace` objects exist only
+for chains still retained when :attr:`PacketTracer.records` is read: the
+first read checks and builds at most ``capacity`` of them, later reads
+only what was appended since.  So every trace anyone reads was checked,
+and a chain the ring evicts unread -- nine in ten at rate 1.0 -- never
+is.  Head sampling costs a flow about 160 bytes (its dict entry and a
+three-slot list: the current word of decision bits, the rest of the
+block, the draws made), not a 2.9 kB Mersenne Twister.
 """
 
 from __future__ import annotations
@@ -239,23 +245,36 @@ class SpanTrace:
 _HEADER_FIELDS = SpanTrace.__slots__[:-1]
 _N_HEADER = len(_HEADER_FIELDS)
 
+#: Head sampling reads a flow's decisions a word of this many bits at a
+#: time.  A flow's first block of decisions is one word; each later block
+#: holds as many as all before it plus one word, so blocks double and the
+#: draws a block's stream skips add up to less than the flow's length.
+_WORD = 64
+_WORD_MASK = (1 << _WORD) - 1
+#: The marker bit above a word's (and a block's) unread decisions: a word
+#: equal to 1 has none left.
+_WORD_MARK = 1 << _WORD
+#: ``random()`` reads two 32-bit outputs of the generator, and
+#: ``getrandbits(k)`` reads ``k // 32`` when 32 divides ``k``, so this
+#: many bits skip one word's worth of ``random()`` draws.
+_WORD_SKIP_BITS = 64 * _WORD
+
 _WIRE_KINDS = ("arrive", "deliver")
 _OFF_WIRE_KINDS = ("forward", "inject", "eligible")
 _KINDS = frozenset(_WIRE_KINDS + _OFF_WIRE_KINDS)
 
 
-def _check_chain(chain: List[Any]) -> None:
-    """Raise :class:`ValueError` unless the flat ``chain`` (``kind, node,
-    t_ns, ser_ns`` per event) is one :func:`_build_spans` can decompose
+def _check_chain(chain: List[Any], end: int) -> None:
+    """Raise :class:`ValueError` unless the flat ``chain[:end]`` (``kind,
+    node, t_ns, ser_ns`` per event) is one :func:`_build_spans` can decompose
     exactly (starts with ``submit``, whole events, known kinds,
     non-decreasing times, serialization inside its wire segment).
-    Allocates nothing: this is what runs per delivered packet.  The loop
+    Allocates nothing: this is what runs per trace read.  The loop
     tests one sufficient condition per event -- a known kind and
     ``0 <= ser_ns <= t_ns - previous t_ns`` -- and leaves the exact rule,
     and its message, to :func:`_refuse_event`."""
-    if not chain or chain[0] != "submit":
+    if not end or chain[0] != "submit":
         raise ValueError(f"event chain must start with 'submit', got {chain[:4]}")
-    end = len(chain)
     if end % 4:
         raise ValueError(f"event chain of {end} scalars is not whole 4-scalar events")
     t = chain[2]
@@ -322,7 +341,7 @@ def decompose_events(
     submit to delivery with no remainder.
     """
     chain = [scalar for event in events for scalar in event]
-    _check_chain(chain)
+    _check_chain(chain, len(chain))
     return _build_spans(chain)
 
 
@@ -338,7 +357,7 @@ class PacketTracer:
       per ``eligible`` / ``inject`` / ``arrive`` / ``forward``, added by
       the observer itself (``ser_ns`` is the incoming link's occupancy
       on ``arrive``, else 0),
-    - :meth:`finish`  at delivery (checks the chain, applies retention).
+    - :meth:`finish`  at delivery (stores the chain, applies retention).
 
     ``policy="tail"`` retains only deadline misses; ``policy="head"``
     retains every packet that won the per-flow Bernoulli draw at
@@ -371,20 +390,24 @@ class PacketTracer:
         self.seed = seed
         self.metrics = metrics
         #: Retained traces, newest kept (like the event ring, Trace).
-        #: :meth:`finish` appends the checked flat chain with
+        #: :meth:`finish` appends the flat chain with
         #: ``_HEADER_FIELDS`` copied off the packet (which its factory
         #: recycles right after delivery) onto its end; :attr:`records`
-        #: turns the entries still in that form into :class:`SpanTrace`s,
-        #: in place.
+        #: checks the entries still in that form and turns them into
+        #: :class:`SpanTrace`s, in place.
         self._ring: Deque[Any] = deque(maxlen=capacity)
         self.sampled = 0
         self.unsampled = 0
         self.completed = 0
         self.misses = 0
         self.dropped = 0
-        #: Per-flow head-sampling streams, derived from (seed, flow_id) so
-        #: adding flows never perturbs the draws of existing ones.
-        self._streams: Dict[int, RandomStream] = {}
+        #: Per-flow head-sampling state, ``flow_id -> [word, rest, drawn]``:
+        #: the current word of the flow's decisions and the rest of its
+        #: block (unread bits above a marker bit, lowest bit next) and the
+        #: draws its stream has made.  The stream, derived from (seed,
+        #: flow_id) so adding flows never perturbs the draws of existing
+        #: ones, lives only inside :meth:`_next_word`.
+        self._flows: Dict[int, List[int]] = {}
         self._m_retained_by_class: Dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
@@ -393,22 +416,46 @@ class PacketTracer:
     def begin(self, pkt: Any, t_ns: int, node: str) -> None:
         """Packet born at the source NIC: decide sampling, open the chain."""
         if self.policy == "head":
-            stream = self._streams.get(pkt.flow_id)
-            if stream is None:
-                # Evicting a stream would reset its draw position and
-                # perturb that flow's sampling; determinism requires one
-                # live stream per flow ever sampled.
-                stream = self._streams[pkt.flow_id] = RandomStream(  # simlint: allow-unbounded-keyed-growth
-                    derive_seed(self.seed, f"obs.tracing.flow{pkt.flow_id}")
-                )
-            if stream.random() >= self.rate:
+            flow = self._flows.get(pkt.flow_id)
+            if flow is None:
+                # Forgetting a flow would reset its draw position and
+                # perturb its sampling; determinism requires one record
+                # per flow ever seen.
+                # An empty word, an empty block, nothing drawn yet.
+                flow = self._flows[pkt.flow_id] = [1, 1, 0]  # simlint: allow-unbounded-keyed-growth
+            word = flow[0]
+            if word == 1:
+                word = self._next_word(flow, pkt.flow_id)
+            flow[0] = word >> 1
+            if not word & 1:
                 self.unsampled += 1
                 return
         self.sampled += 1
         pkt.traced = ["submit", node, t_ns, 0]
 
+    def _next_word(self, flow: List[int], flow_id: int) -> int:
+        """The next word of ``flow``'s decisions (marker bit included),
+        drawing the flow's next block first if its last one is read."""
+        rest = flow[1]
+        if rest == 1:
+            drawn = flow[2]
+            stream = RandomStream(derive_seed(self.seed, f"obs.tracing.flow{flow_id}"))
+            for _ in range(drawn // _WORD):
+                stream.getrandbits(_WORD_SKIP_BITS)
+            draw = stream.random
+            rate = self.rate
+            bits = ["1" if draw() < rate else "0" for _ in range(drawn + _WORD)]
+            bits.append("1")  # the marker, above the last decision
+            bits.reverse()  # the first decision is the lowest bit
+            rest = int("".join(bits), 2)
+            flow[2] = drawn + drawn + _WORD
+        flow[1] = rest >> _WORD
+        return rest & _WORD_MASK | _WORD_MARK
+
     def finish(self, pkt: Any, t_ns: int, *, node: str, link: Any, slack_ns: int) -> None:
-        """Packet delivered: close the chain, check it, apply retention."""
+        """Packet delivered: close the chain, apply retention.  The chain
+        is checked when :attr:`records` reads it, if it is still
+        retained then."""
         chain = pkt.traced
         if not chain:
             return
@@ -419,7 +466,6 @@ class PacketTracer:
         if self.policy == "tail" and not missed:
             return
         chain += ("deliver", node, t_ns, link.occupancy_ns(pkt.size))
-        _check_chain(chain)  # a malformed chain fails the event that delivered it
         chain += (
             pkt.uid,
             pkt.flow_id,
@@ -451,18 +497,25 @@ class PacketTracer:
     # ------------------------------------------------------------------
     @property
     def records(self) -> Deque[SpanTrace]:
-        """The retained traces, oldest first.  Reading builds the
-        :class:`SpanTrace` of every entry added since the last read (at
-        most ``capacity`` of them, however many packets were delivered)."""
+        """The retained traces, oldest first.  Reading checks and builds
+        the :class:`SpanTrace` of every entry added since the last read
+        (at most ``capacity`` of them, however many packets were
+        delivered); a malformed chain raises :class:`ValueError` here,
+        and again on every later read.  A chain the ring evicted before
+        it was read is never checked."""
         ring = self._ring
-        # Built entries are a prefix: finish() only ever appends raw ones.
-        index = len(ring) - 1
-        while index >= 0 and type(ring[index]) is list:
+        # Built entries are a prefix: finish() only ever appends raw ones,
+        # and building oldest first keeps it one when a check raises.
+        start = len(ring)
+        while start and type(ring[start - 1]) is list:
+            start -= 1
+        for index in range(start, len(ring)):
             chain = ring[index]
-            header = dict(zip(_HEADER_FIELDS, chain[-_N_HEADER:]))
-            del chain[-_N_HEADER:]
+            end = len(chain) - _N_HEADER
+            _check_chain(chain, end)
+            header = dict(zip(_HEADER_FIELDS, chain[end:]))
+            del chain[end:]
             ring[index] = SpanTrace(**header, spans=_build_spans(chain))
-            index -= 1
         return ring
 
     @property

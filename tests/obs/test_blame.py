@@ -1,5 +1,7 @@
 """``trace blame`` root-cause attribution: exact integer aggregation,
-deterministic (byte-stable) reports, and the verify-first contract."""
+deterministic (byte-stable) reports, and the checked-on-the-way-in
+contract: traces reach ``analyze_blame`` through ``read_spans_jsonl`` or
+``PacketTracer.records``, and both refuse a non-exact one."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import json
 import pytest
 
 from repro.obs.blame import analyze_blame
-from repro.obs.tracing import Span, SpanTrace
+from repro.obs.tracing import Span, SpanTrace, read_spans_jsonl
 
 
 def _trace(uid, tclass, spans, *, slack=-10, flow_id=1):
@@ -84,11 +86,18 @@ class TestAggregation:
         with pytest.raises(ValueError, match="top"):
             analyze_blame([], top=0)
 
-    def test_corrupt_trace_fails_loudly(self):
+    def test_corrupt_trace_fails_loudly(self, tmp_path):
         bad = _miss(1)
         bad.deliver_ns += 1  # break the telescoping identity
+        path = tmp_path / "spans.jsonl"
+        path.write_text(
+            json.dumps({"type": "span-trace-summary"}) + "\n"
+            + json.dumps(_miss(2).to_dict()) + "\n"
+            + json.dumps(bad.to_dict()) + "\n",
+            encoding="utf-8",
+        )
         with pytest.raises(ValueError, match="not exact"):
-            analyze_blame([bad])
+            read_spans_jsonl(str(path))
 
 
 class TestReportOutput:

@@ -4,6 +4,7 @@ gate: same-seed runs produce byte-identical blame reports."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from repro.cli import main
@@ -70,6 +71,27 @@ class TestRunTraceSpans:
         assert header["unsampled"] > 0
         # head sampling keeps hits as well as misses
         assert any(not t.missed for t in traces)
+
+    #: sha256 of the head-sampled dump below, captured when every flow
+    #: still kept its own ``RandomStream``: the per-flow decision bits
+    #: must sample the same packets.  The 2 ms window takes 424 flows
+    #: past their first block of decisions.
+    HEAD_DUMP_SHA256 = "a194964fdf33633cf15992416e4902fcc7faafe785a91aa8e658bb1592bb5a0e"
+
+    def test_head_sampled_dump_bytes_are_pinned(self, tmp_path, capsys):
+        path = tmp_path / "head.jsonl"
+        rc = main(
+            [
+                "run", "--arch", "advanced-2vc", "--load", "1.0",
+                "--topology", "tiny", "--warmup-us", "50", "--measure-us", "2000",
+                "--trace-spans", str(path), "--span-policy", "head",
+                "--span-rate", "0.05", "--span-capacity", "100000",
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.HEAD_DUMP_SHA256
 
     def test_bad_span_rate_is_exit_2(self, tmp_path, capsys):
         rc = main(

@@ -2,16 +2,16 @@
 the one that built them in ``finish`` (``tests/obs/eager_tracer.py``, the
 replaced code kept as the oracle).
 
-``PacketTracer.finish`` checks every completed chain inside the
-delivering event but stores it raw; ``records`` builds the ``SpanTrace``s
-of what the ring still holds.  The 45 GOLDEN cases of
-``test_observer_equivalence.py`` run at a capacity nothing is evicted
-from, so the cases here run small rings: both policies on the
-fig2/fig3/fig4 ``tiny`` configs must export the same bytes and the same
-ledger (``dropped``, ``retained``, ``inflight``) as the oracle, build no
-more ``SpanTrace``s than the ring holds, reject a malformed chain from
-``finish`` with the oracle's message, and hold nothing of a packet its
-factory recycles.
+``PacketTracer.finish`` stores every completed chain raw; ``records``
+checks and builds the ``SpanTrace``s of what the ring still holds.  The
+45 GOLDEN cases of ``test_observer_equivalence.py`` run at a capacity
+nothing is evicted from, so the cases here run small rings: both policies
+on the fig2/fig3/fig4 ``tiny`` configs must export the same bytes and the
+same ledger (``dropped``, ``retained``, ``inflight``) as the oracle,
+build no more ``SpanTrace``s than the ring holds, reject a malformed
+chain with the oracle's message (the oracle from ``finish``, the shipped
+tracer from ``records``), and hold nothing of a packet its factory
+recycles.
 """
 
 import io
@@ -95,9 +95,41 @@ def test_malformed_chain_raises_from_finish(case, tracer_class):
     pkt = mkpkt(5, size=10)
     tracer.begin(pkt, 0, "h0")
     pkt.traced += bad_event
+    # The oracle checks in finish; the shipped tracer when records is read.
     with pytest.raises(ValueError, match=message):
         tracer.finish(pkt, 100, node="h1", link=LINK, slack_ns=-95)
-    assert not tracer.records and tracer.inflight == 0
+        tracer.records
+    assert tracer.inflight == 0
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_chain_is_refused_on_every_read(case):
+    bad_event, message = MALFORMED[case]
+    tracer = PacketTracer(policy="head", rate=1.0, capacity=8)
+    bad, good = mkpkt(5, size=10), mkpkt(5, size=10)
+    tracer.begin(bad, 0, "h0")
+    bad.traced += bad_event
+    tracer.finish(bad, 100, node="h1", link=LINK, slack_ns=-95)
+    tracer.begin(good, 0, "h0")
+    tracer.finish(good, 100, node="h1", link=LINK, slack_ns=-95)
+    for _ in range(2):  # the refused chain, and all after it, stay as stored
+        with pytest.raises(ValueError, match=message):
+            tracer.records
+    assert tracer.snapshot()["retained"] == 2
+
+
+def test_a_chain_evicted_unread_is_never_checked():
+    tracer = PacketTracer(policy="head", rate=1.0, capacity=1)
+    bad = mkpkt(5, size=10)
+    tracer.begin(bad, 0, "h0")
+    bad.traced += MALFORMED["unknown kind"][0]
+    tracer.finish(bad, 100, node="h1", link=LINK, slack_ns=-95)
+    good = mkpkt(5, size=10)
+    tracer.begin(good, 0, "h0")
+    tracer.finish(good, 100, node="h1", link=LINK, slack_ns=-95)
+    assert tracer.dropped == 1
+    [record] = tracer.records
+    record.verify()
 
 
 def _spans_with_pooling(packet_pooling):

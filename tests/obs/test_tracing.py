@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -336,6 +337,22 @@ class TestHeadPolicy:
         _drive(tracer, hit, submit=0, deliver=100, slack=9_900)
         assert len(tracer.records) == 1
         assert tracer.records[0].missed is False
+
+    def test_a_flow_costs_bytes_not_a_generator(self):
+        # A flow's head-sampling state is a few words of decision bits; a
+        # Mersenne Twister per flow (2.5 kB of state) fails this.
+        tracer = PacketTracer(policy="head", rate=0.01, seed=3, capacity=16)
+        packets = [mkpkt(10**9, size=10, flow_id=i) for i in range(2000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for pkt in packets:
+                tracer.begin(pkt, 0, "h0")
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert tracer.sampled + tracer.unsampled == 2000
+        assert grown / 2000 <= 400, f"{grown / 2000:.0f} B per flow"
 
     def test_unsampled_counted_and_untracked(self):
         tracer = PacketTracer(policy="head", rate=0.0, capacity=16)
