@@ -33,7 +33,6 @@ from repro.core.architectures import (
     SIMPLE_2VC,
     TRADITIONAL_2VC,
     Architecture,
-    get_architecture,
 )
 from repro.core.invariants import InvariantViolation, invariant
 
@@ -64,7 +63,6 @@ __all__ = [
     "TRADITIONAL_2VC",
     "TakeOverQueue",
     "deadline_from_ttd",
-    "get_architecture",
     "invariant",
     "ttd_from_deadline",
 ]

@@ -45,7 +45,6 @@ __all__ = [
     "IDEAL_PIPELINED",
     "SIMPLE_2VC",
     "TRADITIONAL_2VC",
-    "get_architecture",
 ]
 
 
@@ -117,12 +116,3 @@ ARCHITECTURES = {
     arch.name: arch
     for arch in (TRADITIONAL_2VC, IDEAL, SIMPLE_2VC, ADVANCED_2VC, IDEAL_PIPELINED)
 }
-
-
-def get_architecture(name: str) -> Architecture:
-    """Look up a preset by name, with a helpful error for typos."""
-    try:
-        return ARCHITECTURES[name]
-    except KeyError:
-        known = ", ".join(sorted(ARCHITECTURES))
-        raise KeyError(f"unknown architecture {name!r}; known: {known}") from None

@@ -172,12 +172,12 @@ class FlowRegistry:
         return self._flows[flow_id]
 
     def close(self, flow_id: int) -> FlowState:
-        """Retire a finished flow, releasing its sender-side state.
+        """Drop a flow's sender-side state and return it.
 
-        Scale runs with flow churn must close flows as they finish;
-        otherwise the registry holds every :class:`FlowState` ever
-        created for the life of the fabric.  Returns the closed state so
-        callers can archive its totals first.
+        A run never retires a flow; the one caller is
+        :meth:`~repro.network.fabric.Fabric.open_flow`, which closes a flow
+        whose reservation admission refused, so a refused open leaves the
+        registry as it was.
         """
         return self._flows.pop(flow_id)
 
@@ -186,6 +186,3 @@ class FlowRegistry:
 
     def __iter__(self) -> Iterator[FlowState]:
         return iter(self._flows.values())
-
-    def by_host(self, src: int) -> list[FlowState]:
-        return [f for f in self._flows.values() if f.spec.src == src]

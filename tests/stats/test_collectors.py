@@ -80,14 +80,16 @@ class TestClassStats:
         assert recorder.stats.jitter.count == 0
 
     def test_forget_flow_drops_the_jitter_anchor(self):
+        # A run retires no flow, so each flow keeps one anchor, its last
+        # message's latency, and a frame's sample is taken against its own.
         recorder = Recorder("x")
         stats = recorder.stats
         recorder.record(delivered(tclass="x", birth=0, msg_id=0, flow_id=1), now=100)
-        stats.forget_flow(1)
-        # The next frame of flow 1 has no anchor: no jitter sample.
+        recorder.record(delivered(tclass="x", birth=0, msg_id=0, flow_id=2), now=900)
         recorder.record(delivered(tclass="x", birth=0, msg_id=1, flow_id=1), now=300)
-        assert stats.jitter.count == 0
-        stats.forget_flow(99)  # unknown flows are a no-op
+        assert stats.jitter.count == 1
+        assert stats.jitter.mean == 200  # |300 - 100|, not |300 - 900|
+        assert stats._last_message_latency == {1: 300, 2: 900}
 
     def test_throughput(self):
         recorder = Recorder("x")

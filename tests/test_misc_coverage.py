@@ -56,7 +56,7 @@ class TestRunResultHelpers:
 
 class TestTrafficSourceBase:
     def test_offered_rate_zero_elapsed(self, make_fabric):
-        from repro.traffic.cbr import CbrSource
+        from tests.traffic.cbr import CbrSource
 
         source = CbrSource(make_fabric(), 0, 1, 0.1)
         assert source.offered_bytes_per_ns(0) == 0.0

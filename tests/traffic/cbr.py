@@ -1,9 +1,9 @@
-"""Constant-bit-rate source.
+"""Constant-bit-rate source: a test driver.
 
-Not part of the paper's Table 1 mix, but indispensable for unit tests
-(deterministic arrivals make assertions exact) and for examples such as
-storage streams.  Emits fixed-size messages at fixed intervals on one
-flow, which may be regulated (reserved) or best-effort.
+Not part of the paper's Table 1 mix and run by no CLI path, but
+deterministic arrivals make test assertions exact (hot spots, weighted
+sharing, the source base class).  Emits fixed-size messages at fixed
+intervals on one flow, which may be regulated (reserved) or best-effort.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from repro.core.flow import FlowKind, FlowState
 from repro.network.fabric import Fabric
 from repro.sim.rng import RandomStream, local_stream
 from repro.traffic.base import TrafficSource
-
-__all__ = ["CbrSource"]
 
 
 class CbrSource(TrafficSource):

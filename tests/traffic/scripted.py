@@ -1,5 +1,8 @@
 """Scripted traffic: write a workload as a plain Python generator.
 
+A test driver, not part of the paper's Table 1 mix: no CLI path and no
+experiment runs it, so it lives beside its oracle
+(``tests/traffic/scripted_oracle.py``) rather than in ``repro.traffic``.
 For scenarios that are awkward to express as stochastic sources --
 synchronized bursts, request/response chains, staged phase changes --
 a :class:`ScriptedSource` walks a user generator on the same tick as
@@ -39,8 +42,6 @@ from repro.network.fabric import Fabric
 from repro.sim.engine import SimulationError
 from repro.sim.rng import local_stream
 from repro.traffic.base import TrafficSource
-
-__all__ = ["ScriptedSource"]
 
 Step = Tuple[int, int, int]  # (delay_ns, dst, nbytes)
 

@@ -1,13 +1,13 @@
 """Differential oracle: the coroutine process layer and the
 :class:`ScriptedSource` that ran on it.
 
-``repro.traffic.scripted.ScriptedSource`` now runs on the self-rescheduling
-tick every other :class:`~repro.traffic.base.TrafficSource` uses, and the
-generator-process layer it was the only user of (``Delay`` / ``Signal`` /
-``Process``) left ``src/``.  Both are kept here verbatim:
+``tests/traffic/scripted.py``'s ``ScriptedSource`` runs on the
+self-rescheduling tick every other :class:`~repro.traffic.base.TrafficSource`
+uses, and the generator-process layer it was the only user of (``Delay`` /
+``Signal`` / ``Process``) left ``src/``.  Both are kept here verbatim:
 ``tests/traffic/test_scripted.py`` replays random scripts through this
-source and the production one and requires the same submissions, state
-and failures, and ``tests/sim/test_process.py`` still pins the process
+source and that one and requires the same submissions, state and
+failures, and ``tests/sim/test_process.py`` still pins the process
 layer's own semantics.
 
 A process is a generator that yields:

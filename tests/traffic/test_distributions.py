@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traffic.distributions import BoundedPareto, GopFrameSizes, pareto_interarrival
+from repro.traffic.distributions import BoundedPareto, GopFrameSizes
 
 
 class TestBoundedPareto:
@@ -69,23 +69,48 @@ class TestBoundedPareto:
 
 
 class TestParetoInterarrival:
+    """Bursts are followed by exact ``size/rate`` gaps, so the only Pareto
+    sampler is the bounded one; these pin its analytics."""
+
     def test_mean_calibration(self):
-        rng = random.Random(5)
-        n = 500_000
-        mean = sum(pareto_interarrival(rng, 100.0, alpha=2.5) for _ in range(n)) / n
-        assert mean == pytest.approx(100.0, rel=0.05)
+        # E[X] = low + integral of the survival function over [low, high],
+        # by the trapezoid rule on a geometric grid (the density spans
+        # decades).
+        low, high, n = 128.0, 102_400.0, 20_000
+        grid = [low * (high / low) ** (i / n) for i in range(n + 1)]
+        for alpha in (1.0, 1.3, 2.5):
+
+            def survival(x):
+                return (low**alpha * (x**-alpha - high**-alpha)) / (1.0 - (low / high) ** alpha)
+
+            area = sum((b - a) * (survival(a) + survival(b)) / 2.0 for a, b in zip(grid, grid[1:]))
+            assert BoundedPareto(alpha, low, high).mean == pytest.approx(low + area, rel=1e-6)
 
     def test_minimum_is_scale(self):
-        rng = random.Random(6)
-        samples = [pareto_interarrival(rng, 100.0, alpha=2.0) for _ in range(1000)]
-        assert min(samples) >= 100.0 * (2.0 - 1.0) / 2.0
+        # Inversion maps u = 0 to ``low`` and u -> 1 to ``high``.
+        dist = BoundedPareto(1.3, 128, 102_400)
+        assert dist.sample(_Fixed(0.0)) == 128
+        assert dist.sample(_Fixed(1.0 - 2**-53)) == pytest.approx(102_400, rel=1e-9)
+        assert dist.sample_int(_Fixed(0.0)) == 128
 
     def test_validation(self):
-        rng = random.Random(0)
+        # Truncation keeps the mean finite, so alpha <= 1 is valid (and
+        # continuous at the alpha == 1 branch); only alpha <= 0 is refused.
+        assert BoundedPareto(0.5, 10, 1000).mean < 1000
+        at_one = BoundedPareto(1.0, 10, 1000).mean
+        assert BoundedPareto(1.0 + 1e-6, 10, 1000).mean == pytest.approx(at_one, rel=1e-5)
         with pytest.raises(ValueError):
-            pareto_interarrival(rng, 0.0)
-        with pytest.raises(ValueError):
-            pareto_interarrival(rng, 10.0, alpha=1.0)
+            BoundedPareto(-1.0, 10, 1000)
+
+
+class _Fixed:
+    """An rng whose ``random()`` always returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 class TestGopFrameSizes:

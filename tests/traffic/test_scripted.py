@@ -11,10 +11,9 @@ from repro.core.flow import FlowKind
 from repro.network.fabric import Fabric, FabricParams
 from repro.network.topology import build_folded_shuffle_min
 from repro.sim.engine import SimulationError
-from repro.traffic import scripted
-from repro.traffic.scripted import ScriptedSource
 from repro.traffic.trace import TraceRecorder
-from tests.traffic import scripted_oracle
+from tests.traffic import scripted, scripted_oracle
+from tests.traffic.scripted import ScriptedSource
 
 
 class TestScriptedSource:

@@ -6,10 +6,10 @@ import pytest
 
 from repro.constants import VC_BEST_EFFORT, VC_REGULATED
 from repro.sim import units
-from repro.traffic.cbr import CbrSource
 from repro.traffic.control import ControlSource
 from repro.traffic.multimedia import VideoStream
 from repro.traffic.selfsimilar import SelfSimilarSource
+from tests.traffic.cbr import CbrSource
 
 
 @pytest.fixture
@@ -157,17 +157,20 @@ class TestSelfSimilar:
         assert source.offered_bytes_per_ns(5_000_000) == pytest.approx(0.25, rel=0.05)
 
     def test_pareto_gap_mode_generates_heavy_tailed_gaps(self, fabric):
-        """The alternative gap mode draws unbounded Pareto gaps: over many
-        draws the max/median ratio far exceeds an exponential's."""
-        source = SelfSimilarSource(
-            fabric, 0, 0.25, random.Random(21), gap_mode="pareto"
-        )
-        gaps = sorted(
-            source._emit() or 0.0  # _emit returns the next gap
-            for _ in range(2000)
-        )
-        median = gaps[len(gaps) // 2]
-        assert gaps[-1] / median > 10  # exponential would be ~7 at n=2000
+        """There is one gap policy: after a burst the source idles exactly
+        ``size/rate``, so the gaps carry the heavy tail of the Pareto
+        sizes (max/median far above an exponential's ~7 at n=2000)."""
+        with pytest.raises(TypeError):
+            SelfSimilarSource(fabric, 0, 0.25, random.Random(21), gap_mode="pareto")
+        source = SelfSimilarSource(fabric, 0, 0.25, random.Random(21))
+        gaps = []
+        for _ in range(2000):
+            before = source.bytes_generated
+            gap = source._emit()  # _emit returns the next gap
+            assert gap == (source.bytes_generated - before) / 0.25
+            gaps.append(gap)
+        gaps.sort()
+        assert gaps[-1] / gaps[len(gaps) // 2] > 10
 
     def test_rides_best_effort_vc(self, fabric):
         source = SelfSimilarSource(fabric, 0, 0.25, random.Random(11))
@@ -199,5 +202,8 @@ class TestSelfSimilar:
         assert all(f.stamper is source.stamper for f in flows)
 
     def test_bad_gap_mode(self, fabric):
-        with pytest.raises(ValueError):
+        # The source has no gap knob: both keywords are refused.
+        with pytest.raises(TypeError, match="gap_mode"):
             SelfSimilarSource(fabric, 0, 0.25, random.Random(0), gap_mode="bogus")
+        with pytest.raises(TypeError, match="gap_alpha"):
+            SelfSimilarSource(fabric, 0, 0.25, random.Random(0), gap_alpha=1.9)
