@@ -293,8 +293,11 @@ def render(args, points: Dict[Key, ExperimentConfig], results: Dict[Key, RunSumm
           report.inventory.arbiter_comparators_per_port] for arch, report in cost.items()])
     w("The deployable designs pay O(1) tag comparisons per packet; only Ideal")
     w("needs content-sorted buffers (the pipelined-heap hardware of the paper's")
-    w("reference [9] — modeled in `repro.core.queues.pipelined_heap`, whose")
-    w("settle window is timing-wise harmless: the objection is silicon, not speed).")
+    w("reference [9]).  That hardware's settle window cannot be seen in the")
+    w("results: `tests/core/test_pipelined_heap.py` runs it as a test oracle of")
+    w("Ideal (`tests/core/pipelined_heap.py`) and requires the confidence interval")
+    w("of every class's paired per-seed latency ratio to Ideal to include parity.")
+    w("The objection is silicon, not speed.")
     w("")
 
     # ---------------------------------------- section 6: counterfactual
@@ -404,7 +407,7 @@ def render(args, points: Dict[Key, ExperimentConfig], results: Dict[Key, RunSumm
     w("4. **Best-effort calibration**: heavy-tailed gap generators overshoot")
     w("   nominal load over short windows, so the self-similar sources use")
     w("   burst-compensating gaps (heavy-tailed ON periods, exact mean rate);")
-    w("   see `repro/traffic/selfsimilar.py`.")
+    w("   see `src/repro/traffic/selfsimilar.py`.")
     return "\n".join(lines) + "\n"
 
 

@@ -14,8 +14,10 @@ nested in an unreached one adds none.  The paths: the EXPERIMENTS.md
 generator at ``tiny`` with ``--jobs 2`` and a cache directory (forked pool
 workers hand their calls back on exit), ``run`` with every sink on, ``trace
 blame|export``, ``metrics`` (one snapshot, ``--schema``, two = diff),
-``figure``, ``claims``, ``replicate``, ``cost``, ``list``, ``profile run|mem``
-(cProfile replaces the hook while it runs) and CI's two heavy examples.
+``figure``, ``claims``, ``replicate``, ``cost``, ``utilization``, ``list``,
+``profile run|mem`` (cProfile replaces the hook while it runs), ``lint
+--project src/`` (which calls into ``lint/``, whose own defs are not listed)
+and CI's two heavy examples: every subcommand runs at least once.
 """
 
 from __future__ import annotations
@@ -129,9 +131,11 @@ def paper_paths(d: str) -> list:
         cli("claims", *sim),
         cli("replicate", "--seeds", "1", "2", *sim),
         cli("cost", *sim),
+        cli("utilization", *sim),
         cli("list"),
         cli("profile", "run", "-o", f"{d}/p.pstats", *sim),
         cli("profile", "mem", "-o", f"{d}/m.json", *sim),
+        cli("lint", "--project", str(ROOT / "src")),
         script("examples/evaluate_custom_design.py"),
         script("examples/mixed_datacenter.py"),
     ]

@@ -29,12 +29,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.arbiter import EDFPicker, Picker
 from repro.core.architectures import Architecture
-from repro.core.queues import (
-    EDFHeapQueue,
-    PacketQueue,
-    PipelinedHeapQueue,
-    TakeOverQueue,
-)
+from repro.core.queues import EDFHeapQueue, PacketQueue, TakeOverQueue
 
 __all__ = [
     "CostCounters",
@@ -77,7 +72,7 @@ def _queue_comparisons(queue: PacketQueue, op: str) -> int:
         return declared
     if isinstance(queue, TakeOverQueue):
         return 1  # tail check on push; two-head min on pop
-    if isinstance(queue, (EDFHeapQueue, PipelinedHeapQueue)):
+    if isinstance(queue, EDFHeapQueue):
         # Heap path length; the pipelined-heap hardware pays this in
         # pipeline stages, software in actual comparisons.
         return max(1, math.ceil(math.log2(len(queue) + 2)))
@@ -159,7 +154,7 @@ def static_inventory(architecture: Architecture, radix: int) -> HardwareInventor
     queue = architecture.queue_factory()
     if isinstance(queue, TakeOverQueue):
         fifos, sorting = 2 * 2, False  # two FIFOs per VC
-    elif isinstance(queue, (EDFHeapQueue, PipelinedHeapQueue)):
+    elif isinstance(queue, EDFHeapQueue):
         fifos, sorting = 0, True
     else:
         fifos, sorting = 1 * 2, False

@@ -29,7 +29,6 @@ from repro.core.architectures import (
     ADVANCED_2VC,
     ARCHITECTURES,
     IDEAL,
-    IDEAL_PIPELINED,
     SIMPLE_2VC,
     TRADITIONAL_2VC,
     Architecture,
@@ -53,7 +52,6 @@ __all__ = [
     "InvariantViolation",
     "FrameBasedStamper",
     "IDEAL",
-    "IDEAL_PIPELINED",
     "PacketQueue",
     "Picker",
     "RateBasedStamper",

@@ -24,10 +24,10 @@ candidate cannot change which sorted profile is smallest -- so an open
 builds one path, the winner's, however many it chose from.
 
 The per-link ledgers are kept in **integer bytes/second**
-(:func:`repro.sim.units.bps`): requests arrive as float bytes/ns, are
-converted once at the ledger boundary, and the same converted integer is
-subtracted on release -- so a fully released link reads exactly zero,
-with no float drift and no epsilon guard.  Those integers are also what
+(:func:`repro.sim.units.bps`): requests arrive as float bytes/ns and are
+converted once at the ledger boundary, so a link reads exactly the sum of
+what it carries, with no float drift and no epsilon guard.  A run never
+retires a flow, so nothing is ever subtracted.  Those integers are also what
 an open is decided on (:meth:`AdmissionController._least_loaded` says why
 no division is needed), read from one mutable cell per link that the
 controller finds once per pair of attach switches, not once per open.
@@ -146,12 +146,10 @@ class AdmissionController:
         #: per candidate-set key: the cells of each candidate's varying
         #: links, so that scoring reads list slots, not link-keyed dicts
         self._varying_cells: Dict[Hashable, Tuple[Tuple[List[int], ...], ...]] = {}
-        self._reservations: Dict[int, Reservation] = {}
+        #: regulated flows admitted so far
+        self.reservation_count = 0
 
     # ------------------------------------------------------------------
-    def utilization(self, link: Hashable) -> float:
-        return self.reserved.get(link, 0) / self._capacity_bps
-
     def _least_loaded(self, src: int, dst: int, column: int) -> Tuple[PathLike, int]:
         """The candidate with the smallest post-assignment utilization
         *profile* (its links' utilizations, sorted descending), and how
@@ -203,11 +201,15 @@ class AdmissionController:
 
     # ------------------------------------------------------------------
     def reserve(self, flow_id: int, src: int, dst: int, bw_bytes_per_ns: float) -> Reservation:
-        """Admit a regulated flow or raise :class:`AdmissionError`."""
+        """Admit a regulated flow or raise :class:`AdmissionError`.
+
+        ``flow_id`` names the flow in the refusal; it is not checked for
+        repeats.  :meth:`~repro.network.fabric.Fabric.open_flow` takes ids
+        from :class:`~repro.core.flow.FlowRegistry`, which never hands out
+        one twice, and a reservation holds for the rest of the run.
+        """
         if bw_bytes_per_ns <= 0:
             raise ValueError(f"reserved bandwidth must be positive, got {bw_bytes_per_ns}")
-        if flow_id in self._reservations:
-            raise AdmissionError(f"flow {flow_id} already holds a reservation")
         bw_bps = bps(bw_bytes_per_ns)
         best_path, n_paths = self._least_loaded(src, dst, _RESERVED)
         ledger = self._cells
@@ -223,21 +225,8 @@ class AdmissionController:
             )
         for cell in cells:
             cell[_RESERVED] += bw_bps
-        reservation = Reservation(flow_id, best_path, bw_bytes_per_ns)
-        self._reservations[flow_id] = reservation
-        return reservation
-
-    def release(self, flow_id: int) -> None:
-        """Return a flow's reserved bandwidth to the pool."""
-        reservation = self._reservations.pop(flow_id, None)
-        if reservation is None:
-            raise AdmissionError(f"flow {flow_id} holds no reservation")
-        # bps() is deterministic, so subtracting the same conversion that
-        # was added on admit returns the ledger to exactly zero.
-        bw_bps = bps(reservation.bw_bytes_per_ns)
-        ledger = self._cells
-        for link in reservation.path.links:
-            ledger[link][_RESERVED] -= bw_bps
+        self.reservation_count += 1
+        return Reservation(flow_id, best_path, bw_bytes_per_ns)
 
     def assign_path(self, src: int, dst: int, weight: float = 1.0) -> PathLike:
         """Fixed-path assignment for unregulated traffic (no reservation)."""
@@ -247,8 +236,3 @@ class AdmissionController:
         for link in best_path.links:
             ledger[link][_ASSIGNED] += weight_bps
         return best_path
-
-    # ------------------------------------------------------------------
-    @property
-    def reservation_count(self) -> int:
-        return len(self._reservations)

@@ -29,20 +29,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.arbiter import EDFPicker, Picker, RoundRobinPicker
-from repro.core.queues import (
-    EDFHeapQueue,
-    FifoQueue,
-    PacketQueue,
-    PipelinedHeapQueue,
-    TakeOverQueue,
-)
+from repro.core.queues import EDFHeapQueue, FifoQueue, PacketQueue, TakeOverQueue
 
 __all__ = [
     "ADVANCED_2VC",
     "ARCHITECTURES",
     "Architecture",
     "IDEAL",
-    "IDEAL_PIPELINED",
     "SIMPLE_2VC",
     "TRADITIONAL_2VC",
 ]
@@ -99,20 +92,5 @@ ADVANCED_2VC = Architecture(
     host_edf=True,
 )
 
-IDEAL_PIPELINED = Architecture(
-    name="ideal-pipelined",
-    label="Ideal (pipelined heap)",
-    # Depth 8 covers 8 KB of minimum-size packets; the fabric binds the
-    # queue's clock to the engine so the pipeline's settle window is real
-    # simulated time (one level per nanosecond-class cycle).
-    queue_factory=lambda: PipelinedHeapQueue(depth=8),
-    picker_factory=EDFPicker,
-    host_edf=True,
-)
-
-#: All presets; the first four are the paper's figure order, the fifth is
-#: the hardware-honest realization of Ideal via the paper's reference [9].
-ARCHITECTURES = {
-    arch.name: arch
-    for arch in (TRADITIONAL_2VC, IDEAL, SIMPLE_2VC, ADVANCED_2VC, IDEAL_PIPELINED)
-}
+#: All presets, in the paper's figure order.
+ARCHITECTURES = {arch.name: arch for arch in (TRADITIONAL_2VC, IDEAL, SIMPLE_2VC, ADVANCED_2VC)}

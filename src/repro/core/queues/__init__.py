@@ -16,13 +16,11 @@ All three expose the same interface (:class:`~repro.core.queues.base.PacketQueue
 from repro.core.queues.base import PacketQueue
 from repro.core.queues.fifo import FifoQueue
 from repro.core.queues.heap import EDFHeapQueue
-from repro.core.queues.pipelined_heap import PipelinedHeapQueue
 from repro.core.queues.takeover import TakeOverQueue
 
 __all__ = [
     "EDFHeapQueue",
     "FifoQueue",
     "PacketQueue",
-    "PipelinedHeapQueue",
     "TakeOverQueue",
 ]

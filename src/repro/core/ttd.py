@@ -2,7 +2,7 @@
 
 Deadlines are absolute times, which would seem to require synchronized
 clocks across every host and switch.  The paper avoids that: when a packet
-leaves a node, the header carries ``TTD = deadline - local_clock``; the
+leaves a node, the header carries ``TTD = deadline - local_time``; the
 next hop reconstructs a *local* deadline by adding its own clock.  All
 packets at one node are shifted by the same amount, so the relative order
 EDF cares about is untouched -- scheduling decisions are identical to the
@@ -22,18 +22,18 @@ from typing import Dict, Hashable
 __all__ = ["ClockDomain", "deadline_from_ttd", "ttd_from_deadline"]
 
 
-def ttd_from_deadline(deadline_local: int, local_clock: int) -> int:
+def ttd_from_deadline(deadline_local: int, local_time: int) -> int:
     """Header value written when a packet departs a node.
 
     May be negative: a packet already past its deadline still carries a
     meaningful (if tardy) TTD.
     """
-    return deadline_local - local_clock
+    return deadline_local - local_time
 
 
-def deadline_from_ttd(ttd: int, local_clock: int) -> int:
+def deadline_from_ttd(ttd: int, local_time: int) -> int:
     """Local deadline reconstructed when a packet arrives at a node."""
-    return ttd + local_clock
+    return ttd + local_time
 
 
 class ClockDomain:

@@ -43,7 +43,7 @@ class RoutePath:
     """One fixed path between two hosts; two are equal when they join
     the same hosts over the same ``links``.
 
-    The ledger walks ``links`` on reserve and release, so those are
+    The ledger walks ``links`` on reserve and on assignment, so those are
     stored; ``nodes`` and ``ports`` are read once per flow, so they are
     joined on demand from the segment the path shares with every host
     pair under the same two attach switches.

@@ -139,9 +139,6 @@ class Switch:
         self.packets_forwarded = 0
         self.bytes_forwarded = 0
 
-    def _clock(self) -> int:
-        return self.engine.now
-
     def voq(self, in_port: int, out_port: int, vc: int) -> PacketQueue:
         """The queue from ``in_port`` to ``out_port`` on ``vc``, created
         on first use.  Byte capacity is enforced upstream by the credit
@@ -150,10 +147,6 @@ class Switch:
         queue = row[in_port]
         if queue is _UNUSED:
             queue = row[in_port] = self.architecture.queue_factory()
-            # Clock-aware buffer structures (the pipelined heap) need the
-            # switch's local cycle counter to model their settle window.
-            if hasattr(queue, "now_fn"):
-                queue.now_fn = self._clock
         return queue
 
     # ------------------------------------------------------------------

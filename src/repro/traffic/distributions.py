@@ -10,7 +10,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from repro.sim.rng import RandomStream
@@ -22,9 +21,7 @@ class BoundedPareto:
     """Pareto distribution truncated to ``[low, high]`` (inclusive).
 
     Sampling is by inversion of the truncated CDF.  ``alpha`` is the tail
-    index; smaller alpha = heavier tail.  ``mean`` is the analytic mean of
-    the *truncated* distribution, used to calibrate arrival rates exactly
-    rather than empirically.
+    index; smaller alpha = heavier tail.
     """
 
     __slots__ = ("alpha", "low", "high", "_low_a", "_high_a")
@@ -39,16 +36,6 @@ class BoundedPareto:
         self.high = high
         self._low_a = low**alpha
         self._high_a = high**alpha
-
-    @property
-    def mean(self) -> float:
-        a, l, h = self.alpha, self.low, self.high
-        if math.isclose(a, 1.0):
-            # The a==1 limit of the general formula.
-            return math.log(h / l) / (1.0 / l - 1.0 / h)
-        num = (a / (a - 1.0)) * (l ** (1 - a) - h ** (1 - a))
-        den = l**-a - h**-a
-        return num / den
 
     def sample(self, rng: RandomStream) -> float:
         u = rng.random()

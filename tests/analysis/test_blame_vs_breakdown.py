@@ -17,20 +17,23 @@ from repro.obs.tracing import PacketTracer
 from repro.sim.rng import RandomStreams
 from repro.traffic.mix import build_mix
 from tests.analysis.breakdown_oracle import LatencyBreakdown
+from tests.core.pipelined_heap import ARCHITECTURE_NAMES, engine_factory_for
 from tests.sim.test_engine_differential import _figure_configs
 
 SOURCE_HOLD = ("host.eligible_wait", "host.queue_wait")
 
 
-@pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+@pytest.mark.parametrize("arch", ARCHITECTURE_NAMES)
 @pytest.mark.parametrize("figure", sorted(_figure_configs()))
-def test_blame_splits_latency_like_the_breakdown(figure, arch):
+def test_blame_splits_latency_like_the_breakdown(monkeypatch, figure, arch):
+    engine_factory = engine_factory_for(monkeypatch, arch)
     config = _figure_configs()[figure].with_(architecture=arch, warmup_ns=0)
     tracer = PacketTracer(policy="head", rate=1.0, capacity=1 << 16, seed=config.seed)
     fabric = Fabric(
         make_topology(config.topology),
         ARCHITECTURES[arch],
         config.params,
+        engine=engine_factory(),
         tracer=tracer,
         packet_pooling=True,
     )

@@ -17,9 +17,10 @@ from typing import Optional
 
 from repro.analysis.cost import _CountingQueue
 from repro.core.invariants import InvariantViolation
-from repro.core.queues import EDFHeapQueue, FifoQueue, PipelinedHeapQueue, TakeOverQueue
+from repro.core.queues import EDFHeapQueue, FifoQueue, TakeOverQueue
 from repro.core.queues.base import DeadlineTagged, PacketQueue
 from repro.network.switch import _UnusedVOQ
+from tests.core.pipelined_heap import PipelinedHeapQueue
 
 __all__ = ["reference_head"]
 

@@ -70,11 +70,26 @@ class TestReservation:
         with pytest.raises(AdmissionError):
             ctl.reserve(2, 0, 1, 0.01)
 
-    def test_duplicate_flow_id_rejected(self):
-        ctl = AdmissionController(two_parallel_paths, link_capacity=1.0)
-        ctl.reserve(1, 0, 1, 0.1)
-        with pytest.raises(AdmissionError):
-            ctl.reserve(1, 0, 1, 0.1)
+    def test_duplicate_flow_id_rejected(self, make_fabric):
+        """No repeated id ever reaches ``reserve``, so it checks for none:
+        ``Fabric.open_flow`` takes ids from the ``FlowRegistry``, which
+        hands out each once, a refused flow's included."""
+        fabric = make_fabric()
+        ctl = fabric.admission
+        asked = []
+
+        def reserve(flow_id, *args):
+            asked.append(flow_id)
+            return AdmissionController.reserve(ctl, flow_id, *args)
+
+        ctl.reserve = reserve
+        for dst in range(1, 16):
+            try:
+                fabric.open_flow(0, dst, "multimedia", bw_bytes_per_ns=0.15)
+            except AdmissionError:
+                pass
+        assert len(asked) == 15 and len(set(asked)) == 15
+        assert ctl.reservation_count == len(fabric.flows) < 15  # some were refused
 
     def test_non_positive_bandwidth_rejected(self):
         ctl = AdmissionController(two_parallel_paths, link_capacity=1.0)
@@ -88,43 +103,43 @@ class TestReservation:
 
 
 class TestRelease:
+    """A run never retires a flow, so nothing returns bandwidth: a
+    reservation holds to the end, and the ledger is the exact integer sum
+    of what was admitted."""
+
     def test_release_returns_bandwidth(self):
         ctl = AdmissionController(single_shared_path, link_capacity=1.0)
         ctl.reserve(1, 0, 1, 1.0)
-        ctl.release(1)
-        ctl.reserve(2, 0, 1, 1.0)  # fits again
+        with pytest.raises(AdmissionError):
+            ctl.reserve(2, 0, 1, 1.0)  # the first flow still holds the link
+        assert ctl.reserved["shared"] == units.bps(1.0)
 
     def test_release_unknown_flow_raises(self):
         ctl = AdmissionController(single_shared_path, link_capacity=1.0)
-        with pytest.raises(AdmissionError):
-            ctl.release(99)
+        assert not hasattr(ctl, "release")
 
     def test_release_clears_float_dust(self):
         ctl = AdmissionController(single_shared_path, link_capacity=1.0)
         for i in range(10):
             ctl.reserve(i, 0, 1, 0.1)
-        for i in range(10):
-            ctl.release(i)
-        assert ctl.reserved["shared"] == 0.0
+        assert ctl.reserved["shared"] == 10 * units.bps(0.1) == units.bps(1.0)
 
     def test_repeated_reserve_release_is_exactly_zero(self):
-        # The ledger is integer bytes/second: cycling awkward float
-        # rates (1/3 B/ns has no finite binary representation) must
-        # return every link to exactly zero -- not approximately.
-        ctl = AdmissionController(single_shared_path, link_capacity=1.0)
+        # The ledger is integer bytes/second: awkward float rates (1/3
+        # B/ns has no finite binary representation) add up exactly -- the
+        # sum of the converted rates, not approximately.
+        ctl = AdmissionController(single_shared_path, link_capacity=1000.0)
         rates = [units.gbps(8.0) / 3.0, 0.1, 0.2, 1.0 / 7.0]
         for cycle in range(25):
             for i, rate in enumerate(rates):
                 ctl.reserve(cycle * len(rates) + i, 0, 1, rate)
-            for i in range(len(rates)):
-                ctl.release(cycle * len(rates) + i)
-            assert ctl.reserved["shared"] == 0
-        assert ctl.utilization("shared") == 0.0
+            assert ctl.reserved["shared"] == (cycle + 1) * sum(map(units.bps, rates))
+        assert ctl.reservation_count == 100
 
     def test_utilization_query(self):
         ctl = AdmissionController(single_shared_path, link_capacity=2.0)
         ctl.reserve(1, 0, 1, 1.0)
-        assert ctl.utilization("shared") == pytest.approx(0.5)
+        assert ctl.reserved["shared"] / units.bps(2.0) == pytest.approx(0.5)
 
 
 class TestBestEffortAssignment:
@@ -242,8 +257,8 @@ class ReferenceController(AdmissionController):
     """The selection rule as it was before profiles were built in one
     pass: ``_path_profile`` verbatim (per-link capacity lookup, ``bps``
     per link, a generator per candidate), ``min`` over it, and the
-    ceiling test through a second profile.  Ledgers and ``release`` are
-    the production ones."""
+    ceiling test through a second profile.  The ledgers are the
+    production ones."""
 
     def __init__(self, candidates, link_capacity, **kwargs):
         super().__init__(candidates, link_capacity, **kwargs)
@@ -271,8 +286,6 @@ class ReferenceController(AdmissionController):
     def reserve(self, flow_id, src, dst, bw_bytes_per_ns):
         if bw_bytes_per_ns <= 0:
             raise ValueError(f"reserved bandwidth must be positive, got {bw_bytes_per_ns}")
-        if flow_id in self._reservations:
-            raise AdmissionError(f"flow {flow_id} already holds a reservation")
         paths = self._candidates(src, dst)
         if not paths:
             raise AdmissionError(f"no route from host {src} to host {dst}")
@@ -288,9 +301,8 @@ class ReferenceController(AdmissionController):
         bw_bps = units.bps(bw_bytes_per_ns)
         for link in best_path.links:
             self.reserved[link] = self.reserved.get(link, 0) + bw_bps
-        reservation = Reservation(flow_id, best_path, bw_bytes_per_ns)
-        self._reservations[flow_id] = reservation
-        return reservation
+        self.reservation_count += 1
+        return Reservation(flow_id, best_path, bw_bytes_per_ns)
 
     def assign_path(self, src, dst, weight=1.0):
         paths = self._candidates(src, dst)
@@ -334,13 +346,15 @@ def _hot_spot_pair(rng, n_hosts):
 
 def _replay_both(new, ref, n_hosts, steps, pick_pair=_hot_spot_pair):
     """Drive ``new`` and ``ref`` through one seeded reserve / assign /
-    release sequence, requiring equal routes, error strings and ledgers
-    at every step and exactly-zero ledgers once every flow is released."""
+    audit sequence, requiring equal routes, error strings and ledgers at
+    every step, and at each audit and at the end that every link's
+    reserved bandwidth is exactly the integer sum of the admitted flows
+    routed over it."""
     rng = random.Random(14)
     # Awkward rates (no finite binary representation) next to round ones;
     # large enough that a few dozen per host reach the ceiling.
     rates = [1.0 / 3.0, 0.1, 1.0 / 7.0, 0.25, 0.05, 2.0 / 9.0]
-    live, rejected, next_id = [], 0, 0
+    live, rejected, next_id = {}, 0, 0
     for _step in range(steps):
         src, dst = pick_pair(rng, n_hosts)
         roll = rng.random()
@@ -356,7 +370,7 @@ def _replay_both(new, ref, n_hosts, steps, pick_pair=_hot_spot_pair):
             if isinstance(outcomes[0], str):
                 rejected += 1
             else:
-                live.append(next_id)
+                live[next_id] = (outcomes[0][3], rate)
             next_id += 1
         elif roll < 0.8:
             weight = rng.choice(rates)
@@ -364,17 +378,23 @@ def _replay_both(new, ref, n_hosts, steps, pick_pair=_hot_spot_pair):
                 ref.assign_path(src, dst, weight)
             )
         elif live:
-            flow_id = live.pop(rng.randrange(len(live)))
-            new.release(flow_id)
-            ref.release(flow_id)
+            _assert_ledger_sums(new, live)
         _assert_same_ledger(new, ref)
     assert rejected > 50 and len(live) > 100, "the sequence must reach the ceiling"
-    for flow_id in live:
-        new.release(flow_id)
-        ref.release(flow_id)
-    _assert_same_ledger(new, ref)
-    assert set(new.reserved.values()) == {0} == set(ref.reserved.values())
-    assert new.reservation_count == ref.reservation_count == 0
+    _assert_ledger_sums(new, live)
+    _assert_ledger_sums(ref, live)
+    assert new.reservation_count == ref.reservation_count == len(live)
+
+
+def _assert_ledger_sums(ctl, live):
+    """Every link reserves exactly the converted rates of the live flows
+    ``{flow_id: (links, rate)}`` routed over it, and no other link
+    reserves anything."""
+    expected = {}
+    for links, rate in live.values():
+        for link in links:
+            expected[link] = expected.get(link, 0) + units.bps(rate)
+    assert {link: bw for link, bw in ctl.reserved.items() if bw} == expected
 
 
 class TestEquivalenceWithReferenceRule:

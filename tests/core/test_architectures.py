@@ -15,13 +15,13 @@ from repro.core.queues import EDFHeapQueue, FifoQueue, PacketQueue, TakeOverQueu
 
 class TestPresetTable:
     def test_all_presets_exist(self):
-        # The paper's four, plus the hardware-honest Ideal realization.
+        # The paper's four; the pipelined-heap realization of Ideal is
+        # its test oracle (tests/core/pipelined_heap.py).
         assert set(ARCHITECTURES) == {
             "traditional-2vc",
             "ideal",
             "simple-2vc",
             "advanced-2vc",
-            "ideal-pipelined",
         }
 
     @pytest.mark.parametrize(

@@ -1,13 +1,14 @@
 """The list-backed queues against their deque-backed originals.
 
-``FifoQueue``, ``TakeOverQueue`` and ``PipelinedHeapQueue`` keep their
-FIFOs in plain lists; :mod:`tests.core.deque_queues` keeps the same
-classes as they were with ``collections.deque``.  Each test drives a
-shipped queue and its deque twin with one random sequence of pushes,
-pops, clock ticks and -- for the take-over pair -- a corruption that
-puts a packet in U behind the queue's back, and after every step
-requires the same popped packet, ``front``, ``len``, iteration order,
-L/U snapshots, ``takeover_hits`` and raised exception.
+``FifoQueue``, ``TakeOverQueue`` and ``PipelinedHeapQueue`` (the oracle of
+``ideal`` in :mod:`tests.core.pipelined_heap`) keep their FIFOs in plain
+lists; :mod:`tests.core.deque_queues` keeps the same classes as they were
+with ``collections.deque``.  Each test drives a list-backed queue and its
+deque twin with one random sequence of pushes, pops, clock ticks and --
+for the take-over pair -- a corruption that puts a packet in U behind the
+queue's back, and after every step requires the same popped packet,
+``front``, ``len``, iteration order, L/U snapshots, ``takeover_hits`` and
+raised exception.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.invariants import InvariantViolation
-from repro.core.queues import FifoQueue, PipelinedHeapQueue, TakeOverQueue
+from repro.core.queues import FifoQueue, TakeOverQueue
 from tests.core import deque_queues
+from tests.core.pipelined_heap import PipelinedHeapQueue
 from tests.core.test_pipelined_heap import FakeClock
 from tests.helpers import mkpkt
 
@@ -90,7 +92,7 @@ def test_takeover_matches_the_deque_takeover(ops):
 @given(ops=operations, depth=st.integers(1, 4), settle=st.sampled_from([None, 0, 1, 3]))
 def test_pipelined_heap_matches_the_deque_pipelined_heap(ops, depth, settle):
     clock = FakeClock()
-    shipped = PipelinedHeapQueue(now_fn=clock, depth=depth, settle_cycles=settle)
+    listed = PipelinedHeapQueue(now_fn=clock, depth=depth, settle_cycles=settle)
     oracle = deque_queues.PipelinedHeapQueue(now_fn=clock, depth=depth, settle_cycles=settle)
-    replay(shipped, oracle, ops, clock)
-    assert shipped.unsettled == oracle.unsettled
+    replay(listed, oracle, ops, clock)
+    assert listed.unsettled == oracle.unsettled

@@ -2,10 +2,11 @@
 
 The arbiter, the host NIC and the observer read a head as the ``front``
 field.  The FIFO, heap and take-over queues keep that slot current in
-``push`` and ``pop``; the pipelined heap and the cost shim define it as a
-property, and so do the test subclasses whose head depends on outside
-state or whose ``push`` does not keep the slot.  For every queue class,
-after any sequence of pushes, pops, clock ticks and credit changes,
+``push`` and ``pop``; the cost shim defines it as a property, and so do
+the pipelined-heap oracle (``tests/core/pipelined_heap.py``) and the test
+subclasses whose head depends on outside state or whose ``push`` does not
+keep the slot.  For every queue class, after any sequence of pushes, pops,
+clock ticks and credit changes,
 ``q.front`` is the head :func:`~tests.core.reference_head.reference_head`
 recomputes from the queue's contents (the masking subclass: the smallest
 FIFO head that fits the credits), and ``q.front`` is None exactly when
@@ -20,8 +21,9 @@ from hypothesis import strategies as st
 
 from repro.analysis.cost import CostCounters, _CountingQueue
 from repro.core.invariants import InvariantViolation
-from repro.core.queues import EDFHeapQueue, FifoQueue, PipelinedHeapQueue, TakeOverQueue
+from repro.core.queues import EDFHeapQueue, FifoQueue, TakeOverQueue
 from repro.network.switch import _UNUSED
+from tests.core.pipelined_heap import PipelinedHeapQueue
 from tests.core.reference_head import reference_head
 from tests.core.test_pipelined_heap import FakeClock
 from tests.core.test_takeover_bounded_hazard import BoundedUTakeOverQueue

@@ -111,7 +111,7 @@ class TestSurface:
     last single-file ``cli.py`` (commit ab87a91) by printing ``_surface``
     of its parser; regenerate it the same way when a flag changes on purpose."""
 
-    ARCHS = ["advanced-2vc", "ideal", "ideal-pipelined", "simple-2vc", "traditional-2vc"]
+    ARCHS = ["advanced-2vc", "ideal", "simple-2vc", "traditional-2vc"]
     POINT = {"--arch": ("advanced-2vc", ARCHS), "--load": (1.0, None)}
     SIM = {
         "--topology": ("small", ["medium", "paper", "scale512", "small", "tiny"]),

@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.architectures import ARCHITECTURES
 from repro.exec.summary import execute_config, summarize_run
 from repro.experiments.config import ExperimentConfig, scaled_video_mix
 from repro.experiments.runner import run_experiment
 from repro.network.fabric import Fabric
 from repro.sim import units
 from repro.sim.engine import Engine
+from tests.core.pipelined_heap import ARCHITECTURE_NAMES, engine_factory_for
 
 
 def quick_config(**overrides):
@@ -181,13 +181,16 @@ class TestCycleCollector:
 
     @pytest.mark.parametrize("skew_ns", [0, 500])
     @pytest.mark.parametrize("sinks", ["bare", "tail", "head"])
-    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
-    def test_a_run_makes_no_cyclic_garbage(self, arch, sinks, skew_ns, collector_state):
+    @pytest.mark.parametrize("arch", ARCHITECTURE_NAMES)
+    def test_a_run_makes_no_cyclic_garbage(
+        self, monkeypatch, arch, sinks, skew_ns, collector_state
+    ):
         """Acyclicity tripwire: a per-event reference cycle added anywhere
         on the run's path (kernel, network, traffic, stats, any sink, TTD
         carriage) leaves unreachable objects here.  The heap is frozen
         first, in place of a first collection: each collection then walks
         only what the run made, however large the test process is."""
+        engine_factory = engine_factory_for(monkeypatch, arch)
         config = quick_config(
             architecture=arch,
             warmup_ns=20 * units.US,
@@ -198,7 +201,7 @@ class TestCycleCollector:
         gc.freeze()
         try:
             gc.disable()
-            result = run_experiment(config, **sinks)
+            result = run_experiment(config, engine_factory=engine_factory, **sinks)
             assert result.events_executed > 0
             assert gc.collect() == 0
         finally:

@@ -19,6 +19,7 @@ from repro.core.architectures import ARCHITECTURES
 from repro.core.flow import FlowKind
 from repro.network.fabric import Fabric
 from repro.sim import units
+from tests.core.pipelined_heap import ARCHITECTURE_NAMES, engine_factory_for
 from tests.traffic.cbr import CbrSource
 from tests.stats.per_flow import PerFlowCollector
 
@@ -27,11 +28,11 @@ VICTIM = 0
 MEASURE_NS = 800 * units.US
 
 
-def build_incast(tiny_topology, arch: str):
+def build_incast(tiny_topology, arch: str, engine=None):
     """All other hosts send best-effort CBR at the victim at full rate;
     one admitted control flow and one admitted video-ish flow cross the
     hotspot."""
-    fabric = Fabric(tiny_topology, ARCHITECTURES[arch])
+    fabric = Fabric(tiny_topology, ARCHITECTURES[arch], engine=engine)
     flows = PerFlowCollector()
     fabric.subscribe_delivery(flows.on_delivery)
 
@@ -109,14 +110,15 @@ class TestEDFIsolation:
 
 
 class TestVCIsolationIsUniversal:
-    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
-    def test_two_vcs_isolate_control_from_incast(self, tiny_topology, arch):
+    @pytest.mark.parametrize("arch", ARCHITECTURE_NAMES)
+    def test_two_vcs_isolate_control_from_incast(self, monkeypatch, tiny_topology, arch):
         """When control is the only VC0 traffic, the two-VC split alone
         (common to all four architectures) protects it from a VC1 incast:
         latency stays within a few packet times of the wire minimum.
         EDF's advantage appears when VC0 itself carries a *mix* -- that is
         what Figure 2 and the order-error benches measure."""
-        fabric, flows, control, _ = build_incast(tiny_topology, arch)
+        engine = engine_factory_for(monkeypatch, arch)()
+        fabric, flows, control, _ = build_incast(tiny_topology, arch, engine)
         for t in range(0, MEASURE_NS, 50 * units.US):
             fabric.engine.at(t, fabric.submit, control, 256)
         fabric.run(until=MEASURE_NS)

@@ -14,12 +14,14 @@ from repro.network.fabric import Fabric
 from repro.sim import units
 from repro.sim.rng import RandomStreams
 from repro.traffic.mix import build_mix
+from tests.core.pipelined_heap import ARCHITECTURE_NAMES, engine_factory_for
 
 
-@pytest.fixture(params=sorted(ARCHITECTURES))
-def loaded_run(request, tiny_topology):
+@pytest.fixture(params=ARCHITECTURE_NAMES)
+def loaded_run(request, monkeypatch, tiny_topology):
     """A 300 us full-load run; returns (fabric, mix)."""
-    fabric = Fabric(tiny_topology, ARCHITECTURES[request.param])
+    engine = engine_factory_for(monkeypatch, request.param)()
+    fabric = Fabric(tiny_topology, ARCHITECTURES[request.param], engine=engine)
     mix = build_mix(fabric, RandomStreams(11), scaled_video_mix(1.0, time_scale=0.02))
     deliveries = []
     fabric.subscribe_delivery(lambda p, t: deliveries.append(p))

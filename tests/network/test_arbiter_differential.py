@@ -16,14 +16,16 @@ import pytest
 
 from repro.core.architectures import ARCHITECTURES
 from tests.core.scanning_pickers import with_scanning_pickers
+from tests.core.pipelined_heap import ARCHITECTURE_NAMES, engine_factory_for
 from tests.sim.test_engine_differential import _figure_configs, _run_artifacts
 
 
 @pytest.mark.parametrize("figure", sorted(_figure_configs()))
-@pytest.mark.parametrize("arch_name", sorted(ARCHITECTURES))
+@pytest.mark.parametrize("arch_name", ARCHITECTURE_NAMES)
 def test_byte_identical_to_scanning_oracle(monkeypatch, arch_name, figure):
+    engine_factory = engine_factory_for(monkeypatch, arch_name)
     config = dataclasses.replace(_figure_configs()[figure], architecture=arch_name)
-    summary, spans = _run_artifacts(config, None)
+    summary, spans = _run_artifacts(config, engine_factory)
 
     # The runner resolves architectures by name; same name, oracle pickers.
     oracle = with_scanning_pickers(ARCHITECTURES[arch_name])
@@ -36,7 +38,7 @@ def test_byte_identical_to_scanning_oracle(monkeypatch, arch_name, figure):
     monkeypatch.setitem(
         ARCHITECTURES, arch_name, dataclasses.replace(oracle, picker_factory=mint_oracle_picker)
     )
-    oracle_summary, oracle_spans = _run_artifacts(config, None)
+    oracle_summary, oracle_spans = _run_artifacts(config, engine_factory)
 
     assert minted, "the oracle pickers were never installed"
     assert summary == oracle_summary, "RunSummary diverged"

@@ -12,6 +12,7 @@ from repro.core.flow import FlowKind
 from repro.experiments.presets import make_topology
 from repro.network.fabric import Fabric, FabricParams
 from repro.network.topology import build_folded_shuffle_min
+from tests.core.pipelined_heap import ARCHITECTURE_NAMES, engine_factory_for
 
 
 class TestConstruction:
@@ -40,15 +41,16 @@ class TestConstruction:
         assert sum(switch.voq_count() for switch in fabric.switches.values()) == 0
         assert built < 60_000
 
-    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
-    def test_a_voq_costs_what_it_holds(self, arch):
+    @pytest.mark.parametrize("arch", ARCHITECTURE_NAMES)
+    def test_a_voq_costs_what_it_holds(self, monkeypatch, arch):
         """An empty VOQ stays small: its FIFOs are lists (56 bytes empty),
         not deques (760 bytes each, so 1.6 KB per take-over pair), because
         a run materialises one queue per ``(in, out, VC)`` it uses --
         27 652 at ``scale512``.  Every slot of one ``tiny`` switch is built
         through ``Switch.voq`` and the traced growth is divided among them
         (about 100 bytes FIFO and heap, 180 take-over, 250 pipelined heap)."""
-        fabric = Fabric(make_topology("tiny"), ARCHITECTURES[arch])
+        engine = engine_factory_for(monkeypatch, arch)()
+        fabric = Fabric(make_topology("tiny"), ARCHITECTURES[arch], engine=engine)
         switch = next(iter(fabric.switches.values()))
         slots = [
             (in_port, out_port, vc)

@@ -62,6 +62,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import PacketTracer
 from repro.sim import units
 from repro.sim.monitor import Trace
+from tests.core.pipelined_heap import ARCHITECTURE_NAMES, NAME, engine_factory_for
 
 
 def _config(architecture: str, measure_us: int = 250) -> ExperimentConfig:
@@ -245,13 +246,14 @@ def test_observed_forward_reads_the_front(architecture):
 def _modules_holding_queues():
     package = repro.core.queues
     names = [f"{package.__name__}.{info.name}" for info in pkgutil.iter_modules(package.__path__)]
-    return [importlib.import_module(name) for name in names + ["repro.network.switch", "repro.analysis.cost"]]
+    others = ["repro.network.switch", "repro.analysis.cost", "tests.core.pipelined_heap"]
+    return [importlib.import_module(name) for name in names + others]
 
 
 def test_no_queue_defines_a_head_method():
     """A queue's head has one definition, its ``front``: no class in
-    ``core/queues/``, ``network/switch.py`` or ``analysis/cost.py``
-    defines ``head`` beside it."""
+    ``core/queues/``, ``network/switch.py``, ``analysis/cost.py`` or the
+    pipelined-heap oracle defines ``head`` beside it."""
     classes = [
         cls
         for module in _modules_holding_queues()
@@ -262,12 +264,13 @@ def test_no_queue_defines_a_head_method():
     assert not [cls.__qualname__ for cls in classes if "head" in vars(cls)]
 
 
-def test_no_queue_keeps_a_byte_ledger():
+def test_no_queue_keeps_a_byte_ledger(monkeypatch):
     """Buffer space has one ledger, the credits of the link that feeds the
-    buffer: no class in ``core/queues/``, ``network/switch.py`` or
-    ``analysis/cost.py`` defines or assigns ``used_bytes`` or
-    ``capacity_bytes``, and every preset's ``queue_factory`` takes no
-    argument (no capacity)."""
+    buffer: no class in ``core/queues/``, ``network/switch.py``,
+    ``analysis/cost.py`` or the pipelined-heap oracle defines or assigns
+    ``used_bytes`` or ``capacity_bytes``, and every preset's
+    ``queue_factory`` (the oracle's included) takes no argument (no
+    capacity)."""
     ledger = {"used_bytes", "capacity_bytes"}
     modules = _modules_holding_queues()
     classes = [
@@ -285,7 +288,8 @@ def test_no_queue_keeps_a_byte_ledger():
         if isinstance(node, ast.Attribute) and node.attr in ledger and isinstance(node.ctx, ast.Store)
     ]
     assert not assigned
-    assert len(ARCHITECTURES) >= 5
+    engine_factory_for(monkeypatch, NAME)
+    assert sorted(ARCHITECTURES) == ARCHITECTURE_NAMES and len(ARCHITECTURES) >= 5
     takes_arguments = [
         name for name, arch in ARCHITECTURES.items() if inspect.signature(arch.queue_factory).parameters
     ]

@@ -18,18 +18,19 @@ import dataclasses
 
 import pytest
 
-from repro.core.architectures import ARCHITECTURES
 from repro.network import fabric as fabric_module
 from tests.helpers import whole_paths
 from tests.network.updown_oracle import OracleRoutingTable
+from tests.core.pipelined_heap import ARCHITECTURE_NAMES, engine_factory_for
 from tests.sim.test_engine_differential import _figure_configs, _run_artifacts
 
 
 @pytest.mark.parametrize("figure", sorted(_figure_configs()))
-@pytest.mark.parametrize("arch_name", sorted(ARCHITECTURES))
+@pytest.mark.parametrize("arch_name", ARCHITECTURE_NAMES)
 def test_byte_identical_to_per_pair_oracle(monkeypatch, arch_name, figure):
+    engine_factory = engine_factory_for(monkeypatch, arch_name)
     config = dataclasses.replace(_figure_configs()[figure], architecture=arch_name)
-    summary, spans = _run_artifacts(config, None)
+    summary, spans = _run_artifacts(config, engine_factory)
 
     built = []
 
@@ -38,7 +39,7 @@ def test_byte_identical_to_per_pair_oracle(monkeypatch, arch_name, figure):
         return whole_paths(built[-1])
 
     monkeypatch.setattr(fabric_module, "RoutingTable", build_oracle_table)
-    oracle_summary, oracle_spans = _run_artifacts(config, None)
+    oracle_summary, oracle_spans = _run_artifacts(config, engine_factory)
 
     assert built and built[0]._cache, "the oracle table was never consulted"
     assert summary == oracle_summary, "RunSummary diverged"

@@ -5,13 +5,13 @@ import pytest
 from repro.core.architectures import (
     ADVANCED_2VC,
     IDEAL,
-    IDEAL_PIPELINED,
     SIMPLE_2VC,
     TRADITIONAL_2VC,
 )
 from repro.core.invariants import InvariantViolation
 from repro.network.link import Link
 from repro.network.switch import Switch
+from tests.core.pipelined_heap import EngineClock, ideal_pipelined
 from tests.helpers import mkpkt
 
 
@@ -319,8 +319,12 @@ class TestVOQsAppearOnFirstArrival:
         rig.switch.voq(1, 2, 1)
         assert rig.switch.voq_count() == 2
 
-    def test_accept_binds_the_clock_of_a_clock_aware_voq(self, engine):
-        rig = SwitchRig(engine, IDEAL_PIPELINED)
+    def test_accept_binds_the_clock_of_a_clock_aware_voq(self):
+        # The switch hands a queue no clock: a clock-aware queue (the
+        # pipelined-heap oracle) gets its engine's from its preset.
+        clock = EngineClock()
+        engine = clock()
+        rig = SwitchRig(engine, ideal_pipelined(clock))
         engine.at(123, rig.feed, 0, 10)
         engine.run_all()
         assert rig.switch.voq_count() == 1

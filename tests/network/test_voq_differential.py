@@ -14,18 +14,19 @@ import dataclasses
 
 import pytest
 
-from repro.core.architectures import ARCHITECTURES
 from repro.experiments import runner as runner_module
 from repro.network.fabric import Fabric
 from tests.network.dense_voqs import materialise_every_voq
+from tests.core.pipelined_heap import ARCHITECTURE_NAMES, engine_factory_for
 from tests.sim.test_engine_differential import _figure_configs, _run_artifacts
 
 
 @pytest.mark.parametrize("figure", sorted(_figure_configs()))
-@pytest.mark.parametrize("arch_name", sorted(ARCHITECTURES))
+@pytest.mark.parametrize("arch_name", ARCHITECTURE_NAMES)
 def test_byte_identical_to_dense_table(monkeypatch, arch_name, figure):
+    engine_factory = engine_factory_for(monkeypatch, arch_name)
     config = dataclasses.replace(_figure_configs()[figure], architecture=arch_name)
-    summary, spans = _run_artifacts(config, None)
+    summary, spans = _run_artifacts(config, engine_factory)
 
     built = []
 
@@ -34,7 +35,7 @@ def test_byte_identical_to_dense_table(monkeypatch, arch_name, figure):
         return built[-1]
 
     monkeypatch.setattr(runner_module, "Fabric", build_dense_fabric)
-    dense_summary, dense_spans = _run_artifacts(config, None)
+    dense_summary, dense_spans = _run_artifacts(config, engine_factory)
 
     assert built, "the dense fabric was never built"
     assert summary == dense_summary, "RunSummary diverged"

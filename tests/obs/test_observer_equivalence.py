@@ -2,7 +2,9 @@
 
 ``Switch`` and ``Host`` report each packet-lifecycle point once, to one
 handle that fans out to the metrics registry, the event ring and the
-span tracer.  On the fig2/fig3/fig4 ``tiny`` configs x 5 architectures:
+span tracer.  On the fig2/fig3/fig4 ``tiny`` configs x the four
+architectures and the pipelined-heap oracle of ``ideal``
+(``tests/core/pipelined_heap.py``):
 
 (a) the ``RunSummary`` is byte-identical bare vs. all three sinks on;
 (b) each sink's output is the same alone as beside the other two;
@@ -21,13 +23,13 @@ import json
 
 import pytest
 
-from repro.core.architectures import ARCHITECTURES
 from repro.exec.summary import summarize_run
 from repro.experiments.runner import run_experiment
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import write_trace_jsonl
 from repro.obs.tracing import PacketTracer, write_spans_jsonl
 from repro.sim.monitor import Trace
+from tests.core.pipelined_heap import ARCHITECTURE_NAMES, engine_factory_for
 from tests.sim.test_engine_differential import _figure_configs
 
 SINKS = ("metrics", "trace", "tracer")
@@ -113,7 +115,7 @@ GOLDEN = {
 }
 
 
-def _observed_run(config, sinks):
+def _observed_run(config, sinks, engine_factory):
     """Run ``config`` with the named sinks on; return the summary bytes
     and each enabled sink's exported text."""
     kwargs = {}
@@ -123,7 +125,7 @@ def _observed_run(config, sinks):
         kwargs["trace"] = Trace()
     if "tracer" in sinks:
         kwargs["tracer"] = PacketTracer(policy="head", rate=1.0, capacity=1 << 14, seed=7)
-    result = run_experiment(config, **kwargs)
+    result = run_experiment(config, engine_factory=engine_factory, **kwargs)
     doc = summarize_run(result).to_dict()
     doc.pop("wall_seconds")  # the one legitimately nondeterministic field
     out = {"summary": json.dumps(doc, sort_keys=True)}
@@ -144,22 +146,24 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-CASES = [
-    (figure, arch_name, dataclasses.replace(config, architecture=arch_name))
-    for figure, config in sorted(_figure_configs().items())
-    for arch_name in sorted(ARCHITECTURES)
-]
+CASES = [(figure, arch_name) for figure in sorted(_figure_configs()) for arch_name in ARCHITECTURE_NAMES]
 
 
-@pytest.mark.parametrize(
-    "figure, arch_name, config", CASES, ids=[f"{figure}-{arch}" for figure, arch, _ in CASES]
-)
-def test_sinks_observe_without_disturbing(figure, arch_name, config):
-    bare = _observed_run(config, ())
-    together = _observed_run(config, SINKS)
+def _case_run(monkeypatch, figure, arch_name):
+    """``sinks -> _observed_run`` for one case."""
+    engine_factory = engine_factory_for(monkeypatch, arch_name)
+    config = dataclasses.replace(_figure_configs()[figure], architecture=arch_name)
+    return lambda sinks: _observed_run(config, sinks, engine_factory)
+
+
+@pytest.mark.parametrize("figure, arch_name", CASES, ids=[f"{fig}-{arch}" for fig, arch in CASES])
+def test_sinks_observe_without_disturbing(monkeypatch, figure, arch_name):
+    run = _case_run(monkeypatch, figure, arch_name)
+    bare = run(())
+    together = run(SINKS)
     assert together["summary"] == bare["summary"], "observing changed the simulation"
     for sink in SINKS:
-        alone = _observed_run(config, (sink,))
+        alone = run((sink,))
         assert alone["summary"] == bare["summary"], f"{sink} alone changed the simulation"
         assert alone[sink] == together[sink], f"{sink} export depends on the other sinks"
     assert tuple(_sha(together[sink]) for sink in SINKS) == GOLDEN[figure, arch_name]
@@ -173,8 +177,9 @@ def test_default_fabric_hands_out_no_observer(make_fabric):
 
 if __name__ == "__main__":
     print("GOLDEN = {")
-    for figure, arch_name, config in CASES:
-        together = _observed_run(config, SINKS)
+    for figure, arch_name in CASES:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            together = _case_run(monkeypatch, figure, arch_name)(SINKS)
         digests = tuple(_sha(together[sink]) for sink in SINKS)
         print(f'    ("{figure}", "{arch_name}"): (')
         for digest in digests:

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DOCS = ("docs/ARCHITECTURE.md", "docs/PAPER_MAP.md", "docs/TUTORIAL.md", "DESIGN.md")
+DOCS = (
+    "docs/ARCHITECTURE.md",
+    "docs/PAPER_MAP.md",
+    "docs/TUTORIAL.md",
+    "DESIGN.md",
+    "README.md",
+    "EXPERIMENTS.md",
+)
 
 
 def _backticked(doc):
