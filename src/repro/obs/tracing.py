@@ -72,7 +72,7 @@ from collections import deque
 from typing import IO, Any, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs.metrics import Counter, class_counter
-from repro.sim.rng import RandomStream, derive_seed
+from repro.sim.rng import local_stream
 
 __all__ = [
     "PacketTracer",
@@ -439,7 +439,7 @@ class PacketTracer:
         rest = flow[1]
         if rest == 1:
             drawn = flow[2]
-            stream = RandomStream(derive_seed(self.seed, f"obs.tracing.flow{flow_id}"))
+            stream = local_stream(f"obs.tracing.flow{flow_id}", self.seed)
             for _ in range(drawn // _WORD):
                 stream.getrandbits(_WORD_SKIP_BITS)
             draw = stream.random

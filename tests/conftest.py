@@ -27,12 +27,6 @@ def tiny_topology():
     return build_folded_shuffle_min(4, 4, 4)
 
 
-@pytest.fixture(params=sorted(ARCHITECTURES))
-def architecture(request):
-    """Parametrize a test over all four evaluated architectures."""
-    return ARCHITECTURES[request.param]
-
-
 @pytest.fixture
 def make_fabric(tiny_topology):
     """Factory for a small fabric of a given architecture name."""

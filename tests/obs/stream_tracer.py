@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.obs.tracing import PacketTracer
-from repro.sim.rng import RandomStream, derive_seed
+from repro.sim.rng import RandomStream, local_stream
 
 __all__ = ["StreamTracer"]
 
@@ -33,8 +33,8 @@ class StreamTracer(PacketTracer):
                 # Evicting a stream would reset its draw position and
                 # perturb that flow's sampling; determinism requires one
                 # live stream per flow ever sampled.
-                stream = self._streams[pkt.flow_id] = RandomStream(
-                    derive_seed(self.seed, f"obs.tracing.flow{pkt.flow_id}")
+                stream = self._streams[pkt.flow_id] = local_stream(
+                    f"obs.tracing.flow{pkt.flow_id}", self.seed
                 )
             if stream.random() >= self.rate:
                 self.unsampled += 1

@@ -11,11 +11,12 @@ decision on every ``begin`` call and end with the same ``sampled`` and
 ``unsampled`` counts.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.tracing import PacketTracer
-from repro.sim.rng import RandomStream
 from tests.helpers import mkpkt
 from tests.obs.stream_tracer import StreamTracer
 
@@ -66,5 +67,5 @@ def test_decision_bits_sample_what_the_streams_sampled(seed, rate, flows, long_f
 def test_a_long_flow_reads_eight_blocks():
     # 20 000 packets end in the ninth block (blocks end at 64 * (2**k - 1)).
     flow_ids = [7] * 20_000
-    RandomStream(5).shuffle(flow_ids)
+    random.Random(5).shuffle(flow_ids)
     _same_decisions(11, 0.3, flow_ids)

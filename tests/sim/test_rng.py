@@ -1,5 +1,8 @@
 """Tests for named RNG streams."""
 
+import random
+import tracemalloc
+
 from repro.sim.rng import RandomStreams, derive_seed
 
 
@@ -58,3 +61,32 @@ class TestDeriveSeed:
     def test_name_sensitivity(self):
         assert derive_seed(1, "a") != derive_seed(1, "b")
         assert derive_seed(1, "a") != derive_seed(2, "a")
+
+
+class TestFootprint:
+    def test_a_stream_costs_what_it_draws(self):
+        # A stream that has drawn three words keeps a block of words, not a
+        # Mersenne Twister (2.5 kB of state, ≈ 3 kB a stream with it).
+        streams = RandomStreams(11)
+        names = [f"traffic.video.h{i}" for i in range(1000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for name in names:
+                stream = streams.stream(name)
+                stream.random()
+                stream.getrandbits(7)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / 1000 <= 800, f"{grown / 1000:.0f} B per stream"
+
+    def test_a_stream_that_draws_on_holds_the_generator(self):
+        stream = RandomStreams(11).stream("traffic.control.h0")
+        oracle = random.Random(derive_seed(11, "traffic.control.h0"))
+        assert [stream.getrandbits(32) for _ in range(10_000)] == [oracle.getrandbits(32) for _ in range(10_000)]
+        assert [stream.random() for _ in range(100)] == [oracle.random() for _ in range(100)]
+        assert isinstance(stream._mt, random.Random) and stream._block == b""
+        # past the block every draw is the generator's own C method
+        assert stream.random.__self__ is stream._mt
+        assert stream.getrandbits.__self__ is stream._mt
